@@ -37,8 +37,8 @@ from .evaluator import (
     ambiguity_aversion_check,
     ellsberg_demo,
     evaluate,
-    prefer,
     reduction_suite,
+    relation,
 )
 from .portfolio import ScenarioPanel, mean_risk_components, optimize
 from .utility import identity_utility, parse_utility
@@ -191,7 +191,9 @@ def _cmd_compare(args) -> int:
     v1 = parse_scenario(args.scenario)
     v2 = parse_scenario(args.scenario2)
     pref = _resolve_preference(args, v1.state_ids)
-    rel = prefer(v1, v2, pref)
+    value_1 = evaluate(v1, pref).value_utils
+    value_2 = evaluate(v2, pref).value_utils
+    rel = relation(value_1, value_2)
     wording = {">": "first strictly preferred", "<": "second strictly preferred", "~": "indifferent"}
     report = {
         "command": "compare",
@@ -202,8 +204,8 @@ def _cmd_compare(args) -> int:
         "result": {
             "relation": rel,
             "verdict": wording[rel],
-            "value_1": evaluate(v1, pref).value_utils,
-            "value_2": evaluate(v2, pref).value_utils,
+            "value_1": value_1,
+            "value_2": value_2,
         },
     }
     _emit(report, args)

@@ -217,7 +217,7 @@ def parse_distortion(spec: str) -> Distortion:
 
 
 def choquet(d: DiscreteDistribution, psi: Distortion) -> float:
-    """Distorted expectation of d under psi.
+    """Distorted expectation of d under psi; the scalar reference for ``inner_rdu``.
 
     With support x_1 < ... < x_n and survivals S_i = P(v > x_i), returns
     x_1 + sum_i (x_{i+1} - x_i) * psi(S_i).  For step cdfs this evaluates

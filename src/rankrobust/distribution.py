@@ -190,14 +190,6 @@ class TwoStageVariable:
         self.payoffs = pay
         self._index = {sid: w for w, sid in enumerate(ids)}
 
-    @classmethod
-    def from_state_mapping(cls, mapping) -> "TwoStageVariable":
-        """Build from {state_id: {"probs": [...], "payoffs": [...]}}."""
-        ids = list(mapping)
-        probs = [mapping[s]["probs"] for s in ids]
-        pays = [mapping[s]["payoffs"] for s in ids]
-        return cls(ids, probs, pays)
-
     @property
     def n_states(self) -> int:
         return len(self.state_ids)
@@ -216,9 +208,6 @@ class TwoStageVariable:
         """One-stage law of the payoff in the given state (duplicates merged)."""
         w = self.state_index(state)
         return DiscreteDistribution(self.payoffs[w], self.outcome_probs[w])
-
-    def marginals(self) -> list[DiscreteDistribution]:
-        return [DiscreteDistribution(self.payoffs[w], self.outcome_probs[w]) for w in range(self.n_states)]
 
     def with_payoffs(self, payoffs) -> "TwoStageVariable":
         """Same space, new payoff matrix."""

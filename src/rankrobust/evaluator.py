@@ -20,7 +20,7 @@ import numpy as np
 
 from .ambiguity import AmbiguityIndex, MaxminSet, Prior, simplex_grid
 from .distortion import Distortion, choquet, identity as identity_distortion
-from .distribution import TwoStageVariable
+from .distribution import MERGE_TOL, TwoStageVariable
 from .errors import DomainError, ShapeError
 from .utility import UtilityFn, add_variables, identity_utility
 
@@ -80,12 +80,30 @@ class Evaluation:
         }
 
 
-def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarray:
-    """Per-state distorted expectation of utility.
+def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray):
+    """One compensated (Neumaier) summation step on non-negative arrays."""
+    t = total + x
+    return t, comp + np.where(total >= x, (total - t) + x, (x - t) + total)
 
-    Pushes each state's lottery through phi (increasing, so ranks are
-    preserved) and applies the distorted expectation.  Payoffs outside
-    phi's domain raise with the offending (state, outcome).
+
+def _flush(total: np.ndarray, comp: np.ndarray, x: np.ndarray, done: np.ndarray):
+    """Add x to a running group sum; where done, hand the rounded sum on and restart."""
+    total, comp = _neumaier_add(total, comp, x)
+    return np.where(done, total + comp, 0.0), np.where(done, 0.0, total), np.where(done, 0.0, comp)
+
+
+def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarray:
+    """Per-state distorted expectation of utility, all states in one pass.
+
+    Ranks each row by payoff and returns u_1 + sum_i (u_{i+1} - u_i) * psi(S_i),
+    with S_i the mass ranked above i: tails are Neumaier sums over columns,
+    vectorized over states, and each state's terms are summed by math.fsum.
+    Zero-mass outcomes rank last, so they get zero tails and no weight.
+    Agrees with the scalar reference ``choquet(v.marginal(s).pushforward(phi),
+    psi)`` within 1e-12 * (1 + max |phi(payoff)|) per state, except that a
+    var: threshold may split a chain of 3+ payoffs (or utilities) under 1e-12
+    apart differently.  Payoffs outside phi's domain raise with the offending
+    (state, outcome).
     """
     inside = phi.domain.contains_mask(v.payoffs, tol=1e-12 * (1.0 + float(np.max(np.abs(v.payoffs)))))
     if not np.all(inside):
@@ -94,11 +112,22 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
             f"payoff {v.payoffs[w, s]!r} at (state {v.state_ids[w]!r}, outcome {int(s)}) "
             f"is outside the utility domain {phi.domain}"
         )
-    out = np.empty(v.n_states)
-    for w, sid in enumerate(v.state_ids):
-        marg = v.marginal(sid)
-        out[w] = choquet(marg.pushforward(phi), psi)
-    return out
+    order = np.argsort(np.where(v.outcome_probs > 0.0, v.payoffs, np.inf), axis=1, kind="stable")
+    x = np.take_along_axis(v.payoffs, order, axis=1)
+    p = np.take_along_axis(v.outcome_probs, order, axis=1)
+    u = phi(x)
+    # The reference merges payoffs, then utilities, within MERGE_TOL and rounds
+    # the mass at each merge; rounding the same way here keeps its var: hits.
+    point = point_c = atom = atom_c = total = total_c = np.zeros(v.n_states)
+    tails = np.empty((v.n_states, v.n_outcomes - 1))
+    for i in range(v.n_outcomes - 1, 0, -1):
+        new_point = x[:, i] - x[:, i - 1] > MERGE_TOL
+        mass, point, point_c = _flush(point, point_c, p[:, i], new_point)
+        mass, atom, atom_c = _flush(atom, atom_c, mass, new_point & (u[:, i] - u[:, i - 1] > MERGE_TOL))
+        total, total_c = _neumaier_add(total, total_c, mass)
+        tails[:, i - 1] = total + total_c
+    terms = np.diff(u, axis=1) * np.where(tails > 0.0, psi(tails), 0.0)
+    return np.array([math.fsum([lo, *row]) for lo, row in zip(u[:, 0].tolist(), terms.tolist())])
 
 
 def _certainty_equivalent(phi: UtilityFn, value: float) -> float | None:
@@ -126,15 +155,18 @@ def evaluate(v: TwoStageVariable, pref: Preference) -> Evaluation:
     )
 
 
-def prefer(v1: TwoStageVariable, v2: TwoStageVariable, pref: Preference, tol: float = INDIFFERENCE_TOL) -> str:
-    """Compare two variables; returns '>', '<' or '~' (indifference within tol)."""
-    a = evaluate(v1, pref).value_utils
-    b = evaluate(v2, pref).value_utils
+def relation(a: float, b: float, tol: float = INDIFFERENCE_TOL) -> str:
+    """'>', '<' or '~' for two values; values within tol are indifferent."""
     if a > b + tol:
         return ">"
     if b > a + tol:
         return "<"
     return "~"
+
+
+def prefer(v1: TwoStageVariable, v2: TwoStageVariable, pref: Preference, tol: float = INDIFFERENCE_TOL) -> str:
+    """Compare two variables; returns '>', '<' or '~' (indifference within tol)."""
+    return relation(evaluate(v1, pref).value_utils, evaluate(v2, pref).value_utils, tol)
 
 
 def ambiguity_neutral_value(v: TwoStageVariable, phi: UtilityFn, psi: Distortion, p0: Prior) -> float:

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rankrobust import (
     BatterySpec,
@@ -21,6 +23,7 @@ from rankrobust import (
     ambiguity_neutral_value,
     choquet,
     comonotonic,
+    dual_power,
     ellsberg_demo,
     ellsberg_preference,
     ellsberg_variables,
@@ -33,10 +36,17 @@ from rankrobust import (
     inner_rdu,
     is_more_ambiguity_averse,
     mix_variables,
+    piecewise_linear,
     power,
     prefer,
+    prelec,
     reduction_suite,
+    tversky_kahneman,
+    var_step,
 )
+from rankrobust.cli import parse_scenario
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 UNIFORM2 = Prior.uniform(2)
 
@@ -87,6 +97,91 @@ class TestInnerRdu:
         with pytest.raises(DomainError) as err:
             inner_rdu(v, sq, identity())
         assert "'b'" in str(err.value)
+
+
+def choquet_oracle(v, phi, psi):
+    """Per-state inner values from the scalar reference, one state at a time."""
+    return np.array([choquet(v.marginal(s).pushforward(phi), psi) for s in v.state_ids])
+
+
+def assert_kernel_agrees(v, phi, psi):
+    bound = 1e-12 * (1.0 + float(np.max(np.abs(phi(v.payoffs)))))
+    err = np.abs(inner_rdu(v, phi, psi) - choquet_oracle(v, phi, psi))
+    assert float(np.max(err)) <= bound, (psi, phi.describe(), err)
+
+
+def every_distortion(k):
+    """One distortion of each kind; the var: levels are multiples of 1/k."""
+    return [
+        identity(), power(0.5), power(2.3), prelec(0.4, 1.2), prelec(1.7, 0.8),
+        tversky_kahneman(0.61), es_tail(0.3), es_tail(max(1, k // 3) / k), dual_power(3.0),
+        piecewise_linear([(0, 0), (0.3, 0.6), (1, 1)]), piecewise_linear([(0, 5e-10), (1, 1)]),
+        var_step(0.25), *(var_step(j / k) for j in range(1, k)),
+    ]
+
+
+@st.composite
+def rank_cases(draw):
+    """A variable with heavy ties and zero-mass outcomes, plus (phi, psi).
+
+    Probabilities are 1/k or weights over their sum; with integer weights
+    the var: levels are multiples of one of those denominators, so
+    survivals land exactly on 1 - lambda.
+    """
+    n_w = draw(st.integers(1, 4))
+    n_s = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        probs = np.full((n_w, n_s), 1.0 / n_s)
+        denominators = [n_s]
+    else:
+        weight = st.one_of(st.integers(0, 4), st.floats(0.01, 1.0))
+        row = st.lists(weight, min_size=n_s, max_size=n_s).filter(any)
+        weights = np.array(draw(st.lists(row, min_size=n_w, max_size=n_w)), dtype=float)
+        sums = weights.sum(axis=1)
+        probs = weights / sums[:, None]
+        denominators = [int(t) for t in sums if t == int(t)] or [n_s]
+    if draw(st.booleans()):
+        levels = draw(st.integers(0, 3))
+        cell = st.integers(-levels, levels)
+        scale = draw(st.sampled_from([0.01, 1.0, 37.0]))
+    else:
+        cell = st.floats(-5.0, 5.0, allow_nan=False)
+        scale = 1.0
+    payoffs = scale * np.array(draw(st.lists(
+        st.lists(cell, min_size=n_s, max_size=n_s), min_size=n_w, max_size=n_w)), dtype=float)
+    v = TwoStageVariable([f"w{i}" for i in range(n_w)], probs, payoffs)
+    k = max(2, draw(st.sampled_from(denominators)))
+    phi = draw(st.sampled_from([identity_utility(), affine(2.5, -1.0), exponential(0.7)]))
+    psi = draw(st.sampled_from(every_distortion(k)))
+    return v, phi, psi
+
+
+class TestBatchedKernelAgreement:
+    """inner_rdu against the per-state choquet reference."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(rank_cases())
+    @example((TwoStageVariable(  # tied payoffs whose rounded group masses hit var:1/6
+        ["w"], [[1 / 6, 1 / 4, 1 / 4, 1 / 12, 1 / 12, 1 / 6]], [[-0.3, 0.1, 0.3, -0.1, 0.2, -0.1]]),
+        identity_utility(), var_step(1 / 6)))
+    @example((TwoStageVariable(  # distinct payoffs of equal utility, merged twice by the reference
+        ["w"], [[0.25, 0.0, 0.25, 1 / 12, 0.25, 0.0, 1 / 6]], [[100, -100, 200, 200, -300, -200, -200]]),
+        exponential(0.7), var_step(0.25)))
+    @example((TwoStageVariable(  # zero mass at both ends; the masses sum to 1 - 1.1e-16
+        ["a", "b"],
+        [[0.0, 0.43716026826970494, 0.26319939074807785, 0.2996403409822171, 0.0],
+         [0.0, 0.25, 0.25, 0.5, 0.0]],
+        [[-4, 0, 1, 2, 9], [-4, 1, 1, 2, 9]]),
+        identity_utility(), prelec(0.4, 1.2)))
+    @example((TwoStageVariable(["w"], [[1.0]], [[3.0]]), exponential(0.7), var_step(0.5)))
+    def test_matches_choquet_reference(self, case):
+        assert_kernel_agrees(*case)
+
+    @pytest.mark.parametrize("name", ["ellsberg_urn_a.json", "ellsberg_urn_c.json"])
+    def test_ellsberg_fixtures(self, name):
+        v = parse_scenario(str(FIXTURES / name))
+        for i, psi in enumerate(every_distortion(5)):  # survivals are multiples of 1/25
+            assert_kernel_agrees(v, exponential(0.01) if i % 2 else identity_utility(), psi)
 
 
 class TestEvaluate:
