@@ -81,7 +81,6 @@ from .portfolio import (
     mean_risk_objective,
     optimize,
     portfolio_variable,
-    risk_measure,
 )
 from .utility import (
     Interval,

@@ -61,6 +61,22 @@ class Prior:
         return f"Prior({np.array2string(self.weights, precision=6, separator=', ')})"
 
 
+def _prior_dots(U, matrix: np.ndarray) -> np.ndarray:
+    """``q . u`` for every prior row q of matrix and every u along U's last
+    axis, as a (priors, ...) array summed state by state in a fixed order.
+
+    BLAS picks its summation order by batch shape; this does not, so a row's
+    values never depend on the batch it arrives in.
+    """
+    cols = np.ascontiguousarray(np.moveaxis(np.asarray(U, dtype=float), -1, 0))
+    weights = matrix.reshape(matrix.shape + (1,) * (cols.ndim - 1))
+    out = weights[:, 0] * cols[0]
+    term = np.empty_like(out)
+    for j in range(1, matrix.shape[1]):
+        out += np.multiply(weights[:, j], cols[j], out=term)
+    return out
+
+
 def _as_weights(q, n: int) -> np.ndarray:
     w = q.weights if isinstance(q, Prior) else Prior(np.asarray(q, dtype=float)).weights
     if w.size != n:
@@ -108,10 +124,10 @@ class AmbiguityIndex:
 class MaxminSet(AmbiguityIndex):
     """Indicator penalty of the convex hull of finitely many priors.
 
-    Stored as extreme points; membership is an LP feasibility check.  For a
-    linear objective the minimum over the hull is attained at a listed
-    point, so robust_min scans them (first index wins ties, making results
-    schedule-independent).
+    Stored as a matrix of extreme points; membership is an LP feasibility
+    check.  For a linear objective the minimum over the hull is attained at
+    a listed point, so robust_min scans them (first index wins ties, making
+    results schedule-independent).
     """
 
     kind = "maxmin"
@@ -123,8 +139,20 @@ class MaxminSet(AmbiguityIndex):
         n = priors[0].n_states
         if any(p.n_states != n for p in priors):
             raise ShapeError("all priors in a maxmin set must have the same length")
-        self.priors = tuple(priors)
         self._matrix = np.vstack([p.weights for p in priors])
+
+    @classmethod
+    def vertices(cls, n: int) -> "MaxminSet":
+        """The whole simplex on n states, as the hull of its n point masses."""
+        if n < 1:
+            raise ShapeError("a prior must be a non-empty 1-D weight vector")
+        out = cls.__new__(cls)
+        out._matrix = np.eye(n)
+        return out
+
+    @property
+    def priors(self) -> tuple[Prior, ...]:
+        return tuple(Prior(row) for row in self._matrix)
 
     @property
     def n_states(self) -> int:
@@ -135,7 +163,7 @@ class MaxminSet(AmbiguityIndex):
         # Cheap exact-vertex test first; the LP decides general hull membership.
         if np.min(np.max(np.abs(self._matrix - w), axis=1)) <= HULL_TOL:
             return 0.0
-        k = len(self.priors)
+        k = self._matrix.shape[0]
         a_eq = np.vstack([self._matrix.T, np.ones((1, k))])
         b_eq = np.concatenate([w, [1.0]])
         res = linprog(np.zeros(k), A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * k, method="highs")
@@ -149,16 +177,16 @@ class MaxminSet(AmbiguityIndex):
         arr = self._check_u(u)
         vals = self._matrix @ arr
         idx = int(np.argmin(vals))
-        return float(vals[idx]), self.priors[idx]
+        return float(vals[idx]), Prior(self._matrix[idx])
 
     def robust_values(self, U: np.ndarray) -> np.ndarray:
-        return np.min(np.asarray(U, dtype=float) @ self._matrix.T, axis=-1)
+        return np.min(_prior_dots(U, self._matrix), axis=0)
 
     def zero_penalty_prior(self) -> Prior:
-        return self.priors[0]
+        return Prior(self._matrix[0])
 
     def describe(self) -> str:
-        return f"maxmin over {len(self.priors)} priors"
+        return f"maxmin over {self._matrix.shape[0]} priors"
 
 
 class Entropic(AmbiguityIndex):
@@ -212,8 +240,10 @@ class Gini(AmbiguityIndex):
     """Relative Gini penalty theta * E'[(dq/dp' - 1)^2] (expectation under p').
 
     robust_min solves the convex quadratic over the simplex by water-filling:
-    q_w = p'_w * max(0, 1 + (mu - u_w) / (2 theta)) with the multiplier mu
-    found by monotone bisection on the mass constraint.
+    q_w = p'_w * max(0, 1 + (mu - u_w) / (2 theta)).  The multiplier mu is
+    exact: with u sorted, the active states are the k cheapest, where k is
+    the number of prefixes whose gap sum_{i<=k} p'_i (u_k - u_i) is below
+    2 theta, and mu then solves the mass constraint in closed form.
     """
 
     kind = "gini"
@@ -237,23 +267,21 @@ class Gini(AmbiguityIndex):
         return self.theta * float(np.sum((w - p) ** 2 / p))
 
     def _minimizers(self, U: np.ndarray) -> np.ndarray:
+        """Exact KKT minimizers for the rows of U; each row is solved on its own."""
         p = self.reference.weights
-        theta = self.theta
-        lo = U.min(axis=-1) - 2.0 * theta
-        hi = U.max(axis=-1) + 2.0 * theta
-
-        def mass(mu):
-            return np.sum(p * np.maximum(0.0, 1.0 + (mu[..., None] - U) / (2.0 * theta)), axis=-1)
-
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            hit = mass(mid) < 1.0
-            lo = np.where(hit, mid, lo)
-            hi = np.where(hit, hi, mid)
-            if np.max(hi - lo) < 1e-14 * (1.0 + np.max(np.abs(hi))):
-                break
-        mu = 0.5 * (lo + hi)
-        q = p * np.maximum(0.0, 1.0 + (mu[..., None] - U) / (2.0 * theta))
+        two_theta = 2.0 * self.theta
+        order = np.argsort(U, axis=-1, kind="stable")
+        u = np.take_along_axis(U, order, axis=-1)
+        ps = p[order]
+        mass = np.cumsum(ps, axis=-1)
+        # gap_k = sum_{i<=k} p_i (u_k - u_i), accumulated from non-negative steps.
+        gap = np.zeros_like(u)
+        gap[..., 1:] = np.cumsum(mass[..., :-1] * np.diff(u, axis=-1), axis=-1)
+        last = np.sum(gap < two_theta, axis=-1, keepdims=True) - 1
+        active_mass = np.take_along_axis(mass, last, axis=-1)
+        active_sum = np.take_along_axis(np.cumsum(ps * u, axis=-1), last, axis=-1)
+        mu = (two_theta * (1.0 - active_mass) + active_sum) / active_mass
+        q = p * np.maximum(0.0, 1.0 + (mu - U) / two_theta)
         return q / q.sum(axis=-1, keepdims=True)
 
     def robust_min(self, u) -> tuple[float, Prior]:
@@ -326,7 +354,9 @@ class Tabulated(AmbiguityIndex):
         return float(vals[idx]), self.priors[idx]
 
     def robust_values(self, U: np.ndarray) -> np.ndarray:
-        return np.min(np.asarray(U, dtype=float) @ self._matrix.T + self.values, axis=-1)
+        vals = _prior_dots(U, self._matrix)
+        vals += self.values.reshape(self.values.shape + (1,) * (vals.ndim - 1))
+        return np.min(vals, axis=0)
 
     def zero_penalty_prior(self) -> Prior:
         return self.priors[int(np.argmin(self.values))]
@@ -485,7 +515,7 @@ def parse_penalty(spec: str, state_ids) -> AmbiguityIndex:
     try:
         if head == "maxmin":
             if rest.strip().lower() == "vertices":
-                return MaxminSet([Prior.point_mass(n, i) for i in range(n)])
+                return MaxminSet.vertices(n)
             body = rest.strip()
             if body.startswith("[") and body.endswith("]"):
                 body = body[1:-1]

@@ -60,33 +60,30 @@ def parse_scenario(path: str) -> TwoStageVariable:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("states"), dict) or not doc["states"]:
         raise ScenarioError(f"{path}: scenario must be an object with a non-empty 'states' mapping")
+    # Sums and signs are checked, naming the state, by TwoStageVariable.
     ids, probs, payoffs = [], [], []
     width = None
     for sid, entry in doc["states"].items():
         if not isinstance(entry, dict) or "probs" not in entry or "payoffs" not in entry:
             raise ScenarioError(f"{path}: state {sid!r} must carry 'probs' and 'payoffs' lists")
-        p = entry["probs"]
-        x = entry["payoffs"]
-        if len(p) != len(x):
+        try:
+            p = np.asarray(entry["probs"], dtype=float)
+            x = np.asarray(entry["payoffs"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{path}: state {sid!r}: {exc}") from exc
+        if p.ndim != 1 or p.shape != x.shape:
             raise ScenarioError(
-                f"{path}: state {sid!r} has {len(p)} probs but {len(x)} payoffs"
+                f"{path}: state {sid!r} has probs of shape {p.shape} but payoffs of shape {x.shape}"
             )
         if width is None:
-            width = len(p)
-        elif len(p) != width:
+            width = p.size
+        elif p.size != width:
             raise ScenarioError(
-                f"{path}: state {sid!r} has {len(p)} outcomes, earlier states have {width}"
+                f"{path}: state {sid!r} has {p.size} outcomes, earlier states have {width}"
             )
-        total = math.fsum(float(q) for q in p)
-        if abs(total - 1.0) > 1e-12:
-            raise ScenarioError(
-                f"{path}: probabilities in state {sid!r} sum to {total!r}, not 1"
-            )
-        if any(float(q) < 0.0 for q in p):
-            raise ScenarioError(f"{path}: state {sid!r} has a negative probability")
         ids.append(sid)
-        probs.append([float(q) for q in p])
-        payoffs.append([float(t) for t in x])
+        probs.append(p)
+        payoffs.append(x)
     try:
         return TwoStageVariable(ids, probs, payoffs)
     except (DomainError, ShapeError) as exc:
@@ -130,10 +127,6 @@ def parse_panel(path: str) -> ScenarioPanel:
         raise ScenarioError(f"{path}: states have differing outcome counts {sorted(counts)}")
     probs = np.array([[p for p, _ in per_state[s]] for s in state_order])
     rets = np.array([[r for _, r in per_state[s]] for s in state_order])
-    for s in state_order:
-        total = math.fsum(p for p, _ in per_state[s])
-        if abs(total - 1.0) > 1e-12:
-            raise ScenarioError(f"{path}: probabilities in state {s!r} sum to {total!r}, not 1")
     try:
         return ScenarioPanel(assets, state_order, probs, rets)
     except (DomainError, ShapeError) as exc:

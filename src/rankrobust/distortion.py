@@ -137,13 +137,15 @@ def es_tail(lam: float) -> Distortion:
 def var_step(lam: float) -> Distortion:
     """psi(p) = 1{p >= 1 - lam}, the (discontinuous) VaR indicator.
 
-    The jump is right-closed: psi(1 - lam) = 1.
+    The jump is right-closed: psi(1 - lam) = 1.  Survivals within 1e-12 of
+    1 - lam count as reaching it, the slack ``DiscreteDistribution.quantile``
+    gives cumulative levels, so ``choquet`` agrees with ``value_at_risk``.
     """
     if not 0.0 < lam < 1.0:
         raise DomainError(f"var distortion needs lambda in (0, 1), got {lam}")
     return Distortion(
         "var_step",
-        lambda p: (np.asarray(p, dtype=float) >= 1.0 - lam).astype(float),
+        lambda p: (np.asarray(p, dtype=float) >= 1.0 - lam - 1e-12).astype(float),
         {"lam": float(lam)},
         continuous=False,
     )

@@ -148,6 +148,21 @@ class DiscreteDistribution:
         return f"DiscreteDistribution({{{pairs}}})"
 
 
+def check_outcome_probs(state_ids, probs: np.ndarray) -> None:
+    """Raise DomainError, naming the state, unless every row of the
+    (state x outcome) matrix is non-negative and sums to one."""
+    negative = np.argwhere(probs < 0.0)
+    if negative.size:
+        w, s = negative[0]
+        raise DomainError(
+            f"outcome probability {probs[w, s]!r} in state {state_ids[w]!r} (outcome {int(s)}) is negative"
+        )
+    for sid, row in zip(state_ids, probs):
+        total = math.fsum(row)
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
+            raise DomainError(f"outcome probabilities in state {sid!r} sum to {total!r}, not 1")
+
+
 class TwoStageVariable:
     """Bounded payoff over (state of the world w, outcome s).
 
@@ -175,14 +190,7 @@ class TwoStageVariable:
             )
         if not np.all(np.isfinite(pay)):
             raise DomainError("payoffs must be finite")
-        if np.any(probs < 0.0):
-            raise DomainError("outcome probabilities must be >= 0")
-        for w, sid in enumerate(ids):
-            total = math.fsum(probs[w])
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                raise DomainError(
-                    f"outcome probabilities in state {sid!r} sum to {total!r}, not 1"
-                )
+        check_outcome_probs(ids, probs)
         probs.setflags(write=False)
         pay.setflags(write=False)
         self.state_ids = ids

@@ -99,10 +99,12 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
     with S_i the mass ranked above i: tails are Neumaier sums over columns,
     vectorized over states, and each state's terms are summed by math.fsum.
     Zero-mass outcomes rank last, so they get zero tails and no weight.
-    Agrees with the scalar reference ``choquet(v.marginal(s).pushforward(phi),
-    psi)`` within 1e-12 * (1 + max |phi(payoff)|) per state, except that a
-    var: threshold may split a chain of 3+ payoffs (or utilities) under 1e-12
-    apart differently.  Payoffs outside phi's domain raise with the offending
+    Only ``v.payoffs``, ``v.outcome_probs`` and ``v.state_ids`` are read, and
+    each state's value depends on its own row alone.  Agrees with the scalar
+    reference ``choquet(v.marginal(s).pushforward(phi), psi)`` within
+    1e-12 * (1 + max |phi(payoff)|) per state, except that a var: threshold
+    may split a chain of 3+ payoffs (or utilities) under 1e-12 apart
+    differently.  Payoffs outside phi's domain raise with the offending
     (state, outcome).
     """
     inside = phi.domain.contains_mask(v.payoffs, tol=1e-12 * (1.0 + float(np.max(np.abs(v.payoffs)))))
@@ -118,9 +120,10 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
     u = phi(x)
     # The reference merges payoffs, then utilities, within MERGE_TOL and rounds
     # the mass at each merge; rounding the same way here keeps its var: hits.
-    point = point_c = atom = atom_c = total = total_c = np.zeros(v.n_states)
-    tails = np.empty((v.n_states, v.n_outcomes - 1))
-    for i in range(v.n_outcomes - 1, 0, -1):
+    n_states, n_outcomes = x.shape
+    point = point_c = atom = atom_c = total = total_c = np.zeros(n_states)
+    tails = np.empty((n_states, n_outcomes - 1))
+    for i in range(n_outcomes - 1, 0, -1):
         new_point = x[:, i] - x[:, i - 1] > MERGE_TOL
         mass, point, point_c = _flush(point, point_c, p[:, i], new_point)
         mass, atom, atom_c = _flush(atom, atom_c, mass, new_point & (u[:, i] - u[:, i - 1] > MERGE_TOL))
@@ -212,8 +215,7 @@ def ellsberg_preference() -> Preference:
     """Worst case over all ball compositions, linear utility, no distortion."""
     bets = ellsberg_variables()
     ids = bets["urn_a"].state_ids
-    vertices = MaxminSet([Prior.point_mass(len(ids), i) for i in range(len(ids))])
-    return Preference(identity_utility(), identity_distortion(), vertices, ids)
+    return Preference(identity_utility(), identity_distortion(), MaxminSet.vertices(len(ids)), ids)
 
 
 def ellsberg_demo() -> dict:
@@ -312,7 +314,7 @@ def _preference_for(pref: Preference, v: TwoStageVariable) -> Preference:
     if amb.n_states == n:
         return Preference(pref.phi, pref.psi, amb, v.state_ids)
     if isinstance(amb, MaxminSet):
-        new = MaxminSet([Prior.point_mass(n, i) for i in range(n)])
+        new = MaxminSet.vertices(n)
     elif hasattr(amb, "theta"):
         new = type(amb)(amb.theta, Prior.uniform(n))
     else:

@@ -5,7 +5,8 @@ where rho is the negative of the robust rank-dependent value under a linear
 utility (a robustified weighted-VaR risk measure).  The optimizer is a
 deterministic coarse simplex grid followed by pairwise coordinate polish
 with step halving; every evaluation is recorded so runs are auditable and
-reproducible.
+reproducible.  Candidates are scored in blocks (the whole grid, then each
+polish round) by one inner-layer call and one robust-value call per block.
 """
 
 from __future__ import annotations
@@ -13,13 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 import numpy as np
 
 from .ambiguity import Prior
-from .distribution import TwoStageVariable
+from .distribution import TwoStageVariable, check_outcome_probs
 from .errors import BudgetError, ConfigError, DomainError, ShapeError
-from .evaluator import Preference, evaluate
+from .evaluator import Preference, inner_rdu
 from .utility import is_affine
 
 WEIGHT_SUM_TOL = 1e-12
@@ -32,6 +34,7 @@ class ScenarioPanel:
 
     def __init__(self, assets, state_ids, outcome_probs, returns):
         self.assets = tuple(str(a) for a in assets)
+        ids = tuple(str(s) for s in state_ids)
         probs = np.array(outcome_probs, dtype=float)
         rets = np.array(returns, dtype=float)
         if rets.ndim != 3:
@@ -40,13 +43,18 @@ class ScenarioPanel:
             raise ShapeError(f"{len(self.assets)} assets but returns have {rets.shape[2]} columns")
         if probs.shape != rets.shape[:2]:
             raise ShapeError(f"outcome_probs shape {probs.shape} does not match returns {rets.shape[:2]}")
+        if not ids:
+            raise ShapeError("at least one state is required")
+        if len(ids) != probs.shape[0]:
+            raise ShapeError(f"{len(ids)} state ids for {probs.shape[0]} states of returns")
+        if len(set(ids)) != len(ids):
+            raise ShapeError("state ids must be unique")
         if not np.all(np.isfinite(rets)):
             raise DomainError("returns must be finite")
-        # Row validation is delegated to the variable constructor below.
-        TwoStageVariable(state_ids, probs, rets[:, :, 0])
+        check_outcome_probs(ids, probs)
         probs.setflags(write=False)
         rets.setflags(write=False)
-        self.state_ids = tuple(str(s) for s in state_ids)
+        self.state_ids = ids
         self.outcome_probs = probs
         self.returns = rets
 
@@ -66,11 +74,7 @@ class Weights:
         w = np.asarray(self.values, dtype=float).copy()
         if w.ndim != 1 or w.size == 0:
             raise ShapeError("weights must be a non-empty 1-D vector")
-        total = math.fsum(w)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise DomainError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
-        if self.long_only and np.any(w < 0.0):
-            raise DomainError("long-only weights must be >= 0")
+        _check_weight_rows(w[None, :], self.long_only)
         w.setflags(write=False)
         object.__setattr__(self, "values", w)
 
@@ -78,26 +82,74 @@ class Weights:
         return iter(self.values)
 
 
+def _check_weight_rows(W: np.ndarray, long_only: bool = True) -> None:
+    """The Weights rules, applied to every row of a (K, assets) block."""
+    for row in W:
+        total = math.fsum(row)
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise DomainError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+        if long_only and np.any(row < 0.0):
+            raise DomainError("long-only weights must be >= 0")
+
+
+def _block_payoffs(panel: ScenarioPanel, W: np.ndarray) -> np.ndarray:
+    """(K, state, outcome) payoffs of the K portfolios in W, summed asset by
+    asset so that a row's payoffs do not depend on the block it is in."""
+    if W.shape[1] != panel.n_assets:
+        raise ShapeError(f"{W.shape[1]} weights for {panel.n_assets} assets")
+    payoffs = panel.returns[:, :, 0] * W[:, 0, None, None]
+    for a in range(1, panel.n_assets):
+        payoffs += panel.returns[:, :, a] * W[:, a, None, None]
+    return payoffs
+
+
 def portfolio_variable(panel: ScenarioPanel, w: Weights) -> TwoStageVariable:
     """Linear aggregation: payoff(state, outcome) = sum_assets weight * return."""
     weights = np.asarray(w.values if isinstance(w, Weights) else w, dtype=float)
-    if weights.size != panel.n_assets:
-        raise ShapeError(f"{weights.size} weights for {panel.n_assets} assets")
-    payoffs = panel.returns @ weights
+    payoffs = _block_payoffs(panel, weights.reshape(1, -1))[0]
     return TwoStageVariable(panel.state_ids, panel.outcome_probs, payoffs)
 
 
-def risk_measure(v: TwoStageVariable, pref: Preference) -> float:
-    """rho(v) = -(robust value), normalized to the linear-utility scale."""
+class _PayoffRows(NamedTuple):
+    """The (state x outcome) view of a block that ``inner_rdu`` reads."""
+
+    state_ids: tuple[str, ...]
+    outcome_probs: np.ndarray
+    payoffs: np.ndarray
+
+
+def _score_block(panel: ScenarioPanel, W, p_mean: Prior, pref: Preference) -> tuple[np.ndarray, np.ndarray]:
+    """Mean terms and risk terms of the K portfolios in the (K, assets) block W.
+
+    All K * states rows go through one ``inner_rdu`` call and the (K, states)
+    profile through one ``robust_values`` call.  Every step is elementwise or
+    a reduction within a row, so row k equals the 1-row block W[k:k+1] bit
+    for bit.  The risk term is rho = -(robust value), normalized to the
+    linear-utility scale.
+    """
     if not is_affine(pref.phi):
         raise ConfigError(
             "the mean-risk criterion needs an affine utility; "
             f"got {pref.phi.describe()}"
         )
+    if panel.state_ids != pref.state_ids:
+        raise ShapeError(
+            f"panel states {panel.state_ids} do not match preference states {pref.state_ids}"
+        )
+    if p_mean.n_states != len(panel.state_ids):
+        raise ShapeError(f"mean prior covers {p_mean.n_states} states, panel has {len(panel.state_ids)}")
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] == 0:
+        raise ShapeError(f"a weight block must be a non-empty (K, assets) array, got shape {W.shape}")
+    _check_weight_rows(W)
+    payoffs = _block_payoffs(panel, W)
+    k, n, m = payoffs.shape
+    rows = _PayoffRows(panel.state_ids * k, np.tile(panel.outcome_probs, (k, 1)), payoffs.reshape(k * n, m))
+    values = pref.ambiguity.robust_values(inner_rdu(rows, pref.phi, pref.psi).reshape(k, n))
     intercept = pref.phi(0.0)
     slope = pref.phi(1.0) - intercept
-    value = evaluate(v, pref).value_utils
-    return -(value - intercept) / slope
+    means = np.sum(np.sum(payoffs * panel.outcome_probs, axis=-1) * p_mean.weights, axis=-1)
+    return means, -(values - intercept) / slope
 
 
 def mean_risk_objective(panel: ScenarioPanel, w: Weights, p_mean: Prior, pref: Preference) -> float:
@@ -109,14 +161,9 @@ def mean_risk_objective(panel: ScenarioPanel, w: Weights, p_mean: Prior, pref: P
 def mean_risk_components(panel: ScenarioPanel, w: Weights, p_mean: Prior, pref: Preference) -> tuple[float, float]:
     """The (mean term, risk term) pair, reported separately so degenerate
     configurations (e.g. a risk-neutral rho that doubles the mean) stay visible."""
-    v = portfolio_variable(panel, w)
-    if p_mean.n_states != v.n_states:
-        raise ShapeError(f"mean prior covers {p_mean.n_states} states, panel has {v.n_states}")
-    state_means = np.array([
-        float(v.outcome_probs[i] @ v.payoffs[i]) for i in range(v.n_states)
-    ])
-    mean = float(p_mean.weights @ state_means)
-    return mean, risk_measure(v, pref)
+    weights = np.asarray(w.values if isinstance(w, Weights) else w, dtype=float)
+    means, risks = _score_block(panel, weights.reshape(1, -1), p_mean, pref)
+    return float(means[0]), float(risks[0])
 
 
 def _coarse_grid(n_assets: int, resolution: int) -> np.ndarray:
@@ -176,17 +223,17 @@ def optimize(
         )
     trace: list[tuple[tuple, float]] = []
 
-    def score(vec: np.ndarray) -> float:
-        obj = mean_risk_objective(panel, Weights(vec), p_mean, pref)
-        trace.append((tuple(float(x) for x in vec), obj))
-        return obj
+    def score(block: np.ndarray) -> list[float]:
+        means, risks = _score_block(panel, block, p_mean, pref)
+        objs = (means - risks).tolist()
+        trace.extend(zip(map(tuple, block.tolist()), objs))
+        return objs
 
     # The grid is lexicographically sorted and only strict improvements move
     # the incumbent, so ties resolve to the smallest weight vector.
     best_w = None
     best_obj = -math.inf
-    for row in grid:
-        obj = score(row)
+    for row, obj in zip(grid, score(grid)):
         if obj > best_obj:
             best_obj = obj
             best_w = row.copy()
@@ -207,10 +254,11 @@ def optimize(
                     cand[j] = 0.0
                 cand /= cand.sum()
                 candidates.append(cand)
-        for cand in candidates:
-            if len(trace) >= budget:
-                break
-            obj = score(cand)
+        # One block per round, cut to the budget; accepting in order keeps
+        # the one-at-a-time search's trace and tie-breaking.
+        candidates = candidates[: budget - len(trace)]
+        objs = score(np.array(candidates)) if candidates else []
+        for cand, obj in zip(candidates, objs):
             if obj > best_obj + 1e-12:
                 best_obj = obj
                 best_w = cand

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankrobust import (
     DomainError,
@@ -254,6 +255,130 @@ class TestRobustMin:
             for row, got in zip(U, batch):
                 want, _ = c.robust_min(row)
                 assert got == pytest.approx(want, abs=1e-10)
+
+
+def gini_bisection_oracle(theta, p, u, steps=300):
+    """Water-filling minimizer of q.u + theta*sum((q-p)^2/p) by plain bisection
+    on the multiplier, one row at a time, with correctly rounded mass sums."""
+
+    def q_at(mu):
+        return [pw * max(0.0, 1.0 + (mu - uw) / (2.0 * theta)) for pw, uw in zip(p, u)]
+
+    lo, hi = min(u) - 2.0 * theta, max(u) + 2.0 * theta
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        if math.fsum(q_at(mid)) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    q = np.array(q_at(0.5 * (lo + hi)))
+    return q / math.fsum(q)
+
+
+class TestGiniExactSolve:
+    def cases(self, rng):
+        for n in (1, 2, 3, 5, 9):
+            for theta in (1e-6, 0.05, 0.8, 3.0, 1e6):
+                for _ in range(8):
+                    raw = rng.random(n) + 0.05
+                    ref = Prior(raw / raw.sum())
+                    u = rng.uniform(-3, 3, size=n)
+                    if n > 2 and rng.random() < 0.5:
+                        u[: n // 2] = u[n - 1]  # ties
+                    yield Gini(theta, ref), u
+
+    def test_matches_bisection_oracle(self, rng):
+        for c, u in self.cases(rng):
+            value, prior = c.robust_min(u)
+            want = gini_bisection_oracle(c.theta, c.reference.weights, u)
+            assert prior.weights == pytest.approx(want, abs=1e-9)
+            scale = 1.0 + float(np.max(np.abs(u)))
+            assert value == pytest.approx(float(want @ u) + c.penalty(want), abs=1e-12 * scale)
+
+    def test_kkt_conditions(self, rng):
+        # Stationarity: u_w + 2 theta (q_w / p_w - 1) equals a common mu on
+        # the support and is at least mu off it.
+        for c, u in self.cases(rng):
+            _, prior = c.robust_min(u)
+            q, p = prior.weights, c.reference.weights
+            assert np.all(q >= 0.0)
+            assert math.fsum(q) == pytest.approx(1.0, abs=1e-12)
+            grad = u + 2.0 * c.theta * (q / p - 1.0)
+            active = q > 0.0
+            mu = grad[active].mean()
+            tol = 1e-9 * (1.0 + np.max(np.abs(u)) + 2.0 * c.theta)
+            assert np.all(np.abs(grad[active] - mu) <= tol)
+            assert np.all(grad[~active] >= mu - tol)
+
+    def test_rows_solved_independently(self, rng):
+        c = Gini(0.4, Prior(np.array([0.2, 0.3, 0.5])))
+        U = rng.uniform(-2, 2, size=(200, 3))
+        U[::7] *= 1e6  # rows on very different scales share the batch
+        batch = c.robust_values(U)
+        for i in range(U.shape[0]):
+            assert batch[i] == c.robust_values(U[i : i + 1])[0]
+
+
+class TestMaxminVertices:
+    def test_same_set_as_point_masses(self, rng):
+        for n in (1, 2, 5):
+            fast = MaxminSet.vertices(n)
+            explicit = MaxminSet([Prior.point_mass(n, i) for i in range(n)])
+            assert [list(p.weights) for p in fast.priors] == [list(p.weights) for p in explicit.priors]
+            assert fast.describe() == explicit.describe()
+            U = rng.uniform(-3, 3, size=(20, n))
+            assert list(fast.robust_values(U)) == list(explicit.robust_values(U))
+            for u in U[:5]:
+                v1, q1 = fast.robust_min(u)
+                v2, q2 = explicit.robust_min(u)
+                assert v1 == v2 and list(q1.weights) == list(q2.weights)
+            assert fast.penalty(Prior.uniform(n)) == 0.0
+            assert list(fast.zero_penalty_prior().weights) == list(explicit.zero_penalty_prior().weights)
+
+    def test_parser_uses_vertices(self):
+        c = parse_penalty("maxmin:vertices", ["a", "b", "c"])
+        assert c.n_states == 3 and c.describe() == "maxmin over 3 priors"
+
+
+@st.composite
+def indices_and_blocks(draw):
+    """One penalty of each kind and a utility block, optionally padded with
+    seeded random rows so that the batch is large."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["maxmin", "entropic", "gini", "tabulated"]))
+    weight = st.floats(0.05, 1.0)
+
+    def prior():
+        raw = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+        return Prior(raw / raw.sum())
+
+    if kind == "maxmin":
+        index = MaxminSet([prior() for _ in range(draw(st.integers(1, 6)))])
+    elif kind == "tabulated":
+        k = draw(st.integers(1, 6))
+        index = Tabulated([(prior(), draw(st.floats(0.0, 5.0))) for _ in range(k)])
+    else:
+        theta = draw(st.sampled_from([0.01, 0.3, 1.0, 7.5, 1e4]))
+        index = (Entropic if kind == "entropic" else Gini)(theta, prior())
+    cell = st.one_of(st.floats(-50.0, 50.0), st.integers(-3, 3).map(float))
+    rows = np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=1, max_size=12)))
+    pad = draw(st.sampled_from([0, 7, 300]))
+    if pad:
+        noise = np.random.default_rng(draw(st.integers(0, 2**16))).uniform(-10, 10, size=(pad, n))
+        rows = np.vstack([noise[: pad // 2], rows, noise[pad // 2 :]])
+    return index, rows
+
+
+class TestRobustValuesRowIndependence:
+    """A row's robust value never depends on the block it is scored in."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(indices_and_blocks())
+    def test_row_equals_single_row_call(self, case):
+        index, U = case
+        batch = index.robust_values(U)
+        for i in range(U.shape[0]):
+            assert batch[i] == index.robust_values(U[i : i + 1])[0]
 
 
 class TestCMinBruteForce:

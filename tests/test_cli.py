@@ -70,6 +70,48 @@ class TestParsePanel:
         assert "'w'" in str(err.value)
 
 
+BAD_ROWS = {
+    "sum": ([0.5, 0.49], "sum to"),
+    "negative": ([1.2, -0.2], "negative"),
+    "nan": ([1.0, float("nan")], "sum to nan"),
+}
+
+
+def write_bad_rows(tmp_path, fmt, probs):
+    """A two-state file whose second state, 'stormy', carries the bad probabilities."""
+    if fmt == "json":
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"states": {
+            "calm": {"probs": [0.5, 0.5], "payoffs": [0, 1]},
+            "stormy": {"probs": probs, "payoffs": [0, 1]},
+        }}))
+        return path, "evaluate"
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "state,prob,outcome,a\ncalm,0.5,x,0.1\ncalm,0.5,y,0.2\n"
+        f"stormy,{probs[0]!r},x,0.1\nstormy,{probs[1]!r},y,0.2\n"
+    )
+    return path, "portfolio"
+
+
+class TestBadProbabilities:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("fault", sorted(BAD_ROWS))
+    def test_exit_two_naming_file_and_state(self, capsys, tmp_path, fmt, fault):
+        probs, wording = BAD_ROWS[fault]
+        path, command = write_bad_rows(tmp_path, fmt, probs)
+        code, out, err = run_cli(
+            capsys, command, "--scenario", str(path), "--penalty", "maxmin:vertices",
+            "--mean-prior", "uniform",
+        )
+        assert code == 2
+        assert out == ""
+        assert str(path) in err
+        assert "'stormy'" in err
+        assert wording in err
+        assert "'calm'" not in err
+
+
 class TestCommands:
     def test_demo_prints_values_and_passes(self, capsys):
         code, out, _ = run_cli(capsys, "demo", "ellsberg")

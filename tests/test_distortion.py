@@ -180,6 +180,18 @@ class TestVaR:
             lam = float(rng.uniform(0.01, 0.99))
             assert value_at_risk(d, lam) == pytest.approx(var_oracle(d, lam), abs=1e-9)
 
+    def test_var_step_choquet_is_negated_var_at_exact_levels(self):
+        # lam = j/n lands exactly on a survival level of the uniform law, where
+        # one ulp decides whether the step is reached; both sides use 1e-12 slack.
+        cases = 0
+        for n in range(2, 13):
+            d = DiscreteDistribution(np.arange(n, dtype=float), np.full(n, 1.0 / n))
+            for j in range(1, n):
+                lam = j / n
+                assert choquet(d, var_step(lam)) == -value_at_risk(d, lam), (n, j)
+                cases += 1
+        assert cases == 66
+
 
 class TestExpectedShortfall:
     def test_tail_average(self):

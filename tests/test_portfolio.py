@@ -1,16 +1,25 @@
+import math
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rankrobust import (
     BudgetError,
     ConfigError,
+    DomainError,
     Entropic,
+    Gini,
     MaxminSet,
     Preference,
     Prior,
     ScenarioPanel,
     ShapeError,
+    Tabulated,
     Weights,
+    affine,
+    dual_power,
     es_tail,
     exponential,
     identity_utility,
@@ -19,7 +28,12 @@ from rankrobust import (
     optimize,
     portfolio_variable,
     power,
+    prelec,
 )
+from rankrobust.cli import parse_panel
+from rankrobust.portfolio import _score_block
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 SINGLE_STATE = ("w0",)
 
@@ -223,3 +237,138 @@ class TestObjectiveShape:
             base = mean_risk_objective(panel, w, p, pref)
             scaled = mean_risk_objective(scaled_panel, w, p, pref)
             assert scaled == pytest.approx(a * base, abs=1e-9)
+
+
+def simplex_lattice(n, resolution):
+    """Long-only weight vectors with entries k/resolution, in lexicographic order."""
+    counts = sorted(c for c in product(range(resolution + 1), repeat=n) if sum(c) == resolution)
+    return [np.array(c, dtype=float) / resolution for c in counts]
+
+
+def reference_optimize(panel, p_mean, pref, budget, resolution=10, step_tol=1e-6):
+    """Grid then pairwise polish, scoring one candidate at a time."""
+    n = panel.n_assets
+    trace = []
+
+    def score(w):
+        obj = mean_risk_objective(panel, Weights(w), p_mean, pref)
+        trace.append((tuple(float(x) for x in w), obj))
+        return obj
+
+    best_w, best = None, -math.inf
+    for row in simplex_lattice(n, resolution):
+        obj = score(row)
+        if obj > best:
+            best, best_w = obj, row
+    step = 1.0 / resolution
+    while step >= step_tol and len(trace) < budget:
+        improved = False
+        candidates = []
+        for i in range(n):
+            for j in range(n):
+                if i == j or best_w[j] < step - 1e-15:
+                    continue
+                cand = best_w.copy()
+                cand[i] += step
+                cand[j] -= step
+                if cand[j] < 0:
+                    cand[j] = 0.0
+                candidates.append(cand / cand.sum())
+        for cand in candidates:
+            if len(trace) >= budget:
+                break
+            obj = score(cand)
+            if obj > best + 1e-12:
+                best, best_w, improved = obj, cand, True
+        if not improved:
+            step /= 2.0
+    return best_w, best, tuple(trace)
+
+
+def random_panel(rng, n_states, n_outcomes, n_assets):
+    probs = rng.random((n_states, n_outcomes)) + 0.05
+    probs /= probs.sum(axis=1, keepdims=True)
+    returns = 0.02 + rng.normal(0.0, 0.1, size=(n_states, n_outcomes, n_assets))
+    # a duplicated asset and a rounded one make ties between candidates
+    returns[:, :, -1] = returns[:, :, 0]
+    returns[:, :, 1] = np.round(returns[:, :, 1], 1)
+    return ScenarioPanel([f"a{i}" for i in range(n_assets)], [f"w{i}" for i in range(n_states)], probs, returns)
+
+
+def random_prior(rng, n):
+    raw = rng.random(n) + 0.05
+    return Prior(raw / raw.sum())
+
+
+def penalty_of_kind(kind, rng, n):
+    if kind == "maxmin":
+        return MaxminSet([random_prior(rng, n) for _ in range(3)])
+    if kind == "vertices":
+        return MaxminSet.vertices(n)
+    if kind == "entropic":
+        return Entropic(float(rng.uniform(0.2, 3.0)), random_prior(rng, n))
+    if kind == "gini":
+        return Gini(float(rng.uniform(0.2, 3.0)), random_prior(rng, n))
+    return Tabulated([(random_prior(rng, n), float(rng.uniform(0.0, 1.0))) for _ in range(4)])
+
+
+PENALTY_KINDS = ("maxmin", "vertices", "entropic", "gini", "tabulated")
+DISTORTIONS = (es_tail(0.3), dual_power(2), prelec(0.65, 1), power(1.5))
+
+
+class TestBlockScoring:
+    def test_rows_match_one_at_a_time(self, rng):
+        for kind in PENALTY_KINDS:
+            for n_assets in (2, 3, 5):
+                panel = random_panel(rng, 3, 7, n_assets)
+                pref = Preference(affine(2.0, -1.0), DISTORTIONS[n_assets % 4],
+                                  penalty_of_kind(kind, rng, 3), panel.state_ids)
+                p = random_prior(rng, 3)
+                block = np.vstack([np.array(simplex_lattice(n_assets, 4)), rng.dirichlet(np.ones(n_assets), 50)])
+                block /= block.sum(axis=1, keepdims=True)
+                means, risks = _score_block(panel, block, p, pref)
+                for w, mean, risk in zip(block, means, risks):
+                    assert (mean, risk) == mean_risk_components(panel, Weights(w), p, pref)
+
+    def test_rows_validated_like_weights(self):
+        panel = hedge_panel()
+        pref, p = base_pref(), Prior.uniform(1)
+        for bad, exc in (([0.7, 0.7], DomainError), ([1.2, -0.2], DomainError)):
+            with pytest.raises(exc) as want:
+                Weights(np.array(bad))
+            with pytest.raises(exc) as got:
+                _score_block(panel, np.array([[0.5, 0.5], bad]), p, pref)
+            assert str(got.value) == str(want.value)
+        with pytest.raises(ShapeError):
+            _score_block(panel, np.array([[1.0]]), p, pref)
+
+
+class TestOptimizeMatchesOneAtATime:
+    """Block scoring reproduces the one-candidate-at-a-time search exactly."""
+
+    def assert_same_search(self, panel, p_mean, pref, budget, resolution=10):
+        res = optimize(panel, p_mean, pref, budget=budget, coarse_resolution=resolution)
+        best_w, best, trace = reference_optimize(panel, p_mean, pref, budget, resolution)
+        assert res.trace == trace
+        assert res.objective == best
+        assert list(res.weights.values) == list(best_w)
+
+    @pytest.mark.parametrize("name", ["panel_hedge.csv", "panel_risky_riskfree.csv"])
+    def test_fixture_panels(self, name):
+        panel = parse_panel(str(FIXTURES / name))
+        for psi in (es_tail(0.5), dual_power(2)):
+            pref = Preference(identity_utility(), psi, MaxminSet.vertices(1), panel.state_ids)
+            for budget in (11, 12, 27, 300):
+                self.assert_same_search(panel, Prior.uniform(1), pref, budget)
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_seeded_panels(self, kind):
+        rng = np.random.default_rng(["maxmin", "vertices", "entropic", "gini", "tabulated"].index(kind))
+        for n_assets, resolution in ((2, 10), (3, 10), (4, 6), (5, 4)):
+            panel = random_panel(rng, 2, 5, n_assets)
+            pref = Preference(identity_utility(), DISTORTIONS[n_assets % 4],
+                              penalty_of_kind(kind, rng, 2), panel.state_ids)
+            grid = math.comb(resolution + n_assets - 1, n_assets - 1)
+            # budgets that stop inside the first polish round, later, and never
+            for budget in (grid + 1, grid + 2 * n_assets + 1, grid + 60):
+                self.assert_same_search(panel, random_prior(rng, 2), pref, budget, resolution)
