@@ -21,7 +21,6 @@ from .ambiguity import (
     c_min_bruteforce,
     parse_penalty,
     parse_prior,
-    robust_min,
     simplex_grid,
 )
 from .distortion import (

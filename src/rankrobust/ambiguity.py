@@ -109,6 +109,14 @@ class AmbiguityIndex:
         """Some prior with penalty zero (exists by groundedness)."""
         raise NotImplementedError
 
+    def recentered(self, n: int) -> "AmbiguityIndex":
+        """The same kind of index on n states; an index on n states already is
+        returned as is.  Raises ShapeError when the index cannot be carried to
+        another state count (a tabulated grid cannot)."""
+        if n != self.n_states:
+            raise ShapeError(f"cannot adapt {self.describe()} to {n} states")
+        return self
+
     def describe(self) -> str:
         raise NotImplementedError
 
@@ -185,6 +193,10 @@ class MaxminSet(AmbiguityIndex):
     def zero_penalty_prior(self) -> Prior:
         return Prior(self._matrix[0])
 
+    def recentered(self, n: int) -> "MaxminSet":
+        """On another state count, the whole simplex (its n vertices)."""
+        return self if n == self.n_states else MaxminSet.vertices(n)
+
     def describe(self) -> str:
         return f"maxmin over {self._matrix.shape[0]} priors"
 
@@ -226,11 +238,23 @@ class Entropic(AmbiguityIndex):
         return value, Prior(q)
 
     def robust_values(self, U: np.ndarray) -> np.ndarray:
-        logits = np.log(self.reference.weights) - np.asarray(U, dtype=float) / self.theta
-        return -self.theta * logsumexp(logits, axis=-1)
+        # A max-shifted log-sum-exp taken state by state, like _prior_dots:
+        # each value depends on its own row alone, whatever U's layout.
+        cols = np.moveaxis(np.asarray(U, dtype=float), -1, 0)
+        logits = [lw - col / self.theta for lw, col in zip(np.log(self.reference.weights), cols)]
+        top = np.maximum.reduce(logits)
+        top = np.where(np.isfinite(top), top, 0.0)
+        total = np.exp(logits[0] - top)
+        for logit in logits[1:]:
+            total += np.exp(logit - top)
+        return -self.theta * (np.log(total) + top)
 
     def zero_penalty_prior(self) -> Prior:
         return self.reference
+
+    def recentered(self, n: int) -> "Entropic":
+        """On another state count, the same theta around the uniform prior."""
+        return self if n == self.n_states else Entropic(self.theta, Prior.uniform(n))
 
     def describe(self) -> str:
         return f"entropic(theta={self.theta:g}) around {self.reference!r}"
@@ -299,6 +323,10 @@ class Gini(AmbiguityIndex):
     def zero_penalty_prior(self) -> Prior:
         return self.reference
 
+    def recentered(self, n: int) -> "Gini":
+        """On another state count, the same theta around the uniform prior."""
+        return self if n == self.n_states else Gini(self.theta, Prior.uniform(n))
+
     def describe(self) -> str:
         return f"gini(theta={self.theta:g}) around {self.reference!r}"
 
@@ -366,16 +394,8 @@ class Tabulated(AmbiguityIndex):
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation surface
+# Dual-side oracle
 # ---------------------------------------------------------------------------
-
-def penalty(c: AmbiguityIndex, q) -> float:
-    return c.penalty(q)
-
-
-def robust_min(c: AmbiguityIndex, u) -> tuple[float, Prior]:
-    return c.robust_min(u)
-
 
 @dataclass(frozen=True)
 class UtilityGrid:
@@ -392,35 +412,44 @@ class UtilityGrid:
         return self.low + self.step * np.arange(n)
 
 
-def utility_lattice(grid: UtilityGrid, n_states: int) -> np.ndarray:
-    """Full product lattice as an (m, n_states) array."""
-    axis = grid.axis()
-    if axis.size == 0 or n_states < 1:
-        raise DomainError("empty utility lattice")
-    mesh = np.meshgrid(*([axis] * n_states), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def c_min_bruteforce(eval_ce, q, grid: UtilityGrid, chunk: int = 262_144) -> float:
     """Lower-bound the minimal penalty at q from certainty values alone.
 
     Maximizes eval_ce(v) - q . v over the lattice of utility-unit
-    pure-ambiguity vectors.  ``eval_ce`` must accept an (m, n_states) array
-    of candidate vectors and return their m certainty values (utility
-    units); :meth:`AmbiguityIndex.robust_values` conforms.  The sweep is
-    monotone under grid refinement and never exceeds the true penalty.
+    pure-ambiguity vectors, grid.axis() on every state.  ``eval_ce`` must
+    accept an (m, n_states) array of candidate vectors and return their m
+    certainty values (utility units); :meth:`AmbiguityIndex.robust_values`
+    conforms.  The lattice is never held whole: each chunk of at most
+    ``chunk`` points is built from its flat indices, state-major, and handed
+    over as the transposed view of an (n_states, m) array.
+
+    In exact arithmetic every lattice point gives eval_ce(v) - q . v <= c(q)
+    (Fenchel), so the sweep never exceeds the true penalty, and a lattice
+    containing another never gives a smaller bound.  In floating point each
+    point's gap carries the rounding of eval_ce(v) and of q . v, so the
+    result may exceed c(q) by a few ulps of the largest |v| and of c(q).
+    q . v is summed state by state in the order MaxminSet and Tabulated
+    use, so at a prior listed in a MaxminSet no gap is positive: the bound
+    is at most 0, and exactly 0 once a lattice point has that prior as its
+    minimizer.
     """
     w = q.weights if isinstance(q, Prior) else Prior(np.asarray(q, dtype=float)).weights
-    lattice = utility_lattice(grid, w.size)
+    axis = grid.axis()
+    n = w.size
+    size = axis.size**n
     best = -math.inf
-    for start in range(0, lattice.shape[0], chunk):
-        block = lattice[start : start + chunk]
-        ce = np.asarray(eval_ce(block), dtype=float)
-        if ce.shape != (block.shape[0],):
+    for start in range(0, size, chunk):
+        flat = np.arange(start, min(start + chunk, size))
+        block = np.empty((n, flat.size))
+        for j in range(n - 1, -1, -1):
+            flat, digit = np.divmod(flat, axis.size)
+            np.take(axis, digit, out=block[j])
+        ce = np.asarray(eval_ce(block.T), dtype=float)
+        if ce.shape != (block.shape[1],):
             raise ShapeError(
-                f"eval_ce must map an (m, {w.size}) array to m values, got shape {ce.shape}"
+                f"eval_ce must map an (m, {n}) array to m values, got shape {ce.shape}"
             )
-        gap = ce - block @ w
+        gap = ce - _prior_dots(block.T, w[None, :])[0]
         best = max(best, float(gap.max()))
     return best
 

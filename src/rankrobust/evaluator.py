@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -90,6 +91,14 @@ def _flush(total: np.ndarray, comp: np.ndarray, x: np.ndarray, done: np.ndarray)
     """Add x to a running group sum; where done, hand the rounded sum on and restart."""
     total, comp = _neumaier_add(total, comp, x)
     return np.where(done, total + comp, 0.0), np.where(done, 0.0, total), np.where(done, 0.0, comp)
+
+
+class _PayoffRows(NamedTuple):
+    """The (state x outcome) rows of a block, as ``inner_rdu`` reads them."""
+
+    state_ids: tuple[str, ...]
+    outcome_probs: np.ndarray
+    payoffs: np.ndarray
 
 
 def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarray:
@@ -302,26 +311,38 @@ def generate_battery(spec: BatterySpec) -> list[TwoStageVariable]:
     return cases
 
 
-def _preference_for(pref: Preference, v: TwoStageVariable) -> Preference:
-    """Adapt a preference template to a battery member's state count.
+def _inner_profiles(cases, phi: UtilityFn, psi: Distortion) -> list[np.ndarray]:
+    """Each case's per-state inner values, all cases in one ``inner_rdu`` call.
 
-    Reference-based penalties are re-centered on the uniform prior of the
-    right dimension; maxmin templates become the full vertex set.  Used by
-    the report batteries, where cases have varying state counts.
+    The cases' (state x outcome) rows are stacked into one block.  Rows
+    narrower than the widest case get zero-mass pads that repeat the row's
+    largest payoff: pads rank last, carry no tail mass and add exact zeros,
+    so a padded row is valued exactly as the case alone.
     """
-    n = v.n_states
-    amb = pref.ambiguity
-    if amb.n_states == n:
-        return Preference(pref.phi, pref.psi, amb, v.state_ids)
-    if isinstance(amb, MaxminSet):
-        new = MaxminSet.vertices(n)
-    elif hasattr(amb, "theta"):
-        new = type(amb)(amb.theta, Prior.uniform(n))
-    else:
-        raise ShapeError(
-            f"cannot adapt {amb.describe()} to a {n}-state battery member"
-        )
-    return Preference(pref.phi, pref.psi, new, v.state_ids)
+    if not cases:
+        return []
+    width = max(v.payoffs.shape[1] for v in cases)
+    offsets = np.cumsum([0] + [v.payoffs.shape[0] for v in cases])
+    probs = np.zeros((offsets[-1], width))
+    payoffs = np.empty((offsets[-1], width))
+    for lo, v in zip(offsets, cases):
+        rows = slice(lo, lo + v.payoffs.shape[0])
+        m = v.payoffs.shape[1]
+        probs[rows, :m] = v.outcome_probs
+        payoffs[rows, :m] = v.payoffs
+        payoffs[rows, m:] = v.payoffs.max(axis=1, keepdims=True)
+    ids = tuple(s for v in cases for s in v.state_ids)
+    return np.split(inner_rdu(_PayoffRows(ids, probs, payoffs), phi, psi), offsets[1:-1])
+
+
+def _robust_values(amb: AmbiguityIndex, profiles) -> np.ndarray:
+    """Robust value of each profile under amb recentered to its state count,
+    one ``robust_values`` call per state count."""
+    values = np.empty(len(profiles))
+    for n in {u.size for u in profiles}:
+        idx = [i for i, u in enumerate(profiles) if u.size == n]
+        values[idx] = amb.recentered(n).robust_values(np.stack([profiles[i] for i in idx]))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +422,13 @@ def is_more_ambiguity_averse(
 
     structural = bool(phi_ok and psi_ok and penalty_ok)
 
+    if battery.n_states != n:
+        raise ShapeError(f"battery draws {battery.n_states}-state cases, preferences cover {n} states")
     cases = generate_battery(battery)
+    values_a = _robust_values(pref_a.ambiguity, _inner_profiles(cases, pref_a.phi, pref_a.psi)).tolist()
+    values_b = _robust_values(pref_b.ambiguity, _inner_profiles(cases, pref_b.phi, pref_b.psi)).tolist()
     behavioral_violations = []
-    for idx, v in enumerate(cases):
-        ids = v.state_ids
-        pa_pref = Preference(pref_a.phi, pref_a.psi, pref_a.ambiguity, ids)
-        pb_pref = Preference(pref_b.phi, pref_b.psi, pref_b.ambiguity, ids)
-        val_a = evaluate(v, pa_pref).value_utils
-        val_b = evaluate(v, pb_pref).value_utils
+    for idx, (v, val_a, val_b) in enumerate(zip(cases, values_a, values_b)):
         lo, hi = float(v.payoffs.min()), float(v.payoffs.max())
         for m in np.linspace(lo, hi, 5):
             if val_a >= pref_a.phi(float(m)) - 1e-12 and val_b < pref_b.phi(float(m)) - 1e-9:
@@ -436,23 +456,36 @@ def is_more_ambiguity_averse(
 def ambiguity_aversion_check(pref: Preference, battery: BatterySpec | None = None) -> dict:
     """Robust value never exceeds the ambiguity-neutral value at a zero-penalty prior."""
     battery = battery or BatterySpec()
-    if battery.n_states is None and not hasattr(pref.ambiguity, "theta") and not isinstance(pref.ambiguity, MaxminSet):
-        # Grid-shaped penalties cannot be re-dimensioned per case.
-        battery = replace(battery, n_states=pref.ambiguity.n_states)
+    amb = pref.ambiguity
+    if battery.n_states is None:
+        try:
+            amb.recentered(amb.n_states + 1)
+        except ShapeError:
+            # Grid-shaped penalties cannot be re-dimensioned per case.
+            battery = replace(battery, n_states=amb.n_states)
     cases = generate_battery(battery)
-    violations = []
-    for idx, v in enumerate(cases):
-        p = _preference_for(pref, v)
-        utils = inner_rdu(v, p.phi, p.psi)
-        value, _ = p.ambiguity.robust_min(utils)
-        neutral = float(p.ambiguity.zero_penalty_prior().weights @ utils)
-        if value > neutral + INDIFFERENCE_TOL:
-            violations.append({"case": idx, "value": value, "neutral": neutral})
+    profiles = _inner_profiles(cases, pref.phi, pref.psi)
+    values = _robust_values(amb, profiles).tolist()
+    neutral = [float(amb.recentered(u.size).zero_penalty_prior().weights @ u) for u in profiles]
+    violations = [
+        {"case": idx, "value": value, "neutral": base}
+        for idx, (value, base) in enumerate(zip(values, neutral))
+        if value > base + INDIFFERENCE_TOL
+    ]
     return {
         "cases": len(cases),
         "violations": violations,
         "seed": battery.seed,
         "passed": not violations,
+    }
+
+
+def _section(errors, labels) -> dict:
+    """A reduction report: the largest error and the labels of the errors
+    above INDIFFERENCE_TOL."""
+    return {
+        "max_error": max([0.0, *errors]),
+        "violations": [label for label, err in zip(labels, errors) if err > INDIFFERENCE_TOL],
     }
 
 
@@ -465,7 +498,11 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
         constant shifts translate every variable's value; (c) indicator
         penalties: the value is the explicit minimum over the listed
         priors; (d) a single state: the value is stand-alone
-        rank-dependent utility.
+        rank-dependent utility.  Each section values its cases as one
+        padded row block: one ``inner_rdu`` call, then one
+        ``robust_values`` call per state count (per case in (c), where
+        every case lists its own priors).  The plain expectation, the
+        explicit minimum and ``choquet`` are the oracles.
     """
     battery = battery or BatterySpec()
     rng = np.random.default_rng(battery.seed + 1)
@@ -473,20 +510,11 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
 
     # (a) identity distortion collapses to expected utility
     cases = generate_battery(battery)
-    psi_id = identity_distortion()
-    max_err = 0.0
-    violations = []
-    for idx, v in enumerate(cases):
-        p = _preference_for(Preference(pref.phi, psi_id, pref.ambiguity, pref.state_ids), v)
-        utils = inner_rdu(v, p.phi, psi_id)
-        expected = np.array([
-            float(v.outcome_probs[w] @ p.phi(v.payoffs[w])) for w in range(v.n_states)
-        ])
-        err = float(np.max(np.abs(utils - expected)))
-        max_err = max(max_err, err)
-        if err > INDIFFERENCE_TOL:
-            violations.append(idx)
-    report["expectation_reduction"] = {"max_error": max_err, "violations": violations}
+    errors = []
+    for v, u in zip(cases, _inner_profiles(cases, pref.phi, identity_distortion())):
+        expected = [math.fsum(r) for r in (v.outcome_probs * pref.phi(v.payoffs)).tolist()]
+        errors.append(float(np.max(np.abs(u - expected))))
+    report["expectation_reduction"] = _section(errors, range(len(cases)))
 
     # (b) affine equivariance on unambiguous variables; translation for all
     unamb = generate_battery(
@@ -500,47 +528,29 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
             unambiguous=True,
         )
     )
-    phi_id = identity_utility()
-    max_err = 0.0
-    violations = []
-    for idx, v in enumerate(unamb):
-        p = _preference_for(Preference(phi_id, pref.psi, pref.ambiguity, pref.state_ids), v)
-        a = float(rng.uniform(0.5, 2.5))
-        b = float(rng.uniform(-2.0, 2.0))
-        base = evaluate(v, p).value_utils
-        mapped = evaluate(v.with_payoffs(a * v.payoffs + b), p).value_utils
-        err = abs(mapped - (a * base + b))
-        max_err = max(max_err, err)
-        if err > INDIFFERENCE_TOL:
-            violations.append(idx)
-    for idx, v in enumerate(cases):
-        p = _preference_for(Preference(phi_id, pref.psi, pref.ambiguity, pref.state_ids), v)
-        m = float(rng.uniform(-2.0, 2.0))
-        base = evaluate(v, p).value_utils
-        shifted = evaluate(v.with_payoffs(v.payoffs + m), p).value_utils
-        err = abs(shifted - (base + m))
-        max_err = max(max_err, err)
-        if err > INDIFFERENCE_TOL:
-            violations.append(("shift", idx))
-    report["affine_equivariance"] = {"max_error": max_err, "violations": violations}
+    maps = [(float(rng.uniform(0.5, 2.5)), float(rng.uniform(-2.0, 2.0))) for _ in unamb]
+    shifts = [float(rng.uniform(-2.0, 2.0)) for _ in cases]
+    moved = [_PayoffRows(v.state_ids, v.outcome_probs, a * v.payoffs + b) for v, (a, b) in zip(unamb, maps)]
+    moved += [_PayoffRows(v.state_ids, v.outcome_probs, v.payoffs + m) for v, m in zip(cases, shifts)]
+    profiles = _inner_profiles([*unamb, *cases, *moved], identity_utility(), pref.psi)
+    values = _robust_values(pref.ambiguity, profiles).tolist()
+    base, after = values[: len(moved)], values[len(moved) :]
+    expect = [a * x + b for (a, b), x in zip(maps, base)]
+    expect += [x + m for m, x in zip(shifts, base[len(unamb) :])]
+    errors = [abs(y - e) for y, e in zip(after, expect)]
+    labels = [*range(len(unamb)), *(("shift", idx) for idx in range(len(cases)))]
+    report["affine_equivariance"] = _section(errors, labels)
 
     # (c) indicator penalty equals the explicit minimum over listed priors
-    max_err = 0.0
-    violations = []
-    for idx, v in enumerate(cases):
-        n = v.n_states
+    errors = []
+    for u in _inner_profiles(cases, pref.phi, pref.psi):
         k = int(rng.integers(1, 5))
-        raw = rng.random((k, n)) + 0.05
+        raw = rng.random((k, u.size)) + 0.05
         listed = MaxminSet([Prior(row / row.sum()) for row in raw])
-        p = Preference(pref.phi, pref.psi, listed, v.state_ids)
-        utils = inner_rdu(v, p.phi, p.psi)
-        value, _ = listed.robust_min(utils)
-        explicit = min(float(q.weights @ utils) for q in listed.priors)
-        err = abs(value - explicit)
-        max_err = max(max_err, err)
-        if err > INDIFFERENCE_TOL:
-            violations.append(idx)
-    report["maxmin_reduction"] = {"max_error": max_err, "violations": violations}
+        value = float(listed.robust_values(u[None, :])[0])
+        explicit = min(float(q.weights @ u) for q in listed.priors)
+        errors.append(abs(value - explicit))
+    report["maxmin_reduction"] = _section(errors, range(len(cases)))
 
     # (d) single state: stand-alone rank-dependent utility
     singles = generate_battery(
@@ -553,17 +563,12 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
             seed=battery.seed + 3,
         )
     )
-    max_err = 0.0
-    violations = []
-    for idx, v in enumerate(singles):
-        p = _preference_for(pref, v)
-        value = evaluate(v, p).value_utils
-        rdu = choquet(v.marginal(v.state_ids[0]).pushforward(p.phi), p.psi)
-        err = abs(value - rdu)
-        max_err = max(max_err, err)
-        if err > INDIFFERENCE_TOL:
-            violations.append(idx)
-    report["single_state_rdu"] = {"max_error": max_err, "violations": violations}
+    values = _robust_values(pref.ambiguity, _inner_profiles(singles, pref.phi, pref.psi)).tolist()
+    errors = [
+        abs(value - choquet(v.marginal(v.state_ids[0]).pushforward(pref.phi), pref.psi))
+        for v, value in zip(singles, values)
+    ]
+    report["single_state_rdu"] = _section(errors, range(len(singles)))
 
     report["passed"] = all(not report[k]["violations"] for k in (
         "expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu"))

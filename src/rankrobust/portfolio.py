@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import NamedTuple
 
 import numpy as np
 
 from .ambiguity import Prior
 from .distribution import TwoStageVariable, check_outcome_probs
 from .errors import BudgetError, ConfigError, DomainError, ShapeError
-from .evaluator import Preference, inner_rdu
+from .evaluator import Preference, _PayoffRows, inner_rdu
 from .utility import is_affine
 
 WEIGHT_SUM_TOL = 1e-12
@@ -108,14 +107,6 @@ def portfolio_variable(panel: ScenarioPanel, w: Weights) -> TwoStageVariable:
     weights = np.asarray(w.values if isinstance(w, Weights) else w, dtype=float)
     payoffs = _block_payoffs(panel, weights.reshape(1, -1))[0]
     return TwoStageVariable(panel.state_ids, panel.outcome_probs, payoffs)
-
-
-class _PayoffRows(NamedTuple):
-    """The (state x outcome) view of a block that ``inner_rdu`` reads."""
-
-    state_ids: tuple[str, ...]
-    outcome_probs: np.ndarray
-    payoffs: np.ndarray
 
 
 def _score_block(panel: ScenarioPanel, W, p_mean: Prior, pref: Preference) -> tuple[np.ndarray, np.ndarray]:

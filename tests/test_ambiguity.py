@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp
 
 from rankrobust import (
     DomainError,
@@ -381,6 +383,53 @@ class TestRobustValuesRowIndependence:
             assert batch[i] == index.robust_values(U[i : i + 1])[0]
 
 
+class TestRecentered:
+    def test_same_state_count_returns_the_index(self):
+        for index in (
+            MaxminSet([UNIFORM2]), Entropic(0.7, UNIFORM2), Gini(0.7, UNIFORM2), Tabulated([(UNIFORM2, 0.0)]),
+        ):
+            assert index.recentered(2) is index
+
+    def test_reference_penalties_move_to_the_uniform_prior(self):
+        ref = Prior(np.array([0.2, 0.3, 0.5]))
+        for kind in (Entropic, Gini):
+            moved = kind(0.7, ref).recentered(4)
+            assert type(moved) is kind and moved.theta == 0.7
+            assert list(moved.reference.weights) == [0.25] * 4
+
+    def test_maxmin_moves_to_the_whole_simplex(self):
+        moved = MaxminSet([UNIFORM2]).recentered(3)
+        assert [list(q.weights) for q in moved.priors] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+    def test_tabulated_cannot_move(self):
+        with pytest.raises(ShapeError):
+            Tabulated([(UNIFORM2, 0.0)]).recentered(3)
+
+
+class TestEntropicKernel:
+    """The state-major robust_values against scipy's logsumexp closed form."""
+
+    def test_agrees_with_logsumexp(self, rng):
+        eps = np.finfo(float).eps
+        for n in range(1, 7):
+            for theta in (0.01, 0.3, 1.0, 7.5, 1e4):
+                ref = Prior(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+                U = rng.uniform(-50.0, 50.0, size=(500, n))
+                want = -theta * logsumexp(np.log(ref.weights) - U / theta, axis=-1)
+                scale = theta * (1.0 + np.max(np.abs(np.log(ref.weights)))) + np.max(np.abs(U), axis=1)
+                err = np.abs(Entropic(theta, ref).robust_values(U) - want)
+                assert np.all(err <= 4 * eps * scale), (n, theta, float(np.max(err / scale)))
+
+    def test_layout_does_not_change_values(self, rng):
+        c = Entropic(0.9, Prior(np.array([0.2, 0.3, 0.5])))
+        state_major = rng.uniform(-5.0, 5.0, size=(3, 1000))
+        assert list(c.robust_values(state_major.T)) == list(c.robust_values(np.ascontiguousarray(state_major.T)))
+
+    def test_minus_infinite_utility_gives_minus_infinity(self):
+        values = Entropic(1.0, UNIFORM2).robust_values(np.array([[-math.inf, 1.0], [0.0, 1.0]]))
+        assert values[0] == -math.inf and math.isfinite(values[1])
+
+
 class TestCMinBruteForce:
     def test_entropic_fenchel_recovery(self):
         c = Entropic(1.0, UNIFORM2)
@@ -409,6 +458,35 @@ class TestCMinBruteForce:
             finest = c_min_bruteforce(c.robust_values, q, UtilityGrid(-4, 4, 0.02))
             assert coarse <= fine + 1e-12 <= finest + 2e-12
             assert finest <= c.penalty(q) + 1e-12
+
+    def test_listed_maxmin_priors_read_exactly_zero(self):
+        # q . u is summed in MaxminSet's own order, so no gap can round above 0.
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            c = MaxminSet(rng.dirichlet(np.ones(3), size=3))
+            for q in c.priors:
+                assert c_min_bruteforce(c.robust_values, q, UtilityGrid(-5, 5, 0.25)) == 0.0
+
+    def test_chunks_cover_the_lattice_state_major(self):
+        seen = []
+
+        def eval_ce(block):
+            assert block.shape[0] <= 7 and block.T.flags.c_contiguous
+            seen.append(block.copy())
+            return block.min(axis=1)
+
+        grid = UtilityGrid(-1, 1, 0.5)
+        c_min_bruteforce(eval_ce, Prior(np.array([0.2, 0.3, 0.5])), grid, chunk=7)
+        lattice = np.array(list(itertools.product(grid.axis(), repeat=3)))
+        assert np.array_equal(np.vstack(seen), lattice)
+
+    def test_bound_is_the_best_lattice_gap(self):
+        c = Gini(0.6, Prior(np.array([0.2, 0.3, 0.5])))
+        q = Prior(np.array([0.5, 0.25, 0.25]))
+        grid = UtilityGrid(-2, 2, 0.5)
+        lattice = np.array(list(itertools.product(grid.axis(), repeat=3)))
+        best = max(float(c.robust_values(u[None, :])[0] - math.fsum(q.weights * u)) for u in lattice)
+        assert c_min_bruteforce(c.robust_values, q, grid, chunk=10) == pytest.approx(best, abs=1e-15)
 
     def test_empty_grid_rejected(self):
         c = Entropic(1.0, UNIFORM2)

@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +46,9 @@ from rankrobust import (
     tversky_kahneman,
     var_step,
 )
-from rankrobust.cli import parse_scenario
+import rankrobust.evaluator as evaluator_module
+from rankrobust.cli import main as cli_main, parse_scenario
+from rankrobust.evaluator import _inner_profiles
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -554,3 +558,196 @@ class TestReductionSuite:
         assert report["passed"], report
         for key in ("expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu"):
             assert report[key]["max_error"] <= 1e-9
+
+
+def _adapt(amb, n):
+    """Carry a penalty template to n states, as the batteries document it:
+    reference penalties around the uniform prior, maxmin over all vertices."""
+    if amb.n_states == n:
+        return amb
+    if isinstance(amb, MaxminSet):
+        return MaxminSet([Prior.point_mass(n, i) for i in range(n)])
+    if isinstance(amb, (Entropic, Gini)):
+        return type(amb)(amb.theta, Prior.uniform(n))
+    raise ShapeError(f"cannot adapt {amb.describe()} to {n} states")
+
+
+def _case_value(v, pref, amb):
+    return evaluate(v, Preference(pref.phi, pref.psi, _adapt(amb, v.n_states), v.state_ids)).value_utils
+
+
+def reference_reduction_suite(pref, battery):
+    """The suite as a per-case loop: one evaluate call per variable."""
+    rng = np.random.default_rng(battery.seed + 1)
+    report = {"seed": battery.seed}
+    cases = generate_battery(battery)
+    errors = []
+    for v in cases:
+        _adapt(pref.ambiguity, v.n_states)
+        utils = inner_rdu(v, pref.phi, identity())
+        expected = [float(v.outcome_probs[w] @ pref.phi(v.payoffs[w])) for w in range(v.n_states)]
+        errors.append((len(errors), float(np.max(np.abs(utils - expected)))))
+    report["expectation_reduction"] = errors
+    unamb = generate_battery(replace(battery, n_states=None, seed=battery.seed + 2, unambiguous=True,
+                                     uniform_outcome_probs=False))
+    linear = Preference(identity_utility(), pref.psi, pref.ambiguity, pref.state_ids)
+    errors = []
+    for idx, v in enumerate(unamb):
+        a, b = float(rng.uniform(0.5, 2.5)), float(rng.uniform(-2.0, 2.0))
+        mapped = _case_value(v.with_payoffs(a * v.payoffs + b), linear, pref.ambiguity)
+        errors.append((idx, abs(mapped - (a * _case_value(v, linear, pref.ambiguity) + b))))
+    for idx, v in enumerate(cases):
+        m = float(rng.uniform(-2.0, 2.0))
+        shifted = _case_value(v.with_payoffs(v.payoffs + m), linear, pref.ambiguity)
+        errors.append((("shift", idx), abs(shifted - (_case_value(v, linear, pref.ambiguity) + m))))
+    report["affine_equivariance"] = errors
+    errors = []
+    for idx, v in enumerate(cases):
+        raw = rng.random((int(rng.integers(1, 5)), v.n_states)) + 0.05
+        listed = MaxminSet([Prior(row / row.sum()) for row in raw])
+        value = _case_value(v, pref, listed)
+        utils = inner_rdu(v, pref.phi, pref.psi)
+        errors.append((idx, abs(value - min(float(q.weights @ utils) for q in listed.priors))))
+    report["maxmin_reduction"] = errors
+    singles = generate_battery(replace(battery, n_states=1, max_states=6, seed=battery.seed + 3,
+                                       uniform_outcome_probs=False))
+    report["single_state_rdu"] = [
+        (idx, abs(_case_value(v, pref, pref.ambiguity) - choquet(v.marginal(v.state_ids[0]).pushforward(pref.phi), pref.psi)))
+        for idx, v in enumerate(singles)
+    ]
+    return report
+
+
+def reference_aversion_violations(pref, battery):
+    amb = pref.ambiguity
+    if battery.n_states is None and isinstance(amb, Tabulated):
+        battery = replace(battery, n_states=amb.n_states)
+    violations = []
+    for idx, v in enumerate(generate_battery(battery)):
+        local = _adapt(amb, v.n_states)
+        utils = inner_rdu(v, pref.phi, pref.psi)
+        if _case_value(v, pref, amb) > float(local.zero_penalty_prior().weights @ utils) + 1e-9:
+            violations.append(idx)
+    return violations
+
+
+@st.composite
+def battery_setups(draw):
+    """A preference of each penalty kind on 1-3 states and a small battery."""
+    kind = draw(st.sampled_from(["maxmin", "entropic", "gini", "tabulated"]))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+
+    def prior():
+        return Prior(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+
+    if kind == "maxmin":
+        amb = MaxminSet([prior() for _ in range(draw(st.integers(1, 3)))])
+    elif kind == "tabulated":
+        amb = Tabulated([(prior(), float(rng.uniform(0.0, 2.0))) for _ in range(draw(st.integers(1, 4)))])
+    else:
+        amb = (Entropic if kind == "entropic" else Gini)(draw(st.sampled_from([0.3, 1.0, 4.0])), prior())
+    phi = draw(st.sampled_from([identity_utility(), affine(2.0, 1.0), exponential(0.1)]))
+    psi = draw(st.sampled_from([
+        identity(), power(1.5), prelec(0.65, 1.0), dual_power(2.0), es_tail(0.4), var_step(0.3),
+        tversky_kahneman(0.7),
+    ]))
+    spec = BatterySpec(
+        n_cases=draw(st.integers(0, 6)),
+        n_states=draw(st.sampled_from([None, n])),
+        max_states=draw(st.integers(1, 4)),
+        max_outcomes=draw(st.integers(2, 6)),
+        seed=draw(st.integers(0, 10**6)),
+        uniform_outcome_probs=draw(st.booleans()),
+    )
+    return Preference(phi, psi, amb, [f"w{i}" for i in range(n)]), spec
+
+
+class TestBatteryBlocks:
+    """The batched batteries against the per-case loops they replaced."""
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(battery_setups())
+    def test_reports_match_per_case_reference(self, setup):
+        pref, spec = setup
+        try:
+            want = reference_reduction_suite(pref, spec)
+        except ShapeError:
+            with pytest.raises(ShapeError):
+                reduction_suite(pref, spec)
+        else:
+            got = reduction_suite(pref, spec)
+            for key, errors in want.items():
+                if key == "seed":
+                    continue
+                assert got[key]["violations"] == [label for label, err in errors if err > 1e-9], key
+                assert abs(got[key]["max_error"] - max([0.0, *(err for _, err in errors)])) <= 1e-12, key
+            assert got["seed"] == spec.seed
+        report = ambiguity_aversion_check(pref, spec)
+        assert [v["case"] for v in report["violations"]] == reference_aversion_violations(pref, spec)
+        assert report["passed"] == (not report["violations"])
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(rank_cases(), min_size=1, max_size=5))
+    def test_padded_row_equals_case_alone(self, cases):
+        variables = [v for v, _, _ in cases]
+        _, phi, psi = cases[0]
+        for v, u in zip(variables, _inner_profiles(variables, phi, psi)):
+            assert u.tobytes() == inner_rdu(v, phi, psi).tobytes()
+
+    def test_draws_follow_the_per_case_order(self, monkeypatch):
+        blocks, listed = [], []
+        real = evaluator_module.inner_rdu
+
+        def recorded_inner(v, phi, psi):
+            blocks.append(v.payoffs.copy())
+            return real(v, phi, psi)
+
+        class RecordedMaxmin(MaxminSet):
+            def __init__(self, priors):
+                super().__init__(priors)
+                listed.append(np.array([q.weights for q in self.priors]))
+
+        monkeypatch.setattr(evaluator_module, "inner_rdu", recorded_inner)
+        monkeypatch.setattr(evaluator_module, "MaxminSet", RecordedMaxmin)
+        spec = BatterySpec(n_cases=12, seed=99)
+        reduction_suite(Preference(exponential(0.1), prelec(0.65, 1.0), Entropic(1.5, UNIFORM2), ("w0", "w1")), spec)
+
+        # The per-case loop's draws: (a, b) per unambiguous case, a shift per
+        # case, then each case's listed maxmin priors.
+        rng = np.random.default_rng(spec.seed + 1)
+        cases = generate_battery(spec)
+        unamb = generate_battery(replace(spec, seed=spec.seed + 2, unambiguous=True))
+        moved = []
+        for v in unamb:
+            a = float(rng.uniform(0.5, 2.5))
+            b = float(rng.uniform(-2.0, 2.0))
+            moved.append(a * v.payoffs + b)
+        moved += [v.payoffs + float(rng.uniform(-2.0, 2.0)) for v in cases]
+        row = sum(v.n_states for v in [*unamb, *cases])
+        for payoffs in moved:
+            k, m = payoffs.shape
+            assert np.array_equal(blocks[1][row : row + k, :m], payoffs)
+            row += k
+        assert len(listed) == len(cases)
+        for v, priors in zip(cases, listed):
+            raw = rng.random((int(rng.integers(1, 5)), v.n_states)) + 0.05
+            assert np.array_equal(priors, np.array([r / r.sum() for r in raw]))
+
+    @pytest.mark.parametrize("penalty", [
+        "maxmin:[w0=0.3,w1=0.7;w0=0.6,w1=0.4]", "entropic:1.5@w0=0.4,w1=0.6", "gini:0.8@w0=0.5,w1=0.5",
+    ])
+    def test_twelve_case_battery_makes_few_inner_calls(self, monkeypatch, capsys, penalty):
+        calls = []
+        real = evaluator_module.inner_rdu
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].payoffs.shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(evaluator_module, "inner_rdu", counted)
+        argv = ["battery", "--penalty", penalty, "--utility", "exp:0.1", "--distortion", "prelec:0.65,1",
+                "--cases", "12", "--output", "json"]
+        assert cli_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["total_violations"] == 0
+        assert 1 <= len(calls) <= 6, calls
