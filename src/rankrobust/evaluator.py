@@ -22,7 +22,7 @@ import numpy as np
 from .ambiguity import AmbiguityIndex, MaxminSet, Prior, simplex_grid
 from .distortion import Distortion, choquet, identity as identity_distortion
 from .distribution import MERGE_TOL, TwoStageVariable
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 from .utility import UtilityFn, add_variables, identity_utility
 
 INDIFFERENCE_TOL = 1e-9
@@ -81,16 +81,25 @@ class Evaluation:
         }
 
 
-def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray):
-    """One compensated (Neumaier) summation step on non-negative arrays."""
-    t = total + x
-    return t, comp + np.where(total >= x, (total - t) + x, (x - t) + total)
+def _twosum_errors(prev: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rounding errors of the steps s = prev + x on non-negative arrays (the
+    Neumaier correction terms)."""
+    return np.where(prev >= x, (prev - s) + x, (x - s) + prev)
 
 
-def _flush(total: np.ndarray, comp: np.ndarray, x: np.ndarray, done: np.ndarray):
-    """Add x to a running group sum; where done, hand the rounded sum on and restart."""
-    total, comp = _neumaier_add(total, comp, x)
-    return np.where(done, total + comp, 0.0), np.where(done, 0.0, total), np.where(done, 0.0, comp)
+def _run_sums(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Neumaier running sums of the 1-d x over runs that end where ``ends`` is
+    set (``ends[-1]`` must be).  One pass per depth inside the longest run,
+    each adding the next element of every run at once; none without runs."""
+    s, comp = x.copy(), np.zeros_like(x)
+    starts = np.concatenate(([True], ends[:-1]))
+    k = np.flatnonzero(starts & ~ends) + 1  # the second element of every run
+    while k.size:
+        prev, xk = s[k - 1], x[k]
+        s[k] = sk = prev + xk
+        comp[k] = comp[k - 1] + _twosum_errors(prev, xk, sk)
+        k = k[~ends[k]] + 1
+    return s + comp
 
 
 class _PayoffRows(NamedTuple):
@@ -105,15 +114,25 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
     """Per-state distorted expectation of utility, all states in one pass.
 
     Ranks each row by payoff and returns u_1 + sum_i (u_{i+1} - u_i) * psi(S_i),
-    with S_i the mass ranked above i: tails are Neumaier sums over columns,
-    vectorized over states, and each state's terms are summed by math.fsum.
+    with S_i the mass ranked above i, each state's terms summed by math.fsum.
     Zero-mass outcomes rank last, so they get zero tails and no weight.
     Only ``v.payoffs``, ``v.outcome_probs`` and ``v.state_ids`` are read, and
-    each state's value depends on its own row alone.  Agrees with the scalar
-    reference ``choquet(v.marginal(s).pushforward(phi), psi)`` within
-    1e-12 * (1 + max |phi(payoff)|) per state, except that a var: threshold
-    may split a chain of 3+ payoffs (or utilities) under 1e-12 apart
-    differently.  Payoffs outside phi's domain raise with the offending
+    each state's value depends on its own row alone.
+
+    The tails are Neumaier sums from the top rank down, written as scans: the
+    Neumaier running sum of x is s + cumsum(e), where s = cumsum(x) is the
+    naive running sum and e holds the TwoSum errors, each computed elementwise
+    from s shifted by one and x.  ``np.cumsum`` adds left to right, so this
+    reproduces the former loop over outcome columns bit for bit.  As the
+    reference does, the mass of payoffs tied within MERGE_TOL is rounded
+    first, then that of tied utilities; each of these segmented sums takes
+    one pass per depth inside its longest tie chain.  The cost is O(1) numpy
+    passes over the block plus one pass per tie-chain depth, none without ties.
+
+    Agrees with the scalar reference ``choquet(v.marginal(s).pushforward(phi),
+    psi)`` within 1e-12 * (1 + max |phi(payoff)|) per state, except that a
+    var: threshold may split a chain of 3+ payoffs (or utilities) under 1e-12
+    apart differently.  Payoffs outside phi's domain raise with the offending
     (state, outcome).
     """
     inside = phi.domain.contains_mask(v.payoffs, tol=1e-12 * (1.0 + float(np.max(np.abs(v.payoffs)))))
@@ -124,22 +143,31 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
             f"is outside the utility domain {phi.domain}"
         )
     order = np.argsort(np.where(v.outcome_probs > 0.0, v.payoffs, np.inf), axis=1, kind="stable")
-    x = np.take_along_axis(v.payoffs, order, axis=1)
-    p = np.take_along_axis(v.outcome_probs, order, axis=1)
+    rows = np.arange(order.shape[0])[:, None]
+    x, p = v.payoffs[rows, order], v.outcome_probs[rows, order]
     u = phi(x)
-    # The reference merges payoffs, then utilities, within MERGE_TOL and rounds
-    # the mass at each merge; rounding the same way here keeps its var: hits.
-    n_states, n_outcomes = x.shape
-    point = point_c = atom = atom_c = total = total_c = np.zeros(n_states)
-    tails = np.empty((n_states, n_outcomes - 1))
-    for i in range(n_outcomes - 1, 0, -1):
-        new_point = x[:, i] - x[:, i - 1] > MERGE_TOL
-        mass, point, point_c = _flush(point, point_c, p[:, i], new_point)
-        mass, atom, atom_c = _flush(atom, atom_c, mass, new_point & (u[:, i] - u[:, i - 1] > MERGE_TOL))
-        total, total_c = _neumaier_add(total, total_c, mass)
-        tails[:, i - 1] = total + total_c
-    terms = np.diff(u, axis=1) * np.where(tails > 0.0, psi(tails), 0.0)
-    return np.array([math.fsum([lo, *row]) for lo, row in zip(u[:, 0].tolist(), terms.tolist())])
+    # Scan column j holds outcome n-1-j, so ranks are added top down.  A flag
+    # ends a run of tied payoffs (utilities) there, rounding the run's mass;
+    # outcome 0 ends every row, and its tail, the whole mass, is not needed.
+    new_point = np.ones(x.shape, dtype=bool)
+    new_point[:, :-1] = (x[:, 1:] - x[:, :-1] > MERGE_TOL)[:, ::-1]
+    new_atom = new_point.copy()
+    du = u[:, 1:] - u[:, :-1]
+    new_atom[:, :-1] &= (du > MERGE_TOL)[:, ::-1]
+    ends = new_point.ravel()
+    mass = np.where(ends, _run_sums(p[:, ::-1].ravel(), ends), 0.0)
+    # Unless a utility tie joins payoff runs, each utility run is one payoff
+    # run and rounding its mass again changes nothing.
+    if not np.array_equal(new_atom, new_point):
+        ends = new_atom.ravel()
+        mass = np.where(ends, _run_sums(mass, ends), 0.0)
+    mass = mass.reshape(x.shape)
+    s = np.cumsum(mass, axis=1)
+    prev = np.zeros_like(s)
+    prev[:, 1:] = s[:, :-1]
+    tails = (s + np.cumsum(_twosum_errors(prev, mass, s), axis=1))[:, -2::-1]
+    terms = du * np.where(tails > 0.0, psi(tails), 0.0)
+    return np.fromiter(map(math.fsum, np.concatenate((u[:, :1], terms), axis=1).tolist()), float, len(u))
 
 
 def _certainty_equivalent(phi: UtilityFn, value: float) -> float | None:
@@ -389,14 +417,7 @@ def is_more_ambiguity_averse(
         raise ShapeError("preferences must share the state set")
     battery = battery or BatterySpec(n_states=len(pref_a.state_ids))
     if battery.n_states is None:
-        battery = BatterySpec(
-            n_cases=battery.n_cases,
-            n_states=len(pref_a.state_ids),
-            max_outcomes=battery.max_outcomes,
-            payoff_low=battery.payoff_low,
-            payoff_high=battery.payoff_high,
-            seed=battery.seed,
-        )
+        battery = replace(battery, n_states=len(pref_a.state_ids))
 
     a, b, residual, _ = _fit_affine_map(pref_a.phi, pref_b.phi)
     phi_ok = residual <= 1e-8 and a > 0
@@ -503,7 +524,19 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
         ``robust_values`` call per state count (per case in (c), where
         every case lists its own priors).  The plain expectation, the
         explicit minimum and ``choquet`` are the oracles.
+
+    Section (d) values the penalty recentred on 1 state, so a penalty that
+    cannot be recentred (a ``table:`` penalty on 2 or more states) raises
+    ConfigError before any section runs.
     """
+    try:
+        pref.ambiguity.recentered(1)
+    except ShapeError:
+        raise ConfigError(
+            f"the reduction suite's single-state section (d) needs the penalty recentred on 1 state; "
+            f"{pref.ambiguity.describe()} covers {pref.ambiguity.n_states} states and table: penalties "
+            f"cannot be recentred"
+        ) from None
     battery = battery or BatterySpec()
     rng = np.random.default_rng(battery.seed + 1)
     report: dict = {"seed": battery.seed}

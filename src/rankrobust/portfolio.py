@@ -82,13 +82,16 @@ class Weights:
 
 
 def _check_weight_rows(W: np.ndarray, long_only: bool = True) -> None:
-    """The Weights rules, applied to every row of a (K, assets) block."""
-    for row in W:
-        total = math.fsum(row)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise DomainError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
-        if long_only and np.any(row < 0.0):
-            raise DomainError("long-only weights must be >= 0")
+    """The Weights rules, applied to every row of a (K, assets) block; the
+    first failing row raises, its sum checked before its signs."""
+    totals = list(map(math.fsum, W.tolist()))
+    bad_sum = np.abs(np.array(totals) - 1.0) > WEIGHT_SUM_TOL
+    bad = bad_sum | ((W < 0.0).any(axis=1) if long_only else False)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if bad_sum[row]:
+            raise DomainError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {totals[row]!r}")
+        raise DomainError("long-only weights must be >= 0")
 
 
 def _block_payoffs(panel: ScenarioPanel, W: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rankrobust import (
     BatterySpec,
+    ConfigError,
     DomainError,
     Entropic,
     Gini,
@@ -48,7 +49,8 @@ from rankrobust import (
 )
 import rankrobust.evaluator as evaluator_module
 from rankrobust.cli import main as cli_main, parse_scenario
-from rankrobust.evaluator import _inner_profiles
+from rankrobust.distribution import MERGE_TOL
+from rankrobust.evaluator import _PayoffRows, _inner_profiles
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -515,6 +517,21 @@ class TestComparativeAversion:
         assert is_more_ambiguity_averse(base, scaled, spec)["more_ambiguity_averse"] is True
         assert is_more_ambiguity_averse(scaled, base, spec)["more_ambiguity_averse"] is True
 
+    def test_battery_options_reach_the_battery(self, monkeypatch):
+        specs = []
+        real = evaluator_module.generate_battery
+
+        def recorded(spec):
+            specs.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(evaluator_module, "generate_battery", recorded)
+        pref = Preference(identity_utility(), identity(), Entropic(1.0, UNIFORM2), ("w0", "w1"))
+        spec = BatterySpec(n_cases=3, max_states=4, max_outcomes=4, uniform_outcome_probs=True, risk_free=True)
+        is_more_ambiguity_averse(pref, pref, spec)
+        assert specs == [replace(spec, n_states=2)]
+        assert specs[0].uniform_outcome_probs and specs[0].risk_free
+
     def test_distortion_mismatch_blocks_verdict(self):
         a = Preference(identity_utility(), identity(), Entropic(1.0, UNIFORM2), ("w0", "w1"))
         b = Preference(identity_utility(), power(2), Entropic(1.0, UNIFORM2), ("w0", "w1"))
@@ -551,6 +568,125 @@ class TestAbsoluteAversion:
         assert ev_tilted.value_utils < neutral_tilted - 1e-6
 
 
+def _neumaier_add(total: np.ndarray, comp: np.ndarray, x: np.ndarray):
+    """One compensated (Neumaier) summation step on non-negative arrays."""
+    t = total + x
+    return t, comp + np.where(total >= x, (total - t) + x, (x - t) + total)
+
+
+def _flush(total: np.ndarray, comp: np.ndarray, x: np.ndarray, done: np.ndarray):
+    """Add x to a running group sum; where done, hand the rounded sum on and restart."""
+    total, comp = _neumaier_add(total, comp, x)
+    return np.where(done, total + comp, 0.0), np.where(done, 0.0, total), np.where(done, 0.0, comp)
+
+
+def column_loop_inner_rdu(v, phi, psi) -> np.ndarray:
+    """The former inner kernel, one loop step per outcome column (the oracle
+    of the scan kernel; kept verbatim)."""
+    inside = phi.domain.contains_mask(v.payoffs, tol=1e-12 * (1.0 + float(np.max(np.abs(v.payoffs)))))
+    if not np.all(inside):
+        w, s = np.argwhere(~inside)[0]
+        raise DomainError(
+            f"payoff {v.payoffs[w, s]!r} at (state {v.state_ids[w]!r}, outcome {int(s)}) "
+            f"is outside the utility domain {phi.domain}"
+        )
+    order = np.argsort(np.where(v.outcome_probs > 0.0, v.payoffs, np.inf), axis=1, kind="stable")
+    x = np.take_along_axis(v.payoffs, order, axis=1)
+    p = np.take_along_axis(v.outcome_probs, order, axis=1)
+    u = phi(x)
+    # The reference merges payoffs, then utilities, within MERGE_TOL and rounds
+    # the mass at each merge; rounding the same way here keeps its var: hits.
+    n_states, n_outcomes = x.shape
+    point = point_c = atom = atom_c = total = total_c = np.zeros(n_states)
+    tails = np.empty((n_states, n_outcomes - 1))
+    for i in range(n_outcomes - 1, 0, -1):
+        new_point = x[:, i] - x[:, i - 1] > MERGE_TOL
+        mass, point, point_c = _flush(point, point_c, p[:, i], new_point)
+        mass, atom, atom_c = _flush(atom, atom_c, mass, new_point & (u[:, i] - u[:, i - 1] > MERGE_TOL))
+        total, total_c = _neumaier_add(total, total_c, mass)
+        tails[:, i - 1] = total + total_c
+    terms = np.diff(u, axis=1) * np.where(tails > 0.0, psi(tails), 0.0)
+    return np.array([math.fsum([lo, *row]) for lo, row in zip(u[:, 0].tolist(), terms.tolist())])
+
+
+SATURATED = exponential(3.0)  # utilities of payoffs in [10, 20] tie within MERGE_TOL
+
+
+@st.composite
+def kernel_blocks(draw):
+    """A (state x outcome) row block built to stress the tail scans, plus (phi, psi).
+
+    Payoff shapes: every payoff of a row tied; a chain of 20+ payoffs, each
+    within MERGE_TOL of the next; a few integer levels; distinct floats; or
+    distinct payoffs whose utilities tie under SATURATED.  Some blocks get
+    zero-mass pads that repeat the row maximum, as ``_inner_profiles`` pads.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["tied", "chain", "levels", "floats", "saturated"]))
+    n_w = draw(st.integers(1, 6))
+    n_s = draw(st.integers(20, 32)) if shape == "chain" else draw(st.integers(1, 12))
+    if shape == "tied":
+        payoffs = np.repeat(rng.integers(-3, 4, size=(n_w, 1)).astype(float), n_s, axis=1)
+    elif shape == "chain":
+        steps = rng.choice([0.0, 3e-13, 9e-13, 5.0], size=(n_w, n_s), p=[0.3, 0.3, 0.35, 0.05])
+        payoffs = rng.permuted(np.cumsum(steps, axis=1) - 2.0, axis=1)
+    elif shape == "levels":
+        payoffs = rng.integers(-2, 3, size=(n_w, n_s)) * draw(st.sampled_from([0.01, 1.0, 37.0]))
+    elif shape == "floats":
+        payoffs = rng.uniform(-5.0, 5.0, size=(n_w, n_s))
+    else:
+        payoffs = rng.uniform(10.0, 20.0, size=(n_w, n_s))
+    if draw(st.booleans()):
+        probs, k = np.full((n_w, n_s), 1.0 / n_s), n_s
+    else:
+        weights = rng.integers(0, 4, size=(n_w, n_s)).astype(float)
+        weights[:, 0] += weights.sum(axis=1) == 0
+        probs, k = weights / weights.sum(axis=1, keepdims=True), int(weights[0].sum())
+    pads = draw(st.integers(0, 3))
+    if pads:
+        probs = np.hstack([probs, np.zeros((n_w, pads))])
+        payoffs = np.hstack([payoffs, np.repeat(payoffs.max(axis=1, keepdims=True), pads, axis=1)])
+    rows = _PayoffRows(tuple(f"w{i}" for i in range(n_w)), probs, np.asarray(payoffs, dtype=float))
+    phi = SATURATED if shape == "saturated" else draw(
+        st.sampled_from([identity_utility(), affine(2.5, -1.0), exponential(0.7)]))
+    psi = draw(st.sampled_from(every_distortion(max(2, k))))
+    return rows, phi, psi
+
+
+def assert_same_as_column_loop(rows, phi, psi):
+    got, want = inner_rdu(rows, phi, psi), column_loop_inner_rdu(rows, phi, psi)
+    assert got.tobytes() == want.tobytes(), (psi.describe(), phi.describe(), got - want)
+
+
+class TestLoopFreeKernel:
+    """The scan kernel equals the former column loop bit for bit."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(kernel_blocks())
+    @example((_PayoffRows(("w",), np.array([[1.0]]), np.array([[2.0]])), exponential(0.7), var_step(0.5)))
+    @example((_PayoffRows(("w",), np.array([[0.5, 0.5, 0.0]]), np.array([[0.0, 0.0, 0.0]])),
+              identity_utility(), es_tail(0.5)))
+    def test_matches_column_loop(self, case):
+        assert_same_as_column_loop(*case)
+
+    @pytest.mark.parametrize("name", ["ellsberg_urn_a.json", "ellsberg_urn_c.json"])
+    def test_ellsberg_fixtures(self, name):
+        v = parse_scenario(str(FIXTURES / name))
+        for i, psi in enumerate(every_distortion(5)):
+            assert_same_as_column_loop(v, exponential(0.01) if i % 2 else identity_utility(), psi)
+
+    @pytest.mark.parametrize("n_w, n_s", [(2000, 4), (3, 200)])
+    def test_large_blocks(self, n_w, n_s):
+        rng = np.random.default_rng(n_w * n_s)
+        weights = rng.integers(0, 3, size=(n_w, n_s)).astype(float)
+        weights[:, 0] += 1.0
+        payoffs = rng.integers(-3, 4, size=(n_w, n_s)) + rng.choice([0.0, 4e-13], size=(n_w, n_s))
+        rows = _PayoffRows(tuple(f"w{i}" for i in range(n_w)), weights / weights.sum(axis=1, keepdims=True),
+                           payoffs.astype(float))
+        for psi in (prelec(0.65, 1.0), es_tail(0.3), var_step(0.25), var_step(0.5)):
+            assert_same_as_column_loop(rows, exponential(0.3), psi)
+
+
 class TestReductionSuite:
     def test_all_reductions_pass(self):
         pref = Preference(identity_utility(), power(2), Entropic(1.0, UNIFORM2), ("w0", "w1"))
@@ -558,6 +694,21 @@ class TestReductionSuite:
         assert report["passed"], report
         for key in ("expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu"):
             assert report[key]["max_error"] <= 1e-9
+
+    def test_table_on_two_states_fails_before_any_section(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(evaluator_module, "generate_battery", lambda spec: drawn.append(spec) or [])
+        table = Tabulated([(UNIFORM2, 0.0), (Prior([0.2, 0.8]), 0.5)])
+        pref = Preference(identity_utility(), power(2), table, ("w0", "w1"))
+        with pytest.raises(ConfigError, match=r"section \(d\).*recentred on 1 state.*table: penalties"):
+            reduction_suite(pref, BatterySpec(n_cases=5, n_states=2))
+        assert drawn == []
+
+    def test_table_on_one_state_runs(self):
+        table = Tabulated([(Prior([1.0]), 0.0)])
+        report = reduction_suite(Preference(exponential(0.1), power(2), table, ("w0",)),
+                                 BatterySpec(n_cases=20, max_states=1))
+        assert report["passed"], report
 
 
 def _adapt(amb, n):
@@ -673,7 +824,10 @@ class TestBatteryBlocks:
         try:
             want = reference_reduction_suite(pref, spec)
         except ShapeError:
-            with pytest.raises(ShapeError):
+            # A table on 2+ states is refused up front; other shape clashes
+            # surface where the sections meet them.
+            table = isinstance(pref.ambiguity, Tabulated) and pref.ambiguity.n_states >= 2
+            with pytest.raises(ConfigError if table else ShapeError):
                 reduction_suite(pref, spec)
         else:
             got = reduction_suite(pref, spec)
