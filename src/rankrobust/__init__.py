@@ -12,6 +12,7 @@ __version__ = "0.1.0"
 
 from .ambiguity import (
     AmbiguityIndex,
+    CMinBracket,
     Entropic,
     Gini,
     MaxminSet,
@@ -19,6 +20,7 @@ from .ambiguity import (
     Tabulated,
     UtilityGrid,
     c_min_bruteforce,
+    c_min_exact,
     parse_penalty,
     parse_prior,
     simplex_grid,
@@ -53,6 +55,7 @@ from .errors import (
     ImageOverflowError,
     ScenarioError,
     ShapeError,
+    SolverError,
     SpecStringError,
     UnknownPriorError,
 )

@@ -5,8 +5,15 @@ The workhorse is ``robust_min(u) = min_q { q . u + c(q) }``: an indicator
 penalty over a finite prior set gives worst-case (maxmin) evaluation, the
 relative-entropy penalty gives the multiplier closed form, the relative
 Gini penalty a water-filling quadratic program, and tabulated penalties an
-explicit grid scan.  ``c_min_bruteforce`` is the dual-side oracle: it
-reconstructs the minimal penalty from certainty values alone.
+explicit grid scan.
+
+The dual side reconstructs the minimal penalty from certainty values alone:
+c*(q) = sup_u { I(u) - q . u } with I the robust value, taken over a box
+[low, high]^n of utility profiles.  ``c_min_exact`` solves this concave
+maximization and returns a certified bracket (lower bound attained at a box
+point, upper bound from LP duals or the Frank-Wolfe gap, solver status and
+iterations); ``c_min_bruteforce`` sweeps a lattice and is kept as its test
+oracle.
 """
 
 from __future__ import annotations
@@ -14,12 +21,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.special import logsumexp, rel_entr
 
-from .errors import DomainError, ShapeError, SpecStringError, UnknownPriorError
+from .errors import ConfigError, DomainError, ShapeError, SolverError, SpecStringError, UnknownPriorError
 
 PRIOR_SUM_TOL = 1e-12
 HULL_TOL = 1e-9
@@ -75,6 +83,12 @@ def _prior_dots(U, matrix: np.ndarray) -> np.ndarray:
     for j in range(1, matrix.shape[1]):
         out += np.multiply(weights[:, j], cols[j], out=term)
     return out
+
+
+def _require_optimal(res, what: str) -> None:
+    """Raise SolverError unless HiGHS reports an optimal solution."""
+    if res.status != 0:
+        raise SolverError(f"{what}: HiGHS stopped with status {res.status} ({res.message})")
 
 
 def _as_weights(q, n: int) -> np.ndarray:
@@ -175,11 +189,11 @@ class MaxminSet(AmbiguityIndex):
         a_eq = np.vstack([self._matrix.T, np.ones((1, k))])
         b_eq = np.concatenate([w, [1.0]])
         res = linprog(np.zeros(k), A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * k, method="highs")
-        if res.status == 0 and res.x is not None:
-            mix = np.clip(res.x, 0.0, None)
-            if np.max(np.abs(self._matrix.T @ mix - w)) <= HULL_TOL:
-                return 0.0
-        return math.inf
+        if res.status == 2:  # infeasible: q lies outside the hull
+            return math.inf
+        _require_optimal(res, "maxmin hull-membership LP")
+        mix = np.clip(res.x, 0.0, None)
+        return 0.0 if np.max(np.abs(self._matrix.T @ mix - w)) <= HULL_TOL else math.inf
 
     def robust_min(self, u) -> tuple[float, Prior]:
         arr = self._check_u(u)
@@ -412,8 +426,166 @@ class UtilityGrid:
         return self.low + self.step * np.arange(n)
 
 
+class CMinBracket(NamedTuple):
+    """lower <= c*(q) <= upper on a box, with how the solver got there."""
+
+    lower: float
+    upper: float
+    status: str
+    iterations: int
+
+
+CMIN_RTOL = 1e-9
+NEWTON_MAX_ITER = 50
+
+
+def _fenchel_gap(amb: AmbiguityIndex, w: np.ndarray, u: np.ndarray) -> float:
+    """I(u) - q . u at one box point, rounded as c_min_bruteforce rounds a
+    lattice point: robust_values and q . u in MaxminSet/Tabulated order."""
+    row = u[None, :]
+    return float(amb.robust_values(row)[0] - _prior_dots(row, w[None, :])[0, 0])
+
+
+def _c_min_lp(amb, w, low, high) -> CMinBracket:
+    """Polyhedral kinds: max t - q . u  s.t.  t <= p_j . u + c_j, u in the box."""
+    matrix = amb._matrix
+    k, n = matrix.shape
+    costs = amb.values if isinstance(amb, Tabulated) else np.zeros(k)
+    res = linprog(
+        np.append(w, -1.0),
+        A_ub=np.hstack([-matrix, np.ones((k, 1))]),
+        b_ub=costs,
+        bounds=[(low, high)] * n + [(None, None)],
+        method="highs",
+    )
+    _require_optimal(res, "cmin LP")
+    lower = max(_fenchel_gap(amb, w, np.clip(res.x[:n], low, high)), 0.0)
+    # Any lam on the simplex bounds the sup: I(u) <= sum_j lam_j (p_j . u + c_j),
+    # so c*(q) <= lam . c + max over the box of (P^T lam - q) . u, taken per state.
+    lam = np.clip(-res.ineqlin.marginals, 0.0, None)
+    lam /= lam.sum()
+    g = matrix.T @ lam - w
+    upper = math.fsum(np.concatenate([lam * costs, np.maximum(low * g, high * g)]))
+    # Outward allowance for the rounding of P^T lam, lam . c and lam's normalisation.
+    upper += 4 * (k + n) * float(np.finfo(float).eps) * (1.0 + max(abs(low), abs(high)) + float(costs.max()))
+    tol = CMIN_RTOL * (1.0 + abs(lower))
+    return CMinBracket(lower, upper, "converged" if upper - lower <= tol else "lp_bracket_open", int(res.nit))
+
+
+def _hessian(amb, q_star: np.ndarray) -> np.ndarray:
+    """Hessian of the robust value at a point whose minimizer is q_star."""
+    if isinstance(amb, Entropic):
+        return -(np.diag(q_star) - np.outer(q_star, q_star)) / amb.theta
+    active = np.where(q_star > 0.0, amb.reference.weights, 0.0)
+    return -(np.diag(active) - np.outer(active, active) / active.sum()) / (2.0 * amb.theta)
+
+
+def _c_min_smooth(amb, w, low, high) -> CMinBracket:
+    """Entropic and Gini: projected Newton from the box centre until the
+    Frank-Wolfe bracket f(u) + max_x g . (x - u) closes."""
+
+    def at(u):
+        """(u, f, g, q*, Frank-Wolfe gap) at the box point u."""
+        q_star = amb.robust_min(u)[1].weights
+        g = q_star - w
+        # By concavity f(x) <= f(u) + g . (x - u); each term is >= 0 on the box.
+        return u, _fenchel_gap(amb, w, u), g, q_star, float(np.sum(np.maximum(g * (low - u), g * (high - u))))
+
+    n = w.size
+    eps, radius = float(np.finfo(float).eps), max(abs(low), abs(high))
+    u, f, g, q_star, frank_wolfe = at(np.full(n, 0.5 * (low + high)))
+    best, iterations, stop = max(f, 0.0), 0, "iteration_limit"
+
+    def search(direction, closed):
+        """The first step direction / 2^k that raises f, or that shrinks the
+        Frank-Wolfe gap without losing f: near the optimum f is flat to its
+        rounding while the gap, a slope times the box width, is not, so until
+        the bracket is closed the step may lose that much.  Once it is closed,
+        only the full step is tried and no loss is allowed: Newton's last
+        steps are cheap and pull the lower bound up to lattice points that sit
+        on the optimum, such as box corners, and steps that raise (f, -gap)
+        cannot cycle between two points an ulp apart."""
+        slack = 0.0 if closed else 4 * n * eps * (1.0 + abs(f) + radius)
+        for k in range(1 if closed else 60):
+            trial = at(np.clip(u + 0.5**k * direction, low, high))
+            if trial[1] > f or (trial[1] >= f - slack and trial[4] < frank_wolfe):
+                return trial
+        return None
+
+    for _ in range(NEWTON_MAX_ITER):
+        closed = frank_wolfe <= CMIN_RTOL * (1.0 + abs(best))
+        if frank_wolfe == 0.0:
+            break
+        # Bertsekas' projected Newton: coordinates on or near a bound their
+        # slope points out of go to that bound; Newton moves the others.
+        near = min(1e-3 * (high - low), float(np.max(np.abs(np.clip(u + g, low, high) - u))))
+        to_low, to_high = (u <= low + near) & (g < 0.0), (u >= high - near) & (g > 0.0)
+        free = ~(to_low | to_high)
+        step = np.where(to_low, low - u, np.where(to_high, high - u, 0.0))
+        hessian = _hessian(amb, q_star)
+        curvature = -np.diag(hessian)
+        flat = free & (curvature <= n * eps * curvature.max())
+        curved = free & ~flat
+        # The Hessian is singular along the all-ones vector: least squares.
+        step[curved] = np.linalg.lstsq(hessian[np.ix_(curved, curved)], -g[curved], rcond=None)[0]
+        if not g[curved] @ step[curved] > 0.0:
+            step[curved] = g[curved]
+        # f is linear along a state without curvature (a Gini state outside the
+        # minimizer's support), and nearly so along one whose curvature is
+        # below lstsq's cutoff of n ulps of the largest: it heads for the box
+        # face its slope points to, as in a Frank-Wolfe step, and the line
+        # search cuts the way short.
+        step[flat] = np.where(g[flat] < 0.0, low - u[flat], np.where(g[flat] > 0.0, high - u[flat], 0.0))
+        iterations += 1
+        # Clipping can turn the Newton step away from ascent on a badly scaled
+        # box; the Frank-Wolfe step towards the box vertex g points to cannot.
+        trial = search(step, closed) or search(np.where(g > 0.0, high, np.where(g < 0.0, low, u)) - u, closed)
+        if trial is None:
+            stop = "line_search_failed"
+            break
+        u, f, g, q_star, frank_wolfe = trial
+        best = max(best, f)
+    # best >= f, so best + gap is at least as far out as f + gap; the last term
+    # is an outward allowance for the rounding of f, g and the gap's n terms.
+    upper = best + frank_wolfe + 4 * n * eps * (1.0 + abs(best) + radius)
+    status = "converged" if upper - best <= CMIN_RTOL * (1.0 + abs(best)) else stop
+    return CMinBracket(best, upper, status, iterations)
+
+
+def c_min_exact(amb: AmbiguityIndex, q, low: float, high: float) -> CMinBracket:
+    """Bracket the minimal penalty c*(q) = sup_u { I(u) - q . u } over the box
+    [low, high]^n, where I is the robust value of amb.
+
+    The lower bound is I(u) - q . u at a box point u, so it is a Fenchel point
+    like every lattice point of ``c_min_bruteforce`` and never falls below the
+    lattice's bound on the same box beyond rounding.  It is never below 0:
+    amb is grounded, so every constant profile a * 1 in the box gives exactly
+    I(a * 1) - q . (a * 1) = a - a = 0.
+
+    ``MaxminSet`` and ``Tabulated`` solve one HiGHS LP; the upper bound comes
+    from its duals.  ``Entropic`` and ``Gini`` run projected Newton from the
+    box centre (Hessians -(diag q* - q* q*^T)/theta, and
+    -(diag p_A - p_A p_A^T/sum p_A)/(2 theta) on the minimizer's support A)
+    until the Frank-Wolfe upper bound is within CMIN_RTOL * (1 + |lower|) of
+    the lower one.  Both upper bounds carry an outward allowance for rounding.
+    ``status`` is "converged", or says why the bracket stayed open
+    ("lp_bracket_open", "line_search_failed", "iteration_limit").  A failed LP
+    raises SolverError.
+    """
+    w = _as_weights(q, amb.n_states)
+    low, high = float(low), float(high)
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise DomainError(f"cmin box needs finite low <= high, got [{low}, {high}]")
+    if isinstance(amb, (MaxminSet, Tabulated)):
+        return _c_min_lp(amb, w, low, high)
+    if isinstance(amb, (Entropic, Gini)):
+        return _c_min_smooth(amb, w, low, high)
+    raise ConfigError(f"no exact cmin solver for {amb.describe()}; use c_min_bruteforce")
+
+
 def c_min_bruteforce(eval_ce, q, grid: UtilityGrid, chunk: int = 262_144) -> float:
-    """Lower-bound the minimal penalty at q from certainty values alone.
+    """Lower-bound the minimal penalty at q from certainty values alone: the
+    test oracle of ``c_min_exact``.
 
     Maximizes eval_ce(v) - q . v over the lattice of utility-unit
     pure-ambiguity vectors, grid.axis() on every state.  ``eval_ce`` must

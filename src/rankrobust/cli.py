@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
@@ -23,8 +24,7 @@ import numpy as np
 
 from . import __version__
 from .ambiguity import (
-    UtilityGrid,
-    c_min_bruteforce,
+    c_min_exact,
     parse_penalty,
     parse_prior,
 )
@@ -252,8 +252,7 @@ def _cmd_cmin(args) -> int:
     amb = parse_penalty(args.penalty, state_ids)
     q = parse_prior(args.prior, state_ids)
     lo, hi, step = (float(x) for x in args.grid.split(","))
-    grid = UtilityGrid(lo, hi, step)
-    bound = c_min_bruteforce(amb.robust_values, q, grid)
+    bound, upper, status, iterations = c_min_exact(amb, q, lo, hi)
     direct = amb.penalty(q)
     report = {
         "command": "cmin",
@@ -263,6 +262,9 @@ def _cmd_cmin(args) -> int:
         "seed": args.seed,
         "result": {
             "dual_lower_bound": bound,
+            "upper_bound": upper,
+            "status": status,
+            "iterations": iterations,
             "direct_penalty": direct if math.isfinite(direct) else "inf",
             "gap": (direct - bound) if math.isfinite(direct) else "inf",
         },
@@ -384,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmin = sub.add_parser("cmin")
     common(p_cmin, scenario=False)
     p_cmin.add_argument("--prior", help="prior at which to lower-bound the penalty")
-    p_cmin.add_argument("--grid", default="-5,5,0.25", help="utility lattice low,high,step")
+    p_cmin.add_argument("--grid", default="-5,5,0.25", help="low,high,step: the box [low,high]^n (step unused)")
     p_batt = sub.add_parser("battery")
     common(p_batt, scenario=False)
     p_batt.add_argument("--cases", type=int, default=200)
@@ -408,9 +410,14 @@ _DISPATCH = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
     except _VALIDATION_ERRORS as exc:

@@ -39,3 +39,7 @@ class ConfigError(ValueError):
 
 class BudgetError(ValueError):
     """An optimizer budget is too small to cover its coarse grid."""
+
+
+class SolverError(ValueError):
+    """A numerical solver stopped without an answer the caller can use."""

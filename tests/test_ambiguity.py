@@ -7,17 +7,22 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from rankrobust import (
+    AmbiguityIndex,
+    ConfigError,
     DomainError,
     Entropic,
     Gini,
     MaxminSet,
     Prior,
     ShapeError,
+    SolverError,
     SpecStringError,
     Tabulated,
     UnknownPriorError,
     UtilityGrid,
+    ambiguity,
     c_min_bruteforce,
+    c_min_exact,
     parse_penalty,
     parse_prior,
     simplex_grid,
@@ -494,6 +499,211 @@ class TestCMinBruteForce:
             c_min_bruteforce(c.robust_values, UNIFORM2, UtilityGrid(1.0, 0.0, 0.5))
         with pytest.raises(DomainError):
             c_min_bruteforce(c.robust_values, UNIFORM2, UtilityGrid(0.0, 1.0, -0.5))
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def cmin_problems(draw):
+    """(index, q, low, high, step) on 2-3 states; the box is the lattice's hull."""
+    kind = draw(st.sampled_from(["maxmin", "table", "entropic", "gini"]))
+    n = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    step = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    low = step * draw(st.integers(-8, 0))
+    high = low + step * draw(st.integers(0, 12 // n + 2))
+    if kind == "maxmin":
+        vertices = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 5)))
+        index = MaxminSet(vertices)
+        q = rng.dirichlet(np.ones(n)) if draw(st.booleans()) else rng.dirichlet(np.ones(len(vertices))) @ vertices
+    elif kind == "table":
+        grid = simplex_grid(n, int(rng.integers(1, 6)))
+        index = Tabulated(list(zip(grid, rng.uniform(0.0, 2.0, size=len(grid)))))
+        q = grid[int(rng.integers(len(grid)))]
+    else:
+        theta = float(rng.choice([0.05, 0.5, 1.0, 3.0, 20.0]))
+        index = (Entropic if kind == "entropic" else Gini)(theta, Prior(rng.dirichlet(np.ones(n))))
+        q = rng.dirichlet(np.ones(n))
+        if draw(st.booleans()):
+            q[int(rng.integers(n))] = 0.0
+    return index, Prior(q / math.fsum(q)), low, high, step
+
+
+def kl_oracle(theta, q, p):
+    return theta * math.fsum(qi * math.log(qi / pi) for qi, pi in zip(q, p) if qi > 0)
+
+
+class TestExactCMin:
+    """c_min_exact against the lattice, the direct penalty and closed forms."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(cmin_problems())
+    def test_bracket_dominates_the_lattice_and_stays_below_the_penalty(self, problem):
+        index, q, low, high, step = problem
+        lower, upper, status, iterations = c_min_exact(index, q, low, high)
+        lattice = c_min_bruteforce(index.robust_values, q, UtilityGrid(low, high, step))
+        # Each gap I(u) - q . u sums n products of size up to |c| + |u|, so it
+        # rounds by a few ulps of n (|c| + radius), the lattice's own points
+        # included: at a prior inside a maxmin hull the lattice can read a few
+        # ulps above the true 0.
+        ulps = 4 * index.n_states * EPS * (1 + abs(lattice) + max(abs(low), abs(high)))
+        assert lower >= lattice - ulps
+        assert upper >= lower
+        assert status == "converged" and iterations >= 0
+        assert upper - lower <= 1e-9 * (1 + abs(lower))
+        assert lower <= index.penalty(q) + ulps
+
+    def test_entropic_matches_theta_kl_inside_the_box(self, rng):
+        for n in (2, 3, 7, 20):
+            for _ in range(5):
+                p, q, theta = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)), float(rng.uniform(0.2, 3.0))
+                # The maximizer u_i = -theta log(q_i / p_i) + const lies inside this box.
+                half = theta * float(np.ptp(np.log(q / p))) / 2 + 1.0
+                want = kl_oracle(theta, q, p)
+                lower, upper, status, _ = c_min_exact(Entropic(theta, Prior(p)), Prior(q), -half, half)
+                assert status == "converged"
+                assert abs(lower - want) <= 1e-9 * (1 + want)
+                assert upper >= want
+
+    def test_gini_matches_chi_square_inside_the_box(self, rng):
+        for n in (2, 3, 7, 20):
+            for _ in range(5):
+                p, q, theta = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n)), float(rng.uniform(0.2, 3.0))
+                # The maximizer u_i = mu + 2 theta (1 - q_i / p_i) lies inside this box.
+                half = theta * float(np.ptp(q / p)) + 1.0
+                want = theta * math.fsum((q - p) ** 2 / p)
+                lower, upper, status, _ = c_min_exact(Gini(theta, Prior(p)), Prior(q), -half, half)
+                assert status == "converged"
+                assert abs(lower - want) <= 1e-9 * (1 + want)
+                assert upper >= want
+
+    def test_listed_maxmin_priors_never_read_above_zero(self):
+        rng = np.random.default_rng(21)
+        for n in (2, 3, 6):
+            index = MaxminSet(rng.dirichlet(np.ones(n), size=4))
+            for q in index.priors:
+                lower, upper, status, _ = c_min_exact(index, q, -5, 5)
+                assert lower <= 0.0 <= upper and status == "converged"
+
+    def test_maxmin_outside_the_hull_gets_the_box_value(self):
+        index = MaxminSet([Prior(np.array([0.5, 0.5]))])
+        # sup over the box of (0.5 - 0.9) u_1 + (0.5 - 0.1) u_2 is 0.4 * 2 + 0.4 * 2.
+        lower, upper, status, _ = c_min_exact(index, Prior(np.array([0.9, 0.1])), -2, 2)
+        assert lower == pytest.approx(1.6, abs=1e-12) and upper >= lower and status == "converged"
+        assert index.penalty(Prior(np.array([0.9, 0.1]))) == math.inf
+
+    @pytest.mark.parametrize("n", [20, 50])
+    def test_brackets_close_on_many_states(self, rng, n):
+        for kind in (Entropic, Gini):
+            for _ in range(4):
+                index = kind(float(rng.uniform(0.2, 3.0)), Prior(rng.dirichlet(np.ones(n))))
+                q = Prior(rng.dirichlet(np.ones(n)))
+                lower, upper, status, _ = c_min_exact(index, q, -5, 5)
+                assert status == "converged", (kind, status)
+                assert 0.0 <= upper - lower <= 1e-9 * (1 + abs(lower))
+                assert lower <= index.penalty(q) + 1e-12
+        vertices = rng.dirichlet(np.ones(n), size=30)
+        for index in (MaxminSet(vertices), Tabulated(list(zip(vertices, rng.uniform(0, 1, 30))))):
+            lower, upper, status, _ = c_min_exact(index, Prior(vertices[0]), -5, 5)
+            assert status == "converged" and 0.0 <= upper - lower <= 1e-9 * (1 + abs(lower))
+
+    def test_gini_states_outside_the_support_still_close(self):
+        # Small theta and sparse priors leave many states outside the Gini
+        # minimizer's support, where f is linear and Newton sees no curvature.
+        rng = np.random.default_rng(31)
+        for n in (5, 50):
+            for _ in range(3):
+                p, q = rng.dirichlet(np.full(n, 0.2)), rng.dirichlet(np.full(n, 0.2))
+                index = Gini(0.01, Prior(p))
+                lower, upper, status, _ = c_min_exact(index, Prior(q), -2.0, 2.0)
+                assert status == "converged", (n, status, upper - lower)
+                assert upper - lower <= 1e-9 * (1 + abs(lower))
+
+    def test_gini_state_with_rounding_level_curvature_closes(self):
+        # One reference weight is 4e-17, so its state's curvature is below
+        # what lstsq keeps; it must still reach the box face its slope
+        # points to, not crawl there by Frank-Wolfe steps.
+        rng = np.random.default_rng(35)
+        p, q = rng.dirichlet(np.full(50, 0.2)), rng.dirichlet(np.full(50, 5.0))
+        index = Gini(0.05, Prior(p))
+        lower, upper, status, _ = c_min_exact(index, Prior(q), -2.0, 2.0)
+        assert status == "converged"
+        assert 0.0 <= upper - lower <= 1e-9 * (1 + abs(lower))
+        assert lower <= index.penalty(Prior(q))
+
+    @pytest.mark.parametrize("theta, p, q", [
+        (0.01, [0.95, 0.05 - 1e-6, 1e-6], [0.055, 0.002, 0.943]),
+        (0.01, [7e-4, 5e-5, 1 - 7.5e-4], [0.05, 0.896, 0.054]),
+        (0.2, [7e-4, 5e-5, 1 - 7.5e-4], [2e-4, 1 - 2e-4 - 8e-9, 8e-9]),
+    ])
+    def test_badly_scaled_entropic_boxes_still_close(self, theta, p, q):
+        # Reference weights near 1e-6 and a box 40 / theta wide: the clipped
+        # Newton step stops ascending after a couple of iterations, and the
+        # Frank-Wolfe step has to carry the solve on.
+        p, q = np.array(p) / math.fsum(p), np.array(q) / math.fsum(q)
+        want = kl_oracle(theta, q, p)
+        lower, upper, status, _ = c_min_exact(Entropic(theta, Prior(p)), Prior(q), -20.0, 20.0)
+        assert status == "converged"
+        assert abs(lower - want) <= 1e-9 * (1 + want)
+        assert upper >= want
+
+    def test_open_bracket_is_reported_and_still_valid(self, rng, monkeypatch):
+        monkeypatch.setattr(ambiguity, "NEWTON_MAX_ITER", 0)
+        n = 50
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        half = float(np.ptp(np.log(q / p))) / 2 + 1.0
+        lower, upper, status, _ = c_min_exact(Entropic(1.0, Prior(p)), Prior(q), -half, half)
+        assert status == "iteration_limit"
+        assert lower <= kl_oracle(1.0, q, p) <= upper
+
+    def test_degenerate_box_and_bad_inputs(self):
+        index = Entropic(1.0, UNIFORM2)
+        lower, upper, status, _ = c_min_exact(index, Prior(np.array([0.3, 0.7])), 1.5, 1.5)
+        assert lower == pytest.approx(0.0, abs=1e-15) and upper >= lower and status == "converged"
+        with pytest.raises(DomainError):
+            c_min_exact(index, UNIFORM2, 1.0, 0.0)
+        with pytest.raises(ShapeError):
+            c_min_exact(index, Prior.uniform(3), -1.0, 1.0)
+
+        class Custom(AmbiguityIndex):
+            n_states = 2
+
+            def describe(self):
+                return "custom"
+
+        with pytest.raises(ConfigError):
+            c_min_exact(Custom(), UNIFORM2, -1.0, 1.0)
+
+
+class FailedLP:
+    """What linprog returns when HiGHS stops for numerical trouble (status 4)."""
+
+    status = 4
+    message = "Numerical difficulties encountered"
+    x = None
+
+
+class TestSolverStatus:
+    def test_penalty_raises_on_a_failed_lp(self, monkeypatch):
+        monkeypatch.setattr(ambiguity, "linprog", lambda *a, **k: FailedLP())
+        index = MaxminSet([Prior(np.array([0.2, 0.8])), Prior(np.array([0.6, 0.4]))])
+        with pytest.raises(SolverError, match="status 4"):
+            index.penalty(Prior(np.array([0.4, 0.6])))
+
+    def test_infeasible_lp_still_means_outside_the_hull(self, monkeypatch):
+        class Infeasible(FailedLP):
+            status = 2
+
+        monkeypatch.setattr(ambiguity, "linprog", lambda *a, **k: Infeasible())
+        index = MaxminSet([Prior(np.array([0.2, 0.8])), Prior(np.array([0.6, 0.4]))])
+        assert index.penalty(Prior(np.array([0.4, 0.6]))) == math.inf
+
+    def test_exact_cmin_raises_on_a_failed_lp(self, monkeypatch):
+        monkeypatch.setattr(ambiguity, "linprog", lambda *a, **k: FailedLP())
+        for index in (MaxminSet([UNIFORM2]), Tabulated([(UNIFORM2, 0.0)])):
+            with pytest.raises(SolverError, match="status 4"):
+                c_min_exact(index, UNIFORM2, -1.0, 1.0)
 
 
 class TestSimplexGrid:

@@ -218,6 +218,37 @@ class TestCommands:
         assert report["result"]["dual_lower_bound"] <= report["result"]["direct_penalty"] + 1e-12
         assert report["result"]["gap"] < 5e-3
 
+    def test_cmin_exact_reports_a_closed_bracket(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "cmin",
+            "--penalty", "gini:0.7@a=0.2,b=0.3,c=0.5",
+            "--prior", "a=0.3,b=0.3,c=0.4",
+            "--output", "json",
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["status"] == "converged"
+        assert result["iterations"] >= 1
+        lower, upper = result["dual_lower_bound"], result["upper_bound"]
+        assert lower <= upper <= lower + 1e-9 * (1 + abs(lower))
+        # The optimum lies inside the default box, so the bracket holds the penalty.
+        assert abs(result["direct_penalty"] - lower) <= 1e-9
+
+    def test_cmin_failed_lp_exits_two(self, capsys, monkeypatch):
+        from rankrobust import ambiguity
+
+        class FailedLP:
+            status, message, x = 4, "Numerical difficulties encountered", None
+
+        monkeypatch.setattr(ambiguity, "linprog", lambda *a, **k: FailedLP())
+        code, out, err = run_cli(
+            capsys, "cmin",
+            "--penalty", "maxmin:[a=0.2,b=0.8;a=0.6,b=0.4]",
+            "--prior", "a=0.4,b=0.6",
+        )
+        assert code == 2 and out == ""
+        assert "status 4" in err
+
     def test_battery_command_green(self, capsys):
         code, out, _ = run_cli(
             capsys, "battery",
@@ -308,3 +339,36 @@ class TestDeterminism:
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        from rankrobust import cli
+
+        built = []
+        original = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"), "--penalty", "entropic:1@uniform")
+            run_cli(capsys, "demo", "ellsberg")
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["cmin", "--help"], ["evaluate"], ["bogus"]])
+    def test_help_and_usage_errors_repeat_exactly(self, capsys, argv):
+        outputs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as stop:
+                main(argv)
+            captured = capsys.readouterr()
+            outputs.append((stop.value.code, captured.out, captured.err))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == (0 if "--help" in argv else 2)
