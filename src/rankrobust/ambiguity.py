@@ -14,6 +14,12 @@ maximization and returns a certified bracket (lower bound attained at a box
 point, upper bound from LP duals or the Frank-Wolfe gap, solver status and
 iterations); ``c_min_bruteforce`` sweeps a lattice and is kept as its test
 oracle.
+
+Robust values, minimizers and the entropic, Gini and tabulated penalties
+need numpy alone.  scipy, a declared dependency, is imported by ``linprog``
+on the first HiGHS LP: the ``cmin`` solve for ``MaxminSet``/``Tabulated``
+and ``MaxminSet.penalty``'s hull membership test, so no CLI command but
+``cmin`` loads it.
 """
 
 from __future__ import annotations
@@ -24,8 +30,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.special import logsumexp, rel_entr
 
 from .errors import ConfigError, DomainError, ShapeError, SolverError, SpecStringError, UnknownPriorError
 
@@ -83,6 +87,13 @@ def _prior_dots(U, matrix: np.ndarray) -> np.ndarray:
     for j in range(1, matrix.shape[1]):
         out += np.multiply(weights[:, j], cols[j], out=term)
     return out
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def _require_optimal(res, what: str) -> None:
@@ -240,12 +251,19 @@ class Entropic(AmbiguityIndex):
 
     def penalty(self, q) -> float:
         w = _as_weights(q, self.n_states)
-        return self.theta * float(np.sum(rel_entr(w, self.reference.weights)))
+        # q log(q / p'), with 0 log 0 = 0.
+        logs = np.log(w / self.reference.weights, out=np.zeros_like(w), where=w > 0)
+        return self.theta * float(np.sum(w * logs))
 
     def robust_min(self, u) -> tuple[float, Prior]:
         arr = self._check_u(u)
         logits = np.log(self.reference.weights) - arr / self.theta
-        lse = logsumexp(logits)
+        # log-sum-exp rounded as scipy.special.logsumexp rounds it: the maxima
+        # leave the shifted sum and come back as the log of their count.
+        top = logits.max()
+        is_top = logits == top
+        count = is_top.sum(dtype=float)
+        lse = np.log1p(np.exp(np.where(is_top, -np.inf, logits) - top).sum() / count) + np.log(count) + top
         value = -self.theta * float(lse)
         q = np.exp(logits - lse)
         q = q / math.fsum(q)
@@ -627,7 +645,8 @@ def c_min_bruteforce(eval_ce, q, grid: UtilityGrid, chunk: int = 262_144) -> flo
 
 
 def simplex_grid(n: int, resolution: int) -> np.ndarray:
-    """All probability vectors with weights k/resolution, as an (m, n) array."""
+    """All probability vectors with weights k/resolution, as an (m, n) array
+    whose rows ascend lexicographically."""
     if n < 1 or resolution < 1:
         raise DomainError("simplex grid needs n >= 1 and resolution >= 1")
     if n == 1:

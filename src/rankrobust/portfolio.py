@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
-from .ambiguity import Prior
+from .ambiguity import Prior, simplex_grid
 from .distribution import TwoStageVariable, check_outcome_probs
 from .errors import BudgetError, ConfigError, DomainError, ShapeError
 from .evaluator import Preference, _PayoffRows, inner_rdu
@@ -160,15 +159,6 @@ def mean_risk_components(panel: ScenarioPanel, w: Weights, p_mean: Prior, pref: 
     return float(means[0]), float(risks[0])
 
 
-def _coarse_grid(n_assets: int, resolution: int) -> np.ndarray:
-    """All long-only weight vectors with entries k/resolution."""
-    rows = []
-    for combo in combinations_with_replacement(range(n_assets), resolution):
-        counts = np.bincount(combo, minlength=n_assets)
-        rows.append(counts / resolution)
-    return np.unique(np.asarray(rows, dtype=float), axis=0)
-
-
 @dataclass(frozen=True)
 class OptimizeResult:
     weights: Weights
@@ -210,7 +200,7 @@ def optimize(
         obj = mean_risk_objective(panel, w, p_mean, pref)
         return OptimizeResult(w, obj, ((tuple(w.values), obj),))
 
-    grid = _coarse_grid(panel.n_assets, coarse_resolution)
+    grid = simplex_grid(panel.n_assets, coarse_resolution)
     if budget < grid.shape[0]:
         raise BudgetError(
             f"budget {budget} is below the coarse grid size {grid.shape[0]}"

@@ -1,10 +1,11 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import logsumexp
+from scipy.special import logsumexp, rel_entr
 
 from rankrobust import (
     AmbiguityIndex,
@@ -433,6 +434,54 @@ class TestEntropicKernel:
     def test_minus_infinite_utility_gives_minus_infinity(self):
         values = Entropic(1.0, UNIFORM2).robust_values(np.array([[-math.inf, 1.0], [0.0, 1.0]]))
         assert values[0] == -math.inf and math.isfinite(values[1])
+
+    @staticmethod
+    def closed_form(theta, ref, u):
+        """-theta log E'[exp(-u/theta)] and its softmax minimizer, through scipy."""
+        logits = np.log(ref) - u / theta
+        lse = logsumexp(logits)
+        q = np.exp(logits - lse)
+        return -theta * float(lse), q / math.fsum(q)
+
+    def test_robust_min_equals_the_logsumexp_closed_form(self, rng):
+        checked = 0
+        for n in (1, 2, 3, 7, 64, 300, 2000):
+            for theta in (1e-9, 1e-3, 0.3, 1.0, 50.0, 1e9):
+                for tied in (False, True):
+                    ref = np.full(n, 1.0 / n) if tied else rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
+                    u = rng.uniform(-50.0, 50.0, size=n)
+                    if tied:  # several states share the largest logit
+                        u[rng.integers(0, n, size=max(1, n // 3))] = u.min()
+                    value, prior = Entropic(theta, Prior(ref)).robust_min(u)
+                    want_value, want_q = self.closed_form(theta, Prior(ref).weights, u)
+                    assert value == want_value, (n, theta, tied)
+                    assert prior.weights.tobytes() == want_q.tobytes(), (n, theta, tied)
+                    checked += 1
+        assert checked == 7 * 6 * 2
+
+    def test_penalty_agrees_with_rel_entr(self, rng):
+        eps = np.finfo(float).eps
+        worst = 0.0
+        for n in (1, 2, 3, 10, 200):
+            for theta in (1e-3, 1.0, 1e3):
+                for shape in ("dirichlet", "zeros", "near_reference"):
+                    ref = Prior(rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n)
+                    if shape == "near_reference":
+                        q = ref.weights * (1.0 + rng.uniform(-1e-6, 1e-6, size=n))
+                    else:
+                        q = rng.dirichlet(np.ones(n))
+                        if shape == "zeros" and n > 1:
+                            q[rng.permutation(n)[: n // 2]] = 0.0
+                    q = Prior(q / math.fsum(q))
+                    kl = float(np.sum(rel_entr(q.weights, ref.weights)))
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = Entropic(theta, ref).penalty(q)
+                    err = abs(got - theta * kl) / (eps * theta * (1.0 + kl))
+                    assert err <= 4.0, (n, theta, shape, err)
+                    worst = max(worst, err)
+        assert worst > 0.0  # the tolerance is exercised, not vacuous
+
 
 
 class TestCMinBruteForce:

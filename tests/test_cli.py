@@ -372,3 +372,57 @@ class TestParserReuse:
             outputs.append((stop.value.code, captured.out, captured.err))
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == (0 if "--help" in argv else 2)
+
+
+COLD_START = """
+import contextlib, io, json, sys
+
+from rankrobust import cli
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+commands, cmin = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+report = {"codes": [run(argv)[0] for argv in commands]}
+report["scipy"] = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+code, out = run(cmin)
+report["cmin"] = [code, json.loads(out)["result"]["status"]]
+print(json.dumps(report))
+"""
+
+
+class TestColdStart:
+    """A fresh interpreter runs every command but ``cmin`` without loading scipy;
+    only the HiGHS LPs (cmin, maxmin hull membership) import it."""
+
+    def test_only_cmin_loads_scipy(self):
+        two_state = str(FIXTURES / "two_state.json")
+        commands = []
+        for penalty in ("entropic:1@uniform", "gini:0.5@calm=0.4,storm=0.6",
+                        "maxmin:[calm=0.2,storm=0.8;calm=0.7,storm=0.3]",
+                        "table:" + str(FIXTURES / "penalty_table.csv")):
+            for command in ("evaluate", "ce"):
+                commands.append([command, "--scenario", two_state, "--penalty", penalty, "--output", "json"])
+            commands.append(["compare", "--scenario", two_state, "--scenario2", two_state, "--penalty", penalty,
+                             "--output", "json"])
+        commands.append(["compare", "--scenario", str(FIXTURES / "ellsberg_urn_a.json"),
+                         "--scenario2", str(FIXTURES / "ellsberg_urn_c.json"),
+                         "--utility", "exp:0.01", "--penalty", "maxmin:vertices", "--output", "json"])
+        for penalty in ("entropic:1@w0=0.5,w1=0.5", "gini:0.8@w0=0.3,w1=0.7", "maxmin:[w0=0.2,w1=0.8;w0=0.6,w1=0.4]"):
+            commands.append(["battery", "--penalty", penalty, "--cases", "5", "--output", "json"])
+        commands.append(["portfolio", "--scenario", str(FIXTURES / "panel_hedge.csv"), "--penalty", "maxmin:vertices",
+                         "--mean-prior", "uniform", "--output", "json"])
+        commands.append(["demo", "ellsberg"])
+        # A prior inside the hull but on no vertex: both LPs run.
+        cmin = ["cmin", "--penalty", "maxmin:[a=0.2,b=0.8;a=0.6,b=0.4]", "--prior", "a=0.4,b=0.6", "--output", "json"]
+        proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(commands), json.dumps(cmin)],
+                              capture_output=True, text=True, check=True)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [0] * len(commands)
+        assert report["scipy"] == []
+        assert report["cmin"] == [0, "converged"]

@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from rankrobust import (
     portfolio_variable,
     power,
     prelec,
+    simplex_grid,
 )
 from rankrobust.cli import parse_panel
 from rankrobust.portfolio import _score_block
@@ -372,3 +373,18 @@ class TestOptimizeMatchesOneAtATime:
             # budgets that stop inside the first polish round, later, and never
             for budget in (grid + 1, grid + 2 * n_assets + 1, grid + 60):
                 self.assert_same_search(panel, random_prior(rng, 2), pref, budget, resolution)
+
+
+class TestCoarseGrid:
+    """The optimizer's coarse grid is ``simplex_grid``: every long-only weight
+    vector with entries k/resolution, rows in ascending lexicographic order."""
+
+    def test_equals_the_combinations_oracle_byte_for_byte(self):
+        for n_assets in range(1, 7):
+            for resolution in range(1, 11):
+                rows = [np.bincount(combo, minlength=n_assets) / resolution
+                        for combo in combinations_with_replacement(range(n_assets), resolution)]
+                want = np.unique(np.asarray(rows, dtype=float), axis=0)
+                got = simplex_grid(n_assets, resolution)
+                assert got.dtype == want.dtype and got.shape == want.shape, (n_assets, resolution)
+                assert got.tobytes() == want.tobytes(), (n_assets, resolution)
