@@ -464,6 +464,12 @@ def _fenchel_gap(amb: AmbiguityIndex, w: np.ndarray, u: np.ndarray) -> float:
     return float(amb.robust_values(row)[0] - _prior_dots(row, w[None, :])[0, 0])
 
 
+def _rounding_slack(n: int, value: float, radius: float) -> float:
+    """Outward allowance for the rounding of an n-term Fenchel gap of size
+    value at a point of a box of this radius."""
+    return 4 * n * float(np.finfo(float).eps) * (1.0 + abs(value) + radius)
+
+
 def _c_min_lp(amb, w, low, high) -> CMinBracket:
     """Polyhedral kinds: max t - q . u  s.t.  t <= p_j . u + c_j, u in the box."""
     matrix = amb._matrix
@@ -477,7 +483,7 @@ def _c_min_lp(amb, w, low, high) -> CMinBracket:
         method="highs",
     )
     _require_optimal(res, "cmin LP")
-    lower = max(_fenchel_gap(amb, w, np.clip(res.x[:n], low, high)), 0.0)
+    best = max(_fenchel_gap(amb, w, np.clip(res.x[:n], low, high)), 0.0)
     # Any lam on the simplex bounds the sup: I(u) <= sum_j lam_j (p_j . u + c_j),
     # so c*(q) <= lam . c + max over the box of (P^T lam - q) . u, taken per state.
     lam = np.clip(-res.ineqlin.marginals, 0.0, None)
@@ -486,8 +492,9 @@ def _c_min_lp(amb, w, low, high) -> CMinBracket:
     upper = math.fsum(np.concatenate([lam * costs, np.maximum(low * g, high * g)]))
     # Outward allowance for the rounding of P^T lam, lam . c and lam's normalisation.
     upper += 4 * (k + n) * float(np.finfo(float).eps) * (1.0 + max(abs(low), abs(high)) + float(costs.max()))
-    tol = CMIN_RTOL * (1.0 + abs(lower))
-    return CMinBracket(lower, upper, "converged" if upper - lower <= tol else "lp_bracket_open", int(res.nit))
+    status = "converged" if upper - best <= CMIN_RTOL * (1.0 + abs(best)) else "lp_bracket_open"
+    lower = max(best - _rounding_slack(n, best, max(abs(low), abs(high))), 0.0)
+    return CMinBracket(lower, upper, status, int(res.nit))
 
 
 def _hessian(amb, q_star: np.ndarray) -> np.ndarray:
@@ -523,7 +530,7 @@ def _c_min_smooth(amb, w, low, high) -> CMinBracket:
         steps are cheap and pull the lower bound up to lattice points that sit
         on the optimum, such as box corners, and steps that raise (f, -gap)
         cannot cycle between two points an ulp apart."""
-        slack = 0.0 if closed else 4 * n * eps * (1.0 + abs(f) + radius)
+        slack = 0.0 if closed else _rounding_slack(n, f, radius)
         for k in range(1 if closed else 60):
             trial = at(np.clip(u + 0.5**k * direction, low, high))
             if trial[1] > f or (trial[1] >= f - slack and trial[4] < frank_wolfe):
@@ -563,22 +570,24 @@ def _c_min_smooth(amb, w, low, high) -> CMinBracket:
             break
         u, f, g, q_star, frank_wolfe = trial
         best = max(best, f)
-    # best >= f, so best + gap is at least as far out as f + gap; the last term
-    # is an outward allowance for the rounding of f, g and the gap's n terms.
-    upper = best + frank_wolfe + 4 * n * eps * (1.0 + abs(best) + radius)
+    # best >= f, so best + gap is at least as far out as f + gap; both bounds
+    # move outward by the rounding of f, g and the gap's n terms.
+    allowance = _rounding_slack(n, best, radius)
+    upper = best + frank_wolfe + allowance
     status = "converged" if upper - best <= CMIN_RTOL * (1.0 + abs(best)) else stop
-    return CMinBracket(best, upper, status, iterations)
+    return CMinBracket(max(best - allowance, 0.0), upper, status, iterations)
 
 
 def c_min_exact(amb: AmbiguityIndex, q, low: float, high: float) -> CMinBracket:
     """Bracket the minimal penalty c*(q) = sup_u { I(u) - q . u } over the box
     [low, high]^n, where I is the robust value of amb.
 
-    The lower bound is I(u) - q . u at a box point u, so it is a Fenchel point
-    like every lattice point of ``c_min_bruteforce`` and never falls below the
-    lattice's bound on the same box beyond rounding.  It is never below 0:
-    amb is grounded, so every constant profile a * 1 in the box gives exactly
-    I(a * 1) - q . (a * 1) = a - a = 0.
+    The lower bound is I(u) - q . u at a box point u, a Fenchel point like
+    every lattice point of ``c_min_bruteforce``, lowered by an allowance for
+    its rounding (4 n eps (1 + |gap| + box radius)), so it does not exceed
+    the penalty it bounds.  It is never below 0: amb is grounded, so every
+    constant profile a * 1 in the box gives exactly I(a * 1) - q . (a * 1) =
+    a - a = 0, and the allowance stops there.
 
     ``MaxminSet`` and ``Tabulated`` solve one HiGHS LP; the upper bound comes
     from its duals.  ``Entropic`` and ``Gini`` run projected Newton from the

@@ -60,34 +60,38 @@ def parse_scenario(path: str) -> TwoStageVariable:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("states"), dict) or not doc["states"]:
         raise ScenarioError(f"{path}: scenario must be an object with a non-empty 'states' mapping")
-    # Sums and signs are checked, naming the state, by TwoStageVariable.
-    ids, probs, payoffs = [], [], []
-    width = None
-    for sid, entry in doc["states"].items():
-        if not isinstance(entry, dict) or "probs" not in entry or "payoffs" not in entry:
-            raise ScenarioError(f"{path}: state {sid!r} must carry 'probs' and 'payoffs' lists")
-        try:
-            p = np.asarray(entry["probs"], dtype=float)
-            x = np.asarray(entry["payoffs"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioError(f"{path}: state {sid!r}: {exc}") from exc
-        if p.ndim != 1 or p.shape != x.shape:
-            raise ScenarioError(
-                f"{path}: state {sid!r} has probs of shape {p.shape} but payoffs of shape {x.shape}"
-            )
-        if width is None:
-            width = p.size
-        elif p.size != width:
-            raise ScenarioError(
-                f"{path}: state {sid!r} has {p.size} outcomes, earlier states have {width}"
-            )
-        ids.append(sid)
-        probs.append(p)
-        payoffs.append(x)
+    states = doc["states"]
+    # One conversion per field; if it fails, the per-state loop names the bad state.
     try:
-        return TwoStageVariable(ids, probs, payoffs)
+        probs = np.array([entry["probs"] for entry in states.values()], dtype=float)
+        payoffs = np.array([entry["payoffs"] for entry in states.values()], dtype=float)
+    except (TypeError, ValueError, LookupError, OverflowError):
+        probs = payoffs = None
+    if probs is None or probs.ndim != 2 or probs.shape != payoffs.shape:
+        _check_states(path, states)
+    # Sums and signs are checked, naming the state, by TwoStageVariable.
+    try:
+        return TwoStageVariable(list(states), probs, payoffs)
     except (DomainError, ShapeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _check_states(path: str, states: dict) -> None:
+    """Raise the ScenarioError naming the first state whose entry is malformed."""
+    width = None
+    for sid, entry in states.items():
+        where = f"{path}: state {sid!r}"
+        if not isinstance(entry, dict) or "probs" not in entry or "payoffs" not in entry:
+            raise ScenarioError(f"{where} must carry 'probs' and 'payoffs' lists")
+        try:
+            p, x = np.asarray(entry["probs"], dtype=float), np.asarray(entry["payoffs"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
+        if p.ndim != 1 or p.shape != x.shape:
+            raise ScenarioError(f"{where} has probs of shape {p.shape} but payoffs of shape {x.shape}")
+        if width is not None and p.size != width:
+            raise ScenarioError(f"{where} has {p.size} outcomes, earlier states have {width}")
+        width = p.size
 
 
 def parse_panel(path: str) -> ScenarioPanel:

@@ -157,8 +157,8 @@ def check_outcome_probs(state_ids, probs: np.ndarray) -> None:
         raise DomainError(
             f"outcome probability {probs[w, s]!r} in state {state_ids[w]!r} (outcome {int(s)}) is negative"
         )
-    for sid, row in zip(state_ids, probs):
-        total = math.fsum(row)
+    # Python floats, not numpy scalars, give fsum the same totals faster.
+    for sid, total in zip(state_ids, map(math.fsum, probs.tolist())):
         if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise DomainError(f"outcome probabilities in state {sid!r} sum to {total!r}, not 1")
 

@@ -231,27 +231,24 @@ def ellsberg_variables() -> dict[str, TwoStageVariable]:
     urn pays 100 when U is at most that urn's red count.  All three bets
     are non-increasing in the draw, hence pairwise comonotonic.
     """
-    draws = np.arange(1, 26)
-    state_ids = []
-    pay_a, pay_b, pay_c = [], [], []
-    for r_a in range(0, 26):
-        for r_c in range(5, 26):
-            state_ids.append(f"rA{r_a}_rC{r_c}")
-            pay_a.append(np.where(draws <= r_a, 100.0, 0.0))
-            pay_b.append(np.where(draws <= 25 - r_a, 100.0, 0.0))
-            pay_c.append(np.where(draws <= r_c, 100.0, 0.0))
-    probs = np.full((len(state_ids), 25), 1.0 / 25.0)
+    ids = _ellsberg_state_ids()
+    probs = np.full((len(ids), 25), 1.0 / 25.0)
+    red_a = np.repeat(np.arange(0, 26), 21)[:, None]
+    red_c = np.tile(np.arange(5, 26), 26)[:, None]
     return {
-        "urn_a": TwoStageVariable(state_ids, probs, pay_a),
-        "urn_b": TwoStageVariable(state_ids, probs, pay_b),
-        "urn_c": TwoStageVariable(state_ids, probs, pay_c),
+        name: TwoStageVariable(ids, probs, np.where(np.arange(1, 26) <= red, 100.0, 0.0))
+        for name, red in (("urn_a", red_a), ("urn_b", 25 - red_a), ("urn_c", red_c))
     }
+
+
+def _ellsberg_state_ids() -> list[str]:
+    """The states (r_A, r_C), r_A-major: the row order of every bet."""
+    return [f"rA{r_a}_rC{r_c}" for r_a in range(0, 26) for r_c in range(5, 26)]
 
 
 def ellsberg_preference() -> Preference:
     """Worst case over all ball compositions, linear utility, no distortion."""
-    bets = ellsberg_variables()
-    ids = bets["urn_a"].state_ids
+    ids = _ellsberg_state_ids()
     return Preference(identity_utility(), identity_distortion(), MaxminSet.vertices(len(ids)), ids)
 
 
@@ -265,9 +262,8 @@ def ellsberg_demo() -> dict:
     """
     bets = ellsberg_variables()
     pref = ellsberg_preference()
-    phi = pref.phi
-    u_plus_r = add_variables(bets["urn_a"], bets["urn_b"], phi)
-    v_plus_r = add_variables(bets["urn_c"], bets["urn_b"], phi)
+    u_plus_r = add_variables(bets["urn_a"], bets["urn_b"], pref.phi)
+    v_plus_r = add_variables(bets["urn_c"], bets["urn_b"], pref.phi)
     values = {
         "U(urn_a)": evaluate(bets["urn_a"], pref).value_utils,
         "U(urn_c)": evaluate(bets["urn_c"], pref).value_utils,
@@ -280,16 +276,16 @@ def ellsberg_demo() -> dict:
         "U(urn_a + urn_b)": 100.0,
         "U(urn_c + urn_b)": 20.0,
     }
-    isolated = prefer(bets["urn_c"], bets["urn_a"], pref)
-    combined = prefer(u_plus_r, v_plus_r, pref)
-    passed = values == expected and isolated == ">" and combined == ">"
+    isolated = relation(values["U(urn_c)"], values["U(urn_a)"])
+    combined = relation(values["U(urn_a + urn_b)"], values["U(urn_c + urn_b)"])
+    reversal = isolated == combined == ">"
     return {
         "values": values,
         "expected": expected,
         "isolated_preference": f"urn_c {isolated} urn_a",
         "combined_preference": f"urn_a+urn_b {combined} urn_c+urn_b",
-        "reversal": isolated == ">" and combined == ">",
-        "passed": bool(passed),
+        "reversal": reversal,
+        "passed": values == expected and reversal,
     }
 
 

@@ -1,14 +1,17 @@
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from rankrobust import ScenarioError
+from rankrobust import DomainError, ScenarioError, ShapeError, TwoStageVariable
 from rankrobust.cli import main, parse_panel, parse_scenario
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +51,99 @@ class TestParseScenario:
     def test_missing_file(self):
         with pytest.raises(ScenarioError):
             parse_scenario("no/such/file.json")
+
+
+def per_state_parse_scenario(path: str) -> TwoStageVariable:
+    """The state-at-a-time parser that parse_scenario replaced, kept as the
+    oracle of its diagnostics."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read scenario: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("states"), dict) or not doc["states"]:
+        raise ScenarioError(f"{path}: scenario must be an object with a non-empty 'states' mapping")
+    ids, probs, payoffs = [], [], []
+    width = None
+    for sid, entry in doc["states"].items():
+        if not isinstance(entry, dict) or "probs" not in entry or "payoffs" not in entry:
+            raise ScenarioError(f"{path}: state {sid!r} must carry 'probs' and 'payoffs' lists")
+        try:
+            p = np.asarray(entry["probs"], dtype=float)
+            x = np.asarray(entry["payoffs"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{path}: state {sid!r}: {exc}") from exc
+        if p.ndim != 1 or p.shape != x.shape:
+            raise ScenarioError(
+                f"{path}: state {sid!r} has probs of shape {p.shape} but payoffs of shape {x.shape}"
+            )
+        if width is None:
+            width = p.size
+        elif p.size != width:
+            raise ScenarioError(
+                f"{path}: state {sid!r} has {p.size} outcomes, earlier states have {width}"
+            )
+        ids.append(sid)
+        probs.append(p)
+        payoffs.append(x)
+    try:
+        return TwoStageVariable(ids, probs, payoffs)
+    except (DomainError, ShapeError) as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
+CALM = {"probs": [0.5, 0.5], "payoffs": [0.0, 1.0]}
+MALFORMED = {
+    "non_dict_entry": {"calm": CALM, "stormy": [0.5, 0.5]},
+    "missing_payoffs": {"calm": CALM, "stormy": {"probs": [0.5, 0.5]}},
+    "ragged_outcomes": {"calm": CALM, "stormy": {"probs": [0.5, 0.25, 0.25], "payoffs": [0, 1, 2]}},
+    "probs_payoffs_lengths": {"calm": CALM, "stormy": {"probs": [0.5, 0.5], "payoffs": [0, 1, 2]}},
+    "scalar_probs": {"calm": CALM, "stormy": {"probs": 1.0, "payoffs": 1.0}},
+    "scalar_probs_everywhere": {"calm": {"probs": 1.0, "payoffs": 0.0}, "stormy": {"probs": 1.0, "payoffs": 1.0}},
+    "nested_lists": {"calm": CALM, "stormy": {"probs": [[0.5, 0.5]], "payoffs": [[0, 1]]}},
+    "nested_lists_everywhere": {"calm": {"probs": [[0.5, 0.5]], "payoffs": [[0, 1]]},
+                                "stormy": {"probs": [[0.5, 0.5]], "payoffs": [[1, 2]]}},
+    "non_numeric_strings": {"calm": CALM, "stormy": {"probs": ["half", "half"], "payoffs": [0, 1]}},
+    "null_probability": {"calm": CALM, "stormy": {"probs": [None, 1.0], "payoffs": [0, 1]}},
+    "null_probs": {"calm": CALM, "stormy": {"probs": None, "payoffs": [0, 1]}},
+    "null_payoff": {"calm": CALM, "stormy": {"probs": [0.5, 0.5], "payoffs": [0, None]}},
+    "negative_probability": {"calm": CALM, "stormy": {"probs": [1.2, -0.2], "payoffs": [0, 1]}},
+    "nan_probability": {"calm": CALM, "stormy": {"probs": [1.0, float("nan")], "payoffs": [0, 1]}},
+    "sum_one_plus_2e-12": {"calm": CALM, "stormy": {"probs": [0.5, 0.5 + 2e-12], "payoffs": [0, 1]}},
+    "empty_states": {},
+}
+
+
+def raised(parse, path):
+    try:
+        parse(path)
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestParseDiagnostics:
+    """parse_scenario converts all states at once, yet fails exactly as the
+    per-state parser did: same exception, same message, exit code 2."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_same_error_as_the_per_state_parser(self, capsys, tmp_path, case):
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps({"states": MALFORMED[case]}))
+        want = raised(per_state_parse_scenario, str(path))
+        assert want is not None and want[0] is ScenarioError
+        assert raised(parse_scenario, str(path)) == want
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(path), "--penalty", "maxmin:vertices")
+        assert (code, out, err) == (2, "", f"error: {want[1]}\n")
+
+    @pytest.mark.parametrize("name", ["two_state.json", "single_state.json", "ellsberg_urn_a.json"])
+    def test_fixtures_parse_to_the_same_arrays(self, name):
+        got, want = parse_scenario(str(FIXTURES / name)), per_state_parse_scenario(str(FIXTURES / name))
+        assert got.state_ids == want.state_ids
+        assert got.outcome_probs.tobytes() == want.outcome_probs.tobytes()
+        assert got.payoffs.tobytes() == want.payoffs.tobytes()
 
 
 class TestParsePanel:
@@ -217,6 +313,22 @@ class TestCommands:
         report = json.loads(out)
         assert report["result"]["dual_lower_bound"] <= report["result"]["direct_penalty"] + 1e-12
         assert report["result"]["gap"] < 5e-3
+
+    def test_benchmark_cmin_jobs_report_no_negative_gap(self, capsys, monkeypatch, tmp_path):
+        # The 16 cmin jobs of the benchmark's verify_small workload at seed 1;
+        # six of them once reported a lower bound a few ulps above the penalty.
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        jobs = [job for job in workloads.build("verify_small", 1, tmp_path, FIXTURES) if job.argv[0] == "cmin"]
+        assert len(jobs) == 16
+        for job in jobs:
+            code, out, _ = run_cli(capsys, *job.argv)
+            result = json.loads(out)["result"]
+            assert code == 0 and result["status"] == "converged"
+            assert 0.0 <= result["dual_lower_bound"] <= result["direct_penalty"], job.name
+            assert result["gap"] >= 0.0
 
     def test_cmin_exact_reports_a_closed_bracket(self, capsys):
         code, out, _ = run_cli(

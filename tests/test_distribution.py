@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from rankrobust import (
     ellsberg_variables,
     power_utility,
 )
+from rankrobust.distribution import check_outcome_probs
 from conftest import quantile_oracle, random_distribution
 
 
@@ -108,6 +111,78 @@ class TestTwoStageVariable:
             TwoStageVariable(["a", "b"], [[1.0]], [[0.0], [1.0], [2.0]])
         with pytest.raises(ShapeError):
             TwoStageVariable(["a", "a"], [[1.0], [1.0]], [[0.0], [1.0]])
+
+
+ULP_ABOVE_ONE = 2.0**-52
+
+
+def row_summing_to(total):
+    """A non-negative row whose exact sum, hence its fsum, is total (near 1):
+    total - 0.5 is exact by Sterbenz's lemma."""
+    row = [0.25, 0.25, total - 0.5]
+    assert math.fsum(row) == total
+    return row
+
+
+def rejection(probs, state_ids=("calm", "edge")):
+    """The DomainError message for a (calm, probs) pair of rows, or None."""
+    try:
+        check_outcome_probs(state_ids, np.array([[0.5, 0.25, 0.25], probs]))
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+class TestRowCheck:
+    """check_outcome_probs decides every row by its correctly rounded sum."""
+
+    HIGH, LOW = 1.0 + 1e-12, 1.0 - 1e-12
+
+    @pytest.mark.parametrize("total, accepted", [
+        # fl(1 + 1e-12) is 1 + 4504 ulps, just past the tolerance; 4503 is the last inside.
+        (math.nextafter(HIGH, 0.0), True),
+        (HIGH, False),
+        (math.nextafter(HIGH, 2.0), False),
+        # fl(1 - 1e-12) is 1 - 9007 half-ulps, the last total inside from below.
+        (math.nextafter(LOW, 0.0), False),
+        (LOW, True),
+        (math.nextafter(LOW, 2.0), True),
+    ])
+    def test_totals_at_the_tolerance_and_one_ulp_either_side(self, total, accepted):
+        assert (abs(total - 1.0) <= 1e-12) is accepted
+        message = rejection(row_summing_to(total))
+        if accepted:
+            assert message is None
+        else:
+            assert message == f"outcome probabilities in state 'edge' sum to {total!r}, not 1"
+
+    def test_decisions_follow_fsum_where_np_sum_rounds_across(self):
+        # Tiny entries vanish (first row) or each round up (second row) in a
+        # left-to-right sum, so np.sum lands on the other side of the tolerance.
+        swallowed = [0.5 + 4503 * ULP_ABOVE_ONE, 0.5, 0.3 * ULP_ABOVE_ONE, 0.3 * ULP_ABOVE_ONE]
+        rounded_up = [1.0 + 4502 * ULP_ABOVE_ONE, 0.51 * ULP_ABOVE_ONE, 0.51 * ULP_ABOVE_ONE]
+        for row, fsum_accepts in ((swallowed, False), (rounded_up, True)):
+            assert (abs(float(np.sum(row)) - 1.0) <= 1e-12) is not fsum_accepts
+            assert (abs(math.fsum(row) - 1.0) <= 1e-12) is fsum_accepts
+            ids = [f"w{i}" for i in range(3)]
+            probs = np.array([row, row[::-1], row])
+            message = None
+            try:
+                check_outcome_probs(ids, probs)
+            except DomainError as exc:
+                message = str(exc)
+            assert message == (None if fsum_accepts else
+                               f"outcome probabilities in state 'w0' sum to {math.fsum(row)!r}, not 1")
+
+    @pytest.mark.parametrize("bad, wording", [
+        (math.nan, "sum to nan"),
+        (math.inf, "sum to inf"),
+        (-math.inf, "in state 'edge' (outcome 1) is negative"),
+    ])
+    def test_non_finite_rows_are_rejected_naming_the_state(self, bad, wording):
+        message = rejection([0.5, bad, 0.5])
+        assert message is not None and "'edge'" in message and wording in message
+        assert "'calm'" not in message
 
 
 class TestComonotonic:

@@ -316,6 +316,54 @@ class TestEllsbergDemo:
         assert bets["urn_a"].n_states == 26 * 21
 
 
+def loop_ellsberg_variables():
+    """The two-urn bets built one state at a time, as the package once did."""
+    draws = np.arange(1, 26)
+    state_ids = []
+    pay_a, pay_b, pay_c = [], [], []
+    for r_a in range(0, 26):
+        for r_c in range(5, 26):
+            state_ids.append(f"rA{r_a}_rC{r_c}")
+            pay_a.append(np.where(draws <= r_a, 100.0, 0.0))
+            pay_b.append(np.where(draws <= 25 - r_a, 100.0, 0.0))
+            pay_c.append(np.where(draws <= r_c, 100.0, 0.0))
+    probs = np.full((len(state_ids), 25), 1.0 / 25.0)
+    return {
+        "urn_a": TwoStageVariable(state_ids, probs, pay_a),
+        "urn_b": TwoStageVariable(state_ids, probs, pay_b),
+        "urn_c": TwoStageVariable(state_ids, probs, pay_c),
+    }
+
+
+class TestEllsbergConstruction:
+    def test_broadcast_build_equals_the_state_loop_bit_for_bit(self):
+        got, want = ellsberg_variables(), loop_ellsberg_variables()
+        assert list(got) == list(want)
+        for name in want:
+            assert got[name].state_ids == want[name].state_ids
+            for field in ("outcome_probs", "payoffs"):
+                a, b = getattr(got[name], field), getattr(want[name], field)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_preference_states_match_the_bets(self):
+        assert ellsberg_preference().state_ids == loop_ellsberg_variables()["urn_a"].state_ids
+
+    def test_demo_values_each_bet_once(self, monkeypatch, capsys):
+        calls = {"evaluate": 0, "prefer": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluator_module, name, counted(name, getattr(evaluator_module, name)))
+        assert cli_main(["demo", "ellsberg"]) == 0
+        assert "PASS" in capsys.readouterr().out
+        assert calls == {"evaluate": 4, "prefer": 0}
+
+
 class TestAmbiguityNeutralValue:
     def test_single_state_is_inner_value(self):
         v = single_state({0.0: 0.7, 100.0: 0.3})
