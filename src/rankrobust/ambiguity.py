@@ -1,11 +1,15 @@
 """Ambiguity indices on priors over a finite state set and robust minimization.
 
 An ambiguity index is a grounded convex penalty c on the simplex of priors.
-The workhorse is ``robust_min(u) = min_q { q . u + c(q) }``: an indicator
-penalty over a finite prior set gives worst-case (maxmin) evaluation, the
-relative-entropy penalty gives the multiplier closed form, the relative
-Gini penalty a water-filling quadratic program, and tabulated penalties an
-explicit grid scan.
+Every index values utility profiles through one method, ``robust_solve(U)``:
+for each row u of the (rows, n_states) array U it returns the robust value
+min_q { q . u + c(q) } and an attaining prior.  An indicator penalty over a
+finite prior set gives worst-case (maxmin) evaluation, the relative-entropy
+penalty the multiplier closed form, the relative Gini penalty a
+water-filling quadratic program, and tabulated penalties an explicit grid
+scan.  Each row is solved on its own, so a row's value and minimizer do not
+depend on the size or layout of the batch it arrives in: a one-row call
+gives every batch row bit for bit.
 
 The dual side reconstructs the minimal penalty from certainty values alone:
 c*(q) = sup_u { I(u) - q . u } with I the robust value, taken over a box
@@ -73,20 +77,46 @@ class Prior:
         return f"Prior({np.array2string(self.weights, precision=6, separator=', ')})"
 
 
-def _prior_dots(U, matrix: np.ndarray) -> np.ndarray:
-    """``q . u`` for every prior row q of matrix and every u along U's last
-    axis, as a (priors, ...) array summed state by state in a fixed order.
+PRODUCT_BLOCK = 1 << 17  # floats in one temporary product block of _prior_dots
 
-    BLAS picks its summation order by batch shape; this does not, so a row's
-    values never depend on the batch it arrives in.
+
+def _utility_rows(U, n: int) -> np.ndarray:
+    """U as a C-contiguous (rows, n) float array; ShapeError for another
+    shape, DomainError unless every utility is finite."""
+    U = np.ascontiguousarray(U, dtype=float)
+    if U.ndim != 2 or U.shape[1] != n:
+        raise ShapeError(f"utility rows must have shape (rows, {n}), got {U.shape}")
+    if not np.isfinite(U).all():
+        raise DomainError("per-state utilities must be finite")
+    return U
+
+
+def _listed_run(matrix: np.ndarray) -> tuple:
+    """The prior rows of matrix as a run of ``_prior_dots``: every prior
+    takes a product with every state, zero weights included."""
+    return np.broadcast_to(np.arange(matrix.shape[1]), matrix.shape), matrix
+
+
+def _prior_dots(U: np.ndarray, run) -> np.ndarray:
+    """q . u for every prior q of the run and every row u of U, as a (rows,
+    priors) array.  A run is a (states, weights) pair: states[i] lists the
+    states its i-th prior takes products with, ascending, and weights[i]
+    the weights there.
+
+    Each dot is numpy's pairwise sum, along a contiguous axis, of the
+    products over those states in state order, so it depends on q and u
+    alone: not on the other priors, the other rows or U's layout (a BLAS
+    product picks its summation order by shape).  A vertex run costs one
+    product, not n.  Priors go in blocks of at most PRODUCT_BLOCK products.
     """
-    cols = np.ascontiguousarray(np.moveaxis(np.asarray(U, dtype=float), -1, 0))
-    weights = matrix.reshape(matrix.shape + (1,) * (cols.ndim - 1))
-    out = weights[:, 0] * cols[0]
-    term = np.empty_like(out)
-    for j in range(1, matrix.shape[1]):
-        out += np.multiply(weights[:, j], cols[j], out=term)
-    return out
+    states, weights = run
+    step = max(1, PRODUCT_BLOCK // max(1, len(U) * states.shape[1]))
+    dots = []
+    for lo in range(0, len(states), step):
+        products = np.take(U, states[lo : lo + step], axis=1)  # C-contiguous (rows, block, width)
+        products *= weights[lo : lo + step]
+        dots.append(products.sum(axis=-1))
+    return np.concatenate(dots, axis=1)
 
 
 def linprog(*args, **kwargs):
@@ -122,12 +152,11 @@ class AmbiguityIndex:
         """Penalty of the prior q; non-negative, possibly +inf."""
         raise NotImplementedError
 
-    def robust_min(self, u) -> tuple[float, Prior]:
-        """min_q { q . u + c(q) } with an attaining prior."""
-        raise NotImplementedError
-
-    def robust_values(self, U: np.ndarray) -> np.ndarray:
-        """Vectorized robust_min values for rows of U (no minimizers)."""
+    def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
+        """min_q { q . u + c(q) } for every row u of the (rows, n_states)
+        array U: the (rows,) values and the (rows, n_states) weights of an
+        attaining prior per row.  Raises ShapeError unless U has n_states
+        columns and DomainError unless every entry is finite."""
         raise NotImplementedError
 
     def zero_penalty_prior(self) -> Prior:
@@ -145,21 +174,13 @@ class AmbiguityIndex:
     def describe(self) -> str:
         raise NotImplementedError
 
-    def _check_u(self, u) -> np.ndarray:
-        arr = np.asarray(u, dtype=float)
-        if arr.ndim != 1 or arr.size != self.n_states:
-            raise ShapeError(f"per-state vector must have length {self.n_states}, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("per-state utilities must be finite")
-        return arr
-
 
 class MaxminSet(AmbiguityIndex):
     """Indicator penalty of the convex hull of finitely many priors.
 
     Stored as a matrix of extreme points; membership is an LP feasibility
     check.  For a linear objective the minimum over the hull is attained at
-    a listed point, so robust_min scans them (first index wins ties, making
+    a listed point, so robust_solve scans them (first index wins ties, making
     results schedule-independent).
     """
 
@@ -173,6 +194,7 @@ class MaxminSet(AmbiguityIndex):
         if any(p.n_states != n for p in priors):
             raise ShapeError("all priors in a maxmin set must have the same length")
         self._matrix = np.vstack([p.weights for p in priors])
+        self._run = _listed_run(self._matrix)
 
     @classmethod
     def vertices(cls, n: int) -> "MaxminSet":
@@ -181,6 +203,7 @@ class MaxminSet(AmbiguityIndex):
             raise ShapeError("a prior must be a non-empty 1-D weight vector")
         out = cls.__new__(cls)
         out._matrix = np.eye(n)
+        out._run = np.arange(n)[:, None], np.ones((n, 1))
         return out
 
     @property
@@ -206,14 +229,9 @@ class MaxminSet(AmbiguityIndex):
         mix = np.clip(res.x, 0.0, None)
         return 0.0 if np.max(np.abs(self._matrix.T @ mix - w)) <= HULL_TOL else math.inf
 
-    def robust_min(self, u) -> tuple[float, Prior]:
-        arr = self._check_u(u)
-        vals = self._matrix @ arr
-        idx = int(np.argmin(vals))
-        return float(vals[idx]), Prior(self._matrix[idx])
-
-    def robust_values(self, U: np.ndarray) -> np.ndarray:
-        return np.min(_prior_dots(U, self._matrix), axis=0)
+    def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
+        dots = _prior_dots(_utility_rows(U, self.n_states), self._run)
+        return dots.min(axis=1), self._matrix[dots.argmin(axis=1)]
 
     def zero_penalty_prior(self) -> Prior:
         return Prior(self._matrix[0])
@@ -226,28 +244,42 @@ class MaxminSet(AmbiguityIndex):
         return f"maxmin over {self._matrix.shape[0]} priors"
 
 
-class Entropic(AmbiguityIndex):
-    """Relative-entropy penalty theta * sum_w q_w log(q_w / p'_w).
-
-    The reference prior must have full support.  robust_min has the
-    multiplier closed form -theta * log E'[exp(-u/theta)] with minimizer
-    proportional to p'_w exp(-u_w/theta).
-    """
-
-    kind = "entropic"
+class _ReferencePenalty(AmbiguityIndex):
+    """A penalty of scale theta > 0 around a full-support reference prior p'."""
 
     def __init__(self, theta: float, reference: Prior):
         if not theta > 0:
-            raise DomainError(f"entropic penalty needs theta > 0, got {theta}")
+            raise DomainError(f"{self.kind} penalty needs theta > 0, got {theta}")
         reference = reference if isinstance(reference, Prior) else Prior(np.asarray(reference, dtype=float))
         if np.any(reference.weights <= 0.0):
-            raise DomainError("entropic reference prior must have strictly positive weights")
+            raise DomainError(f"{self.kind} reference prior must have strictly positive weights")
         self.theta = float(theta)
         self.reference = reference
 
     @property
     def n_states(self) -> int:
         return self.reference.n_states
+
+    def zero_penalty_prior(self) -> Prior:
+        return self.reference
+
+    def recentered(self, n: int) -> "_ReferencePenalty":
+        """On another state count, the same theta around the uniform prior."""
+        return self if n == self.n_states else type(self)(self.theta, Prior.uniform(n))
+
+    def describe(self) -> str:
+        return f"{self.kind}(theta={self.theta:g}) around {self.reference!r}"
+
+
+class Entropic(_ReferencePenalty):
+    """Relative-entropy penalty theta * sum_w q_w log(q_w / p'_w).
+
+    The reference prior must have full support.  The robust value has the
+    multiplier closed form -theta * log E'[exp(-u/theta)] with minimizer
+    proportional to p'_w exp(-u_w/theta).
+    """
+
+    kind = "entropic"
 
     def penalty(self, q) -> float:
         w = _as_weights(q, self.n_states)
@@ -255,47 +287,26 @@ class Entropic(AmbiguityIndex):
         logs = np.log(w / self.reference.weights, out=np.zeros_like(w), where=w > 0)
         return self.theta * float(np.sum(w * logs))
 
-    def robust_min(self, u) -> tuple[float, Prior]:
-        arr = self._check_u(u)
-        logits = np.log(self.reference.weights) - arr / self.theta
-        # log-sum-exp rounded as scipy.special.logsumexp rounds it: the maxima
-        # leave the shifted sum and come back as the log of their count.
-        top = logits.max()
+    def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
+        logits = np.log(self.reference.weights) - _utility_rows(U, self.n_states) / self.theta
+        # Row by row, log-sum-exp rounded as scipy.special.logsumexp rounds
+        # it: the maxima leave the shifted sum and come back as the log of
+        # their count.
+        top = logits.max(axis=1, keepdims=True)
         is_top = logits == top
-        count = is_top.sum(dtype=float)
-        lse = np.log1p(np.exp(np.where(is_top, -np.inf, logits) - top).sum() / count) + np.log(count) + top
-        value = -self.theta * float(lse)
+        count = is_top.sum(axis=1, keepdims=True, dtype=float)
+        shifted = np.exp(np.where(is_top, -np.inf, logits) - top).sum(axis=1, keepdims=True)
+        lse = np.log1p(shifted / count) + np.log(count) + top
         q = np.exp(logits - lse)
-        q = q / math.fsum(q)
-        return value, Prior(q)
-
-    def robust_values(self, U: np.ndarray) -> np.ndarray:
-        # A max-shifted log-sum-exp taken state by state, like _prior_dots:
-        # each value depends on its own row alone, whatever U's layout.
-        cols = np.moveaxis(np.asarray(U, dtype=float), -1, 0)
-        logits = [lw - col / self.theta for lw, col in zip(np.log(self.reference.weights), cols)]
-        top = np.maximum.reduce(logits)
-        top = np.where(np.isfinite(top), top, 0.0)
-        total = np.exp(logits[0] - top)
-        for logit in logits[1:]:
-            total += np.exp(logit - top)
-        return -self.theta * (np.log(total) + top)
-
-    def zero_penalty_prior(self) -> Prior:
-        return self.reference
-
-    def recentered(self, n: int) -> "Entropic":
-        """On another state count, the same theta around the uniform prior."""
-        return self if n == self.n_states else Entropic(self.theta, Prior.uniform(n))
-
-    def describe(self) -> str:
-        return f"entropic(theta={self.theta:g}) around {self.reference!r}"
+        # Correctly rounded row sums: math.fsum over the rows of one flat list.
+        rows = zip(*[iter(q.ravel().tolist())] * q.shape[1])
+        return -self.theta * lse[:, 0], q / np.fromiter(map(math.fsum, rows), float, len(q))[:, None]
 
 
-class Gini(AmbiguityIndex):
+class Gini(_ReferencePenalty):
     """Relative Gini penalty theta * E'[(dq/dp' - 1)^2] (expectation under p').
 
-    robust_min solves the convex quadratic over the simplex by water-filling:
+    robust_solve solves the convex quadratic over the simplex by water-filling:
     q_w = p'_w * max(0, 1 + (mu - u_w) / (2 theta)).  The multiplier mu is
     exact: with u sorted, the active states are the k cheapest, where k is
     the number of prefixes whose gap sum_{i<=k} p'_i (u_k - u_i) is below
@@ -303,19 +314,6 @@ class Gini(AmbiguityIndex):
     """
 
     kind = "gini"
-
-    def __init__(self, theta: float, reference: Prior):
-        if not theta > 0:
-            raise DomainError(f"gini penalty needs theta > 0, got {theta}")
-        reference = reference if isinstance(reference, Prior) else Prior(np.asarray(reference, dtype=float))
-        if np.any(reference.weights <= 0.0):
-            raise DomainError("gini reference prior must have strictly positive weights")
-        self.theta = float(theta)
-        self.reference = reference
-
-    @property
-    def n_states(self) -> int:
-        return self.reference.n_states
 
     def penalty(self, q) -> float:
         w = _as_weights(q, self.n_states)
@@ -340,27 +338,11 @@ class Gini(AmbiguityIndex):
         q = p * np.maximum(0.0, 1.0 + (mu - U) / two_theta)
         return q / q.sum(axis=-1, keepdims=True)
 
-    def robust_min(self, u) -> tuple[float, Prior]:
-        arr = self._check_u(u)
-        q = self._minimizers(arr[None, :])[0]
-        prior = Prior(q)
-        return float(arr @ q) + self.penalty(prior), prior
-
-    def robust_values(self, U: np.ndarray) -> np.ndarray:
-        U = np.asarray(U, dtype=float)
+    def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
+        U = _utility_rows(U, self.n_states)
         q = self._minimizers(U)
         p = self.reference.weights
-        return np.sum(q * U, axis=-1) + self.theta * np.sum((q - p) ** 2 / p, axis=-1)
-
-    def zero_penalty_prior(self) -> Prior:
-        return self.reference
-
-    def recentered(self, n: int) -> "Gini":
-        """On another state count, the same theta around the uniform prior."""
-        return self if n == self.n_states else Gini(self.theta, Prior.uniform(n))
-
-    def describe(self) -> str:
-        return f"gini(theta={self.theta:g}) around {self.reference!r}"
+        return np.sum(q * U, axis=-1) + self.theta * np.sum((q - p) ** 2 / p, axis=-1), q
 
 
 class Tabulated(AmbiguityIndex):
@@ -392,6 +374,7 @@ class Tabulated(AmbiguityIndex):
         self.priors = tuple(rows)
         self.values = vals
         self._matrix = np.vstack([p.weights for p in rows])
+        self._run = _listed_run(self._matrix)
 
     @property
     def n_states(self) -> int:
@@ -407,16 +390,10 @@ class Tabulated(AmbiguityIndex):
             )
         return float(self.values[idx])
 
-    def robust_min(self, u) -> tuple[float, Prior]:
-        arr = self._check_u(u)
-        vals = self._matrix @ arr + self.values
-        idx = int(np.argmin(vals))
-        return float(vals[idx]), self.priors[idx]
-
-    def robust_values(self, U: np.ndarray) -> np.ndarray:
-        vals = _prior_dots(U, self._matrix)
-        vals += self.values.reshape(self.values.shape + (1,) * (vals.ndim - 1))
-        return np.min(vals, axis=0)
+    def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
+        vals = _prior_dots(_utility_rows(U, self.n_states), self._run)
+        vals += self.values
+        return vals.min(axis=1), self._matrix[vals.argmin(axis=1)]
 
     def zero_penalty_prior(self) -> Prior:
         return self.priors[int(np.argmin(self.values))]
@@ -457,11 +434,13 @@ CMIN_RTOL = 1e-9
 NEWTON_MAX_ITER = 50
 
 
-def _fenchel_gap(amb: AmbiguityIndex, w: np.ndarray, u: np.ndarray) -> float:
-    """I(u) - q . u at one box point, rounded as c_min_bruteforce rounds a
-    lattice point: robust_values and q . u in MaxminSet/Tabulated order."""
+def _fenchel_gap(amb: AmbiguityIndex, q_run, u: np.ndarray) -> tuple[float, np.ndarray]:
+    """I(u) - q . u at one box point and the minimizer q*(u), from one robust
+    solve.  The gap is rounded as c_min_bruteforce rounds a lattice point:
+    q . u is the dot MaxminSet/Tabulated take for q as a listed prior."""
     row = u[None, :]
-    return float(amb.robust_values(row)[0] - _prior_dots(row, w[None, :])[0, 0])
+    values, minimizers = amb.robust_solve(row)
+    return float(values[0] - _prior_dots(row, q_run)[0, 0]), minimizers[0]
 
 
 def _rounding_slack(n: int, value: float, radius: float) -> float:
@@ -470,7 +449,7 @@ def _rounding_slack(n: int, value: float, radius: float) -> float:
     return 4 * n * float(np.finfo(float).eps) * (1.0 + abs(value) + radius)
 
 
-def _c_min_lp(amb, w, low, high) -> CMinBracket:
+def _c_min_lp(amb, w, q_run, low, high) -> CMinBracket:
     """Polyhedral kinds: max t - q . u  s.t.  t <= p_j . u + c_j, u in the box."""
     matrix = amb._matrix
     k, n = matrix.shape
@@ -483,7 +462,7 @@ def _c_min_lp(amb, w, low, high) -> CMinBracket:
         method="highs",
     )
     _require_optimal(res, "cmin LP")
-    best = max(_fenchel_gap(amb, w, np.clip(res.x[:n], low, high)), 0.0)
+    best = max(_fenchel_gap(amb, q_run, np.clip(res.x[:n], low, high))[0], 0.0)
     # Any lam on the simplex bounds the sup: I(u) <= sum_j lam_j (p_j . u + c_j),
     # so c*(q) <= lam . c + max over the box of (P^T lam - q) . u, taken per state.
     lam = np.clip(-res.ineqlin.marginals, 0.0, None)
@@ -505,16 +484,16 @@ def _hessian(amb, q_star: np.ndarray) -> np.ndarray:
     return -(np.diag(active) - np.outer(active, active) / active.sum()) / (2.0 * amb.theta)
 
 
-def _c_min_smooth(amb, w, low, high) -> CMinBracket:
+def _c_min_smooth(amb, w, q_run, low, high) -> CMinBracket:
     """Entropic and Gini: projected Newton from the box centre until the
     Frank-Wolfe bracket f(u) + max_x g . (x - u) closes."""
 
     def at(u):
         """(u, f, g, q*, Frank-Wolfe gap) at the box point u."""
-        q_star = amb.robust_min(u)[1].weights
+        f, q_star = _fenchel_gap(amb, q_run, u)
         g = q_star - w
         # By concavity f(x) <= f(u) + g . (x - u); each term is >= 0 on the box.
-        return u, _fenchel_gap(amb, w, u), g, q_star, float(np.sum(np.maximum(g * (low - u), g * (high - u))))
+        return u, f, g, q_star, float(np.sum(np.maximum(g * (low - u), g * (high - u))))
 
     n = w.size
     eps, radius = float(np.finfo(float).eps), max(abs(low), abs(high))
@@ -603,10 +582,11 @@ def c_min_exact(amb: AmbiguityIndex, q, low: float, high: float) -> CMinBracket:
     low, high = float(low), float(high)
     if not (math.isfinite(low) and math.isfinite(high) and low <= high):
         raise DomainError(f"cmin box needs finite low <= high, got [{low}, {high}]")
+    q_run = _listed_run(w[None, :])
     if isinstance(amb, (MaxminSet, Tabulated)):
-        return _c_min_lp(amb, w, low, high)
+        return _c_min_lp(amb, w, q_run, low, high)
     if isinstance(amb, (Entropic, Gini)):
-        return _c_min_smooth(amb, w, low, high)
+        return _c_min_smooth(amb, w, q_run, low, high)
     raise ConfigError(f"no exact cmin solver for {amb.describe()}; use c_min_bruteforce")
 
 
@@ -617,7 +597,7 @@ def c_min_bruteforce(eval_ce, q, grid: UtilityGrid, chunk: int = 262_144) -> flo
     Maximizes eval_ce(v) - q . v over the lattice of utility-unit
     pure-ambiguity vectors, grid.axis() on every state.  ``eval_ce`` must
     accept an (m, n_states) array of candidate vectors and return their m
-    certainty values (utility units); :meth:`AmbiguityIndex.robust_values`
+    certainty values (utility units); ``lambda U: index.robust_solve(U)[0]``
     conforms.  The lattice is never held whole: each chunk of at most
     ``chunk`` points is built from its flat indices, state-major, and handed
     over as the transposed view of an (n_states, m) array.
@@ -627,12 +607,13 @@ def c_min_bruteforce(eval_ce, q, grid: UtilityGrid, chunk: int = 262_144) -> flo
     containing another never gives a smaller bound.  In floating point each
     point's gap carries the rounding of eval_ce(v) and of q . v, so the
     result may exceed c(q) by a few ulps of the largest |v| and of c(q).
-    q . v is summed state by state in the order MaxminSet and Tabulated
-    use, so at a prior listed in a MaxminSet no gap is positive: the bound
-    is at most 0, and exactly 0 once a lattice point has that prior as its
+    q . v is the dot MaxminSet and Tabulated take for q as a listed prior,
+    so at a prior listed in a MaxminSet no gap is positive: the bound is at
+    most 0, and exactly 0 once a lattice point has that prior as its
     minimizer.
     """
     w = q.weights if isinstance(q, Prior) else Prior(np.asarray(q, dtype=float)).weights
+    q_run = _listed_run(w[None, :])
     axis = grid.axis()
     n = w.size
     size = axis.size**n
@@ -648,7 +629,7 @@ def c_min_bruteforce(eval_ce, q, grid: UtilityGrid, chunk: int = 262_144) -> flo
             raise ShapeError(
                 f"eval_ce must map an (m, {n}) array to m values, got shape {ce.shape}"
             )
-        gap = ce - _prior_dots(block.T, w[None, :])[0]
+        gap = ce - _prior_dots(block.T, q_run)[:, 0]
         best = max(best, float(gap.max()))
     return best
 

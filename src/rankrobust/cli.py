@@ -85,7 +85,7 @@ def _check_states(path: str, states: dict) -> None:
             raise ScenarioError(f"{where} must carry 'probs' and 'payoffs' lists")
         try:
             p, x = np.asarray(entry["probs"], dtype=float), np.asarray(entry["payoffs"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
         if p.ndim != 1 or p.shape != x.shape:
             raise ScenarioError(f"{where} has probs of shape {p.shape} but payoffs of shape {x.shape}")

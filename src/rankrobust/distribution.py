@@ -155,7 +155,7 @@ def check_outcome_probs(state_ids, probs: np.ndarray) -> None:
     if negative.size:
         w, s = negative[0]
         raise DomainError(
-            f"outcome probability {probs[w, s]!r} in state {state_ids[w]!r} (outcome {int(s)}) is negative"
+            f"outcome probability {float(probs[w, s])!r} in state {state_ids[w]!r} (outcome {int(s)}) is negative"
         )
     # Python floats, not numpy scalars, give fsum the same totals faster.
     for sid, total in zip(state_ids, map(math.fsum, probs.tolist())):

@@ -186,11 +186,12 @@ def evaluate(v: TwoStageVariable, pref: Preference) -> Evaluation:
             f"variable states {v.state_ids} do not match preference states {pref.state_ids}"
         )
     utils = inner_rdu(v, pref.phi, pref.psi)
-    value, minimizer = pref.ambiguity.robust_min(utils)
+    values, minimizers = pref.ambiguity.robust_solve(utils[None, :])
+    value = float(values[0])
     return Evaluation(
         value_utils=value,
         per_state_utils=utils,
-        minimizer=minimizer,
+        minimizer=Prior(minimizers[0]),
         certainty_equivalent=_certainty_equivalent(pref.phi, value),
     )
 
@@ -359,13 +360,13 @@ def _inner_profiles(cases, phi: UtilityFn, psi: Distortion) -> list[np.ndarray]:
     return np.split(inner_rdu(_PayoffRows(ids, probs, payoffs), phi, psi), offsets[1:-1])
 
 
-def _robust_values(amb: AmbiguityIndex, profiles) -> np.ndarray:
+def _profile_values(amb: AmbiguityIndex, profiles) -> np.ndarray:
     """Robust value of each profile under amb recentered to its state count,
-    one ``robust_values`` call per state count."""
+    one ``robust_solve`` call per state count."""
     values = np.empty(len(profiles))
     for n in {u.size for u in profiles}:
         idx = [i for i, u in enumerate(profiles) if u.size == n]
-        values[idx] = amb.recentered(n).robust_values(np.stack([profiles[i] for i in idx]))
+        values[idx] = amb.recentered(n).robust_solve(np.stack([profiles[i] for i in idx]))[0]
     return values
 
 
@@ -442,8 +443,8 @@ def is_more_ambiguity_averse(
     if battery.n_states != n:
         raise ShapeError(f"battery draws {battery.n_states}-state cases, preferences cover {n} states")
     cases = generate_battery(battery)
-    values_a = _robust_values(pref_a.ambiguity, _inner_profiles(cases, pref_a.phi, pref_a.psi)).tolist()
-    values_b = _robust_values(pref_b.ambiguity, _inner_profiles(cases, pref_b.phi, pref_b.psi)).tolist()
+    values_a = _profile_values(pref_a.ambiguity, _inner_profiles(cases, pref_a.phi, pref_a.psi)).tolist()
+    values_b = _profile_values(pref_b.ambiguity, _inner_profiles(cases, pref_b.phi, pref_b.psi)).tolist()
     behavioral_violations = []
     for idx, (v, val_a, val_b) in enumerate(zip(cases, values_a, values_b)):
         lo, hi = float(v.payoffs.min()), float(v.payoffs.max())
@@ -482,7 +483,7 @@ def ambiguity_aversion_check(pref: Preference, battery: BatterySpec | None = Non
             battery = replace(battery, n_states=amb.n_states)
     cases = generate_battery(battery)
     profiles = _inner_profiles(cases, pref.phi, pref.psi)
-    values = _robust_values(amb, profiles).tolist()
+    values = _profile_values(amb, profiles).tolist()
     neutral = [float(amb.recentered(u.size).zero_penalty_prior().weights @ u) for u in profiles]
     violations = [
         {"case": idx, "value": value, "neutral": base}
@@ -517,7 +518,7 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
         priors; (d) a single state: the value is stand-alone
         rank-dependent utility.  Each section values its cases as one
         padded row block: one ``inner_rdu`` call, then one
-        ``robust_values`` call per state count (per case in (c), where
+        ``robust_solve`` call per state count (per case in (c), where
         every case lists its own priors).  The plain expectation, the
         explicit minimum and ``choquet`` are the oracles.
 
@@ -562,7 +563,7 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
     moved = [_PayoffRows(v.state_ids, v.outcome_probs, a * v.payoffs + b) for v, (a, b) in zip(unamb, maps)]
     moved += [_PayoffRows(v.state_ids, v.outcome_probs, v.payoffs + m) for v, m in zip(cases, shifts)]
     profiles = _inner_profiles([*unamb, *cases, *moved], identity_utility(), pref.psi)
-    values = _robust_values(pref.ambiguity, profiles).tolist()
+    values = _profile_values(pref.ambiguity, profiles).tolist()
     base, after = values[: len(moved)], values[len(moved) :]
     expect = [a * x + b for (a, b), x in zip(maps, base)]
     expect += [x + m for m, x in zip(shifts, base[len(unamb) :])]
@@ -576,7 +577,7 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
         k = int(rng.integers(1, 5))
         raw = rng.random((k, u.size)) + 0.05
         listed = MaxminSet([Prior(row / row.sum()) for row in raw])
-        value = float(listed.robust_values(u[None, :])[0])
+        value = float(listed.robust_solve(u[None, :])[0][0])
         explicit = min(float(q.weights @ u) for q in listed.priors)
         errors.append(abs(value - explicit))
     report["maxmin_reduction"] = _section(errors, range(len(cases)))
@@ -592,7 +593,7 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
             seed=battery.seed + 3,
         )
     )
-    values = _robust_values(pref.ambiguity, _inner_profiles(singles, pref.phi, pref.psi)).tolist()
+    values = _profile_values(pref.ambiguity, _inner_profiles(singles, pref.phi, pref.psi)).tolist()
     errors = [
         abs(value - choquet(v.marginal(v.state_ids[0]).pushforward(pref.phi), pref.psi))
         for v, value in zip(singles, values)

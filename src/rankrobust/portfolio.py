@@ -115,7 +115,7 @@ def _score_block(panel: ScenarioPanel, W, p_mean: Prior, pref: Preference) -> tu
     """Mean terms and risk terms of the K portfolios in the (K, assets) block W.
 
     All K * states rows go through one ``inner_rdu`` call and the (K, states)
-    profile through one ``robust_values`` call.  Every step is elementwise or
+    profile through one ``robust_solve`` call.  Every step is elementwise or
     a reduction within a row, so row k equals the 1-row block W[k:k+1] bit
     for bit.  The risk term is rho = -(robust value), normalized to the
     linear-utility scale.
@@ -138,7 +138,7 @@ def _score_block(panel: ScenarioPanel, W, p_mean: Prior, pref: Preference) -> tu
     payoffs = _block_payoffs(panel, W)
     k, n, m = payoffs.shape
     rows = _PayoffRows(panel.state_ids * k, np.tile(panel.outcome_probs, (k, 1)), payoffs.reshape(k * n, m))
-    values = pref.ambiguity.robust_values(inner_rdu(rows, pref.phi, pref.psi).reshape(k, n))
+    values = pref.ambiguity.robust_solve(inner_rdu(rows, pref.phi, pref.psi).reshape(k, n))[0]
     intercept = pref.phi(0.0)
     slope = pref.phi(1.0) - intercept
     means = np.sum(np.sum(payoffs * panel.outcome_probs, axis=-1) * p_mean.weights, axis=-1)

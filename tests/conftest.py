@@ -8,7 +8,7 @@ the code under test.
 import numpy as np
 import pytest
 
-from rankrobust import DiscreteDistribution, TwoStageVariable
+from rankrobust import DiscreteDistribution, Prior, TwoStageVariable
 
 
 def random_distribution(rng, max_points=8, lo=-10.0, hi=10.0):
@@ -83,6 +83,17 @@ def simplex_scan_min(objective, n, resolution):
     grid = simplex_grid(n, resolution)
     vals = objective(grid)
     return float(np.min(vals))
+
+
+def solve_one(index, u):
+    """The robust value and minimizing prior of the profile u, from a one-row robust_solve."""
+    values, minimizers = index.robust_solve(np.asarray(u, dtype=float)[None, :])
+    return float(values[0]), Prior(minimizers[0])
+
+
+def values_of(index):
+    """c_min_bruteforce's eval_ce for index: the robust values of a row block."""
+    return lambda U: index.robust_solve(U)[0]
 
 
 @pytest.fixture

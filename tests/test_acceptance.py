@@ -61,6 +61,7 @@ from rankrobust import (
     ScenarioPanel,
     expected_shortfall,
 )
+from conftest import solve_one, values_of
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -104,7 +105,7 @@ def test_c01_reduction_chain():
         pref_id = Preference(identity_utility(), identity(), amb, v.state_ids)
         value = evaluate(v, pref_id).value_utils
         plain = np.array([float(v.outcome_probs[w] @ v.payoffs[w]) for w in range(n)])
-        vp_value, _ = amb.robust_min(plain)
+        vp_value, _ = solve_one(amb, plain)
         worst = max(worst, abs(value - vp_value))
 
         # (c) indicator penalties equal the explicit minimum over listed priors
@@ -203,7 +204,7 @@ def test_c04_entropic_duality():
         kl = rel_entr(grid2, ref.weights).sum(axis=1)
         for _ in range(5):
             u = rng.uniform(0, 1, size=2)
-            closed, _ = c.robust_min(u)
+            closed, _ = solve_one(c, u)
             gridmin = float((grid2 @ u + theta * kl).min())
             worst_grid = max(worst_grid, abs(closed - gridmin))
     # three states
@@ -214,7 +215,7 @@ def test_c04_entropic_duality():
         kl = rel_entr(grid3, ref.weights).sum(axis=1)
         for _ in range(4):
             u = rng.uniform(0, 1, size=3)
-            closed, _ = c.robust_min(u)
+            closed, _ = solve_one(c, u)
             gridmin = float((grid3 @ u + theta * kl).min())
             worst_grid = max(worst_grid, abs(closed - gridmin))
     assert worst_grid <= 1e-6, f"grid gap {worst_grid}"
@@ -225,7 +226,7 @@ def test_c04_entropic_duality():
     for theta, qvec in ((1.0, (0.7, 0.3)), (1.0, (0.55, 0.45)), (0.5, (0.8, 0.2))):
         c = Entropic(theta, Prior.uniform(2))
         q = Prior(np.array(qvec))
-        bound = c_min_bruteforce(c.robust_values, q, lattice)
+        bound = c_min_bruteforce(values_of(c), q, lattice)
         true_pen = c.penalty(q)
         assert bound <= true_pen + 1e-12
         worst_dual = max(worst_dual, true_pen - bound)

@@ -28,6 +28,7 @@ from rankrobust import (
     parse_prior,
     simplex_grid,
 )
+from conftest import solve_one, values_of
 
 UNIFORM2 = Prior.uniform(2)
 
@@ -128,13 +129,13 @@ class TestPenalty:
 class TestRobustMin:
     def test_maxmin_worst_state(self):
         c = MaxminSet([Prior.point_mass(2, 0), Prior.point_mass(2, 1)])
-        value, prior = c.robust_min([2.0, 5.0])
+        value, prior = solve_one(c, [2.0, 5.0])
         assert value == 2.0
         assert list(prior.weights) == [1.0, 0.0]
 
     def test_entropic_two_state_closed_form(self):
         c = Entropic(1.0, UNIFORM2)
-        value, prior = c.robust_min([0.0, 1.0])
+        value, prior = solve_one(c, [0.0, 1.0])
         assert value == pytest.approx(-math.log(0.5 * (1 + math.exp(-1))), abs=1e-12)
         assert value == pytest.approx(0.3798854930, abs=1e-9)
         assert prior.weights[0] == pytest.approx(0.7310585786, abs=1e-9)
@@ -149,7 +150,7 @@ class TestRobustMin:
         for c in indices:
             for _ in range(20):
                 m = float(rng.uniform(-5, 5))
-                value, prior = c.robust_min([m, m])
+                value, prior = solve_one(c, [m, m])
                 assert value == pytest.approx(m, abs=1e-12)
                 assert c.penalty(prior) == pytest.approx(0.0, abs=1e-12)
 
@@ -159,7 +160,7 @@ class TestRobustMin:
             c = Entropic(theta, ref)
             for _ in range(5):
                 u = rng.uniform(0, 1, size=2)
-                value, _ = c.robust_min(u)
+                value, _ = solve_one(c, u)
                 assert value == pytest.approx(
                     entropic_grid_oracle(theta, ref, u), abs=1e-6
                 )
@@ -172,7 +173,7 @@ class TestRobustMin:
         pen = 0.8 * np.sum(ref.weights * (qs / ref.weights - 1.0) ** 2, axis=1)
         for _ in range(10):
             u = rng.uniform(-1, 1, size=2)
-            value, prior = c.robust_min(u)
+            value, prior = solve_one(c, u)
             grid_min = float((qs @ u + pen).min())
             assert value == pytest.approx(grid_min, abs=1e-7)
             # KKT stationarity residual at the reported minimizer
@@ -188,8 +189,8 @@ class TestRobustMin:
             for _ in range(50):
                 u = rng.uniform(-4, 4, size=3)
                 m = float(rng.uniform(-3, 3))
-                v0, _ = c.robust_min(u)
-                v1, _ = c.robust_min(u + m)
+                v0, _ = solve_one(c, u)
+                v1, _ = solve_one(c, u + m)
                 assert v1 == pytest.approx(v0 + m, abs=1e-9)
 
     def test_concavity_in_utils(self, rng):
@@ -203,9 +204,9 @@ class TestRobustMin:
                 u1 = rng.uniform(-3, 3, size=3)
                 u2 = rng.uniform(-3, 3, size=3)
                 alpha = float(rng.uniform(0, 1))
-                vmix, _ = c.robust_min(alpha * u1 + (1 - alpha) * u2)
-                v1, _ = c.robust_min(u1)
-                v2, _ = c.robust_min(u2)
+                vmix, _ = solve_one(c, alpha * u1 + (1 - alpha) * u2)
+                v1, _ = solve_one(c, u1)
+                v2, _ = solve_one(c, u2)
                 assert vmix >= alpha * v1 + (1 - alpha) * v2 - 1e-9
 
     def test_value_bounds(self, rng):
@@ -218,7 +219,7 @@ class TestRobustMin:
             p0 = c.zero_penalty_prior()
             for _ in range(50):
                 u = rng.uniform(-5, 5, size=2)
-                value, _ = c.robust_min(u)
+                value, _ = solve_one(c, u)
                 assert value <= float(p0.weights @ u) + 1e-12
                 assert value >= float(np.min(u)) - 1e-12
 
@@ -231,7 +232,7 @@ class TestRobustMin:
         for c in indices:
             for _ in range(50):
                 u = rng.uniform(-3, 3, size=2)
-                value, prior = c.robust_min(u)
+                value, prior = solve_one(c, u)
                 assert value == pytest.approx(
                     float(prior.weights @ u) + c.penalty(prior), abs=1e-9
                 )
@@ -244,7 +245,7 @@ class TestRobustMin:
         ])
         for _ in range(100):
             u = rng.uniform(-4, 4, size=3)
-            value, _ = c.robust_min(u)
+            value, _ = solve_one(c, u)
             mix = rng.random(3) + 1e-3
             mix /= mix.sum()
             interior = Prior(mix @ np.vstack([p.weights for p in c.priors]))
@@ -259,9 +260,9 @@ class TestRobustMin:
         ]
         U = rng.uniform(-3, 3, size=(40, 2))
         for c in indices:
-            batch = c.robust_values(U)
+            batch = c.robust_solve(U)[0]
             for row, got in zip(U, batch):
-                want, _ = c.robust_min(row)
+                want, _ = solve_one(c, row)
                 assert got == pytest.approx(want, abs=1e-10)
 
 
@@ -297,7 +298,7 @@ class TestGiniExactSolve:
 
     def test_matches_bisection_oracle(self, rng):
         for c, u in self.cases(rng):
-            value, prior = c.robust_min(u)
+            value, prior = solve_one(c, u)
             want = gini_bisection_oracle(c.theta, c.reference.weights, u)
             assert prior.weights == pytest.approx(want, abs=1e-9)
             scale = 1.0 + float(np.max(np.abs(u)))
@@ -307,7 +308,7 @@ class TestGiniExactSolve:
         # Stationarity: u_w + 2 theta (q_w / p_w - 1) equals a common mu on
         # the support and is at least mu off it.
         for c, u in self.cases(rng):
-            _, prior = c.robust_min(u)
+            _, prior = solve_one(c, u)
             q, p = prior.weights, c.reference.weights
             assert np.all(q >= 0.0)
             assert math.fsum(q) == pytest.approx(1.0, abs=1e-12)
@@ -322,9 +323,9 @@ class TestGiniExactSolve:
         c = Gini(0.4, Prior(np.array([0.2, 0.3, 0.5])))
         U = rng.uniform(-2, 2, size=(200, 3))
         U[::7] *= 1e6  # rows on very different scales share the batch
-        batch = c.robust_values(U)
+        batch = c.robust_solve(U)[0]
         for i in range(U.shape[0]):
-            assert batch[i] == c.robust_values(U[i : i + 1])[0]
+            assert batch[i] == c.robust_solve(U[i : i + 1])[0][0]
 
 
 class TestMaxminVertices:
@@ -335,10 +336,10 @@ class TestMaxminVertices:
             assert [list(p.weights) for p in fast.priors] == [list(p.weights) for p in explicit.priors]
             assert fast.describe() == explicit.describe()
             U = rng.uniform(-3, 3, size=(20, n))
-            assert list(fast.robust_values(U)) == list(explicit.robust_values(U))
+            assert list(fast.robust_solve(U)[0]) == list(explicit.robust_solve(U)[0])
             for u in U[:5]:
-                v1, q1 = fast.robust_min(u)
-                v2, q2 = explicit.robust_min(u)
+                v1, q1 = solve_one(fast, u)
+                v2, q2 = solve_one(explicit, u)
                 assert v1 == v2 and list(q1.weights) == list(q2.weights)
             assert fast.penalty(Prior.uniform(n)) == 0.0
             assert list(fast.zero_penalty_prior().weights) == list(explicit.zero_penalty_prior().weights)
@@ -384,9 +385,74 @@ class TestRobustValuesRowIndependence:
     @given(indices_and_blocks())
     def test_row_equals_single_row_call(self, case):
         index, U = case
-        batch = index.robust_values(U)
+        batch = index.robust_solve(U)[0]
         for i in range(U.shape[0]):
-            assert batch[i] == index.robust_values(U[i : i + 1])[0]
+            assert batch[i] == index.robust_solve(U[i : i + 1])[0][0]
+
+
+def loop_prior_dots(U, matrix):
+    """q . u summed state by state in state order: the loop the batched dots replaced."""
+    out = np.zeros((U.shape[0], matrix.shape[0]))
+    for j, q in enumerate(matrix):
+        for w in np.flatnonzero(q):
+            out[:, j] += q[w] * U[:, w]
+    return out
+
+
+class TestPriorDots:
+    """The listed priors' dots against the state-by-state loop they replaced."""
+
+    def test_agree_with_the_state_loop(self, rng):
+        eps = np.finfo(float).eps
+        for n in (1, 2, 5, 7, 8, 13, 40):
+            raw = rng.random((6, n)) * (rng.random((6, n)) < 0.6)
+            raw[np.arange(6), rng.integers(0, n, size=6)] += 0.5
+            matrix = raw / raw.sum(axis=1, keepdims=True)
+            U = rng.uniform(-50.0, 50.0, size=(30, n))
+            got = ambiguity._prior_dots(U, ambiguity._listed_run(matrix))
+            want = loop_prior_dots(U, matrix)
+            support = (matrix != 0.0).sum(axis=1)
+            assert np.all(np.abs(got - want) <= 2 * support * eps * (np.abs(U) @ matrix.T))
+            # A prior's dots do not depend on the priors listed with it.
+            for j, q in enumerate(matrix):
+                alone = ambiguity._prior_dots(U, ambiguity._listed_run(q[None, :]))[:, 0]
+                assert alone.tobytes() == got[:, j].tobytes()
+
+
+THREE_STATE_INDICES = {
+    "maxmin": MaxminSet([[0.2, 0.3, 0.5], [0.6, 0.4, 0.0]]),
+    "vertices": MaxminSet.vertices(3),
+    "entropic": Entropic(1.0, Prior.uniform(3)),
+    "gini": Gini(0.7, Prior(np.array([0.2, 0.3, 0.5]))),
+    "tabulated": Tabulated([(Prior.uniform(3), 0.0), ([1.0, 0.0, 0.0], 0.4)]),
+}
+
+
+class TestRobustSolveValidation:
+    """robust_solve checks its rows once, on entry, for every kind."""
+
+    @pytest.mark.parametrize("kind", sorted(THREE_STATE_INDICES))
+    def test_a_row_of_another_width_is_a_shape_error(self, kind):
+        index = THREE_STATE_INDICES[kind]
+        for width in (2, 4):
+            with pytest.raises(ShapeError):
+                index.robust_solve(np.zeros((1, width)))
+        with pytest.raises(ShapeError):
+            index.robust_solve(np.zeros(3))
+
+    @pytest.mark.parametrize("kind", sorted(THREE_STATE_INDICES))
+    def test_a_non_finite_utility_is_a_domain_error(self, kind):
+        index = THREE_STATE_INDICES[kind]
+        for bad in (math.nan, math.inf, -math.inf):
+            U = np.zeros((2, 3))
+            U[1, 2] = bad
+            with pytest.raises(DomainError):
+                index.robust_solve(U)
+
+    @pytest.mark.parametrize("kind", sorted(THREE_STATE_INDICES))
+    def test_no_rows_give_empty_results(self, kind):
+        values, minimizers = THREE_STATE_INDICES[kind].robust_solve(np.zeros((0, 3)))
+        assert values.shape == (0,) and minimizers.shape == (0, 3)
 
 
 class TestRecentered:
@@ -413,7 +479,7 @@ class TestRecentered:
 
 
 class TestEntropicKernel:
-    """The state-major robust_values against scipy's logsumexp closed form."""
+    """The entropic robust_solve against scipy's logsumexp closed form."""
 
     def test_agrees_with_logsumexp(self, rng):
         eps = np.finfo(float).eps
@@ -423,17 +489,13 @@ class TestEntropicKernel:
                 U = rng.uniform(-50.0, 50.0, size=(500, n))
                 want = -theta * logsumexp(np.log(ref.weights) - U / theta, axis=-1)
                 scale = theta * (1.0 + np.max(np.abs(np.log(ref.weights)))) + np.max(np.abs(U), axis=1)
-                err = np.abs(Entropic(theta, ref).robust_values(U) - want)
+                err = np.abs(Entropic(theta, ref).robust_solve(U)[0] - want)
                 assert np.all(err <= 4 * eps * scale), (n, theta, float(np.max(err / scale)))
 
     def test_layout_does_not_change_values(self, rng):
         c = Entropic(0.9, Prior(np.array([0.2, 0.3, 0.5])))
         state_major = rng.uniform(-5.0, 5.0, size=(3, 1000))
-        assert list(c.robust_values(state_major.T)) == list(c.robust_values(np.ascontiguousarray(state_major.T)))
-
-    def test_minus_infinite_utility_gives_minus_infinity(self):
-        values = Entropic(1.0, UNIFORM2).robust_values(np.array([[-math.inf, 1.0], [0.0, 1.0]]))
-        assert values[0] == -math.inf and math.isfinite(values[1])
+        assert list(c.robust_solve(state_major.T)[0]) == list(c.robust_solve(np.ascontiguousarray(state_major.T))[0])
 
     @staticmethod
     def closed_form(theta, ref, u):
@@ -452,7 +514,7 @@ class TestEntropicKernel:
                     u = rng.uniform(-50.0, 50.0, size=n)
                     if tied:  # several states share the largest logit
                         u[rng.integers(0, n, size=max(1, n // 3))] = u.min()
-                    value, prior = Entropic(theta, Prior(ref)).robust_min(u)
+                    value, prior = solve_one(Entropic(theta, Prior(ref)), u)
                     want_value, want_q = self.closed_form(theta, Prior(ref).weights, u)
                     assert value == want_value, (n, theta, tied)
                     assert prior.weights.tobytes() == want_q.tobytes(), (n, theta, tied)
@@ -488,18 +550,18 @@ class TestCMinBruteForce:
     def test_entropic_fenchel_recovery(self):
         c = Entropic(1.0, UNIFORM2)
         q = Prior(np.array([0.7, 0.3]))
-        got = c_min_bruteforce(c.robust_values, q, UtilityGrid(-5, 5, 0.01))
+        got = c_min_bruteforce(values_of(c), q, UtilityGrid(-5, 5, 0.01))
         assert got == pytest.approx(c.penalty(q), abs=5e-3)
         assert got <= c.penalty(q) + 1e-12
 
     def test_maxmin_zero_at_member(self):
         c = MaxminSet([Prior(np.array([0.25, 0.75])), Prior(np.array([0.5, 0.5]))])
         q = Prior(np.array([0.25, 0.75]))
-        assert c_min_bruteforce(c.robust_values, q, UtilityGrid(-2, 2, 0.5)) == 0.0
+        assert c_min_bruteforce(values_of(c), q, UtilityGrid(-2, 2, 0.5)) == 0.0
 
     def test_constant_lattice_contributes_zero(self):
         c = Entropic(1.0, UNIFORM2)
-        got = c_min_bruteforce(c.robust_values, UNIFORM2, UtilityGrid(1.5, 1.5, 1.0))
+        got = c_min_bruteforce(values_of(c), UNIFORM2, UtilityGrid(1.5, 1.5, 1.0))
         assert got == pytest.approx(0.0, abs=1e-12)
 
     def test_weak_duality_and_refinement(self, rng):
@@ -507,9 +569,9 @@ class TestCMinBruteForce:
         for _ in range(5):
             q1 = float(rng.uniform(0.05, 0.95))
             q = Prior(np.array([q1, 1 - q1]))
-            coarse = c_min_bruteforce(c.robust_values, q, UtilityGrid(-4, 4, 0.5))
-            fine = c_min_bruteforce(c.robust_values, q, UtilityGrid(-4, 4, 0.1))
-            finest = c_min_bruteforce(c.robust_values, q, UtilityGrid(-4, 4, 0.02))
+            coarse = c_min_bruteforce(values_of(c), q, UtilityGrid(-4, 4, 0.5))
+            fine = c_min_bruteforce(values_of(c), q, UtilityGrid(-4, 4, 0.1))
+            finest = c_min_bruteforce(values_of(c), q, UtilityGrid(-4, 4, 0.02))
             assert coarse <= fine + 1e-12 <= finest + 2e-12
             assert finest <= c.penalty(q) + 1e-12
 
@@ -519,7 +581,7 @@ class TestCMinBruteForce:
         for _ in range(20):
             c = MaxminSet(rng.dirichlet(np.ones(3), size=3))
             for q in c.priors:
-                assert c_min_bruteforce(c.robust_values, q, UtilityGrid(-5, 5, 0.25)) == 0.0
+                assert c_min_bruteforce(values_of(c), q, UtilityGrid(-5, 5, 0.25)) == 0.0
 
     def test_chunks_cover_the_lattice_state_major(self):
         seen = []
@@ -539,15 +601,15 @@ class TestCMinBruteForce:
         q = Prior(np.array([0.5, 0.25, 0.25]))
         grid = UtilityGrid(-2, 2, 0.5)
         lattice = np.array(list(itertools.product(grid.axis(), repeat=3)))
-        best = max(float(c.robust_values(u[None, :])[0] - math.fsum(q.weights * u)) for u in lattice)
-        assert c_min_bruteforce(c.robust_values, q, grid, chunk=10) == pytest.approx(best, abs=1e-15)
+        best = max(float(c.robust_solve(u[None, :])[0][0] - math.fsum(q.weights * u)) for u in lattice)
+        assert c_min_bruteforce(values_of(c), q, grid, chunk=10) == pytest.approx(best, abs=1e-15)
 
     def test_empty_grid_rejected(self):
         c = Entropic(1.0, UNIFORM2)
         with pytest.raises(DomainError):
-            c_min_bruteforce(c.robust_values, UNIFORM2, UtilityGrid(1.0, 0.0, 0.5))
+            c_min_bruteforce(values_of(c), UNIFORM2, UtilityGrid(1.0, 0.0, 0.5))
         with pytest.raises(DomainError):
-            c_min_bruteforce(c.robust_values, UNIFORM2, UtilityGrid(0.0, 1.0, -0.5))
+            c_min_bruteforce(values_of(c), UNIFORM2, UtilityGrid(0.0, 1.0, -0.5))
 
 
 EPS = np.finfo(float).eps
@@ -591,7 +653,7 @@ class TestExactCMin:
     def test_bracket_dominates_the_lattice_and_stays_below_the_penalty(self, problem):
         index, q, low, high, step = problem
         lower, upper, status, iterations = c_min_exact(index, q, low, high)
-        lattice = c_min_bruteforce(index.robust_values, q, UtilityGrid(low, high, step))
+        lattice = c_min_bruteforce(values_of(index), q, UtilityGrid(low, high, step))
         # Each gap I(u) - q . u sums n products of size up to |c| + |u|, so it
         # rounds by a few ulps of n (|c| + radius), the lattice's own points
         # included: at a prior inside a maxmin hull the lattice can read a few

@@ -138,6 +138,14 @@ class TestParseDiagnostics:
         code, out, err = run_cli(capsys, "evaluate", "--scenario", str(path), "--penalty", "maxmin:vertices")
         assert (code, out, err) == (2, "", f"error: {want[1]}\n")
 
+    def test_oversized_integer_exits_two_naming_file_and_state(self, capsys, tmp_path):
+        # JSON decodes 1 followed by 400 zeros to an int that no float holds.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"states": {"calm": CALM, "stormy": {"probs": [0.5, 0.5], "payoffs": [0, 10**400]}}}))
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(path), "--penalty", "maxmin:vertices")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: state 'stormy': int too large to convert to float\n"
+
     @pytest.mark.parametrize("name", ["two_state.json", "single_state.json", "ellsberg_urn_a.json"])
     def test_fixtures_parse_to_the_same_arrays(self, name):
         got, want = parse_scenario(str(FIXTURES / name)), per_state_parse_scenario(str(FIXTURES / name))
@@ -206,6 +214,16 @@ class TestBadProbabilities:
         assert "'stormy'" in err
         assert wording in err
         assert "'calm'" not in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_negative_probability_is_printed_as_a_plain_number(self, capsys, tmp_path, fmt):
+        path, command = write_bad_rows(tmp_path, fmt, BAD_ROWS["negative"][0])
+        code, out, err = run_cli(
+            capsys, command, "--scenario", str(path), "--penalty", "maxmin:vertices",
+            "--mean-prior", "uniform",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: outcome probability -0.2 in state 'stormy' (outcome 1) is negative\n"
 
 
 class TestCommands:

@@ -127,6 +127,93 @@ def every_distortion(k):
 
 
 @st.composite
+def single_path_cases(draw):
+    """A preference with a penalty of each kind (listed priors with sparse
+    supports among them), a variable on its states, and a block of utility
+    rows, in either memory layout, with the variable's profile at row pos."""
+    n = draw(st.sampled_from([1, 2, 3, 5, 9, 12]))
+    kind = draw(st.sampled_from(["maxmin", "vertices", "entropic", "gini", "tabulated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("maxmin", "tabulated"):
+        k = int(rng.integers(1, 7))
+        raw = (rng.random((k, n)) + 0.05) * (rng.random((k, n)) < 0.7)
+        raw[np.arange(k), rng.integers(0, n, size=k)] += 0.5
+        priors = [Prior(row / math.fsum(row)) for row in raw]
+        if kind == "maxmin":
+            index = MaxminSet(priors)
+        else:
+            index = Tabulated(list(zip(priors, rng.uniform(0.0, 3.0, size=k))))
+    elif kind == "vertices":
+        index = MaxminSet.vertices(n)
+    else:
+        theta = draw(st.sampled_from([0.01, 0.3, 1.0, 7.5, 1e4]))
+        ref = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
+        index = (Entropic if kind == "entropic" else Gini)(theta, Prior(ref / math.fsum(ref)))
+    m = int(rng.integers(1, 6))
+    probs = rng.random((n, m)) + 0.05
+    payoffs = rng.uniform(-5.0, 5.0, size=(n, m))
+    if draw(st.booleans()):
+        payoffs = np.round(payoffs)  # ties across states
+    v = TwoStageVariable([f"w{i}" for i in range(n)], probs / probs.sum(axis=1, keepdims=True), payoffs)
+    phi = draw(st.sampled_from([identity_utility(), exponential(0.3)]))
+    psi = draw(st.sampled_from([identity(), power(1.5), prelec(0.65, 1.0)]))
+    pad = draw(st.sampled_from([0, 1, 7, 300]))
+    noise = rng.uniform(-10.0, 10.0, size=(pad, n))
+    pos = int(rng.integers(0, pad + 1))
+    U = np.vstack([noise[:pos], inner_rdu(v, phi, psi)[None, :], noise[pos:]])
+    if draw(st.booleans()):
+        U = np.asfortranarray(U)
+    return Preference(phi, psi, index, v.state_ids), v, U, pos
+
+
+def assert_optimal(index, u, value, q):
+    """The minimizer q of min_q { q . u + c(q) } and its value, checked
+    against optimality conditions derived here, not by the solver."""
+    scale = 1.0 + float(np.max(np.abs(u)))
+    assert np.all(q >= 0.0) and math.fsum(q) == pytest.approx(1.0, abs=1e-12)
+    if isinstance(index, (MaxminSet, Tabulated)):
+        costs = index.values if isinstance(index, Tabulated) else [0.0] * len(index.priors)
+        objectives = [math.fsum(p.weights * u) + c for p, c in zip(index.priors, costs)]
+        best = min(objectives)
+        assert value == pytest.approx(best, abs=1e-12 * scale)
+        attained = [obj for p, obj in zip(index.priors, objectives) if p.weights.tobytes() == q.tobytes()]
+        assert attained and min(attained) <= best + 1e-12 * scale
+    elif isinstance(index, Entropic):
+        # q is proportional to p' exp(-u / theta).
+        tilted = index.reference.weights * np.exp(-(u - u.min()) / index.theta)
+        assert q == pytest.approx(tilted / math.fsum(tilted), rel=1e-9, abs=1e-300)
+        kl = math.fsum(x * math.log(x / p) for x, p in zip(q, index.reference.weights) if x > 0)
+        assert value == pytest.approx(math.fsum(q * u) + index.theta * kl, abs=1e-9 * scale)
+    else:
+        # KKT: u_w + 2 theta (q_w / p_w - 1) equals a common mu on the
+        # support and is at least mu off it.
+        p = index.reference.weights
+        grad = u + 2.0 * index.theta * (q / p - 1.0)
+        active = q > 0.0
+        mu = grad[active].mean()
+        tol = 1e-9 * (scale + 2.0 * index.theta)
+        assert np.all(np.abs(grad[active] - mu) <= tol)
+        assert np.all(grad[~active] >= mu - tol)
+        assert value == pytest.approx(math.fsum(q * u) + index.theta * math.fsum((q - p) ** 2 / p), abs=tol)
+
+
+class TestSinglePath:
+    """evaluate is the one-row robust_solve: it reports the value and the
+    minimizer that the profile's row of any padded batch gets."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(single_path_cases())
+    def test_evaluate_equals_its_row_of_a_padded_batch(self, case):
+        pref, v, U, pos = case
+        ev = evaluate(v, pref)
+        values, minimizers = pref.ambiguity.robust_solve(U)
+        assert np.float64(ev.value_utils).tobytes() == values[pos].tobytes()
+        assert ev.minimizer.weights.tobytes() == minimizers[pos].tobytes()
+        for row in {0, pos, len(U) - 1}:
+            assert_optimal(pref.ambiguity, U[row], values[row], minimizers[row])
+
+
+@st.composite
 def rank_cases(draw):
     """A variable with heavy ties and zero-mass outcomes, plus (phi, psi).
 
