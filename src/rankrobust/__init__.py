@@ -65,6 +65,7 @@ from .evaluator import (
     Preference,
     ambiguity_aversion_check,
     ambiguity_neutral_value,
+    battery_reports,
     ellsberg_demo,
     ellsberg_preference,
     ellsberg_variables,

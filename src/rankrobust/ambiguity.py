@@ -29,6 +29,7 @@ and ``MaxminSet.penalty``'s hull membership test, so no CLI command but
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -94,7 +95,7 @@ def _utility_rows(U, n: int) -> np.ndarray:
 def _listed_run(matrix: np.ndarray) -> tuple:
     """The prior rows of matrix as a run of ``_prior_dots``: every prior
     takes a product with every state, zero weights included."""
-    return np.broadcast_to(np.arange(matrix.shape[1]), matrix.shape), matrix
+    return np.repeat(np.arange(matrix.shape[1])[None, :], len(matrix), axis=0), matrix
 
 
 def _prior_dots(U: np.ndarray, run) -> np.ndarray:
@@ -193,18 +194,30 @@ class MaxminSet(AmbiguityIndex):
         n = priors[0].n_states
         if any(p.n_states != n for p in priors):
             raise ShapeError("all priors in a maxmin set must have the same length")
+        self._n, self._simplex = n, False
         self._matrix = np.vstack([p.weights for p in priors])
         self._run = _listed_run(self._matrix)
 
     @classmethod
     def vertices(cls, n: int) -> "MaxminSet":
-        """The whole simplex on n states, as the hull of its n point masses."""
+        """The whole simplex on n states, as the hull of its n point masses.
+
+        Values, minimizers (one-hot rows) and penalties (0 for every prior)
+        need no prior matrix: the n x n identity is built only for
+        ``priors`` and the ``cmin`` LP, on first use.
+        """
         if n < 1:
             raise ShapeError("a prior must be a non-empty 1-D weight vector")
         out = cls.__new__(cls)
-        out._matrix = np.eye(n)
+        out._n, out._simplex = n, True
         out._run = np.arange(n)[:, None], np.ones((n, 1))
         return out
+
+    @functools.cached_property
+    def _matrix(self) -> np.ndarray:
+        """The listed priors as rows.  ``__init__`` sets it; only a
+        ``vertices(n)`` set builds it here, as the n x n identity."""
+        return np.eye(self._n)
 
     @property
     def priors(self) -> tuple[Prior, ...]:
@@ -212,10 +225,12 @@ class MaxminSet(AmbiguityIndex):
 
     @property
     def n_states(self) -> int:
-        return self._matrix.shape[1]
+        return self._n
 
     def penalty(self, q) -> float:
         w = _as_weights(q, self.n_states)
+        if self._simplex:  # the hull is the whole simplex
+            return 0.0
         # Cheap exact-vertex test first; the LP decides general hull membership.
         if np.min(np.max(np.abs(self._matrix - w), axis=1)) <= HULL_TOL:
             return 0.0
@@ -231,17 +246,23 @@ class MaxminSet(AmbiguityIndex):
 
     def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
         dots = _prior_dots(_utility_rows(U, self.n_states), self._run)
-        return dots.min(axis=1), self._matrix[dots.argmin(axis=1)]
+        best = dots.argmin(axis=1)
+        if self._simplex:
+            minimizers = np.zeros(dots.shape)
+            minimizers[np.arange(len(best)), best] = 1.0
+        else:
+            minimizers = self._matrix[best]
+        return dots.min(axis=1), minimizers
 
     def zero_penalty_prior(self) -> Prior:
-        return Prior(self._matrix[0])
+        return Prior.point_mass(self._n, 0) if self._simplex else Prior(self._matrix[0])
 
     def recentered(self, n: int) -> "MaxminSet":
         """On another state count, the whole simplex (its n vertices)."""
         return self if n == self.n_states else MaxminSet.vertices(n)
 
     def describe(self) -> str:
-        return f"maxmin over {self._matrix.shape[0]} priors"
+        return f"maxmin over {len(self._run[0])} priors"
 
 
 class _ReferencePenalty(AmbiguityIndex):

@@ -32,12 +32,12 @@ from .distortion import identity as identity_distortion, parse_distortion
 from .distribution import TwoStageVariable, dominance
 from .errors import DomainError, ScenarioError, ShapeError, SpecStringError
 from .evaluator import (
+    REDUCTION_SECTIONS,
     BatterySpec,
     Preference,
-    ambiguity_aversion_check,
+    battery_reports,
     ellsberg_demo,
     evaluate,
-    reduction_suite,
     relation,
 )
 from .portfolio import ScenarioPanel, mean_risk_components, optimize
@@ -296,14 +296,8 @@ def _cmd_battery(args) -> int:
         raise SpecStringError("battery needs --penalty (state names fix the dimension)")
     state_ids = _infer_state_ids(args.penalty)
     pref = _resolve_preference(args, state_ids)
-    spec = BatterySpec(n_cases=args.cases, seed=args.seed)
-    reductions = reduction_suite(pref, spec)
-    aversion = ambiguity_aversion_check(pref, spec)
-    violations = (
-        sum(len(reductions[k]["violations"]) for k in (
-            "expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu"))
-        + len(aversion["violations"])
-    )
+    reductions, aversion = battery_reports(pref, BatterySpec(n_cases=args.cases, seed=args.seed))
+    violations = sum(len(reductions[k]["violations"]) for k in REDUCTION_SECTIONS) + len(aversion["violations"])
     report = {
         "command": "battery",
         "preference": pref.describe(),

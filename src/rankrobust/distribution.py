@@ -151,9 +151,9 @@ class DiscreteDistribution:
 def check_outcome_probs(state_ids, probs: np.ndarray) -> None:
     """Raise DomainError, naming the state, unless every row of the
     (state x outcome) matrix is non-negative and sums to one."""
-    negative = np.argwhere(probs < 0.0)
-    if negative.size:
-        w, s = negative[0]
+    negative = probs < 0.0
+    if negative.any():
+        w, s = np.argwhere(negative)[0]
         raise DomainError(
             f"outcome probability {float(probs[w, s])!r} in state {state_ids[w]!r} (outcome {int(s)}) is negative"
         )

@@ -9,10 +9,18 @@ the prior-weighted average plus the ambiguity penalty.  With a single state
 this is exactly rank-dependent utility; with the identity distortion it is
 a variational (penalized expected-utility) evaluation; with an indicator
 penalty it is worst-case over a prior set.
+
+The batteries check these identities on seeded draws.  ``battery_reports``
+builds the reduction suite and the ambiguity-aversion check in one pass:
+each case list is drawn once, the (phi, psi) rows of both go through one
+``inner_rdu`` call, and their profiles through one ``robust_solve`` per
+state count.  ``reduction_suite`` and ``ambiguity_aversion_check`` run the
+same pass for one report each.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -29,6 +37,9 @@ INDIFFERENCE_TOL = 1e-9
 
 #: Default seed for behavioral batteries; recorded in every battery report.
 DEFAULT_BATTERY_SEED = 1729
+
+#: The sections of a ``reduction_suite`` report, in the order they run.
+REDUCTION_SECTIONS = ("expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu")
 
 
 @dataclass(frozen=True)
@@ -360,13 +371,13 @@ def _inner_profiles(cases, phi: UtilityFn, psi: Distortion) -> list[np.ndarray]:
     return np.split(inner_rdu(_PayoffRows(ids, probs, payoffs), phi, psi), offsets[1:-1])
 
 
-def _profile_values(amb: AmbiguityIndex, profiles) -> np.ndarray:
-    """Robust value of each profile under amb recentered to its state count,
-    one ``robust_solve`` call per state count."""
+def _profile_values(local, profiles) -> np.ndarray:
+    """Robust value of each profile under ``local(n)``, the penalty recentred
+    to its state count n: one ``robust_solve`` call per state count."""
     values = np.empty(len(profiles))
     for n in {u.size for u in profiles}:
         idx = [i for i, u in enumerate(profiles) if u.size == n]
-        values[idx] = amb.recentered(n).robust_solve(np.stack([profiles[i] for i in idx]))[0]
+        values[idx] = local(n).robust_solve(np.stack([profiles[i] for i in idx]))[0]
     return values
 
 
@@ -443,8 +454,8 @@ def is_more_ambiguity_averse(
     if battery.n_states != n:
         raise ShapeError(f"battery draws {battery.n_states}-state cases, preferences cover {n} states")
     cases = generate_battery(battery)
-    values_a = _profile_values(pref_a.ambiguity, _inner_profiles(cases, pref_a.phi, pref_a.psi)).tolist()
-    values_b = _profile_values(pref_b.ambiguity, _inner_profiles(cases, pref_b.phi, pref_b.psi)).tolist()
+    values_a = _profile_values(pref_a.ambiguity.recentered, _inner_profiles(cases, pref_a.phi, pref_a.psi)).tolist()
+    values_b = _profile_values(pref_b.ambiguity.recentered, _inner_profiles(cases, pref_b.phi, pref_b.psi)).tolist()
     behavioral_violations = []
     for idx, (v, val_a, val_b) in enumerate(zip(cases, values_a, values_b)):
         lo, hi = float(v.payoffs.min()), float(v.payoffs.max())
@@ -473,38 +484,7 @@ def is_more_ambiguity_averse(
 
 def ambiguity_aversion_check(pref: Preference, battery: BatterySpec | None = None) -> dict:
     """Robust value never exceeds the ambiguity-neutral value at a zero-penalty prior."""
-    battery = battery or BatterySpec()
-    amb = pref.ambiguity
-    if battery.n_states is None:
-        try:
-            amb.recentered(amb.n_states + 1)
-        except ShapeError:
-            # Grid-shaped penalties cannot be re-dimensioned per case.
-            battery = replace(battery, n_states=amb.n_states)
-    cases = generate_battery(battery)
-    profiles = _inner_profiles(cases, pref.phi, pref.psi)
-    values = _profile_values(amb, profiles).tolist()
-    neutral = [float(amb.recentered(u.size).zero_penalty_prior().weights @ u) for u in profiles]
-    violations = [
-        {"case": idx, "value": value, "neutral": base}
-        for idx, (value, base) in enumerate(zip(values, neutral))
-        if value > base + INDIFFERENCE_TOL
-    ]
-    return {
-        "cases": len(cases),
-        "violations": violations,
-        "seed": battery.seed,
-        "passed": not violations,
-    }
-
-
-def _section(errors, labels) -> dict:
-    """A reduction report: the largest error and the labels of the errors
-    above INDIFFERENCE_TOL."""
-    return {
-        "max_error": max([0.0, *errors]),
-        "violations": [label for label, err in zip(labels, errors) if err > INDIFFERENCE_TOL],
-    }
+    return _battery_pass(pref, battery or BatterySpec(), suite=False)[1]
 
 
 def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dict:
@@ -516,37 +496,121 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
         constant shifts translate every variable's value; (c) indicator
         penalties: the value is the explicit minimum over the listed
         priors; (d) a single state: the value is stand-alone
-        rank-dependent utility.  Each section values its cases as one
-        padded row block: one ``inner_rdu`` call, then one
-        ``robust_solve`` call per state count (per case in (c), where
-        every case lists its own priors).  The plain expectation, the
-        explicit minimum and ``choquet`` are the oracles.
+        rank-dependent utility.  The plain expectation, the explicit
+        minimum and ``choquet`` are the oracles.
+
+    The sections share their blocks (see ``battery_reports``, which also
+    runs the aversion check on the same draw): three ``inner_rdu`` calls,
+    one each for (a) and (b) and one for the rows of (c) and (d), then one
+    ``robust_solve`` per state count for (b) and (d), and one per case in
+    (c), where every case lists its own priors.
 
     Section (d) values the penalty recentred on 1 state, so a penalty that
     cannot be recentred (a ``table:`` penalty on 2 or more states) raises
     ConfigError before any section runs.
     """
-    try:
-        pref.ambiguity.recentered(1)
-    except ShapeError:
-        raise ConfigError(
-            f"the reduction suite's single-state section (d) needs the penalty recentred on 1 state; "
-            f"{pref.ambiguity.describe()} covers {pref.ambiguity.n_states} states and table: penalties "
-            f"cannot be recentred"
-        ) from None
-    battery = battery or BatterySpec()
-    rng = np.random.default_rng(battery.seed + 1)
-    report: dict = {"seed": battery.seed}
+    return _battery_pass(pref, battery or BatterySpec(), aversion=False)[0]
 
-    # (a) identity distortion collapses to expected utility
-    cases = generate_battery(battery)
+
+def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tuple[dict, dict]:
+    """``(reduction_suite(pref, battery), ambiguity_aversion_check(pref,
+    battery))`` from one pass: the same reports, and the same errors, with
+    each case list drawn and each (phi, psi) row valued once.
+
+    The suite's main cases are also the aversion check's, unless a penalty
+    that cannot be recentred pins the check's state count.  One
+    ``inner_rdu`` call values the rows of sections (c) and (d) and of the
+    aversion check, after the calls of (a) and (b); the profiles of (b),
+    (d) and the check then go to one ``robust_solve`` per state count, with
+    each recentred penalty built once.
+    """
+    return _battery_pass(pref, battery or BatterySpec())
+
+
+def _battery_pass(
+    pref: Preference, battery: BatterySpec, suite: bool = True, aversion: bool = True
+) -> tuple[dict | None, dict | None]:
+    """The reduction suite's and the aversion check's reports, None for the
+    one not asked for.  Draws follow the order of the sections run one by
+    one, so sharing moves no value."""
+    amb = pref.ambiguity
+    local = functools.cache(amb.recentered)  # each recentred penalty built once
+    if suite:
+        try:
+            local(1)
+        except ShapeError:
+            raise ConfigError(
+                f"the reduction suite's single-state section (d) needs the penalty recentred on 1 state; "
+                f"{amb.describe()} covers {amb.n_states} states and table: penalties cannot be recentred"
+            ) from None
+    spec = battery
+    if aversion and battery.n_states is None:
+        try:
+            local(amb.n_states + 1)
+        except ShapeError:
+            # Grid-shaped penalties cannot be re-dimensioned per case.
+            spec = replace(battery, n_states=amb.n_states)
+
+    report = None
+    affine_profiles, singles, listed = [], [], []
+    cases = generate_battery(battery) if suite or spec is battery else []
+    if suite:
+        rng = np.random.default_rng(battery.seed + 1)
+        report = {"seed": battery.seed, "expectation_reduction": _expectation_section(pref, cases)}
+        unamb, maps, shifts, moved = _affine_draws(battery, cases, rng)
+        affine_profiles = _inner_profiles([*unamb, *cases, *moved], identity_utility(), pref.psi)
+        listed = [_listed_priors(rng, v.n_states) for v in cases]
+        singles = generate_battery(
+            BatterySpec(
+                n_cases=battery.n_cases,
+                n_states=1,
+                max_outcomes=battery.max_outcomes,
+                payoff_low=battery.payoff_low,
+                payoff_high=battery.payoff_high,
+                seed=battery.seed + 3,
+            )
+        )
+    own = [] if spec is battery else generate_battery(spec)
+
+    # One block under (phi, psi): the main cases, the single-state cases and
+    # the aversion check's own cases, if it has them.
+    profiles = _inner_profiles([*cases, *singles, *own], pref.phi, pref.psi)
+    n_cases, n_singles, n_affine = len(cases), len(singles), len(affine_profiles)
+    case_profiles = profiles[:n_cases]
+    checked = [] if not aversion else case_profiles if spec is battery else profiles[n_cases + n_singles :]
+    values = _profile_values(local, [*affine_profiles, *profiles[n_cases : n_cases + n_singles], *checked]).tolist()
+
+    if suite:
+        report["affine_equivariance"] = _affine_section(maps, shifts, values[:n_affine])
+        report["maxmin_reduction"] = _maxmin_section(case_profiles, listed)
+        report["single_state_rdu"] = _single_state_section(pref, singles, values[n_affine : n_affine + n_singles])
+        report["passed"] = all(not report[k]["violations"] for k in REDUCTION_SECTIONS)
+    check = _aversion_section(spec, local, checked, values[n_affine + n_singles :]) if aversion else None
+    return report, check
+
+
+def _section(errors, labels) -> dict:
+    """A reduction report: the largest error and the labels of the errors
+    above INDIFFERENCE_TOL."""
+    return {
+        "max_error": max([0.0, *errors]),
+        "violations": [label for label, err in zip(labels, errors) if err > INDIFFERENCE_TOL],
+    }
+
+
+def _expectation_section(pref: Preference, cases) -> dict:
+    """(a) Under the identity distortion each state's inner value is the
+    expected utility, summed by ``math.fsum``."""
     errors = []
     for v, u in zip(cases, _inner_profiles(cases, pref.phi, identity_distortion())):
         expected = [math.fsum(r) for r in (v.outcome_probs * pref.phi(v.payoffs)).tolist()]
         errors.append(float(np.max(np.abs(u - expected))))
-    report["expectation_reduction"] = _section(errors, range(len(cases)))
+    return _section(errors, range(len(cases)))
 
-    # (b) affine equivariance on unambiguous variables; translation for all
+
+def _affine_draws(battery: BatterySpec, cases, rng):
+    """(b)'s cases and draws: the unambiguous cases, a positive affine map
+    (a, b) for each, a shift for each main case, and the moved rows."""
     unamb = generate_battery(
         BatterySpec(
             n_cases=battery.n_cases,
@@ -562,44 +626,58 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
     shifts = [float(rng.uniform(-2.0, 2.0)) for _ in cases]
     moved = [_PayoffRows(v.state_ids, v.outcome_probs, a * v.payoffs + b) for v, (a, b) in zip(unamb, maps)]
     moved += [_PayoffRows(v.state_ids, v.outcome_probs, v.payoffs + m) for v, m in zip(cases, shifts)]
-    profiles = _inner_profiles([*unamb, *cases, *moved], identity_utility(), pref.psi)
-    values = _profile_values(pref.ambiguity, profiles).tolist()
-    base, after = values[: len(moved)], values[len(moved) :]
+    return unamb, maps, shifts, moved
+
+
+def _affine_section(maps, shifts, values) -> dict:
+    """(b) from the values of the unambiguous and main cases, then of their
+    moved copies, all under linear utility."""
+    n_moved = len(maps) + len(shifts)
+    base, after = values[:n_moved], values[n_moved:]
     expect = [a * x + b for (a, b), x in zip(maps, base)]
-    expect += [x + m for m, x in zip(shifts, base[len(unamb) :])]
+    expect += [x + m for m, x in zip(shifts, base[len(maps) :])]
     errors = [abs(y - e) for y, e in zip(after, expect)]
-    labels = [*range(len(unamb)), *(("shift", idx) for idx in range(len(cases)))]
-    report["affine_equivariance"] = _section(errors, labels)
+    return _section(errors, [*range(len(maps)), *(("shift", idx) for idx in range(len(shifts)))])
 
-    # (c) indicator penalty equals the explicit minimum over listed priors
+
+def _listed_priors(rng, n: int) -> list[Prior]:
+    """(c)'s draw for an n-state case: one to four listed priors."""
+    raw = rng.random((int(rng.integers(1, 5)), n)) + 0.05
+    return [Prior(row / row.sum()) for row in raw]
+
+
+def _maxmin_section(profiles, listed) -> dict:
+    """(c) Each profile's maxmin value over its listed priors against the
+    explicit minimum over the same priors."""
     errors = []
-    for u in _inner_profiles(cases, pref.phi, pref.psi):
-        k = int(rng.integers(1, 5))
-        raw = rng.random((k, u.size)) + 0.05
-        listed = MaxminSet([Prior(row / row.sum()) for row in raw])
-        value = float(listed.robust_solve(u[None, :])[0][0])
-        explicit = min(float(q.weights @ u) for q in listed.priors)
-        errors.append(abs(value - explicit))
-    report["maxmin_reduction"] = _section(errors, range(len(cases)))
+    for u, priors in zip(profiles, listed):
+        value = float(MaxminSet(priors).robust_solve(u[None, :])[0][0])
+        errors.append(abs(value - min(float(q.weights @ u) for q in priors)))
+    return _section(errors, range(len(profiles)))
 
-    # (d) single state: stand-alone rank-dependent utility
-    singles = generate_battery(
-        BatterySpec(
-            n_cases=battery.n_cases,
-            n_states=1,
-            max_outcomes=battery.max_outcomes,
-            payoff_low=battery.payoff_low,
-            payoff_high=battery.payoff_high,
-            seed=battery.seed + 3,
-        )
-    )
-    values = _profile_values(pref.ambiguity, _inner_profiles(singles, pref.phi, pref.psi)).tolist()
+
+def _single_state_section(pref: Preference, singles, values) -> dict:
+    """(d) The value of a single-state case against ``choquet`` of its
+    utility law."""
     errors = [
         abs(value - choquet(v.marginal(v.state_ids[0]).pushforward(pref.phi), pref.psi))
         for v, value in zip(singles, values)
     ]
-    report["single_state_rdu"] = _section(errors, range(len(singles)))
+    return _section(errors, range(len(singles)))
 
-    report["passed"] = all(not report[k]["violations"] for k in (
-        "expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu"))
-    return report
+
+def _aversion_section(spec: BatterySpec, local, profiles, values) -> dict:
+    """The aversion check: no robust value above the p0-weighted average at
+    the recentred penalty's zero-penalty prior p0."""
+    zero = {n: local(n).zero_penalty_prior().weights for n in {u.size for u in profiles}}
+    violations = [
+        {"case": idx, "value": value, "neutral": base}
+        for idx, (value, base) in enumerate(zip(values, (float(zero[u.size] @ u) for u in profiles)))
+        if value > base + INDIFFERENCE_TOL
+    ]
+    return {
+        "cases": len(profiles),
+        "violations": violations,
+        "seed": spec.seed,
+        "passed": not violations,
+    }

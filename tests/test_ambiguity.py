@@ -344,6 +344,28 @@ class TestMaxminVertices:
             assert fast.penalty(Prior.uniform(n)) == 0.0
             assert list(fast.zero_penalty_prior().weights) == list(explicit.zero_penalty_prior().weights)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 546])
+    def test_no_identity_matrix_and_same_bits_as_point_masses(self, rng, n):
+        fast = MaxminSet.vertices(n)
+        explicit = MaxminSet([Prior.point_mass(n, i) for i in range(n)])
+        U = rng.uniform(-3, 3, size=(12, n))
+        U[:4] = np.round(U[:4])  # tied minima: the first vertex wins
+        U[4] = 0.0
+        values, minimizers = fast.robust_solve(U)
+        want_values, want_minimizers = explicit.robust_solve(U)
+        assert values.tobytes() == want_values.tobytes()
+        assert minimizers.tobytes() == want_minimizers.tobytes()
+        for q in [Prior.point_mass(n, n - 1), Prior.uniform(n), Prior(rng.dirichlet(np.ones(n)))]:
+            assert fast.penalty(q) == explicit.penalty(q) == 0.0
+        with pytest.raises(ShapeError):
+            fast.penalty(Prior.uniform(n + 1))
+        assert fast.zero_penalty_prior().weights.tobytes() == explicit.zero_penalty_prior().weights.tobytes()
+        assert fast.describe() == explicit.describe()
+        assert "_matrix" not in vars(fast)  # nothing so far needed the n x n identity
+        q = Prior(rng.dirichlet(np.ones(n)))
+        assert repr(c_min_exact(fast, q, -2.0, 3.0)) == repr(c_min_exact(explicit, q, -2.0, 3.0))
+        assert [p.weights.tobytes() for p in fast.priors] == [p.weights.tobytes() for p in explicit.priors]
+
     def test_parser_uses_vertices(self):
         c = parse_penalty("maxmin:vertices", ["a", "b", "c"])
         assert c.n_states == 3 and c.describe() == "maxmin over 3 priors"

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankrobust import DomainError, ScenarioError, ShapeError, TwoStageVariable
+from rankrobust import DomainError, ScenarioError, ShapeError, TwoStageVariable, ambiguity_aversion_check
 from rankrobust.cli import main, parse_panel, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -309,7 +309,10 @@ class TestCommands:
                 "seed": spec.seed,
             }
 
-        monkeypatch.setattr(cli_mod, "reduction_suite", fake_reductions)
+        def fake_reports(pref, spec):
+            return fake_reductions(pref, spec), ambiguity_aversion_check(pref, spec)
+
+        monkeypatch.setattr(cli_mod, "battery_reports", fake_reports)
         code, out, _ = run_cli(
             capsys, "battery",
             "--penalty", "entropic:1@w0=0.5,w1=0.5",

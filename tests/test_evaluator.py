@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import re
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,6 +42,9 @@ from rankrobust import (
     inner_rdu,
     is_more_ambiguity_averse,
     mix_variables,
+    parse_distortion,
+    parse_penalty,
+    parse_utility,
     piecewise_linear,
     power,
     prefer,
@@ -1040,3 +1046,100 @@ class TestBatteryBlocks:
         assert cli_main(argv) == 0
         assert json.loads(capsys.readouterr().out)["result"]["total_violations"] == 0
         assert 1 <= len(calls) <= 6, calls
+
+
+SECTIONS = ("expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu")
+
+
+def composed_battery_output(penalty, utility, distortion, cases, seed):
+    """The battery report as it was put together before the shared pass:
+    separate ``reduction_suite`` and ``ambiguity_aversion_check`` calls."""
+    ids = list(dict.fromkeys(re.findall(r"([A-Za-z_]\w*)\s*=", penalty)))
+    pref = Preference(parse_utility(utility), parse_distortion(distortion), parse_penalty(penalty, ids), ids)
+    spec = BatterySpec(n_cases=cases, seed=seed)
+    reductions = reduction_suite(pref, spec)
+    aversion = ambiguity_aversion_check(pref, spec)
+    violations = sum(len(reductions[k]["violations"]) for k in SECTIONS) + len(aversion["violations"])
+    report = {
+        "command": "battery",
+        "preference": pref.describe(),
+        "seed": seed,
+        "cases": cases,
+        "result": {"reductions": reductions, "ambiguity_aversion": aversion, "total_violations": violations},
+    }
+    return (3 if violations else 0), json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def battery_commands(draw):
+    """A battery command line: an entropic, Gini or maxmin penalty with
+    named priors on 1-3 states, and 0-12 cases."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    ids = [f"s{i}" for i in range(n)]
+
+    def prior():
+        q = rng.dirichlet(np.ones(n)) * 0.9 + 0.1 / n
+        return ",".join(f"{s}={float(w)!r}" for s, w in zip(ids, q / math.fsum(q)))
+
+    kind = draw(st.sampled_from(["entropic", "gini", "maxmin"]))
+    if kind == "maxmin":
+        penalty = "maxmin:[" + ";".join(prior() for _ in range(draw(st.integers(1, 3)))) + "]"
+    else:
+        penalty = f"{kind}:{draw(st.sampled_from([0.3, 1.0, 4.0]))}@{prior()}"
+    utility = draw(st.sampled_from(["affine:1,0", "affine:2,1", "exp:0.1", "exp:-0.05"]))
+    distortion = draw(st.sampled_from(["identity", "power:1.5", "prelec:0.65,1", "dualpower:2", "es:0.4",
+                                       "var:0.3", "tk:0.7"]))
+    return penalty, utility, distortion, draw(st.integers(0, 12)), draw(st.integers(0, 10**6))
+
+
+class TestBatteryPass:
+    """The ``battery`` command's one pass against the separate reports."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(battery_commands())
+    def test_json_equals_separate_reports(self, command):
+        penalty, utility, distortion, cases, seed = command
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = cli_main(["battery", "--penalty", penalty, "--utility", utility, "--distortion", distortion,
+                             "--cases", str(cases), "--seed", str(seed), "--output", "json"])
+        assert (code, out.getvalue()) == composed_battery_output(penalty, utility, distortion, cases, seed)
+
+    @pytest.mark.parametrize("penalty", [
+        "maxmin:[w0=0.3,w1=0.7;w0=0.6,w1=0.4]", "entropic:1.5@w0=0.4,w1=0.6", "gini:0.8@w0=0.5,w1=0.5",
+    ])
+    def test_draws_and_solves_once(self, monkeypatch, capsys, penalty):
+        drawn, inner, recentred, solved = [], [], [], []
+        real_draw, real_inner = evaluator_module.generate_battery, evaluator_module.inner_rdu
+        kind = type(parse_penalty(penalty, ["w0", "w1"]))
+        real_recentered, real_solve = kind.recentered, kind.robust_solve
+
+        def draw(spec):
+            cases = real_draw(spec)
+            drawn.append(cases)
+            return cases
+
+        def recentered(self, n):
+            out = real_recentered(self, n)
+            recentred.append((n, out))
+            return out
+
+        def robust_solve(self, U):
+            solved.append((self, np.shape(U)[1]))  # holding self keeps ids unique
+            return real_solve(self, U)
+
+        monkeypatch.setattr(evaluator_module, "generate_battery", draw)
+        monkeypatch.setattr(evaluator_module, "inner_rdu", lambda *args: inner.append(args) or real_inner(*args))
+        monkeypatch.setattr(kind, "recentered", recentered)
+        monkeypatch.setattr(kind, "robust_solve", robust_solve)
+        argv = ["battery", "--penalty", penalty, "--utility", "exp:0.1", "--distortion", "prelec:0.65,1",
+                "--cases", "12", "--output", "json"]
+        assert cli_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["total_violations"] == 0
+        assert len(drawn) == 3 and len(inner) == 3
+        counts = [n for n, _ in recentred]
+        assert sorted(counts) == sorted(set(counts)), "a recentred penalty was built twice"
+        local = [out for _, out in recentred]
+        solved_counts = [n for obj, n in solved if any(obj is out for out in local)]
+        assert sorted(solved_counts) == sorted({v.n_states for cases in drawn for v in cases})
