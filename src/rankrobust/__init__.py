@@ -4,8 +4,8 @@ Per-state lotteries are valued by a distorted expectation of utility; the
 state-level profile is then aggregated by a penalized worst case over
 priors.  The package also ships the associated distortion risk measures
 (VaR, expected shortfall, weighted VaR), a utility-scale mixture algebra,
-stochastic-dominance and ambiguity-aversion checkers, duality oracles, and
-a mean-risk portfolio optimizer.
+stochastic-dominance and ambiguity-aversion checkers, the dual penalty
+bracket, and a mean-risk portfolio optimizer.
 """
 
 __version__ = "0.1.0"
@@ -18,8 +18,6 @@ from .ambiguity import (
     MaxminSet,
     Prior,
     Tabulated,
-    UtilityGrid,
-    c_min_bruteforce,
     c_min_exact,
     parse_penalty,
     parse_prior,
@@ -73,7 +71,6 @@ from .evaluator import (
     generate_battery,
     inner_rdu,
     is_more_ambiguity_averse,
-    prefer,
     reduction_suite,
 )
 from .portfolio import (
@@ -81,7 +78,6 @@ from .portfolio import (
     ScenarioPanel,
     Weights,
     mean_risk_components,
-    mean_risk_objective,
     optimize,
     portfolio_variable,
 )

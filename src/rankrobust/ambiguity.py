@@ -16,8 +16,7 @@ c*(q) = sup_u { I(u) - q . u } with I the robust value, taken over a box
 [low, high]^n of utility profiles.  ``c_min_exact`` solves this concave
 maximization and returns a certified bracket (lower bound attained at a box
 point, upper bound from LP duals or the Frank-Wolfe gap, solver status and
-iterations); ``c_min_bruteforce`` sweeps a lattice and is kept as its test
-oracle.
+iterations).
 
 Robust values, minimizers and the entropic, Gini and tabulated penalties
 need numpy alone.  scipy, a declared dependency, is imported by ``linprog``
@@ -92,30 +91,20 @@ def _utility_rows(U, n: int) -> np.ndarray:
     return U
 
 
-def _listed_run(matrix: np.ndarray) -> tuple:
-    """The prior rows of matrix as a run of ``_prior_dots``: every prior
-    takes a product with every state, zero weights included."""
-    return np.repeat(np.arange(matrix.shape[1])[None, :], len(matrix), axis=0), matrix
-
-
-def _prior_dots(U: np.ndarray, run) -> np.ndarray:
-    """q . u for every prior q of the run and every row u of U, as a (rows,
-    priors) array.  A run is a (states, weights) pair: states[i] lists the
-    states its i-th prior takes products with, ascending, and weights[i]
-    the weights there.
+def _prior_dots(U: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """q . u for every prior q, a row of the (priors, states) matrix, and
+    every row u of U, as a (rows, priors) array.
 
     Each dot is numpy's pairwise sum, along a contiguous axis, of the
-    products over those states in state order, so it depends on q and u
+    products over all states in state order, so it depends on q and u
     alone: not on the other priors, the other rows or U's layout (a BLAS
-    product picks its summation order by shape).  A vertex run costs one
-    product, not n.  Priors go in blocks of at most PRODUCT_BLOCK products.
+    product picks its summation order by shape).  Priors go in blocks of at
+    most PRODUCT_BLOCK products.
     """
-    states, weights = run
-    step = max(1, PRODUCT_BLOCK // max(1, len(U) * states.shape[1]))
+    step = max(1, PRODUCT_BLOCK // max(1, U.size))
     dots = []
-    for lo in range(0, len(states), step):
-        products = np.take(U, states[lo : lo + step], axis=1)  # C-contiguous (rows, block, width)
-        products *= weights[lo : lo + step]
+    for lo in range(0, len(matrix), step):
+        products = np.multiply(U[:, None, :], matrix[lo : lo + step], order="C")  # (rows, block, states)
         dots.append(products.sum(axis=-1))
     return np.concatenate(dots, axis=1)
 
@@ -196,7 +185,6 @@ class MaxminSet(AmbiguityIndex):
             raise ShapeError("all priors in a maxmin set must have the same length")
         self._n, self._simplex = n, False
         self._matrix = np.vstack([p.weights for p in priors])
-        self._run = _listed_run(self._matrix)
 
     @classmethod
     def vertices(cls, n: int) -> "MaxminSet":
@@ -210,7 +198,6 @@ class MaxminSet(AmbiguityIndex):
             raise ShapeError("a prior must be a non-empty 1-D weight vector")
         out = cls.__new__(cls)
         out._n, out._simplex = n, True
-        out._run = np.arange(n)[:, None], np.ones((n, 1))
         return out
 
     @functools.cached_property
@@ -245,7 +232,8 @@ class MaxminSet(AmbiguityIndex):
         return 0.0 if np.max(np.abs(self._matrix.T @ mix - w)) <= HULL_TOL else math.inf
 
     def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
-        dots = _prior_dots(_utility_rows(U, self.n_states), self._run)
+        U = _utility_rows(U, self.n_states)
+        dots = U if self._simplex else _prior_dots(U, self._matrix)
         best = dots.argmin(axis=1)
         if self._simplex:
             minimizers = np.zeros(dots.shape)
@@ -262,7 +250,7 @@ class MaxminSet(AmbiguityIndex):
         return self if n == self.n_states else MaxminSet.vertices(n)
 
     def describe(self) -> str:
-        return f"maxmin over {len(self._run[0])} priors"
+        return f"maxmin over {self._n if self._simplex else len(self._matrix)} priors"
 
 
 class _ReferencePenalty(AmbiguityIndex):
@@ -395,7 +383,6 @@ class Tabulated(AmbiguityIndex):
         self.priors = tuple(rows)
         self.values = vals
         self._matrix = np.vstack([p.weights for p in rows])
-        self._run = _listed_run(self._matrix)
 
     @property
     def n_states(self) -> int:
@@ -412,7 +399,7 @@ class Tabulated(AmbiguityIndex):
         return float(self.values[idx])
 
     def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
-        vals = _prior_dots(_utility_rows(U, self.n_states), self._run)
+        vals = _prior_dots(_utility_rows(U, self.n_states), self._matrix)
         vals += self.values
         return vals.min(axis=1), self._matrix[vals.argmin(axis=1)]
 
@@ -424,23 +411,8 @@ class Tabulated(AmbiguityIndex):
 
 
 # ---------------------------------------------------------------------------
-# Dual-side oracle
+# Dual side: the minimal-penalty bracket
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UtilityGrid:
-    """A per-axis lattice low:step:high for brute-force duality search."""
-
-    low: float
-    high: float
-    step: float
-
-    def axis(self) -> np.ndarray:
-        if not (self.step > 0 and self.high >= self.low):
-            raise DomainError(f"degenerate utility grid {self}")
-        n = int(math.floor((self.high - self.low) / self.step + 1e-9)) + 1
-        return self.low + self.step * np.arange(n)
-
 
 class CMinBracket(NamedTuple):
     """lower <= c*(q) <= upper on a box, with how the solver got there."""
@@ -455,13 +427,13 @@ CMIN_RTOL = 1e-9
 NEWTON_MAX_ITER = 50
 
 
-def _fenchel_gap(amb: AmbiguityIndex, q_run, u: np.ndarray) -> tuple[float, np.ndarray]:
+def _fenchel_gap(amb: AmbiguityIndex, q_row: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
     """I(u) - q . u at one box point and the minimizer q*(u), from one robust
-    solve.  The gap is rounded as c_min_bruteforce rounds a lattice point:
-    q . u is the dot MaxminSet/Tabulated take for q as a listed prior."""
+    solve, for q the single row of q_row.  q . u is the dot MaxminSet and
+    Tabulated take for q as a listed prior."""
     row = u[None, :]
     values, minimizers = amb.robust_solve(row)
-    return float(values[0] - _prior_dots(row, q_run)[0, 0]), minimizers[0]
+    return float(values[0] - _prior_dots(row, q_row)[0, 0]), minimizers[0]
 
 
 def _rounding_slack(n: int, value: float, radius: float) -> float:
@@ -470,7 +442,7 @@ def _rounding_slack(n: int, value: float, radius: float) -> float:
     return 4 * n * float(np.finfo(float).eps) * (1.0 + abs(value) + radius)
 
 
-def _c_min_lp(amb, w, q_run, low, high) -> CMinBracket:
+def _c_min_lp(amb, w, low, high) -> CMinBracket:
     """Polyhedral kinds: max t - q . u  s.t.  t <= p_j . u + c_j, u in the box."""
     matrix = amb._matrix
     k, n = matrix.shape
@@ -483,7 +455,7 @@ def _c_min_lp(amb, w, q_run, low, high) -> CMinBracket:
         method="highs",
     )
     _require_optimal(res, "cmin LP")
-    best = max(_fenchel_gap(amb, q_run, np.clip(res.x[:n], low, high))[0], 0.0)
+    best = max(_fenchel_gap(amb, w[None, :], np.clip(res.x[:n], low, high))[0], 0.0)
     # Any lam on the simplex bounds the sup: I(u) <= sum_j lam_j (p_j . u + c_j),
     # so c*(q) <= lam . c + max over the box of (P^T lam - q) . u, taken per state.
     lam = np.clip(-res.ineqlin.marginals, 0.0, None)
@@ -505,18 +477,18 @@ def _hessian(amb, q_star: np.ndarray) -> np.ndarray:
     return -(np.diag(active) - np.outer(active, active) / active.sum()) / (2.0 * amb.theta)
 
 
-def _c_min_smooth(amb, w, q_run, low, high) -> CMinBracket:
+def _c_min_smooth(amb, w, low, high) -> CMinBracket:
     """Entropic and Gini: projected Newton from the box centre until the
     Frank-Wolfe bracket f(u) + max_x g . (x - u) closes."""
 
     def at(u):
         """(u, f, g, q*, Frank-Wolfe gap) at the box point u."""
-        f, q_star = _fenchel_gap(amb, q_run, u)
+        f, q_star = _fenchel_gap(amb, q_row, u)
         g = q_star - w
         # By concavity f(x) <= f(u) + g . (x - u); each term is >= 0 on the box.
         return u, f, g, q_star, float(np.sum(np.maximum(g * (low - u), g * (high - u))))
 
-    n = w.size
+    n, q_row = w.size, w[None, :]
     eps, radius = float(np.finfo(float).eps), max(abs(low), abs(high))
     u, f, g, q_star, frank_wolfe = at(np.full(n, 0.5 * (low + high)))
     best, iterations, stop = max(f, 0.0), 0, "iteration_limit"
@@ -582,12 +554,12 @@ def c_min_exact(amb: AmbiguityIndex, q, low: float, high: float) -> CMinBracket:
     """Bracket the minimal penalty c*(q) = sup_u { I(u) - q . u } over the box
     [low, high]^n, where I is the robust value of amb.
 
-    The lower bound is I(u) - q . u at a box point u, a Fenchel point like
-    every lattice point of ``c_min_bruteforce``, lowered by an allowance for
-    its rounding (4 n eps (1 + |gap| + box radius)), so it does not exceed
-    the penalty it bounds.  It is never below 0: amb is grounded, so every
-    constant profile a * 1 in the box gives exactly I(a * 1) - q . (a * 1) =
-    a - a = 0, and the allowance stops there.
+    The lower bound is I(u) - q . u at a box point u (a Fenchel point),
+    lowered by an allowance for its rounding (4 n eps (1 + |gap| + box
+    radius)), so it does not exceed the penalty it bounds.  It is never
+    below 0: amb is grounded, so every constant profile a * 1 in the box
+    gives exactly I(a * 1) - q . (a * 1) = a - a = 0, and the allowance
+    stops there.
 
     ``MaxminSet`` and ``Tabulated`` solve one HiGHS LP; the upper bound comes
     from its duals.  ``Entropic`` and ``Gini`` run projected Newton from the
@@ -603,56 +575,11 @@ def c_min_exact(amb: AmbiguityIndex, q, low: float, high: float) -> CMinBracket:
     low, high = float(low), float(high)
     if not (math.isfinite(low) and math.isfinite(high) and low <= high):
         raise DomainError(f"cmin box needs finite low <= high, got [{low}, {high}]")
-    q_run = _listed_run(w[None, :])
     if isinstance(amb, (MaxminSet, Tabulated)):
-        return _c_min_lp(amb, w, q_run, low, high)
+        return _c_min_lp(amb, w, low, high)
     if isinstance(amb, (Entropic, Gini)):
-        return _c_min_smooth(amb, w, q_run, low, high)
-    raise ConfigError(f"no exact cmin solver for {amb.describe()}; use c_min_bruteforce")
-
-
-def c_min_bruteforce(eval_ce, q, grid: UtilityGrid, chunk: int = 262_144) -> float:
-    """Lower-bound the minimal penalty at q from certainty values alone: the
-    test oracle of ``c_min_exact``.
-
-    Maximizes eval_ce(v) - q . v over the lattice of utility-unit
-    pure-ambiguity vectors, grid.axis() on every state.  ``eval_ce`` must
-    accept an (m, n_states) array of candidate vectors and return their m
-    certainty values (utility units); ``lambda U: index.robust_solve(U)[0]``
-    conforms.  The lattice is never held whole: each chunk of at most
-    ``chunk`` points is built from its flat indices, state-major, and handed
-    over as the transposed view of an (n_states, m) array.
-
-    In exact arithmetic every lattice point gives eval_ce(v) - q . v <= c(q)
-    (Fenchel), so the sweep never exceeds the true penalty, and a lattice
-    containing another never gives a smaller bound.  In floating point each
-    point's gap carries the rounding of eval_ce(v) and of q . v, so the
-    result may exceed c(q) by a few ulps of the largest |v| and of c(q).
-    q . v is the dot MaxminSet and Tabulated take for q as a listed prior,
-    so at a prior listed in a MaxminSet no gap is positive: the bound is at
-    most 0, and exactly 0 once a lattice point has that prior as its
-    minimizer.
-    """
-    w = q.weights if isinstance(q, Prior) else Prior(np.asarray(q, dtype=float)).weights
-    q_run = _listed_run(w[None, :])
-    axis = grid.axis()
-    n = w.size
-    size = axis.size**n
-    best = -math.inf
-    for start in range(0, size, chunk):
-        flat = np.arange(start, min(start + chunk, size))
-        block = np.empty((n, flat.size))
-        for j in range(n - 1, -1, -1):
-            flat, digit = np.divmod(flat, axis.size)
-            np.take(axis, digit, out=block[j])
-        ce = np.asarray(eval_ce(block.T), dtype=float)
-        if ce.shape != (block.shape[1],):
-            raise ShapeError(
-                f"eval_ce must map an (m, {n}) array to m values, got shape {ce.shape}"
-            )
-        gap = ce - _prior_dots(block.T, q_run)[:, 0]
-        best = max(best, float(gap.max()))
-    return best
+        return _c_min_smooth(amb, w, low, high)
+    raise ConfigError(f"no exact cmin solver for {amb.describe()}")
 
 
 def simplex_grid(n: int, resolution: int) -> np.ndarray:

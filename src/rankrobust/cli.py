@@ -366,33 +366,38 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", required=True, help="scenario file (JSON variable or CSV panel)")
-        p.add_argument("--scenario2", help="second scenario for compare/dominance")
-        p.add_argument("--utility", help="utility spec: affine:a,b | exp:a | power:r | pwl:x1,y1;...")
-        p.add_argument("--distortion", help="distortion spec: identity | power:a | prelec:a,b | tk:g | es:l | var:l | dualpower:k | pwl:p1,y1;...")
-        p.add_argument("--penalty", help="penalty spec: maxmin:[prior;...] | entropic:theta@prior | gini:theta@prior | table:file.csv")
-        p.add_argument("--order", default="fsd", choices=["fsd", "ssd", "phissd"], help="dominance order")
-        p.add_argument("--mean-prior", dest="mean_prior", help="prior for the portfolio mean term")
-        p.add_argument("--seed", type=int, default=0, help="seed echoed in reports and used by batteries")
-        p.add_argument("--output", default="text", choices=["text", "json"])
-        p.add_argument("--budget", type=int, default=2000, help="evaluation budget for portfolio search")
-
-    for name in ("evaluate", "ce", "compare", "dominance"):
-        common(sub.add_parser(name))
-    p_cmin = sub.add_parser("cmin")
-    common(p_cmin, scenario=False)
-    p_cmin.add_argument("--prior", help="prior at which to lower-bound the penalty")
-    p_cmin.add_argument("--grid", default="-5,5,0.25", help="low,high,step: the box [low,high]^n (step unused)")
-    p_batt = sub.add_parser("battery")
-    common(p_batt, scenario=False)
-    p_batt.add_argument("--cases", type=int, default=200)
-    common(sub.add_parser("portfolio"))
-    p_demo = sub.add_parser("demo")
-    p_demo.add_argument("topic", help="demo name (ellsberg)")
-    p_demo.add_argument("--seed", type=int, default=0)
-    p_demo.add_argument("--output", default="text", choices=["text", "json"])
+    flags = {
+        "--scenario": dict(required=True, help="scenario file (JSON variable or CSV panel)"),
+        "--scenario2": dict(help="second scenario for compare/dominance"),
+        "--utility": dict(help="utility spec: affine:a,b | exp:a | power:r | pwl:x1,y1;..."),
+        "--distortion": dict(help="distortion spec: identity | power:a | prelec:a,b | tk:g | es:l | var:l | dualpower:k | pwl:p1,y1;..."),
+        "--penalty": dict(help="penalty spec: maxmin:[prior;...] | entropic:theta@prior | gini:theta@prior | table:file.csv"),
+        "--order": dict(default="fsd", choices=["fsd", "ssd", "phissd"], help="dominance order"),
+        "--prior": dict(help="prior at which to lower-bound the penalty"),
+        "--grid": dict(default="-5,5,0.25", help="low,high,step: the box [low,high]^n (step unused)"),
+        "--cases": dict(type=int, default=200),
+        "--mean-prior": dict(dest="mean_prior", help="prior for the portfolio mean term"),
+        "--budget": dict(type=int, default=2000, help="evaluation budget for portfolio search"),
+        "--seed": dict(type=int, default=0, help="seed echoed in reports and used by batteries"),
+        "--output": dict(default="text", choices=["text", "json"]),
+    }
+    preference = ("--scenario", "--utility", "--distortion", "--penalty")
+    # Each command declares only the flags it reads, so argparse refuses the rest.
+    commands = {
+        "evaluate": preference,
+        "ce": preference,
+        "compare": preference + ("--scenario2",),
+        "dominance": ("--scenario", "--scenario2", "--utility", "--order"),
+        "cmin": ("--penalty", "--prior", "--grid"),
+        "battery": ("--penalty", "--utility", "--distortion", "--cases"),
+        "portfolio": preference + ("--mean-prior", "--budget"),
+        "demo": (),
+    }
+    for name, names in commands.items():
+        p = sub.add_parser(name)
+        for flag in names + ("--seed", "--output"):
+            p.add_argument(flag, **flags[flag])
+    sub.choices["demo"].add_argument("topic", help="demo name (ellsberg)")
     return parser
 
 

@@ -68,11 +68,12 @@ class DiscreteDistribution:
 
     Duplicate (within 1e-12) support points are merged at construction by
     summing probabilities; zero-mass points are dropped.  The stored
-    ``values`` are strictly increasing and ``probs`` sum to one within
-    1e-12.
+    ``values`` are strictly increasing, ``probs`` sum to one within 1e-12,
+    and ``cumulative`` holds their correctly rounded running sums, the last
+    exactly 1.
     """
 
-    __slots__ = ("values", "probs", "_cum")
+    __slots__ = ("values", "probs", "cumulative")
 
     def __init__(self, values, probs):
         v, p = _merge_support(values, probs)
@@ -86,7 +87,7 @@ class DiscreteDistribution:
         cum.setflags(write=False)
         self.values = v
         self.probs = p
-        self._cum = cum
+        self.cumulative = cum
 
     @classmethod
     def from_mapping(cls, mapping) -> "DiscreteDistribution":
@@ -105,11 +106,11 @@ class DiscreteDistribution:
     def cdf(self, t: float) -> float:
         """P(payoff <= t); right-continuous, 0 below the support, 1 at/above its max."""
         idx = int(np.searchsorted(self.values, t, side="right"))
-        return 0.0 if idx == 0 else float(self._cum[idx - 1])
+        return 0.0 if idx == 0 else float(self.cumulative[idx - 1])
 
     def cdf_many(self, ts) -> np.ndarray:
         idx = np.searchsorted(self.values, np.asarray(ts, dtype=float), side="right")
-        cum0 = np.concatenate(([0.0], self._cum))
+        cum0 = np.concatenate(([0.0], self.cumulative))
         return cum0[idx]
 
     def quantile(self, lam: float) -> float:
@@ -120,13 +121,8 @@ class DiscreteDistribution:
         """
         if not 0.0 < lam < 1.0:
             raise DomainError(f"quantile level must lie in (0, 1), got {lam}")
-        idx = int(np.searchsorted(self._cum, lam - 1e-12, side="left"))
+        idx = int(np.searchsorted(self.cumulative, lam - 1e-12, side="left"))
         return float(self.values[idx])
-
-    @property
-    def cumulative(self) -> np.ndarray:
-        """Correctly rounded cumulative probabilities; the last entry is 1."""
-        return self._cum
 
     def survival(self, i: int) -> float:
         """P(payoff > values[i]), correctly rounded."""

@@ -216,11 +216,6 @@ def relation(a: float, b: float, tol: float = INDIFFERENCE_TOL) -> str:
     return "~"
 
 
-def prefer(v1: TwoStageVariable, v2: TwoStageVariable, pref: Preference, tol: float = INDIFFERENCE_TOL) -> str:
-    """Compare two variables; returns '>', '<' or '~' (indifference within tol)."""
-    return relation(evaluate(v1, pref).value_utils, evaluate(v2, pref).value_utils, tol)
-
-
 def ambiguity_neutral_value(v: TwoStageVariable, phi: UtilityFn, psi: Distortion, p0: Prior) -> float:
     """Plain p0-weighted average of the per-state distorted utilities."""
     utils = inner_rdu(v, phi, psi)

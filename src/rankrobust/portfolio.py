@@ -63,16 +63,15 @@ class ScenarioPanel:
 
 @dataclass(frozen=True)
 class Weights:
-    """Per-asset allocation; sums to one, optionally long-only."""
+    """Per-asset long-only allocation: non-negative weights summing to one."""
 
     values: np.ndarray
-    long_only: bool = True
 
     def __post_init__(self):
         w = np.asarray(self.values, dtype=float).copy()
         if w.ndim != 1 or w.size == 0:
             raise ShapeError("weights must be a non-empty 1-D vector")
-        _check_weight_rows(w[None, :], self.long_only)
+        _check_weight_rows(w[None, :])
         w.setflags(write=False)
         object.__setattr__(self, "values", w)
 
@@ -80,12 +79,12 @@ class Weights:
         return iter(self.values)
 
 
-def _check_weight_rows(W: np.ndarray, long_only: bool = True) -> None:
+def _check_weight_rows(W: np.ndarray) -> None:
     """The Weights rules, applied to every row of a (K, assets) block; the
     first failing row raises, its sum checked before its signs."""
     totals = list(map(math.fsum, W.tolist()))
     bad_sum = np.abs(np.array(totals) - 1.0) > WEIGHT_SUM_TOL
-    bad = bad_sum | ((W < 0.0).any(axis=1) if long_only else False)
+    bad = bad_sum | (W < 0.0).any(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
         if bad_sum[row]:
@@ -145,12 +144,6 @@ def _score_block(panel: ScenarioPanel, W, p_mean: Prior, pref: Preference) -> tu
     return means, -(values - intercept) / slope
 
 
-def mean_risk_objective(panel: ScenarioPanel, w: Weights, p_mean: Prior, pref: Preference) -> float:
-    """E_P[v] - rho(v) for the portfolio with weights w."""
-    mean, rho = mean_risk_components(panel, w, p_mean, pref)
-    return mean - rho
-
-
 def mean_risk_components(panel: ScenarioPanel, w: Weights, p_mean: Prior, pref: Preference) -> tuple[float, float]:
     """The (mean term, risk term) pair, reported separately so degenerate
     configurations (e.g. a risk-neutral rho that doubles the mean) stay visible."""
@@ -165,21 +158,12 @@ class OptimizeResult:
     objective: float
     trace: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": [float(x) for x in self.weights.values],
-            "objective": self.objective,
-            "evaluations": len(self.trace),
-            "trace": [{"weights": [float(x) for x in w], "objective": o} for w, o in self.trace],
-        }
-
 
 def optimize(
     panel: ScenarioPanel,
     p_mean: Prior,
     pref: Preference,
     budget: int = 2000,
-    long_only: bool = True,
     coarse_resolution: int = 10,
     step_tol: float = 1e-6,
 ) -> OptimizeResult:
@@ -193,11 +177,10 @@ def optimize(
     """
     if panel.n_assets < 1:
         raise ShapeError("panel has no assets")
-    if not long_only:
-        raise ConfigError("only long-only optimization is supported")
     if panel.n_assets == 1:
         w = Weights(np.array([1.0]))
-        obj = mean_risk_objective(panel, w, p_mean, pref)
+        mean, rho = mean_risk_components(panel, w, p_mean, pref)
+        obj = mean - rho
         return OptimizeResult(w, obj, ((tuple(w.values), obj),))
 
     grid = simplex_grid(panel.n_assets, coarse_resolution)

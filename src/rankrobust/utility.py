@@ -36,25 +36,11 @@ class Interval:
         Open ends stay strict: values on an open boundary are outside by
         definition and must not be absorbed by float slack.
         """
-        arr = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            return False
-        if self.lo == -_INF:
-            ok_lo = True
-        elif self.closed_lo:
-            ok_lo = bool(np.all(arr >= self.lo - tol))
-        else:
-            ok_lo = bool(np.all(arr > self.lo))
-        if self.hi == _INF:
-            ok_hi = True
-        elif self.closed_hi:
-            ok_hi = bool(np.all(arr <= self.hi + tol))
-        else:
-            ok_hi = bool(np.all(arr < self.hi))
-        return ok_lo and ok_hi
+        return bool(np.all(self.contains_mask(x, tol)))
 
     def contains_mask(self, x, tol: float = 0.0) -> np.ndarray:
-        """Element-wise membership under the same end conventions as contains()."""
+        """Element-wise membership: finite entries within the ends, each end
+        strict if open and relaxed by tol if closed."""
         arr = np.asarray(x, dtype=float)
         ok = np.isfinite(arr)
         if self.lo != -_INF:

@@ -8,7 +8,7 @@ the code under test.
 import numpy as np
 import pytest
 
-from rankrobust import DiscreteDistribution, Prior, TwoStageVariable
+from rankrobust import DiscreteDistribution, Prior, TwoStageVariable, mean_risk_components
 
 
 def random_distribution(rng, max_points=8, lo=-10.0, hi=10.0):
@@ -91,8 +91,14 @@ def solve_one(index, u):
     return float(values[0]), Prior(minimizers[0])
 
 
+def mean_risk_objective(panel, w, p_mean, pref):
+    """E_P[v] - rho(v) for the portfolio with weights w."""
+    mean, rho = mean_risk_components(panel, w, p_mean, pref)
+    return mean - rho
+
+
 def values_of(index):
-    """c_min_bruteforce's eval_ce for index: the robust values of a row block."""
+    """lattice_oracle.c_min_bruteforce's eval_ce for index: the robust values of a row block."""
     return lambda U: index.robust_solve(U)[0]
 
 

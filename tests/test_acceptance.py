@@ -26,12 +26,10 @@ from rankrobust import (
     Prior,
     Tabulated,
     TwoStageVariable,
-    UtilityGrid,
     Weights,
     add_variables,
     affine,
     ambiguity_aversion_check,
-    c_min_bruteforce,
     choquet,
     comonotonic,
     dual_power,
@@ -44,7 +42,6 @@ from rankrobust import (
     identity_utility,
     inner_rdu,
     is_more_ambiguity_averse,
-    mean_risk_objective,
     mix_variables,
     optimize,
     piecewise_linear,
@@ -61,7 +58,8 @@ from rankrobust import (
     ScenarioPanel,
     expected_shortfall,
 )
-from conftest import solve_one, values_of
+from conftest import mean_risk_objective, solve_one, values_of
+from lattice_oracle import UtilityGrid, c_min_bruteforce
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

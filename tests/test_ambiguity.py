@@ -20,15 +20,14 @@ from rankrobust import (
     SpecStringError,
     Tabulated,
     UnknownPriorError,
-    UtilityGrid,
     ambiguity,
-    c_min_bruteforce,
     c_min_exact,
     parse_penalty,
     parse_prior,
     simplex_grid,
 )
 from conftest import solve_one, values_of
+from lattice_oracle import UtilityGrid, c_min_bruteforce
 
 UNIFORM2 = Prior.uniform(2)
 
@@ -424,21 +423,37 @@ def loop_prior_dots(U, matrix):
 class TestPriorDots:
     """The listed priors' dots against the state-by-state loop they replaced."""
 
-    def test_agree_with_the_state_loop(self, rng):
+    @staticmethod
+    def random_priors(rng, k, n):
+        raw = rng.random((k, n)) * (rng.random((k, n)) < 0.6)
+        raw[np.arange(k), rng.integers(0, n, size=k)] += 0.5
+        return raw / raw.sum(axis=1, keepdims=True)
+
+    @staticmethod
+    def check(U, matrix):
         eps = np.finfo(float).eps
+        got = ambiguity._prior_dots(U, matrix)
+        want = loop_prior_dots(U, matrix)
+        support = (matrix != 0.0).sum(axis=1)
+        assert np.all(np.abs(got - want) <= 2 * support * eps * (np.abs(U) @ matrix.T))
+        # A prior's dots do not depend on the priors listed with it, and each
+        # is numpy's pairwise sum of the row's products in state order.
+        for j, q in enumerate(matrix):
+            alone = ambiguity._prior_dots(U, q[None, :])[:, 0]
+            assert alone.tobytes() == got[:, j].tobytes()
+            assert (U * q).sum(axis=1).tobytes() == got[:, j].tobytes()
+
+    def test_agree_with_the_state_loop(self, rng):
         for n in (1, 2, 5, 7, 8, 13, 40):
-            raw = rng.random((6, n)) * (rng.random((6, n)) < 0.6)
-            raw[np.arange(6), rng.integers(0, n, size=6)] += 0.5
-            matrix = raw / raw.sum(axis=1, keepdims=True)
-            U = rng.uniform(-50.0, 50.0, size=(30, n))
-            got = ambiguity._prior_dots(U, ambiguity._listed_run(matrix))
-            want = loop_prior_dots(U, matrix)
-            support = (matrix != 0.0).sum(axis=1)
-            assert np.all(np.abs(got - want) <= 2 * support * eps * (np.abs(U) @ matrix.T))
-            # A prior's dots do not depend on the priors listed with it.
-            for j, q in enumerate(matrix):
-                alone = ambiguity._prior_dots(U, ambiguity._listed_run(q[None, :]))[:, 0]
-                assert alone.tobytes() == got[:, j].tobytes()
+            matrix = self.random_priors(rng, 6, n)
+            self.check(rng.uniform(-50.0, 50.0, size=(30, n)), matrix)
+
+    @pytest.mark.parametrize("rows, n, k, step", [(3000, 50, 4, 1), (1000, 40, 9, 3)])
+    def test_priors_split_across_product_blocks(self, rng, rows, n, k, step):
+        # A block holds PRODUCT_BLOCK // (rows * n) priors, at least one.
+        assert max(1, ambiguity.PRODUCT_BLOCK // (rows * n)) == step
+        matrix = self.random_priors(rng, k, n)
+        self.check(rng.uniform(-50.0, 50.0, size=(rows, n)), matrix)
 
 
 THREE_STATE_INDICES = {

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from rankrobust import DomainError, ScenarioError, ShapeError, TwoStageVariable, ambiguity_aversion_check
-from rankrobust.cli import main, parse_panel, parse_scenario
+from rankrobust.cli import build_parser, main, parse_panel, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -182,20 +182,21 @@ BAD_ROWS = {
 
 
 def write_bad_rows(tmp_path, fmt, probs):
-    """A two-state file whose second state, 'stormy', carries the bad probabilities."""
+    """A two-state file whose second state, 'stormy', carries the bad
+    probabilities, and the command (with its own flags) that reads it."""
     if fmt == "json":
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"states": {
             "calm": {"probs": [0.5, 0.5], "payoffs": [0, 1]},
             "stormy": {"probs": probs, "payoffs": [0, 1]},
         }}))
-        return path, "evaluate"
+        return path, ["evaluate"]
     path = tmp_path / "bad.csv"
     path.write_text(
         "state,prob,outcome,a\ncalm,0.5,x,0.1\ncalm,0.5,y,0.2\n"
         f"stormy,{probs[0]!r},x,0.1\nstormy,{probs[1]!r},y,0.2\n"
     )
-    return path, "portfolio"
+    return path, ["portfolio", "--mean-prior", "uniform"]
 
 
 class TestBadProbabilities:
@@ -205,8 +206,7 @@ class TestBadProbabilities:
         probs, wording = BAD_ROWS[fault]
         path, command = write_bad_rows(tmp_path, fmt, probs)
         code, out, err = run_cli(
-            capsys, command, "--scenario", str(path), "--penalty", "maxmin:vertices",
-            "--mean-prior", "uniform",
+            capsys, *command, "--scenario", str(path), "--penalty", "maxmin:vertices",
         )
         assert code == 2
         assert out == ""
@@ -219,11 +219,56 @@ class TestBadProbabilities:
     def test_negative_probability_is_printed_as_a_plain_number(self, capsys, tmp_path, fmt):
         path, command = write_bad_rows(tmp_path, fmt, BAD_ROWS["negative"][0])
         code, out, err = run_cli(
-            capsys, command, "--scenario", str(path), "--penalty", "maxmin:vertices",
-            "--mean-prior", "uniform",
+            capsys, *command, "--scenario", str(path), "--penalty", "maxmin:vertices",
         )
         assert (code, out) == (2, "")
         assert err == f"error: {path}: outcome probability -0.2 in state 'stormy' (outcome 1) is negative\n"
+
+
+PREFERENCE_FLAGS = {"--scenario", "--utility", "--distortion", "--penalty"}
+COMMAND_FLAGS = {
+    "evaluate": PREFERENCE_FLAGS,
+    "ce": PREFERENCE_FLAGS,
+    "compare": PREFERENCE_FLAGS | {"--scenario2"},
+    "dominance": {"--scenario", "--scenario2", "--utility", "--order"},
+    "cmin": {"--penalty", "--prior", "--grid"},
+    "battery": {"--penalty", "--utility", "--distortion", "--cases"},
+    "portfolio": PREFERENCE_FLAGS | {"--mean-prior", "--budget"},
+    "demo": set(),
+}
+
+
+class TestFlags:
+    """Each command accepts only the flags it reads, plus --seed and --output."""
+
+    def test_each_command_declares_the_flags_it_reads(self):
+        sub = next(a for a in build_parser()._actions if a.choices and "demo" in a.choices)
+        got = {
+            name: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, parser in sub.choices.items()
+        }
+        assert got == {name: flags | {"--seed", "--output"} for name, flags in COMMAND_FLAGS.items()}
+        assert sum(map(len, got.values())) == 46
+
+    @pytest.mark.parametrize("argv", [
+        ["cmin", "--penalty", "entropic:1@a=0.5,b=0.5", "--prior", "a=0.4,b=0.6", "--utility", "exp:1"],
+        ["cmin", "--penalty", "entropic:1@a=0.5,b=0.5", "--prior", "a=0.4,b=0.6", "--budget", "3"],
+        ["dominance", "--scenario", str(FIXTURES / "single_state.json"),
+         "--scenario2", str(FIXTURES / "single_state_spread.json"), "--distortion", "power:2"],
+        ["dominance", "--scenario", str(FIXTURES / "single_state.json"),
+         "--scenario2", str(FIXTURES / "single_state_spread.json"), "--penalty", "bogus"],
+        ["evaluate", "--scenario", str(FIXTURES / "two_state.json"), "--penalty", "maxmin:vertices",
+         "--mean-prior", "uniform"],
+    ])
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
+    def test_cmin_without_the_unread_flag_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "cmin", "--penalty", "entropic:1@a=0.5,b=0.5", "--prior", "a=0.4,b=0.6")
+        assert code == 0 and "converged" in out
 
 
 class TestCommands:

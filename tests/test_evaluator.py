@@ -47,7 +47,6 @@ from rankrobust import (
     parse_utility,
     piecewise_linear,
     power,
-    prefer,
     prelec,
     reduction_suite,
     tversky_kahneman,
@@ -56,7 +55,7 @@ from rankrobust import (
 import rankrobust.evaluator as evaluator_module
 from rankrobust.cli import main as cli_main, parse_scenario
 from rankrobust.distribution import MERGE_TOL
-from rankrobust.evaluator import _PayoffRows, _inner_profiles
+from rankrobust.evaluator import _PayoffRows, _inner_profiles, relation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -363,6 +362,11 @@ class TestEvaluate:
             evaluate(v, pref)
 
 
+def prefer(v1, v2, pref):
+    """'>', '<' or '~' between the robust values of two variables."""
+    return relation(evaluate(v1, pref).value_utils, evaluate(v2, pref).value_utils)
+
+
 class TestPrefer:
     def test_self_indifference(self, rng):
         from conftest import random_variable
@@ -442,7 +446,7 @@ class TestEllsbergConstruction:
         assert ellsberg_preference().state_ids == loop_ellsberg_variables()["urn_a"].state_ids
 
     def test_demo_values_each_bet_once(self, monkeypatch, capsys):
-        calls = {"evaluate": 0, "prefer": 0}
+        calls = {"evaluate": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -454,7 +458,7 @@ class TestEllsbergConstruction:
             monkeypatch.setattr(evaluator_module, name, counted(name, getattr(evaluator_module, name)))
         assert cli_main(["demo", "ellsberg"]) == 0
         assert "PASS" in capsys.readouterr().out
-        assert calls == {"evaluate": 4, "prefer": 0}
+        assert calls == {"evaluate": 4}
 
 
 class TestAmbiguityNeutralValue:

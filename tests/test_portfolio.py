@@ -24,7 +24,6 @@ from rankrobust import (
     exponential,
     identity_utility,
     mean_risk_components,
-    mean_risk_objective,
     optimize,
     portfolio_variable,
     power,
@@ -33,6 +32,7 @@ from rankrobust import (
 )
 from rankrobust.cli import parse_panel
 from rankrobust.portfolio import _score_block
+from conftest import mean_risk_objective
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -342,6 +342,25 @@ class TestBlockScoring:
             assert str(got.value) == str(want.value)
         with pytest.raises(ShapeError):
             _score_block(panel, np.array([[1.0]]), p, pref)
+
+
+class TestLongOnlyRule:
+    """Every weight vector is long-only; a row's sum is checked before its signs."""
+
+    def test_negative_weight_refused(self):
+        with pytest.raises(DomainError, match="long-only weights must be >= 0"):
+            Weights([1.5, -0.5])
+
+    def test_negative_row_in_a_block_refused(self):
+        block = np.array([[0.5, 0.5], [1.5, -0.5], [0.25, 0.75]])
+        with pytest.raises(DomainError, match="long-only weights must be >= 0"):
+            _score_block(hedge_panel(), block, Prior.uniform(1), base_pref())
+
+    def test_sum_reported_before_sign(self):
+        for score in (Weights, lambda w: _score_block(hedge_panel(), np.array([w]), Prior.uniform(1), base_pref())):
+            with pytest.raises(DomainError) as err:
+                score([0.7, -0.2])
+            assert str(err.value) == "weights must sum to 1 within 1e-12, got 0.49999999999999994"
 
 
 class TestOptimizeMatchesOneAtATime:

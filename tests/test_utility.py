@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankrobust import (
     DomainError,
     ImageOverflowError,
+    Interval,
     ShapeError,
     SpecStringError,
     TwoStageVariable,
@@ -37,6 +39,52 @@ def random_phi(rng):
     if pick == 2:
         return exponential(-float(rng.uniform(0.05, 0.4)))
     return CUBE
+
+
+def loop_contains(interval, x, tol):
+    """Whole-array membership written end by end: the rules contains()
+    encoded on its own before it was built on contains_mask()."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        return False
+    if interval.lo == -math.inf:
+        ok_lo = True
+    elif interval.closed_lo:
+        ok_lo = bool(np.all(arr >= interval.lo - tol))
+    else:
+        ok_lo = bool(np.all(arr > interval.lo))
+    if interval.hi == math.inf:
+        ok_hi = True
+    elif interval.closed_hi:
+        ok_hi = bool(np.all(arr <= interval.hi + tol))
+    else:
+        ok_hi = bool(np.all(arr < interval.hi))
+    return ok_lo and ok_hi
+
+
+@st.composite
+def membership_cases(draw):
+    """(interval, x, tol): open, closed and infinite ends; scalar or array x
+    with NaN, +-inf and points on and just past each end."""
+    end = st.one_of(st.sampled_from([-math.inf, math.inf, 0.0, 1.0]), st.floats(-5.0, 5.0))
+    interval = Interval(draw(end), draw(end), draw(st.booleans()), draw(st.booleans()))
+    tol = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0), st.sampled_from([1e-12, math.inf])))
+    near = [interval.lo, interval.hi, interval.lo - tol, interval.hi + tol,
+            np.nextafter(interval.lo, -math.inf), np.nextafter(interval.hi, math.inf)]
+    point = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf] + near), st.floats(-8.0, 8.0))
+    if draw(st.booleans()):
+        return interval, draw(point), tol
+    return interval, np.array(draw(st.lists(point, max_size=6))), tol
+
+
+class TestIntervalContains:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(membership_cases())
+    def test_equals_the_end_by_end_rules(self, case):
+        interval, x, tol = case
+        got = interval.contains(x, tol)
+        assert type(got) is bool
+        assert got == loop_contains(interval, x, tol)
 
 
 class TestEvalInverse:
