@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -587,27 +588,10 @@ def simplex_grid(n: int, resolution: int) -> np.ndarray:
     whose rows ascend lexicographically."""
     if n < 1 or resolution < 1:
         raise DomainError("simplex grid needs n >= 1 and resolution >= 1")
-    if n == 1:
-        return np.ones((1, 1))
-    if n == 2:
-        k = np.arange(resolution + 1)
-        return np.stack([k, resolution - k], axis=1) / resolution
-    if n == 3:
-        counts = resolution + 1 - np.arange(resolution + 1)
-        i = np.repeat(np.arange(resolution + 1), counts)
-        j = np.concatenate([np.arange(c) for c in counts])
-        return np.stack([i, j, resolution - i - j], axis=1) / resolution
-    rows = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            rows.append(prefix + [remaining])
-            return
-        for k in range(remaining + 1):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], resolution, n)
-    return np.asarray(rows, dtype=float) / resolution
+    # Stars and bars: n - 1 bars among resolution + n - 1 slots, in
+    # lexicographic order, give the counts between consecutive bars.
+    bars = np.array(list(itertools.combinations(range(resolution + n - 1), n - 1)), dtype=int)
+    return (np.diff(bars, axis=1, prepend=-1, append=resolution + n - 1) - 1) / resolution
 
 
 # ---------------------------------------------------------------------------

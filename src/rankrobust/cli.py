@@ -40,7 +40,7 @@ from .evaluator import (
     evaluate,
     relation,
 )
-from .portfolio import ScenarioPanel, mean_risk_components, optimize
+from .portfolio import ScenarioPanel, optimize
 from .utility import identity_utility, parse_utility
 
 # ValueError covers the package's validation exceptions plus raw parse
@@ -255,7 +255,7 @@ def _cmd_cmin(args) -> int:
             ) from None
     amb = parse_penalty(args.penalty, state_ids)
     q = parse_prior(args.prior, state_ids)
-    lo, hi, step = (float(x) for x in args.grid.split(","))
+    lo, hi, step = args.grid
     bound, upper, status, iterations = c_min_exact(amb, q, lo, hi)
     direct = amb.penalty(q)
     report = {
@@ -275,6 +275,15 @@ def _cmd_cmin(args) -> int:
     }
     _emit(report, args)
     return 0
+
+
+def _grid(text: str) -> tuple[float, float, float]:
+    """The `--grid` value LO,HI,STEP as three floats."""
+    try:
+        lo, hi, step = (float(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO,HI,STEP (three numbers), got {text!r}") from None
+    return lo, hi, step
 
 
 def _infer_state_ids(penalty_spec: str) -> list[str]:
@@ -320,7 +329,6 @@ def _cmd_portfolio(args) -> int:
         raise SpecStringError("portfolio needs --mean-prior (the measure for the mean term)")
     p_mean = parse_prior(args.mean_prior, panel.state_ids)
     result = optimize(panel, p_mean, pref, budget=args.budget)
-    mean, rho = mean_risk_components(panel, result.weights, p_mean, pref)
     report = {
         "command": "portfolio",
         "scenario": args.scenario,
@@ -332,8 +340,8 @@ def _cmd_portfolio(args) -> int:
             "assets": list(panel.assets),
             "weights": [float(x) for x in result.weights.values],
             "objective": result.objective,
-            "mean_term": mean,
-            "risk_term": rho,
+            "mean_term": result.mean_term,
+            "risk_term": result.risk_term,
             "evaluations": len(result.trace),
         },
     }
@@ -374,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--penalty": dict(help="penalty spec: maxmin:[prior;...] | entropic:theta@prior | gini:theta@prior | table:file.csv"),
         "--order": dict(default="fsd", choices=["fsd", "ssd", "phissd"], help="dominance order"),
         "--prior": dict(help="prior at which to lower-bound the penalty"),
-        "--grid": dict(default="-5,5,0.25", help="low,high,step: the box [low,high]^n (step unused)"),
+        "--grid": dict(type=_grid, default="-5,5,0.25", help="low,high,step: the box [low,high]^n (step unused)"),
         "--cases": dict(type=int, default=200),
         "--mean-prior": dict(dest="mean_prior", help="prior for the portfolio mean term"),
         "--budget": dict(type=int, default=2000, help="evaluation budget for portfolio search"),

@@ -319,6 +319,10 @@ class BatterySpec:
     unambiguous: bool = False
     risk_free: bool = False
 
+    def __post_init__(self):
+        if self.n_cases < 1:
+            raise ConfigError(f"a battery needs at least 1 case, got n_cases={self.n_cases}")
+
 
 def generate_battery(spec: BatterySpec) -> list[TwoStageVariable]:
     rng = np.random.default_rng(spec.seed)

@@ -5,8 +5,16 @@ where rho is the negative of the robust rank-dependent value under a linear
 utility (a robustified weighted-VaR risk measure).  The optimizer is a
 deterministic coarse simplex grid followed by pairwise coordinate polish
 with step halving; every evaluation is recorded so runs are auditable and
-reproducible.  Candidates are scored in blocks (the whole grid, then each
-polish round) by one inner-layer call and one robust-value call per block.
+reproducible.  Candidates are scored in blocks by one inner-layer call and
+one robust-value call per block: the whole grid, then speculative polish
+blocks.  A polish block holds the rounds at step, step/2, step/4, ... from
+the current best weights, up to the block's depth (stopping at the step
+tolerance, cut to the remaining budget); the rounds are replayed in order
+and the first that improves ends the block, the later rounds' rows being
+discarded, neither traced nor counted as evaluations.  Depth starts at 1,
+doubles after a block with no improvement and returns to 1 after one, so
+there are never more calls than rounds and never more discarded rounds
+than rounds used since the last improvement (each at most n(n-1) rows).
 """
 
 from __future__ import annotations
@@ -154,9 +162,34 @@ def mean_risk_components(panel: ScenarioPanel, w: Weights, p_mean: Prior, pref: 
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """The best weights found, their objective and its two terms (scored in
+    the block that found them), and the (weights, objective) pairs of the
+    search in order; rows a speculative block discarded are not among them."""
+
     weights: Weights
     objective: float
+    mean_term: float
+    risk_term: float
     trace: tuple
+
+
+def _pair_moves(w: np.ndarray, step: float) -> list[np.ndarray]:
+    """One polish round: shift ``step`` from asset j to asset i for every
+    ordered pair whose donor j holds at least ``step``, renormalized."""
+    n = w.size
+    candidates = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or w[j] < step - 1e-15:
+                continue
+            cand = w.copy()
+            cand[i] += step
+            cand[j] -= step
+            if cand[j] < 0:
+                cand[j] = 0.0
+            cand /= cand.sum()
+            candidates.append(cand)
+    return candidates
 
 
 def optimize(
@@ -181,7 +214,7 @@ def optimize(
         w = Weights(np.array([1.0]))
         mean, rho = mean_risk_components(panel, w, p_mean, pref)
         obj = mean - rho
-        return OptimizeResult(w, obj, ((tuple(w.values), obj),))
+        return OptimizeResult(w, obj, mean, rho, ((tuple(w.values), obj),))
 
     grid = simplex_grid(panel.n_assets, coarse_resolution)
     if budget < grid.shape[0]:
@@ -190,47 +223,51 @@ def optimize(
         )
     trace: list[tuple[tuple, float]] = []
 
-    def score(block: np.ndarray) -> list[float]:
+    def score(block: np.ndarray) -> tuple[list[float], list[float], list[float]]:
         means, risks = _score_block(panel, block, p_mean, pref)
-        objs = (means - risks).tolist()
-        trace.extend(zip(map(tuple, block.tolist()), objs))
-        return objs
+        return means.tolist(), risks.tolist(), (means - risks).tolist()
 
     # The grid is lexicographically sorted and only strict improvements move
     # the incumbent, so ties resolve to the smallest weight vector.
-    best_w = None
     best_obj = -math.inf
-    for row, obj in zip(grid, score(grid)):
+    means, risks, objs = score(grid)
+    trace.extend(zip(map(tuple, grid.tolist()), objs))
+    for k, obj in enumerate(objs):
         if obj > best_obj:
-            best_obj = obj
-            best_w = row.copy()
+            best_obj, best = obj, k
+    best_w, best_mean, best_risk = grid[best].copy(), means[best], risks[best]
 
     step = 1.0 / coarse_resolution
-    n = panel.n_assets
+    depth = 1
     while step >= step_tol and len(trace) < budget:
-        improved = False
-        candidates = []
-        for i in range(n):
-            for j in range(n):
-                if i == j or best_w[j] < step - 1e-15:
-                    continue
-                cand = best_w.copy()
-                cand[i] += step
-                cand[j] -= step
-                if cand[j] < 0:
-                    cand[j] = 0.0
-                cand /= cand.sum()
-                candidates.append(cand)
-        # One block per round, cut to the budget; accepting in order keeps
-        # the one-at-a-time search's trace and tie-breaking.
-        candidates = candidates[: budget - len(trace)]
-        objs = score(np.array(candidates)) if candidates else []
-        for cand, obj in zip(candidates, objs):
-            if obj > best_obj + 1e-12:
-                best_obj = obj
-                best_w = cand
-                improved = True
-        if not improved:
+        # Speculate that the next `depth` rounds all fail, so each starts
+        # from the same incumbent at half the previous step; score them
+        # (cut to the budget) in one block.
+        rounds = []
+        room = budget - len(trace)
+        while len(rounds) < depth and step >= step_tol and room > 0:
+            candidates = _pair_moves(best_w, step)[:room]
+            room -= len(candidates)
+            rounds.append((step, candidates))
             step /= 2.0
-    weights = Weights(best_w)
-    return OptimizeResult(weights, best_obj, tuple(trace))
+        block = np.array([cand for _, cands in rounds for cand in cands])
+        means, risks, objs = score(block) if block.size else ([], [], [])
+        # Replay the rounds in order with the one-at-a-time rule; the first
+        # round that improves ends the block, and the later rounds' rows
+        # are dropped unrecorded.
+        used = 0
+        for round_step, candidates in rounds:
+            improved = False
+            for k in range(used, used + len(candidates)):
+                if objs[k] > best_obj + 1e-12:
+                    best_obj, best_w = objs[k], block[k]
+                    best_mean, best_risk = means[k], risks[k]
+                    improved = True
+            used += len(candidates)
+            if improved:
+                step, depth = round_step, 1
+                break
+        else:
+            depth *= 2
+        trace.extend(zip(map(tuple, block[:used].tolist()), objs[:used]))
+    return OptimizeResult(Weights(best_w), best_obj, best_mean, best_risk, tuple(trace))

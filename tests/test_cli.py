@@ -380,6 +380,19 @@ class TestCommands:
         assert report["result"]["dual_lower_bound"] <= report["result"]["direct_penalty"] + 1e-12
         assert report["result"]["gap"] < 5e-3
 
+    @pytest.mark.parametrize("grid", ["1,2", "1,2,3,4", "1,2,x"])
+    def test_cmin_grid_needs_three_numbers(self, capsys, grid):
+        with pytest.raises(SystemExit) as exit_:
+            main(["cmin", "--penalty", "entropic:1@a=0.5,b=0.5", "--prior", "a=0.4,b=0.6", f"--grid={grid}"])
+        assert exit_.value.code == 2
+        assert f"argument --grid: expected LO,HI,STEP (three numbers), got '{grid}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cases", ["0", "-3"])
+    def test_battery_needs_a_case(self, capsys, cases):
+        code, out, err = run_cli(capsys, "battery", "--penalty", "entropic:1@w0=0.5,w1=0.5", "--cases", cases)
+        assert (code, out) == (2, "")
+        assert err == f"error: a battery needs at least 1 case, got n_cases={cases}\n"
+
     def test_benchmark_cmin_jobs_report_no_negative_gap(self, capsys, monkeypatch, tmp_path):
         # The 16 cmin jobs of the benchmark's verify_small workload at seed 1;
         # six of them once reported a lower bound a few ulps above the penalty.

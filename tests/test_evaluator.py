@@ -949,7 +949,7 @@ def battery_setups(draw):
         tversky_kahneman(0.7),
     ]))
     spec = BatterySpec(
-        n_cases=draw(st.integers(0, 6)),
+        n_cases=draw(st.integers(1, 6)),
         n_states=draw(st.sampled_from([None, n])),
         max_states=draw(st.integers(1, 4)),
         max_outcomes=draw(st.integers(2, 6)),
@@ -957,6 +957,13 @@ def battery_setups(draw):
         uniform_outcome_probs=draw(st.booleans()),
     )
     return Preference(phi, psi, amb, [f"w{i}" for i in range(n)]), spec
+
+
+class TestBatterySpec:
+    @pytest.mark.parametrize("n_cases", [0, -3])
+    def test_needs_at_least_one_case(self, n_cases):
+        with pytest.raises(ConfigError, match=rf"^a battery needs at least 1 case, got n_cases={n_cases}$"):
+            BatterySpec(n_cases=n_cases)
 
 
 class TestBatteryBlocks:
@@ -1057,10 +1064,14 @@ SECTIONS = ("expectation_reduction", "affine_equivariance", "maxmin_reduction", 
 
 def composed_battery_output(penalty, utility, distortion, cases, seed):
     """The battery report as it was put together before the shared pass:
-    separate ``reduction_suite`` and ``ambiguity_aversion_check`` calls."""
+    separate ``reduction_suite`` and ``ambiguity_aversion_check`` calls.
+    A spec with no cases is refused, which the command reports as exit 2."""
     ids = list(dict.fromkeys(re.findall(r"([A-Za-z_]\w*)\s*=", penalty)))
     pref = Preference(parse_utility(utility), parse_distortion(distortion), parse_penalty(penalty, ids), ids)
-    spec = BatterySpec(n_cases=cases, seed=seed)
+    try:
+        spec = BatterySpec(n_cases=cases, seed=seed)
+    except ConfigError:
+        return 2, ""
     reductions = reduction_suite(pref, spec)
     aversion = ambiguity_aversion_check(pref, spec)
     violations = sum(len(reductions[k]["violations"]) for k in SECTIONS) + len(aversion["violations"])

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations_with_replacement, product
 from pathlib import Path
@@ -25,12 +26,16 @@ from rankrobust import (
     identity_utility,
     mean_risk_components,
     optimize,
+    parse_distortion,
+    parse_penalty,
+    parse_prior,
     portfolio_variable,
     power,
     prelec,
     simplex_grid,
 )
-from rankrobust.cli import parse_panel
+from rankrobust import portfolio as portfolio_module
+from rankrobust.cli import main as cli_main, parse_panel
 from rankrobust.portfolio import _score_block
 from conftest import mean_risk_objective
 
@@ -247,9 +252,11 @@ def simplex_lattice(n, resolution):
 
 
 def reference_optimize(panel, p_mean, pref, budget, resolution=10, step_tol=1e-6):
-    """Grid then pairwise polish, scoring one candidate at a time."""
+    """Grid then pairwise polish, scoring one candidate at a time.  Besides
+    the best weights, objective and trace, returns the polish rounds as
+    (candidates scored, improved) pairs."""
     n = panel.n_assets
-    trace = []
+    trace, rounds = [], []
 
     def score(w):
         obj = mean_risk_objective(panel, Weights(w), p_mean, pref)
@@ -275,15 +282,65 @@ def reference_optimize(panel, p_mean, pref, budget, resolution=10, step_tol=1e-6
                 if cand[j] < 0:
                     cand[j] = 0.0
                 candidates.append(cand / cand.sum())
+        scored = 0
         for cand in candidates:
             if len(trace) >= budget:
                 break
             obj = score(cand)
+            scored += 1
             if obj > best + 1e-12:
                 best, best_w, improved = obj, cand, True
+        rounds.append((scored, improved))
         if not improved:
             step /= 2.0
-    return best_w, best, tuple(trace)
+    return best_w, best, tuple(trace), rounds
+
+
+def speculative_blocks(rounds):
+    """The reference's polish rounds grouped as ``optimize`` scores them, as
+    (depth, rounds used) pairs: a block plans ``depth`` rounds and ends after
+    its first improving round; depth doubles after a block with no
+    improvement and returns to 1 after one."""
+    blocks, depth, k = [], 1, 0
+    while k < len(rounds):
+        planned = rounds[k : k + depth]
+        hits = [r for r, (_, improved) in enumerate(planned) if improved]
+        used = planned[: hits[0] + 1] if hits else planned
+        blocks.append((depth, used))
+        k += len(used)
+        depth = 1 if hits else 2 * depth
+    return blocks
+
+
+def budgets_inside_blocks(rounds, grid, limit=3):
+    """Budgets that stop in the first and in the last round of the first
+    ``limit`` speculative blocks (planned depth >= 2, two or more rows)."""
+    budgets, start = [], grid
+    for depth, used in speculative_blocks(rounds):
+        rows = sum(scored for scored, _ in used)
+        if depth >= 2 and rows >= 2 and len(budgets) < 2 * limit:
+            budgets += [start + 1, start + rows - 1]
+        start += rows
+    return budgets
+
+
+def later_round_improves(rounds):
+    """Whether some block's improvement comes in its second or a later round."""
+    return any(len(used) >= 2 and used[-1][1] for _, used in speculative_blocks(rounds))
+
+
+class CountedScoring:
+    """Wraps ``portfolio._score_block`` to record each call's row count."""
+
+    def __init__(self, monkeypatch):
+        self.rows = []
+        real = portfolio_module._score_block
+
+        def counted(panel, W, p_mean, pref):
+            self.rows.append(len(W))
+            return real(panel, W, p_mean, pref)
+
+        monkeypatch.setattr(portfolio_module, "_score_block", counted)
 
 
 def random_panel(rng, n_states, n_outcomes, n_assets):
@@ -364,34 +421,130 @@ class TestLongOnlyRule:
 
 
 class TestOptimizeMatchesOneAtATime:
-    """Block scoring reproduces the one-candidate-at-a-time search exactly."""
+    """Block scoring reproduces the one-candidate-at-a-time search exactly,
+    in as many ``_score_block`` calls as the speculative blocks predict."""
 
-    def assert_same_search(self, panel, p_mean, pref, budget, resolution=10):
+    def assert_same_search(self, monkeypatch, panel, p_mean, pref, budget, resolution=10):
+        counted = CountedScoring(monkeypatch)
         res = optimize(panel, p_mean, pref, budget=budget, coarse_resolution=resolution)
-        best_w, best, trace = reference_optimize(panel, p_mean, pref, budget, resolution)
+        monkeypatch.undo()
+        best_w, best, trace, rounds = reference_optimize(panel, p_mean, pref, budget, resolution)
         assert res.trace == trace
         assert res.objective == best
         assert list(res.weights.values) == list(best_w)
+        blocks = speculative_blocks(rounds)
+        assert len(counted.rows) == 1 + sum(1 for _, used in blocks if any(scored for scored, _ in used))
+        return rounds
 
     @pytest.mark.parametrize("name", ["panel_hedge.csv", "panel_risky_riskfree.csv"])
-    def test_fixture_panels(self, name):
+    def test_fixture_panels(self, monkeypatch, name):
         panel = parse_panel(str(FIXTURES / name))
         for psi in (es_tail(0.5), dual_power(2)):
             pref = Preference(identity_utility(), psi, MaxminSet.vertices(1), panel.state_ids)
-            for budget in (11, 12, 27, 300):
-                self.assert_same_search(panel, Prior.uniform(1), pref, budget)
+            rounds = self.assert_same_search(monkeypatch, panel, Prior.uniform(1), pref, 300)
+            inside = budgets_inside_blocks(rounds, 11)
+            assert inside
+            for budget in (11, 12, 27, *inside):
+                self.assert_same_search(monkeypatch, panel, Prior.uniform(1), pref, budget)
 
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
-    def test_seeded_panels(self, kind):
+    def test_seeded_panels(self, monkeypatch, kind):
         rng = np.random.default_rng(["maxmin", "vertices", "entropic", "gini", "tabulated"].index(kind))
-        for n_assets, resolution in ((2, 10), (3, 10), (4, 6), (5, 4)):
+        later = inside = 0
+        # the second 4-asset panel gives each kind a block whose improvement
+        # comes after its first round
+        for n_assets, resolution in ((2, 10), (3, 10), (4, 6), (5, 4), (4, 6)):
             panel = random_panel(rng, 2, 5, n_assets)
             pref = Preference(identity_utility(), DISTORTIONS[n_assets % 4],
                               penalty_of_kind(kind, rng, 2), panel.state_ids)
+            p_mean = random_prior(rng, 2)
             grid = math.comb(resolution + n_assets - 1, n_assets - 1)
-            # budgets that stop inside the first polish round, later, and never
-            for budget in (grid + 1, grid + 2 * n_assets + 1, grid + 60):
-                self.assert_same_search(panel, random_prior(rng, 2), pref, budget, resolution)
+            rounds = self.assert_same_search(monkeypatch, panel, p_mean, pref, grid + 200, resolution)
+            later += later_round_improves(rounds)
+            # budgets that stop inside the first polish round, later, and
+            # inside speculative blocks
+            budgets = (grid + 1, grid + 2 * n_assets + 1, grid + 60, *budgets_inside_blocks(rounds, grid))
+            inside += len(budgets) - 3
+            for budget in budgets:
+                self.assert_same_search(monkeypatch, panel, p_mean, pref, budget, resolution)
+        assert later >= 1 and inside >= 1, (later, inside)
+
+
+class TestPolishCalls:
+    """Speculative blocks never take more calls than the one-at-a-time
+    search has polish rounds, and never discard more rounds than they use."""
+
+    @pytest.mark.parametrize("step_tol, n_rounds", [(1e-6, 17), (2e-6, 16)])
+    def test_corner_optimum_takes_five_calls(self, monkeypatch, step_tol, n_rounds):
+        # The safe asset wins the grid; each round's one candidate moves
+        # mass to the risky asset and never improves.
+        panel, pref, p = risky_riskfree_panel(), base_pref(), Prior.uniform(1)
+        counted = CountedScoring(monkeypatch)
+        res = optimize(panel, p, pref, budget=2000, step_tol=step_tol)
+        monkeypatch.undo()
+        *_, rounds = reference_optimize(panel, p, pref, 2000, step_tol=step_tol)
+        assert rounds == [(1, False)] * n_rounds
+        assert len(res.trace) == 11 + n_rounds
+        assert counted.rows[1:] == [1, 2, 4, 8, n_rounds - 15]
+
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_calls_and_discarded_rows_are_bounded(self, monkeypatch, kind):
+        rng = np.random.default_rng(10 + PENALTY_KINDS.index(kind))
+        for n_assets, resolution in ((2, 10), (3, 10), (4, 6), (6, 3)):
+            panel = random_panel(rng, 2, 5, n_assets)
+            pref = Preference(identity_utility(), DISTORTIONS[n_assets % 4],
+                              penalty_of_kind(kind, rng, 2), panel.state_ids)
+            p_mean = random_prior(rng, 2)
+            budget = math.comb(resolution + n_assets - 1, n_assets - 1) + 150
+            counted = CountedScoring(monkeypatch)
+            res = optimize(panel, p_mean, pref, budget=budget, coarse_resolution=resolution)
+            monkeypatch.undo()
+            *_, rounds = reference_optimize(panel, p_mean, pref, budget, resolution)
+            polish_calls = len(counted.rows) - 1
+            assert polish_calls <= sum(1 for scored, _ in rounds if scored)
+            assert sum(counted.rows) - len(res.trace) <= n_assets * (n_assets - 1) * len(rounds)
+
+
+def write_panel(path, panel):
+    """The panel as the CSV the CLI reads, every number in round-trip form."""
+    lines = ["state,prob,outcome," + ",".join(panel.assets)]
+    for s, sid in enumerate(panel.state_ids):
+        for o, prob in enumerate(panel.outcome_probs[s]):
+            lines.append(",".join([sid, repr(float(prob)), str(o), *map(repr, panel.returns[s, o].tolist())]))
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+class TestReportedTerms:
+    """``portfolio`` reports the winner's terms from the block that scored
+    it; they equal ``mean_risk_components`` at the reported weights."""
+
+    def assert_terms(self, capsys, path, penalty, distortion, mean_prior):
+        argv = ["portfolio", "--scenario", path, "--utility", "affine:2,-1", "--distortion", distortion,
+                "--penalty", penalty, "--mean-prior", mean_prior, "--budget", "400", "--output", "json"]
+        assert cli_main(argv) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        panel = parse_panel(path)
+        pref = Preference(affine(2.0, -1.0), parse_distortion(distortion),
+                          parse_penalty(penalty, panel.state_ids), panel.state_ids)
+        mean, risk = mean_risk_components(panel, Weights(result["weights"]),
+                                          parse_prior(mean_prior, panel.state_ids), pref)
+        assert (result["mean_term"], result["risk_term"]) == (mean, risk)
+        assert result["objective"] == mean - risk
+
+    @pytest.mark.parametrize("name", ["panel_hedge.csv", "panel_risky_riskfree.csv"])
+    def test_fixture_panels(self, capsys, name):
+        for distortion in ("es:0.5", "dualpower:2"):
+            self.assert_terms(capsys, str(FIXTURES / name), "maxmin:w0=1", distortion, "uniform")
+
+    def test_seeded_panels(self, capsys, tmp_path):
+        rng = np.random.default_rng(7)
+        penalties = ("entropic:1.5@w0=0.3,w1=0.7", "gini:0.8@w0=0.5,w1=0.5",
+                     "maxmin:[w0=0.2,w1=0.8;w0=0.7,w1=0.3]")
+        for k, (n_assets, penalty) in enumerate(product((2, 3, 4), penalties)):
+            path = write_panel(tmp_path / f"panel{k}.csv", random_panel(rng, 2, 5, n_assets))
+            self.assert_terms(capsys, path, penalty, ("es:0.3", "prelec:0.65,1", "power:1.5")[k % 3],
+                              "w0=0.4,w1=0.6")
 
 
 class TestCoarseGrid:
@@ -399,8 +552,8 @@ class TestCoarseGrid:
     vector with entries k/resolution, rows in ascending lexicographic order."""
 
     def test_equals_the_combinations_oracle_byte_for_byte(self):
-        for n_assets in range(1, 7):
-            for resolution in range(1, 11):
+        for n_assets in range(1, 8):
+            for resolution in range(1, 13):
                 rows = [np.bincount(combo, minlength=n_assets) / resolution
                         for combo in combinations_with_replacement(range(n_assets), resolution)]
                 want = np.unique(np.asarray(rows, dtype=float), axis=0)
