@@ -140,8 +140,6 @@ def parse_panel(path: str) -> ScenarioPanel:
 def _resolve_preference(args, state_ids) -> Preference:
     phi = parse_utility(args.utility) if args.utility else identity_utility()
     psi = parse_distortion(args.distortion) if args.distortion else identity_distortion()
-    if not args.penalty:
-        raise SpecStringError("--penalty is required for this command")
     amb = parse_penalty(args.penalty, state_ids)
     return Preference(phi, psi, amb, state_ids)
 
@@ -183,8 +181,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    if not args.scenario2:
-        raise SpecStringError("compare needs --scenario2")
     v1 = parse_scenario(args.scenario)
     v2 = parse_scenario(args.scenario2)
     pref = _resolve_preference(args, v1.state_ids)
@@ -210,8 +206,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_dominance(args) -> int:
-    if not args.scenario2:
-        raise SpecStringError("dominance needs --scenario2")
     v1 = parse_scenario(args.scenario)
     v2 = parse_scenario(args.scenario2)
     if v1.n_states != 1 or v2.n_states != 1:
@@ -237,10 +231,6 @@ def _cmd_dominance(args) -> int:
 
 
 def _cmd_cmin(args) -> int:
-    if not args.penalty:
-        raise SpecStringError("cmin needs --penalty")
-    if not args.prior:
-        raise SpecStringError("cmin needs --prior (the prior at which to bound the penalty)")
     try:
         state_ids = _infer_state_ids(args.penalty)
     except SpecStringError:
@@ -301,8 +291,6 @@ def _infer_state_ids(penalty_spec: str) -> list[str]:
 
 
 def _cmd_battery(args) -> int:
-    if not args.penalty:
-        raise SpecStringError("battery needs --penalty (state names fix the dimension)")
     state_ids = _infer_state_ids(args.penalty)
     pref = _resolve_preference(args, state_ids)
     reductions, aversion = battery_reports(pref, BatterySpec(n_cases=args.cases, seed=args.seed))
@@ -325,8 +313,6 @@ def _cmd_battery(args) -> int:
 def _cmd_portfolio(args) -> int:
     panel = parse_panel(args.scenario)
     pref = _resolve_preference(args, panel.state_ids)
-    if not args.mean_prior:
-        raise SpecStringError("portfolio needs --mean-prior (the measure for the mean term)")
     p_mean = parse_prior(args.mean_prior, panel.state_ids)
     result = optimize(panel, p_mean, pref, budget=args.budget)
     report = {
@@ -350,8 +336,6 @@ def _cmd_portfolio(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    if args.topic != "ellsberg":
-        raise SpecStringError(f"unknown demo {args.topic!r}; available: ellsberg")
     demo = ellsberg_demo()
     report = {"command": "demo", "topic": "ellsberg", "seed": args.seed, "result": demo}
     if args.output == "json":
@@ -376,15 +360,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     flags = {
         "--scenario": dict(required=True, help="scenario file (JSON variable or CSV panel)"),
-        "--scenario2": dict(help="second scenario for compare/dominance"),
+        "--scenario2": dict(required=True, help="second scenario for compare/dominance"),
         "--utility": dict(help="utility spec: affine:a,b | exp:a | power:r | pwl:x1,y1;..."),
         "--distortion": dict(help="distortion spec: identity | power:a | prelec:a,b | tk:g | es:l | var:l | dualpower:k | pwl:p1,y1;..."),
-        "--penalty": dict(help="penalty spec: maxmin:[prior;...] | entropic:theta@prior | gini:theta@prior | table:file.csv"),
+        "--penalty": dict(required=True, help="penalty spec: maxmin:[prior;...] | entropic:theta@prior | gini:theta@prior | table:file.csv"),
         "--order": dict(default="fsd", choices=["fsd", "ssd", "phissd"], help="dominance order"),
-        "--prior": dict(help="prior at which to lower-bound the penalty"),
+        "--prior": dict(required=True, help="prior at which to lower-bound the penalty"),
         "--grid": dict(type=_grid, default="-5,5,0.25", help="low,high,step: the box [low,high]^n (step unused)"),
         "--cases": dict(type=int, default=200),
-        "--mean-prior": dict(dest="mean_prior", help="prior for the portfolio mean term"),
+        "--mean-prior": dict(required=True, dest="mean_prior", help="prior for the portfolio mean term"),
         "--budget": dict(type=int, default=2000, help="evaluation budget for portfolio search"),
         "--seed": dict(type=int, default=0, help="seed echoed in reports and used by batteries"),
         "--output": dict(default="text", choices=["text", "json"]),
@@ -405,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         for flag in names + ("--seed", "--output"):
             p.add_argument(flag, **flags[flag])
-    sub.choices["demo"].add_argument("topic", help="demo name (ellsberg)")
+    sub.choices["demo"].add_argument("topic", choices=["ellsberg"], help="demo name")
     return parser
 
 

@@ -14,26 +14,27 @@ import math
 import numpy as np
 
 from .distribution import DiscreteDistribution
-from .errors import DomainError, SpecStringError
+from .errors import DomainError
+from .spec import parse_spec, spec_text
 
 _VALIDATION_GRID = np.linspace(0.0, 1.0, 4097)
 _MONOTONE_SLACK = 1e-9
 
 
 class Distortion:
-    """A probability weighting function with shape metadata.
+    """A probability weighting function named by its spec.
 
-    ``is_continuous`` is False only for the VaR step distortion.
-    ``is_convex`` is established on a dense grid at construction (second
-    differences down to -1e-9 slack); it gates the portfolio concavity
-    regime downstream.
+    ``kind`` is the spec head and ``params`` the spec's numbers in order
+    (for ``pwl`` the sorted knots), so equal ``(kind, params)`` mean the
+    same function.  ``is_continuous`` is False only for the VaR step
+    distortion.
     """
 
-    __slots__ = ("kind", "params", "is_continuous", "is_convex", "_fn")
+    __slots__ = ("kind", "params", "is_continuous", "_fn")
 
-    def __init__(self, kind, fn, params=None, *, continuous=True):
+    def __init__(self, kind, fn, params=(), *, continuous=True):
         self.kind = kind
-        self.params = dict(params or {})
+        self.params = tuple(params)
         self.is_continuous = bool(continuous)
         self._fn = fn
         vals = np.asarray(fn(_VALIDATION_GRID), dtype=float)
@@ -44,8 +45,6 @@ class Distortion:
             )
         if np.any(np.diff(vals) < -_MONOTONE_SLACK):
             raise DomainError(f"distortion {kind!r} is not non-decreasing on [0, 1]")
-        second = np.diff(vals, 2)
-        self.is_convex = bool(self.is_continuous and np.all(second >= -_MONOTONE_SLACK))
 
     def __call__(self, p):
         """Evaluate psi at p (scalar or array), p in [0, 1]."""
@@ -56,30 +55,11 @@ class Distortion:
         return float(out) if np.ndim(p) == 0 else np.asarray(out, dtype=float)
 
     def __repr__(self):
-        inner = ", ".join(f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}" for k, v in self.params.items())
-        return f"Distortion({self.kind}{':' if inner else ''}{inner})"
+        return f"Distortion({self.describe()})"
 
     def describe(self) -> str:
         """Canonical spec string (round-trips through parse_distortion)."""
-        k = self.kind
-        p = self.params
-        if k == "identity":
-            return "identity"
-        if k == "power":
-            return f"power:{p['a']:g}"
-        if k == "prelec":
-            return f"prelec:{p['alpha']:g},{p['beta']:g}"
-        if k == "tk":
-            return f"tk:{p['gamma']:g}"
-        if k == "es_tail":
-            return f"es:{p['lam']:g}"
-        if k == "var_step":
-            return f"var:{p['lam']:g}"
-        if k == "dual_power":
-            return f"dualpower:{p['k']:g}"
-        if k == "piecewise_linear":
-            return "pwl:" + ";".join(f"{x:g},{y:g}" for x, y in p["knots"])
-        return k
+        return spec_text(self.kind, self.params)
 
 
 def identity() -> Distortion:
@@ -90,7 +70,7 @@ def power(a: float) -> Distortion:
     """psi(p) = p**a; convex for a >= 1, concave for a <= 1."""
     if not a > 0:
         raise DomainError(f"power distortion needs a > 0, got {a}")
-    return Distortion("power", lambda p: np.power(p, a), {"a": float(a)})
+    return Distortion("power", lambda p: np.power(p, a), (float(a),))
 
 
 def prelec(alpha: float, beta: float) -> Distortion:
@@ -106,7 +86,7 @@ def prelec(alpha: float, beta: float) -> Distortion:
             out[pos] = np.exp(-beta * np.power(-np.log(p[pos]), alpha))
         return out
 
-    return Distortion("prelec", fn, {"alpha": float(alpha), "beta": float(beta)})
+    return Distortion("prelec", fn, (float(alpha), float(beta)))
 
 
 def tversky_kahneman(gamma: float) -> Distortion:
@@ -120,7 +100,7 @@ def tversky_kahneman(gamma: float) -> Distortion:
         den = np.power(num + np.power(1.0 - p, gamma), 1.0 / gamma)
         return num / den
 
-    return Distortion("tk", fn, {"gamma": float(gamma)})
+    return Distortion("tk", fn, (float(gamma),))
 
 
 def es_tail(lam: float) -> Distortion:
@@ -128,9 +108,9 @@ def es_tail(lam: float) -> Distortion:
     if not 0.0 < lam <= 1.0:
         raise DomainError(f"es distortion needs lambda in (0, 1], got {lam}")
     return Distortion(
-        "es_tail",
+        "es",
         lambda p: np.maximum(np.asarray(p, dtype=float) - (1.0 - lam), 0.0) / lam,
-        {"lam": float(lam)},
+        (float(lam),),
     )
 
 
@@ -144,9 +124,9 @@ def var_step(lam: float) -> Distortion:
     if not 0.0 < lam < 1.0:
         raise DomainError(f"var distortion needs lambda in (0, 1), got {lam}")
     return Distortion(
-        "var_step",
+        "var",
         lambda p: (np.asarray(p, dtype=float) >= 1.0 - lam - 1e-12).astype(float),
-        {"lam": float(lam)},
+        (float(lam),),
         continuous=False,
     )
 
@@ -155,7 +135,7 @@ def dual_power(k: float) -> Distortion:
     """psi(p) = 1 - (1 - p)**k for k >= 1 (concave)."""
     if not k >= 1.0:
         raise DomainError(f"dualpower distortion needs k >= 1, got {k}")
-    return Distortion("dual_power", lambda p: 1.0 - np.power(1.0 - np.asarray(p, dtype=float), k), {"k": float(k)})
+    return Distortion("dualpower", lambda p: 1.0 - np.power(1.0 - np.asarray(p, dtype=float), k), (float(k),))
 
 
 def piecewise_linear(knots) -> Distortion:
@@ -178,44 +158,28 @@ def piecewise_linear(knots) -> Distortion:
     if np.any(np.diff(ys) < -1e-12):
         raise DomainError("pwl distortion knots must be non-decreasing")
     return Distortion(
-        "piecewise_linear",
+        "pwl",
         lambda p: np.interp(np.asarray(p, dtype=float), xs, ys),
-        {"knots": tuple(pts)},
+        tuple(pts),
     )
+
+
+_BUILDERS = {
+    "identity": (identity, (0,)),
+    "power": (power, (1,)),
+    "prelec": (prelec, (2,)),
+    "tk": (tversky_kahneman, (1,)),
+    "es": (es_tail, (1,)),
+    "var": (var_step, (1,)),
+    "dualpower": (dual_power, (1,)),
+    "pwl": (piecewise_linear, None),
+}
 
 
 def parse_distortion(spec: str) -> Distortion:
     """Parse `identity | power:a | prelec:alpha,beta | tk:gamma | es:lambda |
     var:lambda | dualpower:k | pwl:p1,y1;p2,y2;...`."""
-    text = spec.strip()
-    head, _, rest = text.partition(":")
-    head = head.lower()
-    try:
-        if head == "identity":
-            if rest:
-                raise SpecStringError("identity takes no parameters")
-            return identity()
-        if head == "power":
-            return power(float(rest))
-        if head == "prelec":
-            a, b = (float(x) for x in rest.split(","))
-            return prelec(a, b)
-        if head == "tk":
-            return tversky_kahneman(float(rest))
-        if head == "es":
-            return es_tail(float(rest))
-        if head == "var":
-            return var_step(float(rest))
-        if head == "dualpower":
-            return dual_power(float(rest))
-        if head == "pwl":
-            knots = [tuple(float(x) for x in pair.split(",")) for pair in rest.split(";") if pair]
-            return piecewise_linear(knots)
-    except (ValueError, DomainError) as exc:
-        if isinstance(exc, SpecStringError):
-            raise
-        raise SpecStringError(f"bad distortion spec {spec!r}: {exc}") from exc
-    raise SpecStringError(f"unknown distortion kind in spec {spec!r}")
+    return parse_spec(spec, "distortion", _BUILDERS)
 
 
 def choquet(d: DiscreteDistribution, psi: Distortion) -> float:

@@ -185,7 +185,8 @@ class TwoStageVariable:
                 f"inconsistent shapes: {len(ids)} states, probs {probs.shape}, payoffs {pay.shape}"
             )
         if not np.all(np.isfinite(pay)):
-            raise DomainError("payoffs must be finite")
+            w, s = np.argwhere(~np.isfinite(pay))[0]
+            raise DomainError(f"payoff {float(pay[w, s])!r} in state {ids[w]!r} (outcome {int(s)}) is not finite")
         check_outcome_probs(ids, probs)
         probs.setflags(write=False)
         pay.setflags(write=False)

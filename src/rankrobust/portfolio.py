@@ -56,7 +56,11 @@ class ScenarioPanel:
         if len(set(ids)) != len(ids):
             raise ShapeError("state ids must be unique")
         if not np.all(np.isfinite(rets)):
-            raise DomainError("returns must be finite")
+            w, s, a = np.argwhere(~np.isfinite(rets))[0]
+            raise DomainError(
+                f"return {float(rets[w, s, a])!r} of asset {self.assets[a]!r} in state {ids[w]!r} "
+                f"(outcome {int(s)}) is not finite"
+            )
         check_outcome_probs(ids, probs)
         probs.setflags(write=False)
         rets.setflags(write=False)
@@ -210,12 +214,6 @@ def optimize(
     """
     if panel.n_assets < 1:
         raise ShapeError("panel has no assets")
-    if panel.n_assets == 1:
-        w = Weights(np.array([1.0]))
-        mean, rho = mean_risk_components(panel, w, p_mean, pref)
-        obj = mean - rho
-        return OptimizeResult(w, obj, mean, rho, ((tuple(w.values), obj),))
-
     grid = simplex_grid(panel.n_assets, coarse_resolution)
     if budget < grid.shape[0]:
         raise BudgetError(

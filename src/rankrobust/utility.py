@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import TwoStageVariable, same_space
-from .errors import DomainError, ImageOverflowError, SpecStringError
+from .errors import DomainError, ImageOverflowError
+from .spec import parse_spec, spec_text
 
 _INF = math.inf
 
@@ -66,6 +67,10 @@ _CHECK_POINTS = 257
 class UtilityFn:
     """A strictly increasing, continuous utility with tracked image interval.
 
+    ``kind`` is the spec head and ``params`` the spec's numbers in order
+    (for ``pwl`` the sorted knots; for ``rescaled`` the slope, the
+    intercept and the base utility).
+
     Evaluation and inversion are closed form for every built-in kind and
     round-trip to better than 1e-10.  Both accept scalars or arrays and use
     the same numpy kernels, so lifted (matrix) operations reproduce scalar
@@ -74,9 +79,9 @@ class UtilityFn:
 
     __slots__ = ("kind", "params", "domain", "image", "_fwd", "_inv")
 
-    def __init__(self, kind, fwd, inv, domain: Interval, image: Interval, params=None):
+    def __init__(self, kind, fwd, inv, domain: Interval, image: Interval, params=()):
         self.kind = kind
-        self.params = dict(params or {})
+        self.params = tuple(params)
         self.domain = domain
         self.image = image
         self._fwd = fwd
@@ -123,23 +128,15 @@ class UtilityFn:
             lambda y: base_inv((np.asarray(y, dtype=float) - b) / a),
             self.domain,
             image,
-            {"a": float(a), "b": float(b), "base": self.describe()},
+            (float(a), float(b), self),
         )
 
     def describe(self) -> str:
-        k = self.kind
-        p = self.params
-        if k == "affine":
-            return f"affine:{p['a']:g},{p['b']:g}"
-        if k == "exponential":
-            return f"exp:{p['a']:g}"
-        if k == "power":
-            return f"power:{p['r']:g}"
-        if k == "piecewise_linear":
-            return "pwl:" + ";".join(f"{x:g},{y:g}" for x, y in p["knots"])
-        if k == "rescaled":
-            return f"rescaled:{p['a']:g},{p['b']:g}({p['base']})"
-        return k
+        """Canonical spec string; a rescaled utility reads `rescaled:a,b(base)`."""
+        if self.kind == "rescaled":
+            a, b, base = self.params
+            return f"{spec_text(self.kind, (a, b))}({base.describe()})"
+        return spec_text(self.kind, self.params)
 
     def __repr__(self):
         return f"UtilityFn({self.describe()}, domain={self.domain}, image={self.image})"
@@ -155,7 +152,7 @@ def affine(a: float, b: float = 0.0) -> UtilityFn:
         lambda y: (np.asarray(y, dtype=float) - b) / a,
         _REAL_LINE,
         _REAL_LINE,
-        {"a": float(a), "b": float(b)},
+        (float(a), float(b)),
     )
 
 
@@ -176,12 +173,12 @@ def exponential(a: float) -> UtilityFn:
     else:
         image = Interval(1.0 / a, _INF)
     return UtilityFn(
-        "exponential",
+        "exp",
         lambda t: -np.expm1(-a * np.asarray(t, dtype=float)) / a,
         lambda y: -np.log1p(-a * np.asarray(y, dtype=float)) / a,
         _REAL_LINE,
         image,
-        {"a": float(a)},
+        (float(a),),
     )
 
 
@@ -203,7 +200,7 @@ def power_utility(r: float, domain: tuple[float, float] = (0.0, _INF)) -> Utilit
     if lo == 0.0:
         img_lo = 0.0
     img_hi = float(fwd(hi)) if math.isfinite(hi) else _INF
-    return UtilityFn("power", fwd, inv, dom, Interval(img_lo, img_hi), {"r": float(r), "domain": (lo, hi)})
+    return UtilityFn("power", fwd, inv, dom, Interval(img_lo, img_hi), (float(r),))
 
 
 def piecewise_linear_utility(knots) -> UtilityFn:
@@ -219,44 +216,34 @@ def piecewise_linear_utility(knots) -> UtilityFn:
     if np.any(np.diff(xs) <= 0) or np.any(np.diff(ys) <= 0):
         raise DomainError("pwl utility knots must be strictly increasing in x and y")
     return UtilityFn(
-        "piecewise_linear",
+        "pwl",
         lambda t: np.interp(np.asarray(t, dtype=float), xs, ys),
         lambda y: np.interp(np.asarray(y, dtype=float), ys, xs),
         Interval(xs[0], xs[-1], True, True),
         Interval(ys[0], ys[-1], True, True),
-        {"knots": tuple(pts)},
+        tuple(pts),
     )
 
 
+_BUILDERS = {
+    "identity": (identity_utility, (0,)),
+    "affine": (affine, (1, 2)),
+    "exp": (exponential, (1,)),
+    "power": (power_utility, (1,)),
+    "pwl": (piecewise_linear_utility, None),
+}
+
+
 def parse_utility(spec: str) -> UtilityFn:
-    """Parse `affine:a,b | exp:a | power:r | pwl:x1,y1;x2,y2;...` (plus `identity`)."""
-    text = spec.strip()
-    head, _, rest = text.partition(":")
-    head = head.lower()
-    try:
-        if head == "identity":
-            return identity_utility()
-        if head == "affine":
-            parts = [float(x) for x in rest.split(",")]
-            if len(parts) == 1:
-                parts.append(0.0)
-            return affine(*parts)
-        if head == "exp":
-            return exponential(float(rest))
-        if head == "power":
-            return power_utility(float(rest))
-        if head == "pwl":
-            knots = [tuple(float(x) for x in pair.split(",")) for pair in rest.split(";") if pair]
-            return piecewise_linear_utility(knots)
-    except (ValueError, DomainError) as exc:
-        if isinstance(exc, SpecStringError):
-            raise
-        raise SpecStringError(f"bad utility spec {spec!r}: {exc}") from exc
-    raise SpecStringError(f"unknown utility kind in spec {spec!r}")
+    """Parse `affine:a[,b] | exp:a | power:r | pwl:x1,y1;x2,y2;...` (plus `identity`)."""
+    return parse_spec(spec, "utility", _BUILDERS)
 
 
 def is_affine(phi: UtilityFn) -> bool:
-    return phi.kind == "affine" or (phi.kind == "rescaled" and phi.params.get("base", "").startswith("affine"))
+    """True for an affine utility, however many times rescaled."""
+    while phi.kind == "rescaled":
+        phi = phi.params[2]
+    return phi.kind == "affine"
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,34 @@ class TestFlags:
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, missing", [
+        (["evaluate", "--scenario", str(FIXTURES / "two_state.json")], "--penalty"),
+        (["ce", "--scenario", str(FIXTURES / "two_state.json")], "--penalty"),
+        (["compare", "--scenario", str(FIXTURES / "two_state.json"),
+          "--scenario2", str(FIXTURES / "two_state.json")], "--penalty"),
+        (["compare", "--scenario", str(FIXTURES / "two_state.json"), "--penalty", "maxmin:vertices"],
+         "--scenario2"),
+        (["dominance", "--scenario", str(FIXTURES / "single_state.json")], "--scenario2"),
+        (["cmin", "--prior", "a=0.4,b=0.6"], "--penalty"),
+        (["cmin", "--penalty", "entropic:1@a=0.5,b=0.5"], "--prior"),
+        (["battery", "--cases", "3"], "--penalty"),
+        (["portfolio", "--scenario", str(FIXTURES / "panel_hedge.csv"), "--mean-prior", "uniform"],
+         "--penalty"),
+        (["portfolio", "--scenario", str(FIXTURES / "panel_hedge.csv"), "--penalty", "maxmin:vertices"],
+         "--mean-prior"),
+    ])
+    def test_missing_required_flag_is_a_usage_error(self, capsys, argv, missing):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+
+    def test_unknown_demo_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["demo", "allais"])
+        assert exit_.value.code == 2
+        assert "argument topic: invalid choice: 'allais'" in capsys.readouterr().err
+
     def test_cmin_without_the_unread_flag_runs(self, capsys):
         code, out, _ = run_cli(capsys, "cmin", "--penalty", "entropic:1@a=0.5,b=0.5", "--prior", "a=0.4,b=0.6")
         assert code == 0 and "converged" in out
@@ -474,6 +502,14 @@ class TestCommands:
         )
         assert code == 2
         assert "error" in err
+
+    def test_non_finite_payoff_exits_two_naming_file_and_state(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"states": {"calm": {"probs": [0.5, 0.5], "payoffs": [0, 1]},'
+                       ' "stormy": {"probs": [0.5, 0.5], "payoffs": [0, NaN]}}}')
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(bad), "--penalty", "maxmin:vertices")
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: payoff nan in state 'stormy' (outcome 1) is not finite\n"
 
     def test_non_numeric_payload_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -71,15 +73,8 @@ class TestApply:
             piecewise_linear([(0.2, 0), (1, 1)])
 
     def test_shape_flags(self):
-        assert identity().is_continuous and identity().is_convex
-        assert power(2).is_convex
-        assert not power(0.5).is_convex
-        assert es_tail(0.1).is_convex
+        assert identity().is_continuous and es_tail(0.1).is_continuous
         assert not var_step(0.1).is_continuous
-        assert not var_step(0.1).is_convex
-        assert dual_power(1.0).is_convex  # reduces to the identity
-        assert not dual_power(2.0).is_convex  # strictly concave
-        assert not tversky_kahneman(0.61).is_convex
 
     def test_parse_round_trip(self):
         for spec in ("identity", "power:2", "prelec:0.5,1", "tk:0.61", "es:0.05",
@@ -90,6 +85,24 @@ class TestApply:
             parse_distortion("mystery:1")
         with pytest.raises(SpecStringError):
             parse_distortion("power:-1")
+
+    def test_kind_and_params_are_the_spec(self):
+        cases = [(identity(), "identity", ()), (power(2), "power", (2.0,)),
+                 (prelec(0.5, 1), "prelec", (0.5, 1.0)), (tversky_kahneman(0.61), "tk", (0.61,)),
+                 (es_tail(0.05), "es", (0.05,)), (var_step(0.1), "var", (0.1,)),
+                 (dual_power(2), "dualpower", (2.0,)),
+                 (piecewise_linear([(1, 1), (0, 0), (0.5, 0.2)]), "pwl", ((0.0, 0.0), (0.5, 0.2), (1.0, 1.0)))]
+        for psi, kind, params in cases:
+            assert (psi.kind, psi.params) == (kind, params)
+            again = parse_distortion(psi.describe())
+            assert (again.kind, again.params) == (kind, params)
+            assert repr(psi) == f"Distortion({psi.describe()})"
+
+    @pytest.mark.parametrize("spec", ["identity:1", "power:", "power:1,2", "prelec:0.5",
+                                      "prelec:0.5,1,2", "es:0.1;0.2", "pwl:0,0;0.5;1,1", "pwl:0,0,0;1,1"])
+    def test_wrong_count_names_the_spec(self, spec):
+        with pytest.raises(SpecStringError, match="bad distortion spec " + re.escape(repr(spec))):
+            parse_distortion(spec)
 
 
 class TestChoquet:

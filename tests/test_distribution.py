@@ -106,6 +106,12 @@ class TestTwoStageVariable:
         with pytest.raises(DomainError):
             TwoStageVariable(["w"], [[0.5, 0.49]], [[0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_payoff_names_state_and_outcome(self, bad):
+        with pytest.raises(DomainError) as err:
+            TwoStageVariable(["calm", "stormy"], [[0.5, 0.5]] * 2, [[0.0, 1.0], [2.0, bad]])
+        assert str(err.value) == f"payoff {bad!r} in state 'stormy' (outcome 1) is not finite"
+
     def test_shape_validation(self):
         with pytest.raises(ShapeError):
             TwoStageVariable(["a", "b"], [[1.0]], [[0.0], [1.0], [2.0]])

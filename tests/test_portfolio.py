@@ -37,6 +37,7 @@ from rankrobust import (
 from rankrobust import portfolio as portfolio_module
 from rankrobust.cli import main as cli_main, parse_panel
 from rankrobust.portfolio import _score_block
+from rankrobust.utility import is_affine
 from conftest import mean_risk_objective
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -106,6 +107,15 @@ class TestPortfolioVariable:
             Weights(np.array([0.7, 0.7]))
 
 
+class TestScenarioPanel:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_return_names_asset_state_and_outcome(self, bad):
+        with pytest.raises(DomainError) as err:
+            ScenarioPanel(["a", "b"], ["calm", "stormy"], [[0.5, 0.5]] * 2,
+                          [[[0.1, 0.2], [0.0, 0.1]], [[0.1, 0.2], [0.3, bad]]])
+        assert str(err.value) == f"return {bad!r} of asset 'b' in state 'stormy' (outcome 1) is not finite"
+
+
 class TestMeanRiskObjective:
     def test_constant_zero_portfolio(self):
         panel = hedge_panel()
@@ -170,6 +180,22 @@ class TestOptimize:
         )
         res = optimize(panel, Prior.uniform(1), base_pref(), budget=10)
         assert list(res.weights.values) == [1.0]
+        # the general search scores the one-row grid and has no pair to move
+        mean, risk = mean_risk_components(panel, res.weights, Prior.uniform(1), base_pref())
+        assert (res.mean_term, res.risk_term, res.objective) == (mean, risk, mean - risk)
+        assert res.trace == (((1.0,), mean - risk),)
+        with pytest.raises(BudgetError):
+            optimize(panel, Prior.uniform(1), base_pref(), budget=0)
+
+    def test_twice_rescaled_affine_utility_accepted(self):
+        phi = affine(1.0).rescaled(2.0, 3.0).rescaled(0.5, 1.0)
+        assert is_affine(phi)
+        assert not is_affine(exponential(1.0).rescaled(2.0, 3.0))
+        pref = Preference(phi, es_tail(0.5), MaxminSet([Prior.uniform(1)]), SINGLE_STATE)
+        res = optimize(risky_riskfree_panel(), Prior.uniform(1), pref, budget=2000)
+        want = optimize(risky_riskfree_panel(), Prior.uniform(1), base_pref(), budget=2000)
+        assert list(res.weights.values) == list(want.weights.values)
+        assert res.objective == pytest.approx(want.objective, abs=1e-12)
 
     def test_perfect_hedge_found(self):
         res = optimize(hedge_panel(), Prior.uniform(1), base_pref(), budget=2000)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,11 +128,31 @@ class TestEvalInverse:
             piecewise_linear_utility([(0, 0), (1, -1)])
 
     def test_parse_round_trip(self):
-        for spec in ("affine:2,1", "exp:0.5", "power:2", "pwl:0,0;1,2"):
+        for spec in ("identity", "affine:2", "affine:2,1", "exp:0.5", "power:2", "pwl:0,0;1,2"):
             phi = parse_utility(spec)
             assert parse_utility(phi.describe()).describe() == phi.describe()
         with pytest.raises(SpecStringError):
             parse_utility("quadratic:1")
+
+    def test_kind_and_params_are_the_spec(self):
+        cases = [(identity_utility(), "affine", (1.0, 0.0)), (affine(2), "affine", (2.0, 0.0)),
+                 (exponential(0.5), "exp", (0.5,)), (power_utility(2), "power", (2.0,)),
+                 (CUBE, "power", (3.0,)),
+                 (piecewise_linear_utility([(1, 2), (0, 0)]), "pwl", ((0.0, 0.0), (1.0, 2.0)))]
+        for phi, kind, params in cases:
+            assert (phi.kind, phi.params) == (kind, params)
+            again = parse_utility(phi.describe())
+            assert (again.kind, again.params) == (kind, params)
+        base = exponential(0.5)
+        scaled = base.rescaled(2, 1)
+        assert (scaled.kind, scaled.params) == ("rescaled", (2.0, 1.0, base))
+        assert scaled.rescaled(0.5, 3).describe() == "rescaled:0.5,3(rescaled:2,1(exp:0.5))"
+
+    @pytest.mark.parametrize("spec", ["identity:1", "affine:", "affine:1,2,3", "exp:1,2", "power:",
+                                      "pwl:0,0;1", "pwl:0,0;1,2,3"])
+    def test_wrong_count_names_the_spec(self, spec):
+        with pytest.raises(SpecStringError, match="bad utility spec " + re.escape(repr(spec))):
+            parse_utility(spec)
 
 
 class TestSubjectiveMix:
