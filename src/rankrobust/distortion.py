@@ -38,6 +38,8 @@ class Distortion:
         self.is_continuous = bool(continuous)
         self._fn = fn
         vals = np.asarray(fn(_VALIDATION_GRID), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise DomainError(f"distortion {kind!r} is not finite on [0, 1]")
         if abs(vals[0]) > _MONOTONE_SLACK or abs(vals[-1] - 1.0) > _MONOTONE_SLACK:
             raise DomainError(
                 f"distortion {kind!r} must satisfy psi(0)=0 and psi(1)=1, "
@@ -149,6 +151,8 @@ def piecewise_linear(knots) -> Distortion:
     ys = np.array([y for _, y in pts])
     if xs.size < 2:
         raise DomainError("pwl distortion needs at least two knots")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise DomainError("pwl distortion knots must be finite")
     if np.any(np.diff(xs) <= 0):
         raise DomainError("pwl distortion knots must have strictly increasing p")
     if abs(xs[0]) > 1e-9 or abs(xs[-1] - 1.0) > 1e-9:

@@ -7,14 +7,14 @@ deterministic coarse simplex grid followed by pairwise coordinate polish
 with step halving; every evaluation is recorded so runs are auditable and
 reproducible.  Candidates are scored in blocks by one inner-layer call and
 one robust-value call per block: the whole grid, then speculative polish
-blocks.  A polish block holds the rounds at step, step/2, step/4, ... from
-the current best weights, up to the block's depth (stopping at the step
-tolerance, cut to the remaining budget); the rounds are replayed in order
-and the first that improves ends the block, the later rounds' rows being
-discarded, neither traced nor counted as evaluations.  Depth starts at 1,
-doubles after a block with no improvement and returns to 1 after one, so
-there are never more calls than rounds and never more discarded rounds
-than rounds used since the last improvement (each at most n(n-1) rows).
+blocks.  A polish block holds the next round from the current best
+weights, then the rounds at half, a quarter, ... of its step from the same
+weights, as many as fit in a waste credit: the rows recorded so far less
+the rows discarded so far (stopping at the step tolerance, cut to the
+remaining budget).  The rounds are replayed in order and the first that
+improves ends the block, the later rounds' rows being discarded, neither
+traced nor counted as evaluations.  So discarded rows never outnumber
+recorded ones, and a search scores at most twice the rows it records.
 """
 
 from __future__ import annotations
@@ -236,15 +236,19 @@ def optimize(
     best_w, best_mean, best_risk = grid[best].copy(), means[best], risks[best]
 
     step = 1.0 / coarse_resolution
-    depth = 1
+    discarded = 0
     while step >= step_tol and len(trace) < budget:
-        # Speculate that the next `depth` rounds all fail, so each starts
-        # from the same incumbent at half the previous step; score them
-        # (cut to the budget) in one block.
+        # Speculate that the rounds after the next one all fail, so each
+        # starts from the same incumbent at half the previous step.  They
+        # join while their rows fit in the credit, recorded rows less
+        # discarded ones; the block is cut to the budget and scored at once.
         rounds = []
-        room = budget - len(trace)
-        while len(rounds) < depth and step >= step_tol and room > 0:
+        room, credit = budget - len(trace), len(trace) - discarded
+        while step >= step_tol and room > 0:
             candidates = _pair_moves(best_w, step)[:room]
+            credit -= len(candidates) if rounds else 0
+            if credit < 0:
+                break
             room -= len(candidates)
             rounds.append((step, candidates))
             step /= 2.0
@@ -263,9 +267,8 @@ def optimize(
                     improved = True
             used += len(candidates)
             if improved:
-                step, depth = round_step, 1
+                step = round_step
                 break
-        else:
-            depth *= 2
+        discarded += len(objs) - used
         trace.extend(zip(map(tuple, block[:used].tolist()), objs[:used]))
     return OptimizeResult(Weights(best_w), best_obj, best_mean, best_risk, tuple(trace))

@@ -185,10 +185,13 @@ def exponential(a: float) -> UtilityFn:
 def power_utility(r: float, domain: tuple[float, float] = (0.0, _INF)) -> UtilityFn:
     """phi(t) = t**r on a positive domain, or the odd extension sign(t)|t|**r
     when the stated domain reaches non-positive values (strictly increasing
-    through zero for every r > 0)."""
+    through zero for every r > 0).  A domain other than (0, inf) is part of
+    the spec: ``power:r,lo,hi``."""
     if not r > 0:
         raise DomainError(f"power utility needs exponent r > 0, got {r}")
     lo, hi = float(domain[0]), float(domain[1])
+    if not lo < hi:
+        raise DomainError(f"power utility needs a domain lo < hi, got {lo}, {hi}")
     dom = Interval(lo, hi)
     if lo >= 0.0:
         fwd = lambda t: np.power(np.asarray(t, dtype=float), r)
@@ -200,7 +203,8 @@ def power_utility(r: float, domain: tuple[float, float] = (0.0, _INF)) -> Utilit
     if lo == 0.0:
         img_lo = 0.0
     img_hi = float(fwd(hi)) if math.isfinite(hi) else _INF
-    return UtilityFn("power", fwd, inv, dom, Interval(img_lo, img_hi), (float(r),))
+    params = (float(r),) if (lo, hi) == (0.0, _INF) else (float(r), lo, hi)
+    return UtilityFn("power", fwd, inv, dom, Interval(img_lo, img_hi), params)
 
 
 def piecewise_linear_utility(knots) -> UtilityFn:
@@ -229,13 +233,13 @@ _BUILDERS = {
     "identity": (identity_utility, (0,)),
     "affine": (affine, (1, 2)),
     "exp": (exponential, (1,)),
-    "power": (power_utility, (1,)),
+    "power": (lambda r, lo=0.0, hi=_INF: power_utility(r, (lo, hi)), (1, 3)),
     "pwl": (piecewise_linear_utility, None),
 }
 
 
 def parse_utility(spec: str) -> UtilityFn:
-    """Parse `affine:a[,b] | exp:a | power:r | pwl:x1,y1;x2,y2;...` (plus `identity`)."""
+    """Parse `affine:a[,b] | exp:a | power:r[,lo,hi] | pwl:x1,y1;x2,y2;...` (plus `identity`)."""
     return parse_spec(spec, "utility", _BUILDERS)
 
 

@@ -511,6 +511,12 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err == f"error: {bad}: payoff nan in state 'stormy' (outcome 1) is not finite\n"
 
+    def test_non_finite_pwl_knot_exits_two_naming_the_spec(self, capsys):
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
+                                 "--penalty", "maxmin:vertices", "--distortion", "pwl:0,0;nan,0.5;1,1")
+        assert (code, out) == (2, "")
+        assert err == "error: bad distortion spec 'pwl:0,0;nan,0.5;1,1': pwl distortion knots must be finite\n"
+
     def test_non_numeric_payload_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"states": {"w": {"probs": [1.0], "payoffs": ["plenty"]}}}))

@@ -5,6 +5,7 @@ import pytest
 
 from rankrobust import (
     DiscreteDistribution,
+    Distortion,
     DomainError,
     SpecStringError,
     choquet,
@@ -97,6 +98,17 @@ class TestApply:
             again = parse_distortion(psi.describe())
             assert (again.kind, again.params) == (kind, params)
             assert repr(psi) == f"Distortion({psi.describe()})"
+
+    @pytest.mark.parametrize("spec", ["pwl:0,0;nan,0.5;1,1", "pwl:0,0;0.5,nan;1,1", "pwl:0,0;0.5,inf;1,1",
+                                      "pwl:0,0;inf,0.5;1,1", "pwl:-inf,0;0.5,0.5;1,1"])
+    def test_non_finite_knots_name_the_spec(self, spec):
+        with pytest.raises(SpecStringError) as err:
+            parse_distortion(spec)
+        assert str(err.value) == f"bad distortion spec {spec!r}: pwl distortion knots must be finite"
+
+    def test_non_finite_values_refused(self):
+        with pytest.raises(DomainError, match="distortion 'odd' is not finite on"):
+            Distortion("odd", lambda p: np.where(p == 0.5, np.nan, p))
 
     @pytest.mark.parametrize("spec", ["identity:1", "power:", "power:1,2", "prelec:0.5",
                                       "prelec:0.5,1,2", "es:0.1;0.2", "pwl:0,0;0.5;1,1", "pwl:0,0,0;1,1"])

@@ -322,37 +322,57 @@ def reference_optimize(panel, p_mean, pref, budget, resolution=10, step_tol=1e-6
     return best_w, best, tuple(trace), rounds
 
 
-def speculative_blocks(rounds):
-    """The reference's polish rounds grouped as ``optimize`` scores them, as
-    (depth, rounds used) pairs: a block plans ``depth`` rounds and ends after
-    its first improving round; depth doubles after a block with no
-    improvement and returns to 1 after one."""
-    blocks, depth, k = [], 1, 0
+def credit_blocks(rounds, trace, budget, resolution=10, step_tol=1e-6):
+    """The one-at-a-time search's polish rounds grouped as ``optimize``
+    scores them, as (rows scored, rows recorded, rounds scored) per block.
+
+    A block takes the next round, then each further round (the same
+    incumbent at half the step, its rows counted from the incumbent's
+    donors and cut to the budget) while its rows fit in the credit: rows
+    recorded less rows discarded.  The first improving round ends the
+    block and the rows after it are discarded.  Checks after every block
+    that discarded rows never exceed recorded ones."""
+    grid = len(trace) - sum(scored for scored, _ in rounds)
+    best_w, best = None, -math.inf
+    for w, obj in trace[:grid]:
+        if obj > best:
+            best, best_w = obj, w
+    blocks, recorded, discarded, k, step = [], grid, 0, 0, 1.0 / resolution
     while k < len(rounds):
-        planned = rounds[k : k + depth]
-        hits = [r for r, (_, improved) in enumerate(planned) if improved]
-        used = planned[: hits[0] + 1] if hits else planned
-        blocks.append((depth, used))
-        k += len(used)
-        depth = 1 if hits else 2 * depth
+        sizes, steps = [rounds[k][0]], [step]
+        room, credit = budget - recorded - sizes[0], recorded - discarded
+        while steps[-1] / 2 >= step_tol and room > 0:
+            donors = sum(1 for x in best_w if x >= steps[-1] / 2 - 1e-15)
+            rows = min((len(best_w) - 1) * donors, room)
+            if rows > credit:
+                break
+            credit, room = credit - rows, room - rows
+            sizes.append(rows)
+            steps.append(steps[-1] / 2)
+        hits = [r for r, (_, improved) in enumerate(rounds[k : k + len(sizes)]) if improved]
+        n_used = hits[0] + 1 if hits else len(sizes)
+        assert sizes[:n_used] == [scored for scored, _ in rounds[k : k + n_used]]
+        used = sum(sizes[:n_used])
+        for w, obj in trace[recorded : recorded + used]:
+            if obj > best + 1e-12:
+                best, best_w = obj, w
+        blocks.append((sum(sizes), used, len(sizes)))
+        recorded, discarded = recorded + used, discarded + sum(sizes) - used
+        assert discarded <= recorded
+        k += n_used
+        step = steps[n_used - 1] if hits else steps[-1] / 2
     return blocks
 
 
-def budgets_inside_blocks(rounds, grid, limit=3):
+def budgets_inside_blocks(blocks, grid, limit=3):
     """Budgets that stop in the first and in the last round of the first
-    ``limit`` speculative blocks (planned depth >= 2, two or more rows)."""
+    ``limit`` speculative blocks (two or more rounds and rows)."""
     budgets, start = [], grid
-    for depth, used in speculative_blocks(rounds):
-        rows = sum(scored for scored, _ in used)
-        if depth >= 2 and rows >= 2 and len(budgets) < 2 * limit:
-            budgets += [start + 1, start + rows - 1]
-        start += rows
+    for scored, used, n_rounds in blocks:
+        if n_rounds >= 2 and scored >= 2 and len(budgets) < 2 * limit:
+            budgets += [start + 1, start + scored - 1]
+        start += used
     return budgets
-
-
-def later_round_improves(rounds):
-    """Whether some block's improvement comes in its second or a later round."""
-    return any(len(used) >= 2 and used[-1][1] for _, used in speculative_blocks(rounds))
 
 
 class CountedScoring:
@@ -448,7 +468,7 @@ class TestLongOnlyRule:
 
 class TestOptimizeMatchesOneAtATime:
     """Block scoring reproduces the one-candidate-at-a-time search exactly,
-    in as many ``_score_block`` calls as the speculative blocks predict."""
+    in the ``_score_block`` calls the credit rule predicts."""
 
     def assert_same_search(self, monkeypatch, panel, p_mean, pref, budget, resolution=10):
         counted = CountedScoring(monkeypatch)
@@ -458,17 +478,17 @@ class TestOptimizeMatchesOneAtATime:
         assert res.trace == trace
         assert res.objective == best
         assert list(res.weights.values) == list(best_w)
-        blocks = speculative_blocks(rounds)
-        assert len(counted.rows) == 1 + sum(1 for _, used in blocks if any(scored for scored, _ in used))
-        return rounds
+        blocks = credit_blocks(rounds, trace, budget, resolution)
+        assert counted.rows[1:] == [scored for scored, *_ in blocks if scored]
+        return blocks
 
     @pytest.mark.parametrize("name", ["panel_hedge.csv", "panel_risky_riskfree.csv"])
     def test_fixture_panels(self, monkeypatch, name):
         panel = parse_panel(str(FIXTURES / name))
         for psi in (es_tail(0.5), dual_power(2)):
             pref = Preference(identity_utility(), psi, MaxminSet.vertices(1), panel.state_ids)
-            rounds = self.assert_same_search(monkeypatch, panel, Prior.uniform(1), pref, 300)
-            inside = budgets_inside_blocks(rounds, 11)
+            blocks = self.assert_same_search(monkeypatch, panel, Prior.uniform(1), pref, 300)
+            inside = budgets_inside_blocks(blocks, 11)
             assert inside
             for budget in (11, 12, 27, *inside):
                 self.assert_same_search(monkeypatch, panel, Prior.uniform(1), pref, budget)
@@ -476,34 +496,33 @@ class TestOptimizeMatchesOneAtATime:
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
     def test_seeded_panels(self, monkeypatch, kind):
         rng = np.random.default_rng(["maxmin", "vertices", "entropic", "gini", "tabulated"].index(kind))
-        later = inside = 0
-        # the second 4-asset panel gives each kind a block whose improvement
-        # comes after its first round
+        discarding = inside = 0
         for n_assets, resolution in ((2, 10), (3, 10), (4, 6), (5, 4), (4, 6)):
             panel = random_panel(rng, 2, 5, n_assets)
             pref = Preference(identity_utility(), DISTORTIONS[n_assets % 4],
                               penalty_of_kind(kind, rng, 2), panel.state_ids)
             p_mean = random_prior(rng, 2)
             grid = math.comb(resolution + n_assets - 1, n_assets - 1)
-            rounds = self.assert_same_search(monkeypatch, panel, p_mean, pref, grid + 200, resolution)
-            later += later_round_improves(rounds)
+            blocks = self.assert_same_search(monkeypatch, panel, p_mean, pref, grid + 200, resolution)
+            discarding += sum(1 for scored, used, _ in blocks if scored > used)
             # budgets that stop inside the first polish round, later, and
             # inside speculative blocks
-            budgets = (grid + 1, grid + 2 * n_assets + 1, grid + 60, *budgets_inside_blocks(rounds, grid))
+            budgets = (grid + 1, grid + 2 * n_assets + 1, grid + 60, *budgets_inside_blocks(blocks, grid))
             inside += len(budgets) - 3
             for budget in budgets:
                 self.assert_same_search(monkeypatch, panel, p_mean, pref, budget, resolution)
-        assert later >= 1 and inside >= 1, (later, inside)
+        assert discarding >= 1 and inside >= 1, (discarding, inside)
 
 
 class TestPolishCalls:
     """Speculative blocks never take more calls than the one-at-a-time
-    search has polish rounds, and never discard more rounds than they use."""
+    search has polish rounds, and never discard more rows than they record."""
 
     @pytest.mark.parametrize("step_tol, n_rounds", [(1e-6, 17), (2e-6, 16)])
-    def test_corner_optimum_takes_five_calls(self, monkeypatch, step_tol, n_rounds):
-        # The safe asset wins the grid; each round's one candidate moves
-        # mass to the risky asset and never improves.
+    def test_corner_optimum_takes_two_calls(self, monkeypatch, step_tol, n_rounds):
+        # The safe asset wins the 11-row grid; each round's one candidate
+        # moves mass to the risky asset and never improves, so the first
+        # block holds 1 + 11 rounds and the second the rest.
         panel, pref, p = risky_riskfree_panel(), base_pref(), Prior.uniform(1)
         counted = CountedScoring(monkeypatch)
         res = optimize(panel, p, pref, budget=2000, step_tol=step_tol)
@@ -511,7 +530,7 @@ class TestPolishCalls:
         *_, rounds = reference_optimize(panel, p, pref, 2000, step_tol=step_tol)
         assert rounds == [(1, False)] * n_rounds
         assert len(res.trace) == 11 + n_rounds
-        assert counted.rows[1:] == [1, 2, 4, 8, n_rounds - 15]
+        assert counted.rows[1:] == [12, n_rounds - 12]
 
     @pytest.mark.parametrize("kind", PENALTY_KINDS)
     def test_calls_and_discarded_rows_are_bounded(self, monkeypatch, kind):
@@ -525,10 +544,13 @@ class TestPolishCalls:
             counted = CountedScoring(monkeypatch)
             res = optimize(panel, p_mean, pref, budget=budget, coarse_resolution=resolution)
             monkeypatch.undo()
-            *_, rounds = reference_optimize(panel, p_mean, pref, budget, resolution)
+            *_, trace, rounds = reference_optimize(panel, p_mean, pref, budget, resolution)
             polish_calls = len(counted.rows) - 1
             assert polish_calls <= sum(1 for scored, _ in rounds if scored)
-            assert sum(counted.rows) - len(res.trace) <= n_assets * (n_assets - 1) * len(rounds)
+            # credit_blocks checks discarded <= recorded after every block
+            blocks = credit_blocks(rounds, trace, budget, resolution)
+            assert counted.rows[1:] == [scored for scored, *_ in blocks if scored]
+            assert sum(counted.rows) <= 2 * len(res.trace)
 
 
 def write_panel(path, panel):

@@ -137,7 +137,7 @@ class TestEvalInverse:
     def test_kind_and_params_are_the_spec(self):
         cases = [(identity_utility(), "affine", (1.0, 0.0)), (affine(2), "affine", (2.0, 0.0)),
                  (exponential(0.5), "exp", (0.5,)), (power_utility(2), "power", (2.0,)),
-                 (CUBE, "power", (3.0,)),
+                 (CUBE, "power", (3.0, -math.inf, math.inf)),
                  (piecewise_linear_utility([(1, 2), (0, 0)]), "pwl", ((0.0, 0.0), (1.0, 2.0)))]
         for phi, kind, params in cases:
             assert (phi.kind, phi.params) == (kind, params)
@@ -148,8 +148,23 @@ class TestEvalInverse:
         assert (scaled.kind, scaled.params) == ("rescaled", (2.0, 1.0, base))
         assert scaled.rescaled(0.5, 3).describe() == "rescaled:0.5,3(rescaled:2,1(exp:0.5))"
 
+    def test_power_domain_is_part_of_the_spec(self):
+        # the odd extension and the positive-domain utility differ in
+        # (kind, params) and in spec text, and each parses back to itself
+        assert power_utility(3).describe() == "power:3"
+        assert CUBE.describe() == "power:3,-inf,inf"
+        for phi in (CUBE, power_utility(0.5, domain=(-2.0, 5.0)), power_utility(2, domain=(0.0, 4.0))):
+            again = parse_utility(phi.describe())
+            assert (again.kind, again.params, again.domain) == (phi.kind, phi.params, phi.domain)
+            t = np.linspace(max(phi.domain.lo, -3.0), min(phi.domain.hi, 3.0), 13)[1:-1]
+            assert again(t).tolist() == phi(t).tolist()
+        assert CUBE(-2.0) == -8.0
+        for spec in ("power:3,1,1", "power:3,nan,1", "power:3,1,-inf"):
+            with pytest.raises(SpecStringError, match="bad utility spec " + re.escape(repr(spec))):
+                parse_utility(spec)
+
     @pytest.mark.parametrize("spec", ["identity:1", "affine:", "affine:1,2,3", "exp:1,2", "power:",
-                                      "pwl:0,0;1", "pwl:0,0;1,2,3"])
+                                      "power:1,2", "power:1,2,3,4", "pwl:0,0;1", "pwl:0,0;1,2,3"])
     def test_wrong_count_names_the_spec(self, spec):
         with pytest.raises(SpecStringError, match="bad utility spec " + re.escape(repr(spec))):
             parse_utility(spec)
