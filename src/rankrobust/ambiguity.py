@@ -3,13 +3,14 @@
 An ambiguity index is a grounded convex penalty c on the simplex of priors.
 Every index values utility profiles through one method, ``robust_solve(U)``:
 for each row u of the (rows, n_states) array U it returns the robust value
-min_q { q . u + c(q) } and an attaining prior.  An indicator penalty over a
-finite prior set gives worst-case (maxmin) evaluation, the relative-entropy
-penalty the multiplier closed form, the relative Gini penalty a
-water-filling quadratic program, and tabulated penalties an explicit grid
-scan.  Each row is solved on its own, so a row's value and minimizer do not
-depend on the size or layout of the batch it arrives in: a one-row call
-gives every batch row bit for bit.
+min_q { q . u + c(q) } and an attaining prior.  A maxmin set (the indicator
+penalty of a finite prior set's hull) and a tabulated penalty are one
+object, listed priors q_j with costs c_j (zero for maxmin), valued by one
+scan of min_j { q_j . u + c_j }; the relative-entropy penalty has the
+multiplier closed form and the relative Gini penalty a water-filling
+quadratic program.  Each row is solved on its own, so a row's value and
+minimizer do not depend on the size or layout of the batch it arrives in:
+a one-row call gives every batch row bit for bit.
 
 The dual side reconstructs the minimal penalty from certainty values alone:
 c*(q) = sup_u { I(u) - q . u } with I the robust value, taken over a box
@@ -52,10 +53,10 @@ class Prior:
         w = np.asarray(self.weights, dtype=float).copy()
         if w.ndim != 1 or w.size == 0:
             raise ShapeError("a prior must be a non-empty 1-D weight vector")
-        if np.any(w < 0.0):
+        if not np.all(w >= 0.0):  # NaN-safe
             raise DomainError(f"prior weights must be >= 0, got min {w.min()}")
         total = math.fsum(w)
-        if abs(total - 1.0) > PRIOR_SUM_TOL:
+        if not abs(total - 1.0) <= PRIOR_SUM_TOL:
             raise DomainError(f"prior weights must sum to 1 within {PRIOR_SUM_TOL}, got {total!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -166,26 +167,54 @@ class AmbiguityIndex:
         raise NotImplementedError
 
 
-class MaxminSet(AmbiguityIndex):
+class _ListedPriors(AmbiguityIndex):
+    """min_j { q_j . u + c_j } over listed priors q_j with costs c_j >= 0.
+
+    The priors are the rows of a matrix and ``costs`` the vector of the c_j,
+    the least of them 0.  robust_solve scans the rows (first index wins ties,
+    making results schedule-independent).
+    """
+
+    def __init__(self, priors):
+        priors = [p if isinstance(p, Prior) else Prior(np.asarray(p, dtype=float)) for p in priors]
+        if not priors:
+            raise DomainError(f"{self.kind} penalty needs at least one prior")
+        self._n = priors[0].n_states
+        if any(p.n_states != self._n for p in priors):
+            raise ShapeError(f"all priors of a {self.kind} penalty must have the same length")
+        self._matrix = np.vstack([p.weights for p in priors])
+
+    @property
+    def priors(self) -> tuple[Prior, ...]:
+        return tuple(Prior(row) for row in self._matrix)
+
+    @property
+    def n_states(self) -> int:
+        return self._n
+
+    def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
+        vals = _prior_dots(_utility_rows(U, self.n_states), self._matrix)
+        vals += self.costs
+        return vals.min(axis=1), self._matrix[vals.argmin(axis=1)]
+
+    def zero_penalty_prior(self) -> Prior:
+        return Prior(self._matrix[int(np.argmin(self.costs))])
+
+
+class MaxminSet(_ListedPriors):
     """Indicator penalty of the convex hull of finitely many priors.
 
-    Stored as a matrix of extreme points; membership is an LP feasibility
-    check.  For a linear objective the minimum over the hull is attained at
-    a listed point, so robust_solve scans them (first index wins ties, making
-    results schedule-independent).
+    For a linear objective the minimum over the hull is attained at a listed
+    point, so the scan of the listed priors values it; its costs are -0.0,
+    which leave every dot as it is (x + -0.0 is x, -0.0 included).
+    Membership is an LP feasibility check.
     """
 
     kind = "maxmin"
 
     def __init__(self, priors):
-        priors = [p if isinstance(p, Prior) else Prior(np.asarray(p, dtype=float)) for p in priors]
-        if not priors:
-            raise DomainError("maxmin set needs at least one prior")
-        n = priors[0].n_states
-        if any(p.n_states != n for p in priors):
-            raise ShapeError("all priors in a maxmin set must have the same length")
-        self._n, self._simplex = n, False
-        self._matrix = np.vstack([p.weights for p in priors])
+        super().__init__(priors)
+        self._simplex, self.costs = False, np.full(len(self._matrix), -0.0)
 
     @classmethod
     def vertices(cls, n: int) -> "MaxminSet":
@@ -198,7 +227,7 @@ class MaxminSet(AmbiguityIndex):
         if n < 1:
             raise ShapeError("a prior must be a non-empty 1-D weight vector")
         out = cls.__new__(cls)
-        out._n, out._simplex = n, True
+        out._n, out._simplex, out.costs = n, True, np.full(n, -0.0)
         return out
 
     @functools.cached_property
@@ -206,14 +235,6 @@ class MaxminSet(AmbiguityIndex):
         """The listed priors as rows.  ``__init__`` sets it; only a
         ``vertices(n)`` set builds it here, as the n x n identity."""
         return np.eye(self._n)
-
-    @property
-    def priors(self) -> tuple[Prior, ...]:
-        return tuple(Prior(row) for row in self._matrix)
-
-    @property
-    def n_states(self) -> int:
-        return self._n
 
     def penalty(self, q) -> float:
         w = _as_weights(q, self.n_states)
@@ -233,18 +254,16 @@ class MaxminSet(AmbiguityIndex):
         return 0.0 if np.max(np.abs(self._matrix.T @ mix - w)) <= HULL_TOL else math.inf
 
     def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
+        if not self._simplex:
+            return super().robust_solve(U)
         U = _utility_rows(U, self.n_states)
-        dots = U if self._simplex else _prior_dots(U, self._matrix)
-        best = dots.argmin(axis=1)
-        if self._simplex:
-            minimizers = np.zeros(dots.shape)
-            minimizers[np.arange(len(best)), best] = 1.0
-        else:
-            minimizers = self._matrix[best]
-        return dots.min(axis=1), minimizers
+        best = U.argmin(axis=1)
+        minimizers = np.zeros(U.shape)
+        minimizers[np.arange(len(best)), best] = 1.0
+        return U.min(axis=1), minimizers
 
     def zero_penalty_prior(self) -> Prior:
-        return Prior.point_mass(self._n, 0) if self._simplex else Prior(self._matrix[0])
+        return Prior.point_mass(self._n, 0) if self._simplex else super().zero_penalty_prior()
 
     def recentered(self, n: int) -> "MaxminSet":
         """On another state count, the whole simplex (its n vertices)."""
@@ -355,7 +374,7 @@ class Gini(_ReferencePenalty):
         return np.sum(q * U, axis=-1) + self.theta * np.sum((q - p) ** 2 / p, axis=-1), q
 
 
-class Tabulated(AmbiguityIndex):
+class Tabulated(_ListedPriors):
     """Explicit (prior, penalty) grid, re-grounded at construction.
 
     Lookups require an exact grid match; anything else is an error rather
@@ -365,29 +384,13 @@ class Tabulated(AmbiguityIndex):
     kind = "tabulated"
 
     def __init__(self, entries):
-        rows = []
-        vals = []
-        for prior, value in entries:
-            prior = prior if isinstance(prior, Prior) else Prior(np.asarray(prior, dtype=float))
-            value = float(value)
-            if value < 0 or not math.isfinite(value):
-                raise DomainError(f"tabulated penalty values must be finite and >= 0, got {value}")
-            rows.append(prior)
-            vals.append(value)
-        if not rows:
-            raise DomainError("tabulated penalty needs at least one grid entry")
-        n = rows[0].n_states
-        if any(p.n_states != n for p in rows):
-            raise ShapeError("all tabulated priors must have the same length")
-        vals = np.asarray(vals, dtype=float)
-        vals = vals - vals.min()  # re-ground: minimum penalty must be zero
-        self.priors = tuple(rows)
-        self.values = vals
-        self._matrix = np.vstack([p.weights for p in rows])
-
-    @property
-    def n_states(self) -> int:
-        return self._matrix.shape[1]
+        entries = list(entries)
+        super().__init__([prior for prior, _ in entries])
+        costs = np.array([float(value) for _, value in entries])
+        bad = ~(np.isfinite(costs) & (costs >= 0.0))
+        if bad.any():
+            raise DomainError(f"tabulated penalty values must be finite and >= 0, got {costs[bad][0]}")
+        self.costs = costs - costs.min()  # re-ground: minimum penalty must be zero
 
     def penalty(self, q) -> float:
         w = _as_weights(q, self.n_states)
@@ -397,18 +400,10 @@ class Tabulated(AmbiguityIndex):
             raise UnknownPriorError(
                 f"prior {w} is not on the tabulated grid (closest gap {gaps[idx]:g})"
             )
-        return float(self.values[idx])
-
-    def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
-        vals = _prior_dots(_utility_rows(U, self.n_states), self._matrix)
-        vals += self.values
-        return vals.min(axis=1), self._matrix[vals.argmin(axis=1)]
-
-    def zero_penalty_prior(self) -> Prior:
-        return self.priors[int(np.argmin(self.values))]
+        return float(self.costs[idx])
 
     def describe(self) -> str:
-        return f"tabulated on {len(self.priors)} priors"
+        return f"tabulated on {len(self._matrix)} priors"
 
 
 # ---------------------------------------------------------------------------
@@ -430,8 +425,8 @@ NEWTON_MAX_ITER = 50
 
 def _fenchel_gap(amb: AmbiguityIndex, q_row: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
     """I(u) - q . u at one box point and the minimizer q*(u), from one robust
-    solve, for q the single row of q_row.  q . u is the dot MaxminSet and
-    Tabulated take for q as a listed prior."""
+    solve, for q the single row of q_row.  q . u is the dot the listed-prior
+    scan takes for q as a listed prior."""
     row = u[None, :]
     values, minimizers = amb.robust_solve(row)
     return float(values[0] - _prior_dots(row, q_row)[0, 0]), minimizers[0]
@@ -444,10 +439,9 @@ def _rounding_slack(n: int, value: float, radius: float) -> float:
 
 
 def _c_min_lp(amb, w, low, high) -> CMinBracket:
-    """Polyhedral kinds: max t - q . u  s.t.  t <= p_j . u + c_j, u in the box."""
-    matrix = amb._matrix
+    """Listed priors: max t - q . u  s.t.  t <= p_j . u + c_j, u in the box."""
+    matrix, costs = amb._matrix, amb.costs
     k, n = matrix.shape
-    costs = amb.values if isinstance(amb, Tabulated) else np.zeros(k)
     res = linprog(
         np.append(w, -1.0),
         A_ub=np.hstack([-matrix, np.ones((k, 1))]),
@@ -576,7 +570,7 @@ def c_min_exact(amb: AmbiguityIndex, q, low: float, high: float) -> CMinBracket:
     low, high = float(low), float(high)
     if not (math.isfinite(low) and math.isfinite(high) and low <= high):
         raise DomainError(f"cmin box needs finite low <= high, got [{low}, {high}]")
-    if isinstance(amb, (MaxminSet, Tabulated)):
+    if isinstance(amb, _ListedPriors):
         return _c_min_lp(amb, w, low, high)
     if isinstance(amb, (Entropic, Gini)):
         return _c_min_smooth(amb, w, low, high)

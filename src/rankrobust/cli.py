@@ -374,35 +374,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--output": dict(default="text", choices=["text", "json"]),
     }
     preference = ("--scenario", "--utility", "--distortion", "--penalty")
-    # Each command declares only the flags it reads, so argparse refuses the rest.
+    # Each command declares its handler and only the flags it reads, so
+    # argparse refuses the rest.
     commands = {
-        "evaluate": preference,
-        "ce": preference,
-        "compare": preference + ("--scenario2",),
-        "dominance": ("--scenario", "--scenario2", "--utility", "--order"),
-        "cmin": ("--penalty", "--prior", "--grid"),
-        "battery": ("--penalty", "--utility", "--distortion", "--cases"),
-        "portfolio": preference + ("--mean-prior", "--budget"),
-        "demo": (),
+        "evaluate": (_cmd_evaluate, preference),
+        "ce": (_cmd_evaluate, preference),
+        "compare": (_cmd_compare, preference + ("--scenario2",)),
+        "dominance": (_cmd_dominance, ("--scenario", "--scenario2", "--utility", "--order")),
+        "cmin": (_cmd_cmin, ("--penalty", "--prior", "--grid")),
+        "battery": (_cmd_battery, ("--penalty", "--utility", "--distortion", "--cases")),
+        "portfolio": (_cmd_portfolio, preference + ("--mean-prior", "--budget")),
+        "demo": (_cmd_demo, ()),
     }
-    for name, names in commands.items():
+    for name, (handler, names) in commands.items():
         p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         for flag in names + ("--seed", "--output"):
             p.add_argument(flag, **flags[flag])
     sub.choices["demo"].add_argument("topic", choices=["ellsberg"], help="demo name")
     return parser
-
-
-_DISPATCH = {
-    "evaluate": _cmd_evaluate,
-    "ce": _cmd_evaluate,
-    "compare": _cmd_compare,
-    "dominance": _cmd_dominance,
-    "cmin": _cmd_cmin,
-    "battery": _cmd_battery,
-    "portfolio": _cmd_portfolio,
-    "demo": _cmd_demo,
-}
 
 
 @functools.cache
@@ -414,7 +404,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        return args.handler(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,8 @@ class Distortion:
         self.params = tuple(params)
         self.is_continuous = bool(continuous)
         self._fn = fn
-        vals = np.asarray(fn(_VALIDATION_GRID), dtype=float)
+        with np.errstate(all="ignore"):  # a bad parameter shows as a non-finite value
+            vals = np.asarray(fn(_VALIDATION_GRID), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise DomainError(f"distortion {kind!r} is not finite on [0, 1]")
         if abs(vals[0]) > _MONOTONE_SLACK or abs(vals[-1] - 1.0) > _MONOTONE_SLACK:

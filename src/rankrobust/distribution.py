@@ -26,6 +26,9 @@ PROB_SUM_TOL = 1e-12
 #: Recognized dominance orders.
 ORDERS = ("fsd", "ssd", "phissd")
 
+#: Dominance comparisons treat cdf (or integrated-cdf) gaps within this as equal.
+DOMINANCE_TOL = 1e-12
+
 
 def _merge_support(values, probs):
     """Sort support, merge points within MERGE_TOL of a group leader, drop zero mass.
@@ -40,7 +43,7 @@ def _merge_support(values, probs):
         raise ShapeError("values and probs must be equal-length non-empty 1-D sequences")
     if not np.all(np.isfinite(v)):
         raise DomainError("support values must be finite")
-    if np.any(p < 0.0):
+    if not np.all(p >= 0.0):  # NaN-safe
         raise DomainError(f"probabilities must be >= 0, got min {p.min()}")
     order = np.argsort(v, kind="stable")
     v = v[order]
@@ -78,7 +81,7 @@ class DiscreteDistribution:
     def __init__(self, values, probs):
         v, p = _merge_support(values, probs)
         total = math.fsum(p)
-        if abs(total - 1.0) > PROB_SUM_TOL:
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise DomainError(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
         cum = np.array([math.fsum(p[: i + 1]) for i in range(p.size)])
         cum[-1] = 1.0
@@ -218,16 +221,17 @@ class TwoStageVariable:
         """Same space, new payoff matrix."""
         return TwoStageVariable(self.state_ids, self.outcome_probs, payoffs)
 
-    def is_unambiguous(self, tol: float = 1e-12) -> bool:
-        """True when every state induces the same one-stage law."""
+    def is_unambiguous(self) -> bool:
+        """True when every state induces the same one-stage law, its support
+        points within MERGE_TOL and probabilities within PROB_SUM_TOL."""
         first = self.marginal(self.state_ids[0])
         for sid in self.state_ids[1:]:
             m = self.marginal(sid)
             if m.n_points != first.n_points:
                 return False
             if not (
-                np.allclose(m.values, first.values, atol=tol, rtol=0.0)
-                and np.allclose(m.probs, first.probs, atol=tol, rtol=0.0)
+                np.allclose(m.values, first.values, atol=MERGE_TOL, rtol=0.0)
+                and np.allclose(m.probs, first.probs, atol=PROB_SUM_TOL, rtol=0.0)
             ):
                 return False
         return True
@@ -313,18 +317,13 @@ def _integrated_cdf(d: DiscreteDistribution, grid: np.ndarray) -> np.ndarray:
     return out
 
 
-def dominance(
-    d1: DiscreteDistribution,
-    d2: DiscreteDistribution,
-    order: str,
-    phi=None,
-    tol: float = 1e-12,
-) -> DominanceReport:
+def dominance(d1: DiscreteDistribution, d2: DiscreteDistribution, order: str, phi=None) -> DominanceReport:
     """Compare two one-stage laws by stochastic dominance.
 
     FSD compares cdfs point-wise, SSD compares exactly integrated cdfs, and
     phi-SSD applies SSD to the push-forward laws under the strictly
-    increasing utility ``phi`` (required for that order).
+    increasing utility ``phi`` (required for that order).  Gaps within
+    DOMINANCE_TOL count as equal.
     """
     order = str(order).lower()
     if order not in ORDERS:
@@ -342,11 +341,11 @@ def dominance(
         g1 = _integrated_cdf(d1, grid)
         g2 = _integrated_cdf(d2, grid)
     diff = g1 - g2
-    if np.all(np.abs(diff) <= tol):
+    if np.all(np.abs(diff) <= DOMINANCE_TOL):
         return DominanceReport("equal", order)
-    if np.all(diff <= tol):
+    if np.all(diff <= DOMINANCE_TOL):
         return DominanceReport("dominates", order)
-    if np.all(diff >= -tol):
+    if np.all(diff >= -DOMINANCE_TOL):
         return DominanceReport("dominated", order)
-    witness = float(grid[np.argmax(diff > tol)])
+    witness = float(grid[np.argmax(diff > DOMINANCE_TOL)])
     return DominanceReport("incomparable", order, witness_t=witness)

@@ -11,11 +11,11 @@ a variational (penalized expected-utility) evaluation; with an indicator
 penalty it is worst-case over a prior set.
 
 The batteries check these identities on seeded draws.  ``battery_reports``
-builds the reduction suite and the ambiguity-aversion check in one pass:
-each case list is drawn once, the (phi, psi) rows of both go through one
-``inner_rdu`` call, and their profiles through one ``robust_solve`` per
-state count.  ``reduction_suite`` and ``ambiguity_aversion_check`` run the
-same pass for one report each.
+builds the reduction suite and the ambiguity-aversion check from one draw
+of each case list, with one ``robust_solve`` per state count for both;
+``reduction_suite`` returns its first report.  ``ambiguity_aversion_check``
+is a short pass of its own, which also takes the ``table:`` penalties on 2
+or more states that the suite refuses.
 """
 
 from __future__ import annotations
@@ -207,11 +207,11 @@ def evaluate(v: TwoStageVariable, pref: Preference) -> Evaluation:
     )
 
 
-def relation(a: float, b: float, tol: float = INDIFFERENCE_TOL) -> str:
-    """'>', '<' or '~' for two values; values within tol are indifferent."""
-    if a > b + tol:
+def relation(a: float, b: float) -> str:
+    """'>', '<' or '~' for two values; values within INDIFFERENCE_TOL are indifferent."""
+    if a > b + INDIFFERENCE_TOL:
         return ">"
-    if b > a + tol:
+    if b > a + INDIFFERENCE_TOL:
         return "<"
     return "~"
 
@@ -384,8 +384,8 @@ def _profile_values(local, profiles) -> np.ndarray:
 # Comparative and absolute ambiguity aversion
 # ---------------------------------------------------------------------------
 
-def _fit_affine_map(phi_a: UtilityFn, phi_b: UtilityFn, n_grid: int = 64):
-    """Least-squares (a, b) with phi_b ~= a*phi_a + b on a shared grid."""
+def _fit_affine_map(phi_a: UtilityFn, phi_b: UtilityFn):
+    """Least-squares (a, b) with phi_b ~= a*phi_a + b on a shared 64-point grid."""
     lo = max(phi_a.domain.lo, phi_b.domain.lo)
     hi = min(phi_a.domain.hi, phi_b.domain.hi)
     lo = lo if math.isfinite(lo) else -3.0
@@ -393,7 +393,7 @@ def _fit_affine_map(phi_a: UtilityFn, phi_b: UtilityFn, n_grid: int = 64):
     if not lo < hi:
         raise DomainError("utility domains do not overlap")
     pad = 1e-9 * (1.0 + abs(lo) + abs(hi))
-    grid = np.linspace(lo + pad, hi - pad, n_grid)
+    grid = np.linspace(lo + pad, hi - pad, 64)
     fa = phi_a(grid)
     fb = phi_b(grid)
     design = np.stack([fa, np.ones_like(fa)], axis=1)
@@ -481,9 +481,25 @@ def is_more_ambiguity_averse(
     }
 
 
+def _check_states(amb: AmbiguityIndex, local, battery: BatterySpec) -> int | None:
+    """The aversion check's state count: the battery's, or the penalty's own
+    if the battery draws any and the penalty (a table) cannot be recentred."""
+    if battery.n_states is None:
+        try:
+            local(amb.n_states + 1)
+        except ShapeError:
+            return amb.n_states
+    return battery.n_states
+
+
 def ambiguity_aversion_check(pref: Preference, battery: BatterySpec | None = None) -> dict:
-    """Robust value never exceeds the ambiguity-neutral value at a zero-penalty prior."""
-    return _battery_pass(pref, battery or BatterySpec(), suite=False)[1]
+    """Robust value never exceeds the ambiguity-neutral value at a zero-penalty
+    prior: one ``inner_rdu`` call, then one ``robust_solve`` per state count."""
+    local = functools.cache(pref.ambiguity.recentered)  # each recentred penalty built once
+    spec = battery or BatterySpec()
+    spec = replace(spec, n_states=_check_states(pref.ambiguity, local, spec))
+    profiles = _inner_profiles(generate_battery(spec), pref.phi, pref.psi)
+    return _aversion_section(spec, local, profiles, _profile_values(local, profiles).tolist())
 
 
 def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dict:
@@ -498,17 +514,12 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
         rank-dependent utility.  The plain expectation, the explicit
         minimum and ``choquet`` are the oracles.
 
-    The sections share their blocks (see ``battery_reports``, which also
-    runs the aversion check on the same draw): three ``inner_rdu`` calls,
-    one each for (a) and (b) and one for the rows of (c) and (d), then one
-    ``robust_solve`` per state count for (b) and (d), and one per case in
-    (c), where every case lists its own priors.
-
-    Section (d) values the penalty recentred on 1 state, so a penalty that
-    cannot be recentred (a ``table:`` penalty on 2 or more states) raises
-    ConfigError before any section runs.
+    The first report of ``battery_reports``.  Section (d) values the
+    penalty recentred on 1 state, so a penalty that cannot be recentred (a
+    ``table:`` penalty on 2 or more states) raises ConfigError before any
+    section runs.
     """
-    return _battery_pass(pref, battery or BatterySpec(), aversion=False)[0]
+    return battery_reports(pref, battery)[0]
 
 
 def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tuple[dict, dict]:
@@ -516,76 +527,52 @@ def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tup
     battery))`` from one pass: the same reports, and the same errors, with
     each case list drawn and each (phi, psi) row valued once.
 
-    The suite's main cases are also the aversion check's, unless a penalty
-    that cannot be recentred pins the check's state count.  One
-    ``inner_rdu`` call values the rows of sections (c) and (d) and of the
-    aversion check, after the calls of (a) and (b); the profiles of (b),
-    (d) and the check then go to one ``robust_solve`` per state count, with
-    each recentred penalty built once.
+    The suite's main cases are also the aversion check's: three
+    ``inner_rdu`` calls, one each for sections (a) and (b) and one for the
+    rows of (c), (d) and the check, then one ``robust_solve`` per state
+    count for (b), (d) and the check, with each recentred penalty built
+    once, and one per case in (c), where every case lists its own priors.
+    Draws follow the order of the sections run one by one.  Only a 1-state
+    table on a battery of any state count has check cases of its own, and
+    ``ambiguity_aversion_check`` draws them.
     """
-    return _battery_pass(pref, battery or BatterySpec())
-
-
-def _battery_pass(
-    pref: Preference, battery: BatterySpec, suite: bool = True, aversion: bool = True
-) -> tuple[dict | None, dict | None]:
-    """The reduction suite's and the aversion check's reports, None for the
-    one not asked for.  Draws follow the order of the sections run one by
-    one, so sharing moves no value."""
+    battery = battery or BatterySpec()
     amb = pref.ambiguity
     local = functools.cache(amb.recentered)  # each recentred penalty built once
-    if suite:
-        try:
-            local(1)
-        except ShapeError:
-            raise ConfigError(
-                f"the reduction suite's single-state section (d) needs the penalty recentred on 1 state; "
-                f"{amb.describe()} covers {amb.n_states} states and table: penalties cannot be recentred"
-            ) from None
-    spec = battery
-    if aversion and battery.n_states is None:
-        try:
-            local(amb.n_states + 1)
-        except ShapeError:
-            # Grid-shaped penalties cannot be re-dimensioned per case.
-            spec = replace(battery, n_states=amb.n_states)
-
-    report = None
-    affine_profiles, singles, listed = [], [], []
-    cases = generate_battery(battery) if suite or spec is battery else []
-    if suite:
-        rng = np.random.default_rng(battery.seed + 1)
-        report = {"seed": battery.seed, "expectation_reduction": _expectation_section(pref, cases)}
-        unamb, maps, shifts, moved = _affine_draws(battery, cases, rng)
-        affine_profiles = _inner_profiles([*unamb, *cases, *moved], identity_utility(), pref.psi)
-        listed = [_listed_priors(rng, v.n_states) for v in cases]
-        singles = generate_battery(
-            BatterySpec(
-                n_cases=battery.n_cases,
-                n_states=1,
-                max_outcomes=battery.max_outcomes,
-                payoff_low=battery.payoff_low,
-                payoff_high=battery.payoff_high,
-                seed=battery.seed + 3,
-            )
+    try:
+        local(1)
+    except ShapeError:
+        raise ConfigError(
+            f"the reduction suite's single-state section (d) needs the penalty recentred on 1 state; "
+            f"{amb.describe()} covers {amb.n_states} states and table: penalties cannot be recentred"
+        ) from None
+    cases = generate_battery(battery)
+    rng = np.random.default_rng(battery.seed + 1)
+    report = {"seed": battery.seed, "expectation_reduction": _expectation_section(pref, cases)}
+    unamb, maps, shifts, moved = _affine_draws(battery, cases, rng)
+    affine_profiles = _inner_profiles([*unamb, *cases, *moved], identity_utility(), pref.psi)
+    listed = [_listed_priors(rng, v.n_states) for v in cases]
+    singles = generate_battery(
+        BatterySpec(
+            n_cases=battery.n_cases,
+            n_states=1,
+            max_outcomes=battery.max_outcomes,
+            payoff_low=battery.payoff_low,
+            payoff_high=battery.payoff_high,
+            seed=battery.seed + 3,
         )
-    own = [] if spec is battery else generate_battery(spec)
-
-    # One block under (phi, psi): the main cases, the single-state cases and
-    # the aversion check's own cases, if it has them.
-    profiles = _inner_profiles([*cases, *singles, *own], pref.phi, pref.psi)
-    n_cases, n_singles, n_affine = len(cases), len(singles), len(affine_profiles)
-    case_profiles = profiles[:n_cases]
-    checked = [] if not aversion else case_profiles if spec is battery else profiles[n_cases + n_singles :]
-    values = _profile_values(local, [*affine_profiles, *profiles[n_cases : n_cases + n_singles], *checked]).tolist()
-
-    if suite:
-        report["affine_equivariance"] = _affine_section(maps, shifts, values[:n_affine])
-        report["maxmin_reduction"] = _maxmin_section(case_profiles, listed)
-        report["single_state_rdu"] = _single_state_section(pref, singles, values[n_affine : n_affine + n_singles])
-        report["passed"] = all(not report[k]["violations"] for k in REDUCTION_SECTIONS)
-    check = _aversion_section(spec, local, checked, values[n_affine + n_singles :]) if aversion else None
-    return report, check
+    )
+    # One block under (phi, psi): the main cases, then the single-state cases.
+    profiles = _inner_profiles([*cases, *singles], pref.phi, pref.psi)
+    case_profiles, n_affine = profiles[: len(cases)], len(affine_profiles)
+    values = _profile_values(local, [*affine_profiles, *profiles]).tolist()
+    report["affine_equivariance"] = _affine_section(maps, shifts, values[:n_affine])
+    report["maxmin_reduction"] = _maxmin_section(case_profiles, listed)
+    report["single_state_rdu"] = _single_state_section(pref, singles, values[n_affine + len(cases) :])
+    report["passed"] = all(not report[k]["violations"] for k in REDUCTION_SECTIONS)
+    if _check_states(amb, local, battery) != battery.n_states:
+        return report, ambiguity_aversion_check(pref, battery)
+    return report, _aversion_section(battery, local, case_profiles, values[n_affine : n_affine + len(cases)])
 
 
 def _section(errors, labels) -> dict:

@@ -95,8 +95,8 @@ def _check_weight_rows(W: np.ndarray) -> None:
     """The Weights rules, applied to every row of a (K, assets) block; the
     first failing row raises, its sum checked before its signs."""
     totals = list(map(math.fsum, W.tolist()))
-    bad_sum = np.abs(np.array(totals) - 1.0) > WEIGHT_SUM_TOL
-    bad = bad_sum | (W < 0.0).any(axis=1)
+    bad_sum = ~(np.abs(np.array(totals) - 1.0) <= WEIGHT_SUM_TOL)  # NaN fails this and the sign test
+    bad = bad_sum | ~(W >= 0.0).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
         if bad_sum[row]:
@@ -214,11 +214,11 @@ def optimize(
     """
     if panel.n_assets < 1:
         raise ShapeError("panel has no assets")
+    # The grid has C(n + r - 1, n - 1) rows: check before building it.
+    size = math.comb(panel.n_assets + coarse_resolution - 1, panel.n_assets - 1)
+    if budget < size:
+        raise BudgetError(f"budget {budget} is below the coarse grid size {size}")
     grid = simplex_grid(panel.n_assets, coarse_resolution)
-    if budget < grid.shape[0]:
-        raise BudgetError(
-            f"budget {budget} is below the coarse grid size {grid.shape[0]}"
-        )
     trace: list[tuple[tuple, float]] = []
 
     def score(block: np.ndarray) -> tuple[list[float], list[float], list[float]]:

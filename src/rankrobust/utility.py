@@ -95,7 +95,8 @@ class UtilityFn:
             raise DomainError(f"empty domain {self.domain}")
         pad = 1e-9 * (1.0 + abs(lo) + abs(hi))
         grid = np.linspace(lo + (0 if self.domain.closed_lo else pad), hi - (0 if self.domain.closed_hi else pad), _CHECK_POINTS)
-        vals = np.asarray(self._fwd(grid), dtype=float)
+        with np.errstate(all="ignore"):  # a bad parameter shows as a non-finite value
+            vals = np.asarray(self._fwd(grid), dtype=float)
         if not np.all(np.isfinite(vals)) or np.any(np.diff(vals) <= 0.0):
             raise DomainError(f"utility {self.kind!r} is not strictly increasing on {self.domain}")
 

@@ -52,6 +52,11 @@ class TestPrior:
         with pytest.raises(ShapeError):
             Prior(np.array([]))
 
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan]])
+    def test_nan_weights_refused(self, weights):
+        with pytest.raises(DomainError, match=r"^prior weights must be >= 0, got min nan$"):
+            Prior(np.array(weights))
+
     def test_helpers(self):
         assert np.allclose(Prior.uniform(4).weights, 0.25)
         assert list(Prior.point_mass(3, 1).weights) == [0.0, 1.0, 0.0]
@@ -364,6 +369,22 @@ class TestMaxminVertices:
         q = Prior(rng.dirichlet(np.ones(n)))
         assert repr(c_min_exact(fast, q, -2.0, 3.0)) == repr(c_min_exact(explicit, q, -2.0, 3.0))
         assert [p.weights.tobytes() for p in fast.priors] == [p.weights.tobytes() for p in explicit.priors]
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (1, 3), (3, 2), (4, 3), (6, 5)])
+    def test_zero_cost_table_is_the_maxmin_set(self, rng, k, n):
+        """A maxmin set and a table of zero costs over the same priors are one
+        scan: the same bits for every value, minimizer and cmin bracket (the
+        sums differ only at a -0.0 dot, which maxmin keeps and a +0.0 cost
+        turns into 0.0)."""
+        priors = [Prior(rng.dirichlet(np.ones(n))) for _ in range(k)]
+        maxmin, table = MaxminSet(priors), Tabulated([(q, 1.5) for q in priors])
+        U = rng.uniform(-3, 3, size=(9, n))
+        U[:3] = np.round(U[:3])  # ties between priors: the first listed wins
+        for got, want in zip(maxmin.robust_solve(U), table.robust_solve(U)):
+            assert got.tobytes() == want.tobytes()
+        assert maxmin.zero_penalty_prior().weights.tobytes() == table.zero_penalty_prior().weights.tobytes()
+        for q in [priors[-1], Prior(rng.dirichlet(np.ones(n)))]:
+            assert repr(c_min_exact(maxmin, q, -2.0, 3.0)) == repr(c_min_exact(table, q, -2.0, 3.0))
 
     def test_parser_uses_vertices(self):
         c = parse_penalty("maxmin:vertices", ["a", "b", "c"])

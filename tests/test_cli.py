@@ -517,6 +517,18 @@ class TestCommands:
         assert (code, out) == (2, "")
         assert err == "error: bad distortion spec 'pwl:0,0;nan,0.5;1,1': pwl distortion knots must be finite\n"
 
+    def test_nan_prior_in_a_penalty_exits_two_naming_the_spec(self, capsys):
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
+                                 "--penalty", "maxmin:[calm=nan,storm=1;calm=0.5,storm=0.5]", "--output", "json")
+        assert (code, out) == (2, "")
+        assert err == "error: bad prior spec 'calm=nan,storm=1': prior weights must be >= 0, got min nan\n"
+
+    def test_nan_mean_prior_exits_two_naming_the_spec(self, capsys):
+        code, out, err = run_cli(capsys, "portfolio", "--scenario", str(FIXTURES / "panel_hedge.csv"),
+                                 "--penalty", "maxmin:vertices", "--mean-prior", "nan")
+        assert (code, out) == (2, "")
+        assert err == "error: bad prior spec 'nan': prior weights must be >= 0, got min nan\n"
+
     def test_non_numeric_payload_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"states": {"w": {"probs": [1.0], "payoffs": ["plenty"]}}}))

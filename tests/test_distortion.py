@@ -106,6 +106,12 @@ class TestApply:
             parse_distortion(spec)
         assert str(err.value) == f"bad distortion spec {spec!r}: pwl distortion knots must be finite"
 
+    @pytest.mark.parametrize("spec", ["prelec:1,inf", "prelec:0.5,inf"])
+    def test_infinite_parameter_refused_without_a_warning(self, spec):
+        # RuntimeWarnings are errors under this suite's filter.
+        with pytest.raises(SpecStringError, match="bad distortion spec " + re.escape(repr(spec))):
+            parse_distortion(spec)
+
     def test_non_finite_values_refused(self):
         with pytest.raises(DomainError, match="distortion 'odd' is not finite on"):
             Distortion("odd", lambda p: np.where(p == 0.5, np.nan, p))

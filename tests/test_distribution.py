@@ -18,6 +18,11 @@ from conftest import quantile_oracle, random_distribution
 
 
 class TestDiscreteDistribution:
+    @pytest.mark.parametrize("mapping", [{0.0: 0.5, 1.0: 0.5, 2.0: math.nan}, {0.0: math.nan, 1.0: 1.0}])
+    def test_nan_probability_refused(self, mapping):
+        with pytest.raises(DomainError, match=r"^probabilities must be >= 0, got min nan$"):
+            DiscreteDistribution.from_mapping(mapping)
+
     def test_cdf_step_between_support(self):
         d = DiscreteDistribution.from_mapping({0: 0.7, 100: 0.3})
         assert d.cdf(50) == pytest.approx(0.7)

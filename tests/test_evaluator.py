@@ -47,6 +47,7 @@ from rankrobust import (
     parse_utility,
     piecewise_linear,
     power,
+    power_utility,
     prelec,
     reduction_suite,
     tversky_kahneman,
@@ -55,7 +56,7 @@ from rankrobust import (
 import rankrobust.evaluator as evaluator_module
 from rankrobust.cli import main as cli_main, parse_scenario
 from rankrobust.distribution import MERGE_TOL
-from rankrobust.evaluator import _PayoffRows, _inner_profiles, relation
+from rankrobust.evaluator import _PayoffRows, _inner_profiles, battery_reports, relation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -177,8 +178,7 @@ def assert_optimal(index, u, value, q):
     scale = 1.0 + float(np.max(np.abs(u)))
     assert np.all(q >= 0.0) and math.fsum(q) == pytest.approx(1.0, abs=1e-12)
     if isinstance(index, (MaxminSet, Tabulated)):
-        costs = index.values if isinstance(index, Tabulated) else [0.0] * len(index.priors)
-        objectives = [math.fsum(p.weights * u) + c for p, c in zip(index.priors, costs)]
+        objectives = [math.fsum(p.weights * u) + c for p, c in zip(index.priors, index.costs)]
         best = min(objectives)
         assert value == pytest.approx(best, abs=1e-12 * scale)
         attained = [obj for p, obj in zip(index.priors, objectives) if p.weights.tobytes() == q.tobytes()]
@@ -992,6 +992,29 @@ class TestBatteryBlocks:
         report = ambiguity_aversion_check(pref, spec)
         assert [v["case"] for v in report["violations"]] == reference_aversion_violations(pref, spec)
         assert report["passed"] == (not report["violations"])
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(battery_setups())
+    # The one check with cases of its own, a 1-state table's on a battery of
+    # any state count: here they reach outside the utility's domain, and the
+    # suite's 1-state cases do not.
+    @example((Preference(power_utility(0.5), prelec(0.65, 1.0), Tabulated([(Prior([1.0]), 0.3)]), ["w0"]),
+              BatterySpec(n_cases=1, max_states=2, max_outcomes=2, payoff_low=-1.0, payoff_high=9.0, seed=60)))
+    def test_one_pass_equals_the_separate_reports(self, setup):
+        """``battery_reports`` gives the two reports of the separate calls bit
+        for bit, or the error class the first failing call raises; tables
+        included (a 2+-state table is refused by the suite and checked by
+        ``ambiguity_aversion_check``)."""
+        pref, spec = setup
+
+        def outcome(run):
+            try:
+                return json.dumps(run(), sort_keys=True)
+            except (ConfigError, DomainError, ShapeError) as exc:
+                return type(exc)
+
+        want = outcome(lambda: (reduction_suite(pref, spec), ambiguity_aversion_check(pref, spec)))
+        assert outcome(lambda: battery_reports(pref, spec)) == want
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.lists(rank_cases(), min_size=1, max_size=5))

@@ -459,6 +459,11 @@ class TestLongOnlyRule:
         with pytest.raises(DomainError, match="long-only weights must be >= 0"):
             _score_block(hedge_panel(), block, Prior.uniform(1), base_pref())
 
+    @pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan]])
+    def test_nan_weight_refused(self, weights):
+        with pytest.raises(DomainError, match=r"^weights must sum to 1 within 1e-12, got nan$"):
+            Weights(np.array(weights))
+
     def test_sum_reported_before_sign(self):
         for score in (Weights, lambda w: _score_block(hedge_panel(), np.array([w]), Prior.uniform(1), base_pref())):
             with pytest.raises(DomainError) as err:
@@ -608,3 +613,18 @@ class TestCoarseGrid:
                 got = simplex_grid(n_assets, resolution)
                 assert got.dtype == want.dtype and got.shape == want.shape, (n_assets, resolution)
                 assert got.tobytes() == want.tobytes(), (n_assets, resolution)
+
+    @pytest.mark.parametrize("n_assets, size", [(13, 646646), (20, 20030010)])
+    def test_budget_checked_before_the_grid_is_built(self, monkeypatch, n_assets, size):
+        """A budget below the grid size exits before building the grid,
+        whose C(n + 9, n - 1) rows would not fit in memory at 20 assets."""
+
+        def refuse(*args):
+            raise AssertionError("the coarse grid was built")
+
+        monkeypatch.setattr(portfolio_module, "simplex_grid", refuse)
+        rng = np.random.default_rng(n_assets)
+        panel = ScenarioPanel([f"a{i}" for i in range(n_assets)], SINGLE_STATE, [[0.5, 0.5]],
+                              rng.normal(size=(1, 2, n_assets)))
+        with pytest.raises(BudgetError, match=rf"^budget 2000 is below the coarse grid size {size}$"):
+            optimize(panel, Prior.uniform(1), base_pref(), budget=2000)

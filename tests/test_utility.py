@@ -163,6 +163,13 @@ class TestEvalInverse:
             with pytest.raises(SpecStringError, match="bad utility spec " + re.escape(repr(spec))):
                 parse_utility(spec)
 
+    @pytest.mark.parametrize("spec", ["exp:inf", "affine:inf", "exp:-inf"])
+    def test_infinite_parameter_refused_without_a_warning(self, spec):
+        # RuntimeWarnings are errors under this suite's filter, so a warning
+        # from the validation grid would surface here instead of the refusal.
+        with pytest.raises(SpecStringError, match="bad utility spec " + re.escape(repr(spec))):
+            parse_utility(spec)
+
     @pytest.mark.parametrize("spec", ["identity:1", "affine:", "affine:1,2,3", "exp:1,2", "power:",
                                       "power:1,2", "power:1,2,3,4", "pwl:0,0;1", "pwl:0,0;1,2,3"])
     def test_wrong_count_names_the_spec(self, spec):
