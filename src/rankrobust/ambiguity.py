@@ -95,7 +95,8 @@ def _utility_rows(U, n: int) -> np.ndarray:
 
 def _prior_dots(U: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """q . u for every prior q, a row of the (priors, states) matrix, and
-    every row u of U, as a (rows, priors) array.
+    every row u of U, as a (rows, priors) array.  A (rows, priors, states)
+    matrix lists each row's own priors.
 
     Each dot is numpy's pairwise sum, along a contiguous axis, of the
     products over all states in state order, so it depends on q and u
@@ -105,8 +106,8 @@ def _prior_dots(U: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """
     step = max(1, PRODUCT_BLOCK // max(1, U.size))
     dots = []
-    for lo in range(0, len(matrix), step):
-        products = np.multiply(U[:, None, :], matrix[lo : lo + step], order="C")  # (rows, block, states)
+    for lo in range(0, matrix.shape[-2], step):
+        products = np.multiply(U[:, None, :], matrix[..., lo : lo + step, :], order="C")  # (rows, block, states)
         dots.append(products.sum(axis=-1))
     return np.concatenate(dots, axis=1)
 

@@ -71,15 +71,15 @@ def identity() -> Distortion:
 
 def power(a: float) -> Distortion:
     """psi(p) = p**a; convex for a >= 1, concave for a <= 1."""
-    if not a > 0:
-        raise DomainError(f"power distortion needs a > 0, got {a}")
+    if not 0 < a < math.inf:
+        raise DomainError(f"power distortion needs a finite a > 0, got {a}")
     return Distortion("power", lambda p: np.power(p, a), (float(a),))
 
 
 def prelec(alpha: float, beta: float) -> Distortion:
     """psi(p) = exp(-beta * (-ln p)**alpha); prelec(1, 1) is the identity."""
-    if not (alpha > 0 and beta > 0):
-        raise DomainError(f"prelec distortion needs alpha, beta > 0, got {alpha}, {beta}")
+    if not (0 < alpha < math.inf and beta > 0):
+        raise DomainError(f"prelec distortion needs a finite alpha > 0 and beta > 0, got {alpha}, {beta}")
 
     def fn(p):
         p = np.asarray(p, dtype=float)
@@ -136,8 +136,8 @@ def var_step(lam: float) -> Distortion:
 
 def dual_power(k: float) -> Distortion:
     """psi(p) = 1 - (1 - p)**k for k >= 1 (concave)."""
-    if not k >= 1.0:
-        raise DomainError(f"dualpower distortion needs k >= 1, got {k}")
+    if not 1.0 <= k < math.inf:
+        raise DomainError(f"dualpower distortion needs a finite k >= 1, got {k}")
     return Distortion("dualpower", lambda p: 1.0 - np.power(1.0 - np.asarray(p, dtype=float), k), (float(k),))
 
 

@@ -10,12 +10,16 @@ this is exactly rank-dependent utility; with the identity distortion it is
 a variational (penalized expected-utility) evaluation; with an indicator
 penalty it is worst-case over a prior set.
 
-The batteries check these identities on seeded draws.  ``battery_reports``
-builds the reduction suite and the ambiguity-aversion check from one draw
-of each case list, with one ``robust_solve`` per state count for both;
-``reduction_suite`` returns its first report.  ``ambiguity_aversion_check``
-is a short pass of its own, which also takes the ``table:`` penalties on 2
-or more states that the suite refuses.
+The batteries check these identities on seeded draws.  Cases are drawn
+straight into padded (rows, outcomes) blocks, with no per-case object,
+and every section runs as array operations over the blocks, its errors
+grouped per case; ``generate_battery`` hands the same cases out as
+``TwoStageVariable``s.  ``battery_reports`` builds the reduction suite and
+the ambiguity-aversion check from one draw of each case list, with one
+``robust_solve`` per state count for both; ``reduction_suite`` returns its
+first report.  ``ambiguity_aversion_check`` is a short pass of its own,
+which also takes the ``table:`` penalties on 2 or more states that the
+suite refuses.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ambiguity import AmbiguityIndex, MaxminSet, Prior, simplex_grid
-from .distortion import Distortion, choquet, identity as identity_distortion
+from .ambiguity import AmbiguityIndex, MaxminSet, Prior, _prior_dots, simplex_grid
+from .distortion import Distortion, identity as identity_distortion
 from .distribution import MERGE_TOL, TwoStageVariable
 from .errors import ConfigError, DomainError, ShapeError
 from .utility import UtilityFn, add_variables, identity_utility
@@ -113,6 +117,11 @@ def _run_sums(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return s + comp
 
 
+def _row_fsum(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of the 2-d ``terms``."""
+    return np.fromiter(map(math.fsum, terms.tolist()), float, len(terms))
+
+
 class _PayoffRows(NamedTuple):
     """The (state x outcome) rows of a block, as ``inner_rdu`` reads them."""
 
@@ -178,7 +187,7 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
     prev[:, 1:] = s[:, :-1]
     tails = (s + np.cumsum(_twosum_errors(prev, mass, s), axis=1))[:, -2::-1]
     terms = du * np.where(tails > 0.0, psi(tails), 0.0)
-    return np.fromiter(map(math.fsum, np.concatenate((u[:, :1], terms), axis=1).tolist()), float, len(u))
+    return _row_fsum(np.concatenate((u[:, :1], terms), axis=1))
 
 
 def _certainty_equivalent(phi: UtilityFn, value: float) -> float | None:
@@ -324,60 +333,172 @@ class BatterySpec:
             raise ConfigError(f"a battery needs at least 1 case, got n_cases={self.n_cases}")
 
 
-def generate_battery(spec: BatterySpec) -> list[TwoStageVariable]:
+class _Cases(NamedTuple):
+    """Battery cases in one padded block: the (state x outcome) rows of each
+    case in turn, ``states[c]`` rows with ``outcomes[c]`` outcomes for case
+    c.  Rows narrower than the block get zero-mass pads that repeat the
+    row's largest payoff: pads rank last, carry no tail mass and add exact
+    zeros, so ``inner_rdu`` values a padded row exactly as the case alone.
+    """
+
+    probs: np.ndarray
+    payoffs: np.ndarray
+    states: np.ndarray
+    outcomes: np.ndarray
+
+    @property
+    def starts(self) -> np.ndarray:
+        """The first row of each case."""
+        return np.cumsum(self.states) - self.states
+
+    @property
+    def rows(self) -> _PayoffRows:
+        """The block as ``inner_rdu`` reads it; each case names its states w0, w1, ..."""
+        ids = tuple(f"w{i}" for n in self.states.tolist() for i in range(n))
+        return _PayoffRows(ids, self.probs, self.payoffs)
+
+
+def _draw_cases(spec: BatterySpec) -> _Cases:
+    """The battery's cases, drawn straight into a padded block.
+
+    One generator seeded with ``spec.seed`` draws, case by case, the state
+    count (unless the spec fixes it), the outcome count, the raw outcome
+    weights (unless uniform), each row's plus 0.05 divided by their sum,
+    and the payoffs.  An unambiguous case repeats its first row, a
+    risk-free row its first payoff.
+    """
     rng = np.random.default_rng(spec.seed)
-    cases = []
+    states, outcomes, weights, payoffs = [], [], [], []
     for _ in range(spec.n_cases):
         n_w = spec.n_states if spec.n_states is not None else int(rng.integers(1, spec.max_states + 1))
         n_s = int(rng.integers(2, spec.max_outcomes + 1))
-        if spec.uniform_outcome_probs:
-            probs = np.full((n_w, n_s), 1.0 / n_s)
-        else:
+        if not spec.uniform_outcome_probs:
             raw = rng.random((n_w, n_s)) + 0.05
-            probs = raw / raw.sum(axis=1, keepdims=True)
-        payoffs = rng.uniform(spec.payoff_low, spec.payoff_high, size=(n_w, n_s))
-        if spec.unambiguous:
-            probs = np.tile(probs[:1], (n_w, 1))
-            payoffs = np.tile(payoffs[:1], (n_w, 1))
-        if spec.risk_free:
-            payoffs = np.tile(payoffs[:, :1], (1, n_s))
-        ids = [f"w{i}" for i in range(n_w)]
-        cases.append(TwoStageVariable(ids, probs, payoffs))
-    return cases
+            weights.append(raw / raw.sum(axis=1, keepdims=True))
+        payoffs.append(rng.uniform(spec.payoff_low, spec.payoff_high, size=(n_w, n_s)))
+        states.append(n_w)
+        outcomes.append(n_s)
+    states, outcomes = np.array(states), np.array(outcomes)
+    row_outcomes = np.repeat(outcomes, states)
+    real = np.arange(outcomes.max()) < row_outcomes[:, None]
+    probs, block = np.zeros(real.shape), np.empty(real.shape)
+    if spec.uniform_outcome_probs:
+        probs[real] = np.repeat(1.0 / row_outcomes, row_outcomes)
+    else:
+        probs[real] = np.concatenate(weights, axis=None)
+    block[real] = np.concatenate(payoffs, axis=None)
+    if spec.unambiguous:
+        first = np.repeat(np.cumsum(states) - states, states)
+        probs, block = probs[first], block[first]
+    if spec.risk_free:
+        block = np.repeat(block[:, :1], real.shape[1], axis=1)
+    block = np.where(real, block, np.max(np.where(real, block, -np.inf), axis=1, keepdims=True))
+    return _Cases(probs, block, states, outcomes)
 
 
-def _inner_profiles(cases, phi: UtilityFn, psi: Distortion) -> list[np.ndarray]:
-    """Each case's per-state inner values, all cases in one ``inner_rdu`` call.
-
-    The cases' (state x outcome) rows are stacked into one block.  Rows
-    narrower than the widest case get zero-mass pads that repeat the row's
-    largest payoff: pads rank last, carry no tail mass and add exact zeros,
-    so a padded row is valued exactly as the case alone.
-    """
-    if not cases:
-        return []
-    width = max(v.payoffs.shape[1] for v in cases)
-    offsets = np.cumsum([0] + [v.payoffs.shape[0] for v in cases])
-    probs = np.zeros((offsets[-1], width))
-    payoffs = np.empty((offsets[-1], width))
-    for lo, v in zip(offsets, cases):
-        rows = slice(lo, lo + v.payoffs.shape[0])
-        m = v.payoffs.shape[1]
-        probs[rows, :m] = v.outcome_probs
-        payoffs[rows, :m] = v.payoffs
-        payoffs[rows, m:] = v.payoffs.max(axis=1, keepdims=True)
-    ids = tuple(s for v in cases for s in v.state_ids)
-    return np.split(inner_rdu(_PayoffRows(ids, probs, payoffs), phi, psi), offsets[1:-1])
+def generate_battery(spec: BatterySpec) -> list[TwoStageVariable]:
+    """The battery's cases as two-stage variables (``_draw_cases``, unpadded)."""
+    cases = _draw_cases(spec)
+    return [
+        TwoStageVariable([f"w{i}" for i in range(n_w)], cases.probs[lo : lo + n_w, :n_s],
+                         cases.payoffs[lo : lo + n_w, :n_s])
+        for lo, n_w, n_s in zip(cases.starts.tolist(), cases.states.tolist(), cases.outcomes.tolist())
+    ]
 
 
-def _profile_values(local, profiles) -> np.ndarray:
-    """Robust value of each profile under ``local(n)``, the penalty recentred
-    to its state count n: one ``robust_solve`` call per state count."""
-    values = np.empty(len(profiles))
-    for n in {u.size for u in profiles}:
-        idx = [i for i, u in enumerate(profiles) if u.size == n]
-        values[idx] = local(n).robust_solve(np.stack([profiles[i] for i in idx]))[0]
+def _stack(*blocks: _Cases) -> _Cases:
+    """The cases of the blocks in turn, in one block as wide as the widest."""
+    width = max(b.probs.shape[1] for b in blocks)
+    probs = np.zeros((sum(len(b.probs) for b in blocks), width))
+    payoffs = np.empty(probs.shape)
+    lo = 0
+    for b in blocks:
+        hi, m = lo + len(b.probs), b.probs.shape[1]
+        probs[lo:hi, :m] = b.probs
+        payoffs[lo:hi, :m] = b.payoffs
+        payoffs[lo:hi, m:] = b.payoffs.max(axis=1, keepdims=True)
+        lo = hi
+    return _Cases(probs, payoffs, np.concatenate([b.states for b in blocks]),
+                  np.concatenate([b.outcomes for b in blocks]))
+
+
+def _moved(cases: _Cases, scale: np.ndarray, shift: np.ndarray) -> _Cases:
+    """The cases with case c's payoffs x mapped to scale[c] * x + shift[c],
+    scale > 0; the map is monotone, so pads still repeat each row's maximum."""
+    payoffs = np.repeat(scale, cases.states)[:, None] * cases.payoffs + np.repeat(shift, cases.states)[:, None]
+    return cases._replace(payoffs=payoffs)
+
+
+def _by_state_count(utils: np.ndarray, states: np.ndarray):
+    """For each state count n among the cases: n, the indices of the cases
+    with n states and their profiles, their runs of ``utils`` (one value per
+    state) as a (cases, n) array."""
+    starts = np.cumsum(states) - states
+    for n in np.unique(states).tolist():
+        idx = np.flatnonzero(states == n)
+        yield n, idx, utils[starts[idx, None] + np.arange(n)]
+
+
+def _case_values(local, utils: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Robust value of each case's profile under ``local(n)``, the penalty
+    recentred to its state count n: one ``robust_solve`` call per state count."""
+    values = np.empty(len(states))
+    for n, idx, profiles in _by_state_count(utils, states):
+        values[idx] = local(n).robust_solve(profiles)[0]
     return values
+
+
+def _merge_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``DiscreteDistribution``'s support merge on every row of the (rows,
+    width) values, each row sorted: a point within MERGE_TOL of its group's
+    first point joins the group, a group's mass is the fsum of its members'
+    masses (>= 0), and groups without mass are dropped.  Returns the groups'
+    values and masses, left-aligned; each row is padded with zero masses at
+    its last group's value."""
+    rows, width = values.shape
+    first = np.ones(values.shape, dtype=bool)
+    first[:, 1:] = values[:, 1:] - values[:, :-1] > MERGE_TOL
+    # A point within MERGE_TOL above the one before it still starts a group
+    # if it lies more than MERGE_TOL above its group's first point.
+    for j in (np.flatnonzero(((values[:, 1:] > values[:, :-1]) & ~first[:, 1:]).any(axis=0)) + 1).tolist():
+        lead = np.where(first[:, :j], np.arange(j), 0).max(axis=1)
+        first[:, j] = values[:, j] - values[np.arange(rows), lead] > MERGE_TOL
+    group = (np.cumsum(first, axis=1) - 1 + width * np.arange(rows)[:, None]).ravel()
+    value = np.empty(rows * width)
+    value[group[first.ravel()]] = values[first]
+    masses = masses.ravel()
+    # Sums in index order, exact while a group has one member with mass.
+    mass = np.bincount(group, masses, rows * width)
+    for g in np.flatnonzero(np.bincount(group[masses > 0.0], minlength=rows * width) > 1).tolist():
+        mass[g] = math.fsum(masses[group == g].tolist())
+    keep = mass.reshape(rows, width) > 0.0
+    count = keep.sum(axis=1)
+    r, c = np.nonzero(keep)
+    slot = (np.cumsum(keep, axis=1) - 1)[r, c]
+    merged, merged_mass = np.empty((rows, count.max())), np.zeros((rows, count.max()))
+    merged[r, slot] = value.reshape(rows, width)[r, c]
+    merged_mass[r, slot] = mass.reshape(rows, width)[r, c]
+    pad = np.arange(merged.shape[1]) >= count[:, None]
+    return np.where(pad, merged[np.arange(rows), count - 1][:, None], merged), merged_mass
+
+
+def _choquet_rows(payoffs: np.ndarray, probs: np.ndarray, phi: UtilityFn, psi: Distortion) -> np.ndarray:
+    """``choquet`` of the utility law of every row of a (rows, outcomes)
+    block, in its survival form: sort by payoff, merge payoffs and then
+    utilities within MERGE_TOL, take each survival S_i as the fsum of the
+    masses above point i, and return u_1 + sum_i (u_{i+1} - u_i) * psi(S_i)
+    by fsum, with psi called once for the block.  Equals
+    ``choquet(DiscreteDistribution(x, p).pushforward(phi), psi)`` row by row
+    as floats (a one-point row reads 0.0 where ``choquet`` may read -0.0),
+    zero-mass pads at a row's largest payoff included: they merge into its
+    top point.  The reference of the single-state section, independent of
+    ``inner_rdu``'s scans."""
+    order = np.argsort(payoffs, axis=1, kind="stable")
+    x, mass = _merge_rows(np.take_along_axis(payoffs, order, axis=1), np.take_along_axis(probs, order, axis=1))
+    u, mass = _merge_rows(phi(x), mass)
+    tails = [math.fsum(row[i:]) for row in mass.tolist() for i in range(1, len(row))]
+    terms = np.diff(u, axis=1) * psi(np.array(tails).reshape(len(u), u.shape[1] - 1))
+    return _row_fsum(np.concatenate((u[:, :1], terms), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +573,15 @@ def is_more_ambiguity_averse(
 
     if battery.n_states != n:
         raise ShapeError(f"battery draws {battery.n_states}-state cases, preferences cover {n} states")
-    cases = generate_battery(battery)
-    values_a = _profile_values(pref_a.ambiguity.recentered, _inner_profiles(cases, pref_a.phi, pref_a.psi)).tolist()
-    values_b = _profile_values(pref_b.ambiguity.recentered, _inner_profiles(cases, pref_b.phi, pref_b.psi)).tolist()
+    cases = _draw_cases(battery)
+    values_a, values_b = (
+        _case_values(p.ambiguity.recentered, inner_rdu(cases.rows, p.phi, p.psi), cases.states).tolist()
+        for p in (pref_a, pref_b)
+    )
+    lows = np.minimum.reduceat(cases.payoffs.min(axis=1), cases.starts).tolist()
+    highs = np.maximum.reduceat(cases.payoffs.max(axis=1), cases.starts).tolist()
     behavioral_violations = []
-    for idx, (v, val_a, val_b) in enumerate(zip(cases, values_a, values_b)):
-        lo, hi = float(v.payoffs.min()), float(v.payoffs.max())
+    for idx, (lo, hi, val_a, val_b) in enumerate(zip(lows, highs, values_a, values_b)):
         for m in np.linspace(lo, hi, 5):
             if val_a >= pref_a.phi(float(m)) - 1e-12 and val_b < pref_b.phi(float(m)) - 1e-9:
                 behavioral_violations.append({"case": idx, "m": float(m), "value_a": val_a, "value_b": val_b})
@@ -472,7 +596,7 @@ def is_more_ambiguity_averse(
             "penalty_points_skipped": skipped,
         },
         "behavioral": {
-            "cases": len(cases),
+            "cases": len(cases.states),
             "violations": behavioral_violations,
             "seed": battery.seed,
         },
@@ -498,8 +622,9 @@ def ambiguity_aversion_check(pref: Preference, battery: BatterySpec | None = Non
     local = functools.cache(pref.ambiguity.recentered)  # each recentred penalty built once
     spec = battery or BatterySpec()
     spec = replace(spec, n_states=_check_states(pref.ambiguity, local, spec))
-    profiles = _inner_profiles(generate_battery(spec), pref.phi, pref.psi)
-    return _aversion_section(spec, local, profiles, _profile_values(local, profiles).tolist())
+    cases = _draw_cases(spec)
+    utils = inner_rdu(cases.rows, pref.phi, pref.psi)
+    return _aversion_section(spec, local, utils, cases.states, _case_values(local, utils, cases.states))
 
 
 def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dict:
@@ -512,7 +637,7 @@ def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dic
         penalties: the value is the explicit minimum over the listed
         priors; (d) a single state: the value is stand-alone
         rank-dependent utility.  The plain expectation, the explicit
-        minimum and ``choquet`` are the oracles.
+        minimum and ``choquet``'s survival form are the oracles.
 
     The first report of ``battery_reports``.  Section (d) values the
     penalty recentred on 1 state, so a penalty that cannot be recentred (a
@@ -527,13 +652,16 @@ def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tup
     battery))`` from one pass: the same reports, and the same errors, with
     each case list drawn and each (phi, psi) row valued once.
 
-    The suite's main cases are also the aversion check's: three
-    ``inner_rdu`` calls, one each for sections (a) and (b) and one for the
-    rows of (c), (d) and the check, then one ``robust_solve`` per state
-    count for (b), (d) and the check, with each recentred penalty built
-    once, and one per case in (c), where every case lists its own priors.
-    Draws follow the order of the sections run one by one.  Only a 1-state
-    table on a battery of any state count has check cases of its own, and
+    Three case lists are drawn into padded blocks (``_draw_cases``): the
+    main cases, which are also the aversion check's, the unambiguous cases
+    of (b) and the single-state cases of (d).  Three ``inner_rdu`` calls
+    follow, one each for sections (a) and (b) and one for the rows of (c),
+    (d) and the check, then one ``robust_solve`` per state count for (b),
+    (d) and the check, with each recentred penalty built once.  Every
+    section is array operations over the blocks, its errors grouped per
+    case; in (c) each case lists its own priors.  Draws follow the order
+    of the sections run one by one.  Only a 1-state table on a battery of
+    any state count has check cases of its own, and
     ``ambiguity_aversion_check`` draws them.
     """
     battery = battery or BatterySpec()
@@ -546,58 +674,10 @@ def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tup
             f"the reduction suite's single-state section (d) needs the penalty recentred on 1 state; "
             f"{amb.describe()} covers {amb.n_states} states and table: penalties cannot be recentred"
         ) from None
-    cases = generate_battery(battery)
+    cases = _draw_cases(battery)
     rng = np.random.default_rng(battery.seed + 1)
     report = {"seed": battery.seed, "expectation_reduction": _expectation_section(pref, cases)}
-    unamb, maps, shifts, moved = _affine_draws(battery, cases, rng)
-    affine_profiles = _inner_profiles([*unamb, *cases, *moved], identity_utility(), pref.psi)
-    listed = [_listed_priors(rng, v.n_states) for v in cases]
-    singles = generate_battery(
-        BatterySpec(
-            n_cases=battery.n_cases,
-            n_states=1,
-            max_outcomes=battery.max_outcomes,
-            payoff_low=battery.payoff_low,
-            payoff_high=battery.payoff_high,
-            seed=battery.seed + 3,
-        )
-    )
-    # One block under (phi, psi): the main cases, then the single-state cases.
-    profiles = _inner_profiles([*cases, *singles], pref.phi, pref.psi)
-    case_profiles, n_affine = profiles[: len(cases)], len(affine_profiles)
-    values = _profile_values(local, [*affine_profiles, *profiles]).tolist()
-    report["affine_equivariance"] = _affine_section(maps, shifts, values[:n_affine])
-    report["maxmin_reduction"] = _maxmin_section(case_profiles, listed)
-    report["single_state_rdu"] = _single_state_section(pref, singles, values[n_affine + len(cases) :])
-    report["passed"] = all(not report[k]["violations"] for k in REDUCTION_SECTIONS)
-    if _check_states(amb, local, battery) != battery.n_states:
-        return report, ambiguity_aversion_check(pref, battery)
-    return report, _aversion_section(battery, local, case_profiles, values[n_affine : n_affine + len(cases)])
-
-
-def _section(errors, labels) -> dict:
-    """A reduction report: the largest error and the labels of the errors
-    above INDIFFERENCE_TOL."""
-    return {
-        "max_error": max([0.0, *errors]),
-        "violations": [label for label, err in zip(labels, errors) if err > INDIFFERENCE_TOL],
-    }
-
-
-def _expectation_section(pref: Preference, cases) -> dict:
-    """(a) Under the identity distortion each state's inner value is the
-    expected utility, summed by ``math.fsum``."""
-    errors = []
-    for v, u in zip(cases, _inner_profiles(cases, pref.phi, identity_distortion())):
-        expected = [math.fsum(r) for r in (v.outcome_probs * pref.phi(v.payoffs)).tolist()]
-        errors.append(float(np.max(np.abs(u - expected))))
-    return _section(errors, range(len(cases)))
-
-
-def _affine_draws(battery: BatterySpec, cases, rng):
-    """(b)'s cases and draws: the unambiguous cases, a positive affine map
-    (a, b) for each, a shift for each main case, and the moved rows."""
-    unamb = generate_battery(
+    unamb = _draw_cases(
         BatterySpec(
             n_cases=battery.n_cases,
             max_states=battery.max_states,
@@ -608,61 +688,114 @@ def _affine_draws(battery: BatterySpec, cases, rng):
             unambiguous=True,
         )
     )
-    maps = [(float(rng.uniform(0.5, 2.5)), float(rng.uniform(-2.0, 2.0))) for _ in unamb]
-    shifts = [float(rng.uniform(-2.0, 2.0)) for _ in cases]
-    moved = [_PayoffRows(v.state_ids, v.outcome_probs, a * v.payoffs + b) for v, (a, b) in zip(unamb, maps)]
-    moved += [_PayoffRows(v.state_ids, v.outcome_probs, v.payoffs + m) for v, m in zip(cases, shifts)]
-    return unamb, maps, shifts, moved
+    # (a, b) per unambiguous case, then a shift per main case: an array draw
+    # takes one number after the other, as the scalar draws did.
+    maps = rng.uniform([0.5, -2.0], [2.5, 2.0], size=(battery.n_cases, 2))
+    shifts = rng.uniform(-2.0, 2.0, size=battery.n_cases)
+    affine = _stack(unamb, cases, _moved(unamb, maps[:, 0], maps[:, 1]),
+                    _moved(cases, np.ones(battery.n_cases), shifts))
+    affine_utils = inner_rdu(affine.rows, identity_utility(), pref.psi)
+    listed = _draw_listed_priors(rng, cases.states)
+    singles = _draw_cases(
+        BatterySpec(
+            n_cases=battery.n_cases,
+            n_states=1,
+            max_outcomes=battery.max_outcomes,
+            payoff_low=battery.payoff_low,
+            payoff_high=battery.payoff_high,
+            seed=battery.seed + 3,
+        )
+    )
+    # One block under (phi, psi): the main cases, then the single-state cases.
+    both = _stack(cases, singles)
+    utils = inner_rdu(both.rows, pref.phi, pref.psi)
+    n_affine, n_rows = len(affine.states), len(cases.probs)
+    values = _case_values(local, np.concatenate((affine_utils, utils)), np.concatenate((affine.states, both.states)))
+    report["affine_equivariance"] = _affine_section(maps, shifts, values[:n_affine])
+    report["maxmin_reduction"] = _maxmin_section(utils[:n_rows], cases.states, listed)
+    report["single_state_rdu"] = _single_state_section(pref, singles, values[n_affine + battery.n_cases :])
+    report["passed"] = all(not report[k]["violations"] for k in REDUCTION_SECTIONS)
+    if _check_states(amb, local, battery) != battery.n_states:
+        return report, ambiguity_aversion_check(pref, battery)
+    return report, _aversion_section(battery, local, utils[:n_rows], cases.states,
+                                     values[n_affine : n_affine + battery.n_cases])
 
 
-def _affine_section(maps, shifts, values) -> dict:
+def _section(errors, labels) -> dict:
+    """A reduction report: the largest error and the labels of the errors
+    above INDIFFERENCE_TOL."""
+    errors = errors.tolist()
+    return {
+        "max_error": max([0.0, *errors]),
+        "violations": [label for label, err in zip(labels, errors) if err > INDIFFERENCE_TOL],
+    }
+
+
+def _expectation_section(pref: Preference, cases: _Cases) -> dict:
+    """(a) Under the identity distortion each state's inner value is the
+    expected utility, each row's terms summed by ``math.fsum``; a case's
+    error is the largest over its states."""
+    inner = inner_rdu(cases.rows, pref.phi, identity_distortion())
+    expected = _row_fsum(cases.probs * pref.phi(cases.payoffs))
+    return _section(np.maximum.reduceat(np.abs(inner - expected), cases.starts), range(len(cases.states)))
+
+
+def _affine_section(maps: np.ndarray, shifts: np.ndarray, values: np.ndarray) -> dict:
     """(b) from the values of the unambiguous and main cases, then of their
-    moved copies, all under linear utility."""
+    moved copies, all under linear utility: a * x + b for the map (a, b) of
+    an unambiguous case, x + m for the shift m of a main case."""
     n_moved = len(maps) + len(shifts)
     base, after = values[:n_moved], values[n_moved:]
-    expect = [a * x + b for (a, b), x in zip(maps, base)]
-    expect += [x + m for m, x in zip(shifts, base[len(maps) :])]
-    errors = [abs(y - e) for y, e in zip(after, expect)]
-    return _section(errors, [*range(len(maps)), *(("shift", idx) for idx in range(len(shifts)))])
+    expect = np.concatenate((maps[:, 0] * base[: len(maps)] + maps[:, 1], base[len(maps) :] + shifts))
+    return _section(np.abs(after - expect), [*range(len(maps)), *(("shift", idx) for idx in range(len(shifts)))])
 
 
-def _listed_priors(rng, n: int) -> list[Prior]:
-    """(c)'s draw for an n-state case: one to four listed priors."""
-    raw = rng.random((int(rng.integers(1, 5)), n)) + 0.05
-    return [Prior(row / row.sum()) for row in raw]
+def _draw_listed_priors(rng, states: np.ndarray) -> np.ndarray:
+    """(c)'s draws: one to four listed priors for each case, in a (cases, 4,
+    max states) array.  A case's priors fill its first states; a case with
+    fewer than four repeats its first, which leaves every minimum as it is."""
+    listed = np.zeros((len(states), 4, states.max()))
+    for c, n in enumerate(states.tolist()):
+        raw = rng.random((int(rng.integers(1, 5)), n)) + 0.05
+        listed[c, :, :n] = (raw / raw.sum(axis=1, keepdims=True))[[*range(len(raw)), 0, 0, 0][:4]]
+    return listed
 
 
-def _maxmin_section(profiles, listed) -> dict:
-    """(c) Each profile's maxmin value over its listed priors against the
-    explicit minimum over the same priors."""
-    errors = []
-    for u, priors in zip(profiles, listed):
-        value = float(MaxminSet(priors).robust_solve(u[None, :])[0][0])
-        errors.append(abs(value - min(float(q.weights @ u) for q in priors)))
-    return _section(errors, range(len(profiles)))
+def _maxmin_section(utils: np.ndarray, states: np.ndarray, listed: np.ndarray) -> dict:
+    """(c) Each case's maxmin value over its listed priors, by the scan of
+    ``MaxminSet.robust_solve`` (whose -0.0 costs change no dot), against
+    the explicit minimum of the dots q @ u, taken as a stack of vector
+    products: each is the BLAS dot a lone q @ u takes."""
+    errors = np.empty(len(states))
+    for n, idx, profiles in _by_state_count(utils, states):
+        priors = listed[idx, :, :n]
+        value = _prior_dots(profiles, priors).min(axis=1)
+        explicit = (priors[:, :, None, :] @ profiles[:, None, :, None])[:, :, 0, 0].min(axis=1)
+        errors[idx] = np.abs(value - explicit)
+    return _section(errors, range(len(states)))
 
 
-def _single_state_section(pref: Preference, singles, values) -> dict:
+def _single_state_section(pref: Preference, singles: _Cases, values: np.ndarray) -> dict:
     """(d) The value of a single-state case against ``choquet`` of its
-    utility law."""
-    errors = [
-        abs(value - choquet(v.marginal(v.state_ids[0]).pushforward(pref.phi), pref.psi))
-        for v, value in zip(singles, values)
-    ]
-    return _section(errors, range(len(singles)))
+    utility law, in ``_choquet_rows``' survival form."""
+    return _section(np.abs(values - _choquet_rows(singles.payoffs, singles.probs, pref.phi, pref.psi)),
+                    range(len(values)))
 
 
-def _aversion_section(spec: BatterySpec, local, profiles, values) -> dict:
+def _aversion_section(spec: BatterySpec, local, utils: np.ndarray, states: np.ndarray, values: np.ndarray) -> dict:
     """The aversion check: no robust value above the p0-weighted average at
-    the recentred penalty's zero-penalty prior p0."""
-    zero = {n: local(n).zero_penalty_prior().weights for n in {u.size for u in profiles}}
+    the recentred penalty's zero-penalty prior p0 (p0 @ u for each case, a
+    stack of vector products)."""
+    neutral = np.empty(len(states))
+    for n, idx, profiles in _by_state_count(utils, states):
+        neutral[idx] = (local(n).zero_penalty_prior().weights @ profiles[:, :, None])[:, 0]
     violations = [
         {"case": idx, "value": value, "neutral": base}
-        for idx, (value, base) in enumerate(zip(values, (float(zero[u.size] @ u) for u in profiles)))
+        for idx, (value, base) in enumerate(zip(values.tolist(), neutral.tolist()))
         if value > base + INDIFFERENCE_TOL
     ]
     return {
-        "cases": len(profiles),
+        "cases": len(states),
         "violations": violations,
         "seed": spec.seed,
         "passed": not violations,

@@ -177,14 +177,20 @@ class OptimizeResult:
     trace: tuple
 
 
+def _donors(w: np.ndarray, step: float) -> np.ndarray:
+    """The assets that hold at least ``step`` (to 1e-15), in order."""
+    return np.flatnonzero(w >= step - 1e-15)
+
+
 def _pair_moves(w: np.ndarray, step: float) -> list[np.ndarray]:
     """One polish round: shift ``step`` from asset j to asset i for every
     ordered pair whose donor j holds at least ``step``, renormalized."""
     n = w.size
+    donors = _donors(w, step).tolist()
     candidates = []
     for i in range(n):
-        for j in range(n):
-            if i == j or w[j] < step - 1e-15:
+        for j in donors:
+            if i == j:
                 continue
             cand = w.copy()
             cand[i] += step
@@ -245,12 +251,14 @@ def optimize(
         rounds = []
         room, credit = budget - len(trace), len(trace) - discarded
         while step >= step_tol and room > 0:
-            candidates = _pair_moves(best_w, step)[:room]
-            credit -= len(candidates) if rounds else 0
+            # Each donor gives to every other asset: the round's rows are
+            # counted before it is built, so a round the credit refuses is not.
+            rows = min(len(_donors(best_w, step)) * (best_w.size - 1), room)
+            credit -= rows if rounds else 0
             if credit < 0:
                 break
-            room -= len(candidates)
-            rounds.append((step, candidates))
+            rounds.append((step, _pair_moves(best_w, step)[:rows]))
+            room -= rows
             step /= 2.0
         block = np.array([cand for _, cands in rounds for cand in cands])
         means, risks, objs = score(block) if block.size else ([], [], [])

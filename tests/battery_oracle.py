@@ -1,0 +1,177 @@
+"""The battery as a per-case loop: the test oracle of ``battery_reports``.
+
+Cases are ``TwoStageVariable``s drawn one by one, each valued alone: its
+own ``inner_rdu`` call and a one-row ``robust_solve`` under the penalty
+carried to its state count by ``adapt``, written here apart from
+``AmbiguityIndex.recentered``.  Section (c) builds a ``MaxminSet`` for each
+case and section (d) compares with ``choquet`` of the case's
+``DiscreteDistribution`` pushed forward by phi.  The phases run in the
+order of the batched pass (draws and inner values first, robust values
+after), so both raise the same error class, and every figure is computed
+with the arithmetic the batched sections reproduce, so the JSON of the
+reports agrees byte for byte.
+"""
+
+import functools
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from rankrobust import (
+    BatterySpec,
+    ConfigError,
+    Entropic,
+    Gini,
+    MaxminSet,
+    Prior,
+    ShapeError,
+    TwoStageVariable,
+    choquet,
+    identity,
+    identity_utility,
+    inner_rdu,
+)
+
+TOL = 1e-9  # a reduction error above this is a violation
+SECTIONS = ("expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu")
+
+
+def reference_generate_battery(spec):
+    """The battery's cases drawn one by one into ``TwoStageVariable``s."""
+    rng = np.random.default_rng(spec.seed)
+    cases = []
+    for _ in range(spec.n_cases):
+        n_w = spec.n_states if spec.n_states is not None else int(rng.integers(1, spec.max_states + 1))
+        n_s = int(rng.integers(2, spec.max_outcomes + 1))
+        if spec.uniform_outcome_probs:
+            probs = np.full((n_w, n_s), 1.0 / n_s)
+        else:
+            raw = rng.random((n_w, n_s)) + 0.05
+            probs = raw / raw.sum(axis=1, keepdims=True)
+        payoffs = rng.uniform(spec.payoff_low, spec.payoff_high, size=(n_w, n_s))
+        if spec.unambiguous:
+            probs = np.tile(probs[:1], (n_w, 1))
+            payoffs = np.tile(payoffs[:1], (n_w, 1))
+        if spec.risk_free:
+            payoffs = np.tile(payoffs[:, :1], (1, n_s))
+        cases.append(TwoStageVariable([f"w{i}" for i in range(n_w)], probs, payoffs))
+    return cases
+
+
+def adapt(amb, n):
+    """Carry a penalty template to n states, as the batteries document it:
+    reference penalties around the uniform prior, maxmin over all vertices
+    (as the hull of the n point masses); a table cannot be carried."""
+    if amb.n_states == n:
+        return amb
+    if isinstance(amb, MaxminSet):
+        return MaxminSet([Prior.point_mass(n, i) for i in range(n)])
+    if isinstance(amb, (Entropic, Gini)):
+        return type(amb)(amb.theta, Prior.uniform(n))
+    raise ShapeError(f"cannot adapt {amb.describe()} to {n} states")
+
+
+def _robust_value(local, u):
+    """The robust value of one case's per-state profile u."""
+    return float(local(u.size).robust_solve(u[None, :])[0][0])
+
+
+def _section(errors):
+    return {
+        "max_error": max([0.0, *(err for _, err in errors)]),
+        "violations": [label for label, err in errors if err > TOL],
+    }
+
+
+def _check_states(amb, local, battery):
+    """The aversion check's state count: a table's own when the battery
+    draws any state count."""
+    if battery.n_states is None:
+        try:
+            local(amb.n_states + 1)
+        except ShapeError:
+            return amb.n_states
+    return battery.n_states
+
+
+def _aversion(spec, local, profiles, values):
+    violations = []
+    for idx, (u, value) in enumerate(zip(profiles, values)):
+        neutral = float(local(u.size).zero_penalty_prior().weights @ u)
+        if value > neutral + TOL:
+            violations.append({"case": idx, "value": value, "neutral": neutral})
+    return {"cases": len(profiles), "violations": violations, "seed": spec.seed, "passed": not violations}
+
+
+def reference_aversion_check(pref, battery=None):
+    """``ambiguity_aversion_check`` case by case."""
+    local = functools.cache(functools.partial(adapt, pref.ambiguity))
+    spec = battery or BatterySpec()
+    spec = replace(spec, n_states=_check_states(pref.ambiguity, local, spec))
+    profiles = [inner_rdu(v, pref.phi, pref.psi) for v in reference_generate_battery(spec)]
+    return _aversion(spec, local, profiles, [_robust_value(local, u) for u in profiles])
+
+
+def reference_battery_reports(pref, battery=None):
+    """``battery_reports`` case by case: the reduction suite and the
+    aversion check, as the per-case path computed them."""
+    battery = battery or BatterySpec()
+    amb = pref.ambiguity
+    local = functools.cache(functools.partial(adapt, amb))
+    try:
+        local(1)
+    except ShapeError:
+        raise ConfigError(f"{amb.describe()} cannot be recentred on 1 state") from None
+    cases = reference_generate_battery(battery)
+    rng = np.random.default_rng(battery.seed + 1)
+    # (a) the identity distortion's inner values against fsum'd expectations
+    expectation = []
+    for idx, v in enumerate(cases):
+        u = inner_rdu(v, pref.phi, identity())
+        expected = [math.fsum(row) for row in (v.outcome_probs * pref.phi(v.payoffs)).tolist()]
+        expectation.append((idx, float(np.max(np.abs(u - expected)))))
+    # (b)'s cases, maps and moved copies, all under linear utility
+    unamb = reference_generate_battery(replace(battery, n_states=None, seed=battery.seed + 2, unambiguous=True,
+                                               uniform_outcome_probs=False, risk_free=False))
+    maps = [(float(rng.uniform(0.5, 2.5)), float(rng.uniform(-2.0, 2.0))) for _ in unamb]
+    shifts = [float(rng.uniform(-2.0, 2.0)) for _ in cases]
+    moved = [v.with_payoffs(a * v.payoffs + b) for v, (a, b) in zip(unamb, maps)]
+    moved += [v.with_payoffs(v.payoffs + m) for v, m in zip(cases, shifts)]
+    linear = [inner_rdu(v, identity_utility(), pref.psi) for v in [*unamb, *cases, *moved]]
+    # (c)'s listed priors, one MaxminSet per case
+    listed = []
+    for v in cases:
+        raw = rng.random((int(rng.integers(1, 5)), v.n_states)) + 0.05
+        listed.append(MaxminSet([Prior(row / row.sum()) for row in raw]))
+    singles = reference_generate_battery(replace(battery, n_states=1, max_states=6, seed=battery.seed + 3,
+                                                 uniform_outcome_probs=False, unambiguous=False, risk_free=False))
+    profiles = [inner_rdu(v, pref.phi, pref.psi) for v in cases]
+    single_profiles = [inner_rdu(v, pref.phi, pref.psi) for v in singles]
+    # robust values, each case alone
+    linear_values = [_robust_value(local, u) for u in linear]
+    case_values = [_robust_value(local, u) for u in profiles]
+    single_values = [_robust_value(local, u) for u in single_profiles]
+    n_base = len(unamb) + len(cases)
+    base, after = linear_values[:n_base], linear_values[n_base:]
+    affine = [(idx, abs(y - (a * x + b))) for idx, ((a, b), x, y) in enumerate(zip(maps, base, after))]
+    affine += [(("shift", idx), abs(y - (x + m)))
+               for idx, (m, x, y) in enumerate(zip(shifts, base[len(unamb):], after[len(unamb):]))]
+    maxmin = []
+    for idx, (u, priors) in enumerate(zip(profiles, listed)):
+        value = float(priors.robust_solve(u[None, :])[0][0])
+        maxmin.append((idx, abs(value - min(float(q.weights @ u) for q in priors.priors))))
+    single = [(idx, abs(value - choquet(v.marginal(v.state_ids[0]).pushforward(pref.phi), pref.psi)))
+              for idx, (v, value) in enumerate(zip(singles, single_values))]
+    report = {"seed": battery.seed}
+    for key, errors in zip(SECTIONS, (expectation, affine, maxmin, single)):
+        report[key] = _section(errors)
+    report["passed"] = all(not report[k]["violations"] for k in SECTIONS)
+    if _check_states(amb, local, battery) != battery.n_states:
+        return report, reference_aversion_check(pref, battery)
+    return report, _aversion(battery, local, profiles, case_values)
+
+
+def reference_reduction_suite(pref, battery=None):
+    """``reduction_suite`` case by case."""
+    return reference_battery_reports(pref, battery)[0]

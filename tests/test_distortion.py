@@ -112,6 +112,22 @@ class TestApply:
         with pytest.raises(SpecStringError, match="bad distortion spec " + re.escape(repr(spec))):
             parse_distortion(spec)
 
+    @pytest.mark.parametrize("spec, message", [
+        ("power:inf", "power distortion needs a finite a > 0, got inf"),
+        ("dualpower:inf", "dualpower distortion needs a finite k >= 1, got inf"),
+        ("prelec:inf,1", "prelec distortion needs a finite alpha > 0 and beta > 0, got inf, 1.0"),
+    ])
+    def test_infinite_exponent_refused_naming_the_spec(self, spec, message):
+        with pytest.raises(SpecStringError) as err:
+            parse_distortion(spec)
+        assert str(err.value) == f"bad distortion spec {spec!r}: {message}"
+
+    @pytest.mark.parametrize("build, arg", [(power, float("inf")), (dual_power, float("inf")),
+                                            (lambda a: prelec(a, 1.0), float("inf")), (power, float("nan"))])
+    def test_constructors_refuse_infinite_exponents(self, build, arg):
+        with pytest.raises(DomainError, match="needs a finite"):
+            build(arg)
+
     def test_non_finite_values_refused(self):
         with pytest.raises(DomainError, match="distortion 'odd' is not finite on"):
             Distortion("odd", lambda p: np.where(p == 0.5, np.nan, p))

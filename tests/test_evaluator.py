@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from rankrobust import (
     BatterySpec,
     ConfigError,
+    DiscreteDistribution,
     DomainError,
     Entropic,
     Gini,
@@ -56,7 +57,8 @@ from rankrobust import (
 import rankrobust.evaluator as evaluator_module
 from rankrobust.cli import main as cli_main, parse_scenario
 from rankrobust.distribution import MERGE_TOL
-from rankrobust.evaluator import _PayoffRows, _inner_profiles, battery_reports, relation
+from rankrobust.evaluator import _Cases, _PayoffRows, _choquet_rows, _draw_cases, _stack, battery_reports, relation
+from battery_oracle import reference_aversion_check, reference_battery_reports, reference_generate_battery
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -664,13 +666,13 @@ class TestComparativeAversion:
 
     def test_battery_options_reach_the_battery(self, monkeypatch):
         specs = []
-        real = evaluator_module.generate_battery
+        real = evaluator_module._draw_cases
 
         def recorded(spec):
             specs.append(spec)
             return real(spec)
 
-        monkeypatch.setattr(evaluator_module, "generate_battery", recorded)
+        monkeypatch.setattr(evaluator_module, "_draw_cases", recorded)
         pref = Preference(identity_utility(), identity(), Entropic(1.0, UNIFORM2), ("w0", "w1"))
         spec = BatterySpec(n_cases=3, max_states=4, max_outcomes=4, uniform_outcome_probs=True, risk_free=True)
         is_more_ambiguity_averse(pref, pref, spec)
@@ -764,7 +766,7 @@ def kernel_blocks(draw):
     Payoff shapes: every payoff of a row tied; a chain of 20+ payoffs, each
     within MERGE_TOL of the next; a few integer levels; distinct floats; or
     distinct payoffs whose utilities tie under SATURATED.  Some blocks get
-    zero-mass pads that repeat the row maximum, as ``_inner_profiles`` pads.
+    zero-mass pads that repeat the row maximum, as the battery blocks pad.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["tied", "chain", "levels", "floats", "saturated"]))
@@ -842,7 +844,7 @@ class TestReductionSuite:
 
     def test_table_on_two_states_fails_before_any_section(self, monkeypatch):
         drawn = []
-        monkeypatch.setattr(evaluator_module, "generate_battery", lambda spec: drawn.append(spec) or [])
+        monkeypatch.setattr(evaluator_module, "_draw_cases", lambda spec: drawn.append(spec))
         table = Tabulated([(UNIFORM2, 0.0), (Prior([0.2, 0.8]), 0.5)])
         pref = Preference(identity_utility(), power(2), table, ("w0", "w1"))
         with pytest.raises(ConfigError, match=r"section \(d\).*recentred on 1 state.*table: penalties"):
@@ -854,77 +856,6 @@ class TestReductionSuite:
         report = reduction_suite(Preference(exponential(0.1), power(2), table, ("w0",)),
                                  BatterySpec(n_cases=20, max_states=1))
         assert report["passed"], report
-
-
-def _adapt(amb, n):
-    """Carry a penalty template to n states, as the batteries document it:
-    reference penalties around the uniform prior, maxmin over all vertices."""
-    if amb.n_states == n:
-        return amb
-    if isinstance(amb, MaxminSet):
-        return MaxminSet([Prior.point_mass(n, i) for i in range(n)])
-    if isinstance(amb, (Entropic, Gini)):
-        return type(amb)(amb.theta, Prior.uniform(n))
-    raise ShapeError(f"cannot adapt {amb.describe()} to {n} states")
-
-
-def _case_value(v, pref, amb):
-    return evaluate(v, Preference(pref.phi, pref.psi, _adapt(amb, v.n_states), v.state_ids)).value_utils
-
-
-def reference_reduction_suite(pref, battery):
-    """The suite as a per-case loop: one evaluate call per variable."""
-    rng = np.random.default_rng(battery.seed + 1)
-    report = {"seed": battery.seed}
-    cases = generate_battery(battery)
-    errors = []
-    for v in cases:
-        _adapt(pref.ambiguity, v.n_states)
-        utils = inner_rdu(v, pref.phi, identity())
-        expected = [float(v.outcome_probs[w] @ pref.phi(v.payoffs[w])) for w in range(v.n_states)]
-        errors.append((len(errors), float(np.max(np.abs(utils - expected)))))
-    report["expectation_reduction"] = errors
-    unamb = generate_battery(replace(battery, n_states=None, seed=battery.seed + 2, unambiguous=True,
-                                     uniform_outcome_probs=False))
-    linear = Preference(identity_utility(), pref.psi, pref.ambiguity, pref.state_ids)
-    errors = []
-    for idx, v in enumerate(unamb):
-        a, b = float(rng.uniform(0.5, 2.5)), float(rng.uniform(-2.0, 2.0))
-        mapped = _case_value(v.with_payoffs(a * v.payoffs + b), linear, pref.ambiguity)
-        errors.append((idx, abs(mapped - (a * _case_value(v, linear, pref.ambiguity) + b))))
-    for idx, v in enumerate(cases):
-        m = float(rng.uniform(-2.0, 2.0))
-        shifted = _case_value(v.with_payoffs(v.payoffs + m), linear, pref.ambiguity)
-        errors.append((("shift", idx), abs(shifted - (_case_value(v, linear, pref.ambiguity) + m))))
-    report["affine_equivariance"] = errors
-    errors = []
-    for idx, v in enumerate(cases):
-        raw = rng.random((int(rng.integers(1, 5)), v.n_states)) + 0.05
-        listed = MaxminSet([Prior(row / row.sum()) for row in raw])
-        value = _case_value(v, pref, listed)
-        utils = inner_rdu(v, pref.phi, pref.psi)
-        errors.append((idx, abs(value - min(float(q.weights @ utils) for q in listed.priors))))
-    report["maxmin_reduction"] = errors
-    singles = generate_battery(replace(battery, n_states=1, max_states=6, seed=battery.seed + 3,
-                                       uniform_outcome_probs=False))
-    report["single_state_rdu"] = [
-        (idx, abs(_case_value(v, pref, pref.ambiguity) - choquet(v.marginal(v.state_ids[0]).pushforward(pref.phi), pref.psi)))
-        for idx, v in enumerate(singles)
-    ]
-    return report
-
-
-def reference_aversion_violations(pref, battery):
-    amb = pref.ambiguity
-    if battery.n_states is None and isinstance(amb, Tabulated):
-        battery = replace(battery, n_states=amb.n_states)
-    violations = []
-    for idx, v in enumerate(generate_battery(battery)):
-        local = _adapt(amb, v.n_states)
-        utils = inner_rdu(v, pref.phi, pref.psi)
-        if _case_value(v, pref, amb) > float(local.zero_penalty_prior().weights @ utils) + 1e-9:
-            violations.append(idx)
-    return violations
 
 
 @st.composite
@@ -946,17 +877,42 @@ def battery_setups(draw):
     phi = draw(st.sampled_from([identity_utility(), affine(2.0, 1.0), exponential(0.1)]))
     psi = draw(st.sampled_from([
         identity(), power(1.5), prelec(0.65, 1.0), dual_power(2.0), es_tail(0.4), var_step(0.3),
-        tversky_kahneman(0.7),
+        tversky_kahneman(0.7), piecewise_linear([(0, 0), (0.5, 0.3), (1, 1)]),
     ]))
     spec = BatterySpec(
         n_cases=draw(st.integers(1, 6)),
         n_states=draw(st.sampled_from([None, n])),
-        max_states=draw(st.integers(1, 4)),
-        max_outcomes=draw(st.integers(2, 6)),
+        max_states=draw(st.sampled_from([1, 2, 4, 10])),
+        max_outcomes=draw(st.sampled_from([2, 3, 6, 10])),
         seed=draw(st.integers(0, 10**6)),
         uniform_outcome_probs=draw(st.booleans()),
+        unambiguous=draw(st.booleans()),
+        risk_free=draw(st.booleans()),
     )
     return Preference(phi, psi, amb, [f"w{i}" for i in range(n)]), spec
+
+
+@st.composite
+def battery_specs(draw):
+    """A battery spec with every option, outcome counts up to 10."""
+    return BatterySpec(
+        n_cases=draw(st.integers(1, 8)),
+        n_states=draw(st.sampled_from([None, 1, 3])),
+        max_states=draw(st.integers(1, 10)),
+        max_outcomes=draw(st.integers(2, 10)),
+        seed=draw(st.integers(0, 10**6)),
+        uniform_outcome_probs=draw(st.booleans()),
+        unambiguous=draw(st.booleans()),
+        risk_free=draw(st.booleans()),
+    )
+
+
+def json_or_error(run):
+    """The JSON of what run() returns, or the class of the battery error it raises."""
+    try:
+        return json.dumps(run())
+    except (ConfigError, DomainError, ShapeError) as exc:
+        return type(exc)
 
 
 class TestBatterySpec:
@@ -967,31 +923,20 @@ class TestBatterySpec:
 
 
 class TestBatteryBlocks:
-    """The batched batteries against the per-case loops they replaced."""
+    """The batched batteries against the per-case loops they replaced
+    (``battery_oracle``)."""
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(battery_setups())
     def test_reports_match_per_case_reference(self, setup):
+        """Both reports, as JSON, equal the per-case oracle's byte for byte,
+        or both raise the same error class: a table on 2+ states is refused
+        up front, other shape clashes surface where the sections meet them."""
         pref, spec = setup
-        try:
-            want = reference_reduction_suite(pref, spec)
-        except ShapeError:
-            # A table on 2+ states is refused up front; other shape clashes
-            # surface where the sections meet them.
-            table = isinstance(pref.ambiguity, Tabulated) and pref.ambiguity.n_states >= 2
-            with pytest.raises(ConfigError if table else ShapeError):
-                reduction_suite(pref, spec)
-        else:
-            got = reduction_suite(pref, spec)
-            for key, errors in want.items():
-                if key == "seed":
-                    continue
-                assert got[key]["violations"] == [label for label, err in errors if err > 1e-9], key
-                assert abs(got[key]["max_error"] - max([0.0, *(err for _, err in errors)])) <= 1e-12, key
-            assert got["seed"] == spec.seed
-        report = ambiguity_aversion_check(pref, spec)
-        assert [v["case"] for v in report["violations"]] == reference_aversion_violations(pref, spec)
-        assert report["passed"] == (not report["violations"])
+        assert json_or_error(lambda: battery_reports(pref, spec)) == json_or_error(
+            lambda: reference_battery_reports(pref, spec))
+        assert json_or_error(lambda: ambiguity_aversion_check(pref, spec)) == json_or_error(
+            lambda: reference_aversion_check(pref, spec))
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(battery_setups())
@@ -1006,47 +951,60 @@ class TestBatteryBlocks:
         included (a 2+-state table is refused by the suite and checked by
         ``ambiguity_aversion_check``)."""
         pref, spec = setup
+        want = json_or_error(lambda: (reduction_suite(pref, spec), ambiguity_aversion_check(pref, spec)))
+        assert json_or_error(lambda: battery_reports(pref, spec)) == want
 
-        def outcome(run):
-            try:
-                return json.dumps(run(), sort_keys=True)
-            except (ConfigError, DomainError, ShapeError) as exc:
-                return type(exc)
-
-        want = outcome(lambda: (reduction_suite(pref, spec), ambiguity_aversion_check(pref, spec)))
-        assert outcome(lambda: battery_reports(pref, spec)) == want
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(battery_specs())
+    def test_drawn_block_equals_the_per_case_draws(self, spec):
+        """Each case's rows of the block are the per-case loop's draws, bit
+        for bit; pads have zero mass and repeat the row's largest payoff."""
+        cases, want = _draw_cases(spec), reference_generate_battery(spec)
+        assert cases.states.tolist() == [v.n_states for v in want]
+        assert cases.outcomes.tolist() == [v.n_outcomes for v in want]
+        for v, lo in zip(want, cases.starts.tolist()):
+            rows, m = slice(lo, lo + v.n_states), v.n_outcomes
+            assert cases.probs[rows, :m].tobytes() == v.outcome_probs.tobytes()
+            assert cases.payoffs[rows, :m].tobytes() == v.payoffs.tobytes()
+            assert not cases.probs[rows, m:].any()
+            assert (cases.payoffs[rows, m:] == v.payoffs.max(axis=1, keepdims=True)).all()
+        for got, v in zip(generate_battery(spec), want, strict=True):
+            assert got.state_ids == v.state_ids
+            assert (got.outcome_probs.tobytes(), got.payoffs.tobytes()) == (v.outcome_probs.tobytes(), v.payoffs.tobytes())
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.lists(rank_cases(), min_size=1, max_size=5))
     def test_padded_row_equals_case_alone(self, cases):
         variables = [v for v, _, _ in cases]
         _, phi, psi = cases[0]
-        for v, u in zip(variables, _inner_profiles(variables, phi, psi)):
-            assert u.tobytes() == inner_rdu(v, phi, psi).tobytes()
+        block = _stack(*(_Cases(v.outcome_probs, v.payoffs, np.array([v.n_states]), np.array([v.n_outcomes]))
+                         for v in variables))
+        values = inner_rdu(block.rows, phi, psi)
+        for v, lo in zip(variables, block.starts.tolist()):
+            assert values[lo : lo + v.n_states].tobytes() == inner_rdu(v, phi, psi).tobytes()
 
     def test_draws_follow_the_per_case_order(self, monkeypatch):
         blocks, listed = [], []
-        real = evaluator_module.inner_rdu
+        real_inner, real_listed = evaluator_module.inner_rdu, evaluator_module._draw_listed_priors
 
         def recorded_inner(v, phi, psi):
             blocks.append(v.payoffs.copy())
-            return real(v, phi, psi)
+            return real_inner(v, phi, psi)
 
-        class RecordedMaxmin(MaxminSet):
-            def __init__(self, priors):
-                super().__init__(priors)
-                listed.append(np.array([q.weights for q in self.priors]))
+        def recorded_listed(rng, states):
+            listed.append(real_listed(rng, states))
+            return listed[-1]
 
         monkeypatch.setattr(evaluator_module, "inner_rdu", recorded_inner)
-        monkeypatch.setattr(evaluator_module, "MaxminSet", RecordedMaxmin)
+        monkeypatch.setattr(evaluator_module, "_draw_listed_priors", recorded_listed)
         spec = BatterySpec(n_cases=12, seed=99)
         reduction_suite(Preference(exponential(0.1), prelec(0.65, 1.0), Entropic(1.5, UNIFORM2), ("w0", "w1")), spec)
 
         # The per-case loop's draws: (a, b) per unambiguous case, a shift per
         # case, then each case's listed maxmin priors.
         rng = np.random.default_rng(spec.seed + 1)
-        cases = generate_battery(spec)
-        unamb = generate_battery(replace(spec, seed=spec.seed + 2, unambiguous=True))
+        cases = reference_generate_battery(spec)
+        unamb = reference_generate_battery(replace(spec, seed=spec.seed + 2, unambiguous=True))
         moved = []
         for v in unamb:
             a = float(rng.uniform(0.5, 2.5))
@@ -1058,10 +1016,16 @@ class TestBatteryBlocks:
             k, m = payoffs.shape
             assert np.array_equal(blocks[1][row : row + k, :m], payoffs)
             row += k
-        assert len(listed) == len(cases)
-        for v, priors in zip(cases, listed):
+        # A case with fewer than four priors repeats its first; its other
+        # states have no weight.
+        (priors,) = listed
+        assert len(priors) == len(cases)
+        for v, drawn in zip(cases, priors):
             raw = rng.random((int(rng.integers(1, 5)), v.n_states)) + 0.05
-            assert np.array_equal(priors, np.array([r / r.sum() for r in raw]))
+            k, n = raw.shape
+            assert np.array_equal(drawn[:k, :n], np.array([r / r.sum() for r in raw]))
+            assert np.array_equal(drawn[k:, :n], np.repeat(drawn[:1, :n], 4 - k, axis=0))
+            assert not drawn[:, n:].any()
 
     @pytest.mark.parametrize("penalty", [
         "maxmin:[w0=0.3,w1=0.7;w0=0.6,w1=0.4]", "entropic:1.5@w0=0.4,w1=0.6", "gini:0.8@w0=0.5,w1=0.5",
@@ -1080,6 +1044,20 @@ class TestBatteryBlocks:
         assert cli_main(argv) == 0
         assert json.loads(capsys.readouterr().out)["result"]["total_violations"] == 0
         assert 1 <= len(calls) <= 6, calls
+
+
+class TestChoquetRows:
+    """Section (d)'s reference, ``_choquet_rows``, equals ``choquet`` of each
+    row's utility law exactly, ties, chains, zero masses and pads included."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(kernel_blocks())
+    @example((_PayoffRows(("w",), np.array([[1.0]]), np.array([[2.0]])), exponential(0.7), var_step(0.5)))
+    def test_equals_choquet_row_by_row(self, case):
+        rows, phi, psi = case
+        want = [choquet(DiscreteDistribution(x, p).pushforward(phi), psi)
+                for x, p in zip(rows.payoffs, rows.outcome_probs)]
+        assert _choquet_rows(rows.payoffs, rows.outcome_probs, phi, psi).tolist() == want
 
 
 SECTIONS = ("expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu")
@@ -1149,7 +1127,7 @@ class TestBatteryPass:
     ])
     def test_draws_and_solves_once(self, monkeypatch, capsys, penalty):
         drawn, inner, recentred, solved = [], [], [], []
-        real_draw, real_inner = evaluator_module.generate_battery, evaluator_module.inner_rdu
+        real_draw, real_inner = evaluator_module._draw_cases, evaluator_module.inner_rdu
         kind = type(parse_penalty(penalty, ["w0", "w1"]))
         real_recentered, real_solve = kind.recentered, kind.robust_solve
 
@@ -1167,7 +1145,7 @@ class TestBatteryPass:
             solved.append((self, np.shape(U)[1]))  # holding self keeps ids unique
             return real_solve(self, U)
 
-        monkeypatch.setattr(evaluator_module, "generate_battery", draw)
+        monkeypatch.setattr(evaluator_module, "_draw_cases", draw)
         monkeypatch.setattr(evaluator_module, "inner_rdu", lambda *args: inner.append(args) or real_inner(*args))
         monkeypatch.setattr(kind, "recentered", recentered)
         monkeypatch.setattr(kind, "robust_solve", robust_solve)
@@ -1180,4 +1158,30 @@ class TestBatteryPass:
         assert sorted(counts) == sorted(set(counts)), "a recentred penalty was built twice"
         local = [out for _, out in recentred]
         solved_counts = [n for obj, n in solved if any(obj is out for out in local)]
-        assert sorted(solved_counts) == sorted({v.n_states for cases in drawn for v in cases})
+        assert sorted(solved_counts) == sorted({n for cases in drawn for n in cases.states.tolist()})
+
+    def test_builds_no_per_case_objects(self, monkeypatch, capsys):
+        """A battery command constructs no ``TwoStageVariable`` or
+        ``DiscreteDistribution``, and a fixed number of ``Prior``s whatever
+        its case count."""
+        built = []
+        for cls, method in ((TwoStageVariable, "__init__"), (DiscreteDistribution, "__init__"),
+                            (Prior, "__post_init__")):
+            def recorded(self, *args, real=getattr(cls, method), **kwargs):
+                built.append(type(self).__name__)
+                real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, recorded)
+        priors = []
+        for cases in ("60", "240"):
+            built.clear()
+            argv = ["battery", "--penalty", "maxmin:[w0=0.3,w1=0.7;w0=0.6,w1=0.4]", "--utility", "exp:0.1",
+                    "--distortion", "var:0.3", "--cases", cases, "--output", "json"]
+            assert cli_main(argv) == 0
+            assert json.loads(capsys.readouterr().out)["result"]["total_violations"] == 0
+            assert set(built) <= {"Prior"}, built
+            priors.append(len(built))
+        assert priors[0] == priors[1] < 20, priors
+        built.clear()
+        generate_battery(BatterySpec(n_cases=2))  # the probes do record
+        assert built == ["TwoStageVariable"] * 2

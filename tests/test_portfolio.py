@@ -558,6 +558,32 @@ class TestPolishCalls:
             assert sum(counted.rows) <= 2 * len(res.trace)
 
 
+    @pytest.mark.parametrize("kind", PENALTY_KINDS)
+    def test_each_scored_round_is_built_once(self, monkeypatch, kind):
+        """``_pair_moves`` builds exactly the rounds the blocks score: the
+        round a block's credit does not admit is counted from its donors
+        and never built."""
+        rng = np.random.default_rng(10 + PENALTY_KINDS.index(kind))
+        real = portfolio_module._pair_moves
+        dropped = 0
+        for n_assets, resolution in ((2, 10), (3, 10), (4, 6), (6, 3)):
+            panel = random_panel(rng, 2, 5, n_assets)
+            pref = Preference(identity_utility(), DISTORTIONS[n_assets % 4],
+                              penalty_of_kind(kind, rng, 2), panel.state_ids)
+            p_mean = random_prior(rng, 2)
+            budget = math.comb(resolution + n_assets - 1, n_assets - 1) + 150
+            built = []
+            monkeypatch.setattr(portfolio_module, "_pair_moves", lambda w, step: built.append(step) or real(w, step))
+            optimize(panel, p_mean, pref, budget=budget, coarse_resolution=resolution)
+            monkeypatch.undo()
+            *_, trace, rounds = reference_optimize(panel, p_mean, pref, budget, resolution)
+            blocks = credit_blocks(rounds, trace, budget, resolution)
+            assert len(built) == sum(n_rounds for *_, n_rounds in blocks)
+            # some blocks speculate on two or more rounds
+            dropped += sum(1 for *_, n_rounds in blocks if n_rounds >= 2)
+        assert dropped >= 1
+
+
 def write_panel(path, panel):
     """The panel as the CSV the CLI reads, every number in round-trip form."""
     lines = ["state,prob,outcome," + ",".join(panel.assets)]
