@@ -62,16 +62,13 @@ from .evaluator import (
     Evaluation,
     Preference,
     ambiguity_aversion_check,
-    ambiguity_neutral_value,
     battery_reports,
     ellsberg_demo,
     ellsberg_preference,
     ellsberg_variables,
     evaluate,
-    generate_battery,
     inner_rdu,
     is_more_ambiguity_averse,
-    reduction_suite,
 )
 from .portfolio import (
     OptimizeResult,
@@ -79,7 +76,6 @@ from .portfolio import (
     Weights,
     mean_risk_components,
     optimize,
-    portfolio_variable,
 )
 from .utility import (
     Interval,
@@ -92,11 +88,9 @@ from .utility import (
     parse_utility,
     piecewise_linear_utility,
     power_utility,
-    preference_average,
     preference_double,
     subjective_add,
     subjective_mix,
-    translate_variable,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

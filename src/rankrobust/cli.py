@@ -183,6 +183,9 @@ def _cmd_evaluate(args) -> int:
 def _cmd_compare(args) -> int:
     v1 = parse_scenario(args.scenario)
     v2 = parse_scenario(args.scenario2)
+    if v2.state_ids != v1.state_ids:
+        raise ScenarioError(f"{args.scenario2}: states {v2.state_ids} do not match the states {v1.state_ids} "
+                            f"of {args.scenario}")
     pref = _resolve_preference(args, v1.state_ids)
     value_1 = evaluate(v1, pref).value_utils
     value_2 = evaluate(v2, pref).value_utils
@@ -208,8 +211,10 @@ def _cmd_compare(args) -> int:
 def _cmd_dominance(args) -> int:
     v1 = parse_scenario(args.scenario)
     v2 = parse_scenario(args.scenario2)
-    if v1.n_states != 1 or v2.n_states != 1:
-        raise ScenarioError("dominance compares one-stage laws; scenarios must have a single state")
+    for path, v in ((args.scenario, v1), (args.scenario2, v2)):
+        if v.n_states != 1:
+            raise ScenarioError(f"{path}: dominance compares one-stage laws; the scenario has {v.n_states} states, "
+                                f"not 1")
     phi = parse_utility(args.utility) if args.utility else None
     report_obj = dominance(
         v1.marginal(v1.state_ids[0]),

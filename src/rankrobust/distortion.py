@@ -44,7 +44,7 @@ class Distortion:
         if abs(vals[0]) > _MONOTONE_SLACK or abs(vals[-1] - 1.0) > _MONOTONE_SLACK:
             raise DomainError(
                 f"distortion {kind!r} must satisfy psi(0)=0 and psi(1)=1, "
-                f"got {vals[0]!r} and {vals[-1]!r}"
+                f"got {float(vals[0])!r} and {float(vals[-1])!r}"
             )
         if np.any(np.diff(vals) < -_MONOTONE_SLACK):
             raise DomainError(f"distortion {kind!r} is not non-decreasing on [0, 1]")

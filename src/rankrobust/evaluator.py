@@ -10,23 +10,24 @@ this is exactly rank-dependent utility; with the identity distortion it is
 a variational (penalized expected-utility) evaluation; with an indicator
 penalty it is worst-case over a prior set.
 
-The batteries check these identities on seeded draws.  Cases are drawn
-straight into padded (rows, outcomes) blocks, with no per-case object,
-and every section runs as array operations over the blocks, its errors
-grouped per case; ``generate_battery`` hands the same cases out as
-``TwoStageVariable``s.  ``battery_reports`` builds the reduction suite and
-the ambiguity-aversion check from one draw of each case list, with one
-``robust_solve`` per state count for both; ``reduction_suite`` returns its
-first report.  ``ambiguity_aversion_check`` is a short pass of its own,
-which also takes the ``table:`` penalties on 2 or more states that the
-suite refuses.
+The battery checks these identities on seeded draws of a fixed shape
+(1 to MAX_STATES states, 2 to MAX_OUTCOMES outcomes, payoffs uniform on
+PAYOFF_RANGE); a ``BatterySpec`` sets only its case count and seed.  Cases
+are drawn straight into padded (rows, outcomes) blocks, with no per-case
+object, and every section runs as array operations over the blocks, its
+errors grouped per case.  ``battery_reports`` builds the reduction report
+and the ambiguity-aversion check from one draw of each case list, with
+one ``robust_solve`` per state count for both.
+``ambiguity_aversion_check`` is a short pass of its own, which also takes
+the ``table:`` penalties on 2 or more states that the reduction report
+refuses.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +43,7 @@ INDIFFERENCE_TOL = 1e-9
 #: Default seed for behavioral batteries; recorded in every battery report.
 DEFAULT_BATTERY_SEED = 1729
 
-#: The sections of a ``reduction_suite`` report, in the order they run.
+#: The sections of the reduction report, in the order they run.
 REDUCTION_SECTIONS = ("expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu")
 
 
@@ -159,7 +160,7 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
     if not np.all(inside):
         w, s = np.argwhere(~inside)[0]
         raise DomainError(
-            f"payoff {v.payoffs[w, s]!r} at (state {v.state_ids[w]!r}, outcome {int(s)}) "
+            f"payoff {float(v.payoffs[w, s])!r} at (state {v.state_ids[w]!r}, outcome {int(s)}) "
             f"is outside the utility domain {phi.domain}"
         )
     order = np.argsort(np.where(v.outcome_probs > 0.0, v.payoffs, np.inf), axis=1, kind="stable")
@@ -223,14 +224,6 @@ def relation(a: float, b: float) -> str:
     if b > a + INDIFFERENCE_TOL:
         return "<"
     return "~"
-
-
-def ambiguity_neutral_value(v: TwoStageVariable, phi: UtilityFn, psi: Distortion, p0: Prior) -> float:
-    """Plain p0-weighted average of the per-state distorted utilities."""
-    utils = inner_rdu(v, phi, psi)
-    if p0.n_states != utils.size:
-        raise ShapeError(f"prior has {p0.n_states} states, variable has {utils.size}")
-    return float(p0.weights @ utils)
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +302,14 @@ def ellsberg_demo() -> dict:
 # Behavioral batteries
 # ---------------------------------------------------------------------------
 
+#: The battery's draw: each case has 1 to MAX_STATES states (unless a caller
+#: fixes the count) and 2 to MAX_OUTCOMES outcomes, payoffs uniform on
+#: PAYOFF_RANGE.
+MAX_STATES = 6
+MAX_OUTCOMES = 8
+PAYOFF_RANGE = (-5.0, 5.0)
+
+
 @dataclass(frozen=True)
 class BatterySpec:
     """Seeded pseudo-random collection of two-stage variables.
@@ -318,15 +319,7 @@ class BatterySpec:
     """
 
     n_cases: int = 200
-    n_states: int | None = None  # None: draw 1..max_states per case
-    max_states: int = 6
-    max_outcomes: int = 8
-    payoff_low: float = -5.0
-    payoff_high: float = 5.0
     seed: int = DEFAULT_BATTERY_SEED
-    uniform_outcome_probs: bool = False
-    unambiguous: bool = False
-    risk_free: bool = False
 
     def __post_init__(self):
         if self.n_cases < 1:
@@ -358,52 +351,34 @@ class _Cases(NamedTuple):
         return _PayoffRows(ids, self.probs, self.payoffs)
 
 
-def _draw_cases(spec: BatterySpec) -> _Cases:
-    """The battery's cases, drawn straight into a padded block.
+def _draw_cases(n_cases: int, seed: int, n_states: int | None = None, unambiguous: bool = False) -> _Cases:
+    """n_cases battery cases, drawn straight into a padded block.
 
-    One generator seeded with ``spec.seed`` draws, case by case, the state
-    count (unless the spec fixes it), the outcome count, the raw outcome
-    weights (unless uniform), each row's plus 0.05 divided by their sum,
-    and the payoffs.  An unambiguous case repeats its first row, a
-    risk-free row its first payoff.
+    One generator seeded with ``seed`` draws, case by case, the state count
+    (unless ``n_states`` fixes it), the outcome count, the raw outcome
+    weights, each row's plus 0.05 divided by their sum, and the payoffs.
+    An unambiguous case repeats its first row.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     states, outcomes, weights, payoffs = [], [], [], []
-    for _ in range(spec.n_cases):
-        n_w = spec.n_states if spec.n_states is not None else int(rng.integers(1, spec.max_states + 1))
-        n_s = int(rng.integers(2, spec.max_outcomes + 1))
-        if not spec.uniform_outcome_probs:
-            raw = rng.random((n_w, n_s)) + 0.05
-            weights.append(raw / raw.sum(axis=1, keepdims=True))
-        payoffs.append(rng.uniform(spec.payoff_low, spec.payoff_high, size=(n_w, n_s)))
+    for _ in range(n_cases):
+        n_w = n_states if n_states is not None else int(rng.integers(1, MAX_STATES + 1))
+        n_s = int(rng.integers(2, MAX_OUTCOMES + 1))
+        raw = rng.random((n_w, n_s)) + 0.05
+        weights.append(raw / raw.sum(axis=1, keepdims=True))
+        payoffs.append(rng.uniform(*PAYOFF_RANGE, size=(n_w, n_s)))
         states.append(n_w)
         outcomes.append(n_s)
     states, outcomes = np.array(states), np.array(outcomes)
-    row_outcomes = np.repeat(outcomes, states)
-    real = np.arange(outcomes.max()) < row_outcomes[:, None]
+    real = np.arange(outcomes.max()) < np.repeat(outcomes, states)[:, None]
     probs, block = np.zeros(real.shape), np.empty(real.shape)
-    if spec.uniform_outcome_probs:
-        probs[real] = np.repeat(1.0 / row_outcomes, row_outcomes)
-    else:
-        probs[real] = np.concatenate(weights, axis=None)
+    probs[real] = np.concatenate(weights, axis=None)
     block[real] = np.concatenate(payoffs, axis=None)
-    if spec.unambiguous:
+    if unambiguous:
         first = np.repeat(np.cumsum(states) - states, states)
         probs, block = probs[first], block[first]
-    if spec.risk_free:
-        block = np.repeat(block[:, :1], real.shape[1], axis=1)
     block = np.where(real, block, np.max(np.where(real, block, -np.inf), axis=1, keepdims=True))
     return _Cases(probs, block, states, outcomes)
-
-
-def generate_battery(spec: BatterySpec) -> list[TwoStageVariable]:
-    """The battery's cases as two-stage variables (``_draw_cases``, unpadded)."""
-    cases = _draw_cases(spec)
-    return [
-        TwoStageVariable([f"w{i}" for i in range(n_w)], cases.probs[lo : lo + n_w, :n_s],
-                         cases.payoffs[lo : lo + n_w, :n_s])
-        for lo, n_w, n_s in zip(cases.starts.tolist(), cases.states.tolist(), cases.outcomes.tolist())
-    ]
 
 
 def _stack(*blocks: _Cases) -> _Cases:
@@ -538,14 +513,13 @@ def is_more_ambiguity_averse(
     Structural side: the utilities must agree up to a positive affine map,
     the distortions must agree on a grid, and pref_b's penalty (rescaled to
     the common utility scale) must dominate pref_a's on a simplex grid.
-    Behavioral side: on the seeded battery, whenever the a-agent weakly
-    prefers an ambiguous variable to a sure amount, the b-agent must too.
+    Behavioral side: on the seeded battery, drawn on the preferences' state
+    count, whenever the a-agent weakly prefers an ambiguous variable to a
+    sure amount, the b-agent must too.
     """
     if len(pref_a.state_ids) != len(pref_b.state_ids):
         raise ShapeError("preferences must share the state set")
-    battery = battery or BatterySpec(n_states=len(pref_a.state_ids))
-    if battery.n_states is None:
-        battery = replace(battery, n_states=len(pref_a.state_ids))
+    battery = battery or BatterySpec()
 
     a, b, residual, _ = _fit_affine_map(pref_a.phi, pref_b.phi)
     phi_ok = residual <= 1e-8 and a > 0
@@ -571,9 +545,7 @@ def is_more_ambiguity_averse(
 
     structural = bool(phi_ok and psi_ok and penalty_ok)
 
-    if battery.n_states != n:
-        raise ShapeError(f"battery draws {battery.n_states}-state cases, preferences cover {n} states")
-    cases = _draw_cases(battery)
+    cases = _draw_cases(battery.n_cases, battery.seed, n)
     values_a, values_b = (
         _case_values(p.ambiguity.recentered, inner_rdu(cases.rows, p.phi, p.psi), cases.states).tolist()
         for p in (pref_a, pref_b)
@@ -605,52 +577,39 @@ def is_more_ambiguity_averse(
     }
 
 
-def _check_states(amb: AmbiguityIndex, local, battery: BatterySpec) -> int | None:
-    """The aversion check's state count: the battery's, or the penalty's own
-    if the battery draws any and the penalty (a table) cannot be recentred."""
-    if battery.n_states is None:
-        try:
-            local(amb.n_states + 1)
-        except ShapeError:
-            return amb.n_states
-    return battery.n_states
-
-
 def ambiguity_aversion_check(pref: Preference, battery: BatterySpec | None = None) -> dict:
     """Robust value never exceeds the ambiguity-neutral value at a zero-penalty
-    prior: one ``inner_rdu`` call, then one ``robust_solve`` per state count."""
+    prior: one ``inner_rdu`` call, then one ``robust_solve`` per state count.
+    A penalty that cannot be recentred (a table) is checked on cases of its
+    own state count."""
+    battery = battery or BatterySpec()
     local = functools.cache(pref.ambiguity.recentered)  # each recentred penalty built once
-    spec = battery or BatterySpec()
-    spec = replace(spec, n_states=_check_states(pref.ambiguity, local, spec))
-    cases = _draw_cases(spec)
+    n_states = None
+    try:
+        local(pref.ambiguity.n_states + 1)
+    except ShapeError:
+        n_states = pref.ambiguity.n_states
+    cases = _draw_cases(battery.n_cases, battery.seed, n_states)
     utils = inner_rdu(cases.rows, pref.phi, pref.psi)
-    return _aversion_section(spec, local, utils, cases.states, _case_values(local, utils, cases.states))
-
-
-def reduction_suite(pref: Preference, battery: BatterySpec | None = None) -> dict:
-    """Verify the special-case reductions of the evaluation engine.
-
-    (a) identity distortion: the inner integral is the plain expected
-        utility; (b) affine utility on unambiguous variables: positive
-        affine payoff maps move the (utility-unit) value affinely, and
-        constant shifts translate every variable's value; (c) indicator
-        penalties: the value is the explicit minimum over the listed
-        priors; (d) a single state: the value is stand-alone
-        rank-dependent utility.  The plain expectation, the explicit
-        minimum and ``choquet``'s survival form are the oracles.
-
-    The first report of ``battery_reports``.  Section (d) values the
-    penalty recentred on 1 state, so a penalty that cannot be recentred (a
-    ``table:`` penalty on 2 or more states) raises ConfigError before any
-    section runs.
-    """
-    return battery_reports(pref, battery)[0]
+    return _aversion_section(battery.seed, local, _by_state_count(utils, cases.states),
+                             _case_values(local, utils, cases.states))
 
 
 def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tuple[dict, dict]:
-    """``(reduction_suite(pref, battery), ambiguity_aversion_check(pref,
-    battery))`` from one pass: the same reports, and the same errors, with
-    each case list drawn and each (phi, psi) row valued once.
+    """The reduction report and the ambiguity-aversion check, from one pass.
+
+    The reduction report verifies the special-case reductions of the
+    evaluation engine: (a) identity distortion: the inner integral is the
+    plain expected utility; (b) affine utility on unambiguous variables:
+    positive affine payoff maps move the (utility-unit) value affinely, and
+    constant shifts translate every variable's value; (c) indicator
+    penalties: the value is the explicit minimum over the listed priors;
+    (d) a single state: the value is stand-alone rank-dependent utility.
+    The plain expectation, the explicit minimum and ``choquet``'s survival
+    form are the oracles.  Section (d) values the penalty recentred on 1
+    state, so a penalty that cannot be recentred (a ``table:`` penalty on 2
+    or more states) raises ConfigError before any section runs.  The check
+    is ``ambiguity_aversion_check``'s on the main cases.
 
     Three case lists are drawn into padded blocks (``_draw_cases``): the
     main cases, which are also the aversion check's, the unambiguous cases
@@ -659,10 +618,9 @@ def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tup
     (d) and the check, then one ``robust_solve`` per state count for (b),
     (d) and the check, with each recentred penalty built once.  Every
     section is array operations over the blocks, its errors grouped per
-    case; in (c) each case lists its own priors.  Draws follow the order
-    of the sections run one by one.  Only a 1-state table on a battery of
-    any state count has check cases of its own, and
-    ``ambiguity_aversion_check`` draws them.
+    case; the main cases are grouped by state count once for (c) and the
+    check, and in (c) each case lists its own priors.  Draws follow the
+    order of the sections run one by one.
     """
     battery = battery or BatterySpec()
     amb = pref.ambiguity
@@ -674,51 +632,30 @@ def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tup
             f"the reduction suite's single-state section (d) needs the penalty recentred on 1 state; "
             f"{amb.describe()} covers {amb.n_states} states and table: penalties cannot be recentred"
         ) from None
-    cases = _draw_cases(battery)
-    rng = np.random.default_rng(battery.seed + 1)
-    report = {"seed": battery.seed, "expectation_reduction": _expectation_section(pref, cases)}
-    unamb = _draw_cases(
-        BatterySpec(
-            n_cases=battery.n_cases,
-            max_states=battery.max_states,
-            max_outcomes=battery.max_outcomes,
-            payoff_low=battery.payoff_low,
-            payoff_high=battery.payoff_high,
-            seed=battery.seed + 2,
-            unambiguous=True,
-        )
-    )
+    n_cases, seed = battery.n_cases, battery.seed
+    cases = _draw_cases(n_cases, seed)
+    rng = np.random.default_rng(seed + 1)
+    report = {"seed": seed, "expectation_reduction": _expectation_section(pref, cases)}
+    unamb = _draw_cases(n_cases, seed + 2, unambiguous=True)
     # (a, b) per unambiguous case, then a shift per main case: an array draw
     # takes one number after the other, as the scalar draws did.
-    maps = rng.uniform([0.5, -2.0], [2.5, 2.0], size=(battery.n_cases, 2))
-    shifts = rng.uniform(-2.0, 2.0, size=battery.n_cases)
-    affine = _stack(unamb, cases, _moved(unamb, maps[:, 0], maps[:, 1]),
-                    _moved(cases, np.ones(battery.n_cases), shifts))
+    maps = rng.uniform([0.5, -2.0], [2.5, 2.0], size=(n_cases, 2))
+    shifts = rng.uniform(-2.0, 2.0, size=n_cases)
+    affine = _stack(unamb, cases, _moved(unamb, maps[:, 0], maps[:, 1]), _moved(cases, np.ones(n_cases), shifts))
     affine_utils = inner_rdu(affine.rows, identity_utility(), pref.psi)
     listed = _draw_listed_priors(rng, cases.states)
-    singles = _draw_cases(
-        BatterySpec(
-            n_cases=battery.n_cases,
-            n_states=1,
-            max_outcomes=battery.max_outcomes,
-            payoff_low=battery.payoff_low,
-            payoff_high=battery.payoff_high,
-            seed=battery.seed + 3,
-        )
-    )
+    singles = _draw_cases(n_cases, seed + 3, n_states=1)
     # One block under (phi, psi): the main cases, then the single-state cases.
     both = _stack(cases, singles)
     utils = inner_rdu(both.rows, pref.phi, pref.psi)
-    n_affine, n_rows = len(affine.states), len(cases.probs)
+    n_affine = len(affine.states)
     values = _case_values(local, np.concatenate((affine_utils, utils)), np.concatenate((affine.states, both.states)))
+    groups = list(_by_state_count(utils[: len(cases.probs)], cases.states))
     report["affine_equivariance"] = _affine_section(maps, shifts, values[:n_affine])
-    report["maxmin_reduction"] = _maxmin_section(utils[:n_rows], cases.states, listed)
-    report["single_state_rdu"] = _single_state_section(pref, singles, values[n_affine + battery.n_cases :])
+    report["maxmin_reduction"] = _maxmin_section(groups, listed)
+    report["single_state_rdu"] = _single_state_section(pref, singles, values[n_affine + n_cases :])
     report["passed"] = all(not report[k]["violations"] for k in REDUCTION_SECTIONS)
-    if _check_states(amb, local, battery) != battery.n_states:
-        return report, ambiguity_aversion_check(pref, battery)
-    return report, _aversion_section(battery, local, utils[:n_rows], cases.states,
-                                     values[n_affine : n_affine + battery.n_cases])
+    return report, _aversion_section(seed, local, groups, values[n_affine : n_affine + n_cases])
 
 
 def _section(errors, labels) -> dict:
@@ -761,18 +698,19 @@ def _draw_listed_priors(rng, states: np.ndarray) -> np.ndarray:
     return listed
 
 
-def _maxmin_section(utils: np.ndarray, states: np.ndarray, listed: np.ndarray) -> dict:
+def _maxmin_section(groups, listed: np.ndarray) -> dict:
     """(c) Each case's maxmin value over its listed priors, by the scan of
     ``MaxminSet.robust_solve`` (whose -0.0 costs change no dot), against
     the explicit minimum of the dots q @ u, taken as a stack of vector
-    products: each is the BLAS dot a lone q @ u takes."""
-    errors = np.empty(len(states))
-    for n, idx, profiles in _by_state_count(utils, states):
+    products: each is the BLAS dot a lone q @ u takes.  ``groups`` are the
+    cases' profiles by state count (``_by_state_count``)."""
+    errors = np.empty(len(listed))
+    for n, idx, profiles in groups:
         priors = listed[idx, :, :n]
         value = _prior_dots(profiles, priors).min(axis=1)
         explicit = (priors[:, :, None, :] @ profiles[:, None, :, None])[:, :, 0, 0].min(axis=1)
         errors[idx] = np.abs(value - explicit)
-    return _section(errors, range(len(states)))
+    return _section(errors, range(len(listed)))
 
 
 def _single_state_section(pref: Preference, singles: _Cases, values: np.ndarray) -> dict:
@@ -782,12 +720,13 @@ def _single_state_section(pref: Preference, singles: _Cases, values: np.ndarray)
                     range(len(values)))
 
 
-def _aversion_section(spec: BatterySpec, local, utils: np.ndarray, states: np.ndarray, values: np.ndarray) -> dict:
+def _aversion_section(seed: int, local, groups, values: np.ndarray) -> dict:
     """The aversion check: no robust value above the p0-weighted average at
     the recentred penalty's zero-penalty prior p0 (p0 @ u for each case, a
-    stack of vector products)."""
-    neutral = np.empty(len(states))
-    for n, idx, profiles in _by_state_count(utils, states):
+    stack of vector products), from the cases' ``groups`` by state count
+    and their robust ``values``."""
+    neutral = np.empty(len(values))
+    for n, idx, profiles in groups:
         neutral[idx] = (local(n).zero_penalty_prior().weights @ profiles[:, :, None])[:, 0]
     violations = [
         {"case": idx, "value": value, "neutral": base}
@@ -795,8 +734,8 @@ def _aversion_section(spec: BatterySpec, local, utils: np.ndarray, states: np.nd
         if value > base + INDIFFERENCE_TOL
     ]
     return {
-        "cases": len(states),
+        "cases": len(values),
         "violations": violations,
-        "seed": spec.seed,
+        "seed": seed,
         "passed": not violations,
     }

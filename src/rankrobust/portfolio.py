@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import Prior, simplex_grid
-from .distribution import TwoStageVariable, check_outcome_probs
+from .distribution import check_outcome_probs
 from .errors import BudgetError, ConfigError, DomainError, ShapeError
 from .evaluator import Preference, _PayoffRows, inner_rdu
 from .utility import is_affine
@@ -113,13 +113,6 @@ def _block_payoffs(panel: ScenarioPanel, W: np.ndarray) -> np.ndarray:
     for a in range(1, panel.n_assets):
         payoffs += panel.returns[:, :, a] * W[:, a, None, None]
     return payoffs
-
-
-def portfolio_variable(panel: ScenarioPanel, w: Weights) -> TwoStageVariable:
-    """Linear aggregation: payoff(state, outcome) = sum_assets weight * return."""
-    weights = np.asarray(w.values if isinstance(w, Weights) else w, dtype=float)
-    payoffs = _block_payoffs(panel, weights.reshape(1, -1))[0]
-    return TwoStageVariable(panel.state_ids, panel.outcome_probs, payoffs)
 
 
 def _score_block(panel: ScenarioPanel, W, p_mean: Prior, pref: Preference) -> tuple[np.ndarray, np.ndarray]:

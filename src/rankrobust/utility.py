@@ -270,11 +270,6 @@ def subjective_mix(x: float, y: float, alpha: float, phi: UtilityFn) -> float:
     return phi.inverse(target)
 
 
-def preference_average(t: float, x: float, phi: UtilityFn) -> float:
-    """Equal-weight subjective mix of t and x."""
-    return subjective_mix(t, x, 0.5, phi)
-
-
 def preference_double(x: float, phi: UtilityFn) -> float:
     """The payoff z solving phi(z)/2 + phi(0)/2 = phi(x).
 
@@ -341,9 +336,3 @@ def add_variables(v: TwoStageVariable, u: TwoStageVariable, phi: UtilityFn) -> T
             location=loc,
         )
     return v.with_payoffs(phi.inverse(target))
-
-
-def translate_variable(v: TwoStageVariable, m: float, phi: UtilityFn) -> TwoStageVariable:
-    """Utility-scale addition of the constant m to every payoff."""
-    const = v.with_payoffs(np.full_like(v.payoffs, float(m)))
-    return add_variables(v, const, phi)

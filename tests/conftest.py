@@ -8,7 +8,7 @@ the code under test.
 import numpy as np
 import pytest
 
-from rankrobust import DiscreteDistribution, Prior, TwoStageVariable, mean_risk_components
+from rankrobust import DiscreteDistribution, Prior, TwoStageVariable, add_variables, mean_risk_components
 
 
 def random_distribution(rng, max_points=8, lo=-10.0, hi=10.0):
@@ -31,6 +31,11 @@ def random_variable(rng, max_states=4, max_outcomes=6, lo=-5.0, hi=5.0, uniform_
         probs = raw / raw.sum(axis=1, keepdims=True)
     payoffs = rng.uniform(lo, hi, size=(n_w, n_s))
     return TwoStageVariable([f"w{i}" for i in range(n_w)], probs, payoffs)
+
+
+def translated(v, m, phi):
+    """v with the constant m added to every payoff on the utility scale."""
+    return add_variables(v, v.with_payoffs(np.full_like(v.payoffs, float(m))), phi)
 
 
 def riemann_choquet(d, psi, n_steps=400_000):

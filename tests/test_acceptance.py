@@ -37,7 +37,6 @@ from rankrobust import (
     es_tail,
     evaluate,
     exponential,
-    generate_battery,
     identity,
     identity_utility,
     inner_rdu,
@@ -51,14 +50,14 @@ from rankrobust import (
     simplex_grid,
     subjective_add,
     subjective_mix,
-    translate_variable,
     tversky_kahneman,
     weighted_var,
     DiscreteDistribution,
     ScenarioPanel,
     expected_shortfall,
 )
-from conftest import mean_risk_objective, solve_one, values_of
+from battery_oracle import reference_generate_battery
+from conftest import mean_risk_objective, solve_one, translated, values_of
 from lattice_oracle import UtilityGrid, c_min_bruteforce
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -82,8 +81,7 @@ def _vertices(n):
 
 def test_c01_reduction_chain():
     start = time.perf_counter()
-    spec = BatterySpec(n_cases=200, max_states=6, max_outcomes=8, seed=101)
-    cases = generate_battery(spec)
+    cases = reference_generate_battery(200, 101)
     rng = np.random.default_rng(102)
     worst = 0.0
 
@@ -240,9 +238,7 @@ def test_c05_certainty_level_properties():
 
     # (v) certainty comonotonic additivity
     ran = 0
-    spec = BatterySpec(n_cases=150, seed=506, uniform_outcome_probs=True,
-                       payoff_low=-1.5, payoff_high=1.5)
-    for v in generate_battery(spec):
+    for v in reference_generate_battery(150, 506, uniform_probs=True, payoffs=(-1.5, 1.5)):
         base = np.sort(rng.uniform(-1.5, 1.5, size=v.n_outcomes))
         payoffs = np.empty_like(v.payoffs)
         for w in range(v.n_states):
@@ -268,13 +264,12 @@ def test_c05_certainty_level_properties():
     assert ran >= 100
 
     # (vii) translation invariance
-    spec = BatterySpec(n_cases=150, seed=507, payoff_low=-1.5, payoff_high=1.5)
-    for v in generate_battery(spec):
+    for v in reference_generate_battery(150, 507, payoffs=(-1.5, 1.5)):
         phi = phis[int(rng.integers(2))]
         pref = Preference(phi, power(1.4), Gini(1.0, Prior.uniform(v.n_states)), v.state_ids)
         m = float(rng.uniform(-0.5, 0.5))
         try:
-            shifted = translate_variable(v, m, phi)
+            shifted = translated(v, m, phi)
         except ImageOverflowError:
             continue
         gap = abs(
@@ -286,8 +281,7 @@ def test_c05_certainty_level_properties():
             violations += 1
 
     # (viii) ambiguity concavity on risk-free profiles
-    spec = BatterySpec(n_cases=150, seed=508, risk_free=True, payoff_low=-1.5, payoff_high=1.5)
-    for v in generate_battery(spec):
+    for v in reference_generate_battery(150, 508, risk_free=True, payoffs=(-1.5, 1.5)):
         phi = phis[int(rng.integers(2))]
         pref = Preference(phi, identity(), Entropic(0.8, Prior.uniform(v.n_states)), v.state_ids)
         u = v.with_payoffs(np.roll(v.payoffs, 1, axis=0))
@@ -299,8 +293,7 @@ def test_c05_certainty_level_properties():
             violations += 1
 
     # (iv) monotonicity under a single payoff raise
-    spec = BatterySpec(n_cases=150, seed=509)
-    for v in generate_battery(spec):
+    for v in reference_generate_battery(150, 509):
         pref = Preference(identity_utility(), power(0.7),
                           Entropic(1.0, Prior.uniform(v.n_states)), v.state_ids)
         before = evaluate(v, pref).value_utils
@@ -310,8 +303,7 @@ def test_c05_certainty_level_properties():
             violations += 1
 
     # (A2) neutrality: outcome relabeling and probability splitting
-    spec = BatterySpec(n_cases=150, seed=510)
-    for v in generate_battery(spec):
+    for v in reference_generate_battery(150, 510):
         pref = Preference(identity_utility(), power(2),
                           Entropic(1.0, Prior.uniform(v.n_states)), v.state_ids)
         base = evaluate(v, pref).value_utils
@@ -349,7 +341,7 @@ def test_c06_two_urn_demo():
 
 def test_c07_comparative_and_absolute_aversion():
     ids = ("w0", "w1")
-    spec = BatterySpec(n_cases=200, n_states=2, seed=707)
+    spec = BatterySpec(n_cases=200, seed=707)
 
     def pref_of(amb):
         return Preference(identity_utility(), identity(), amb, ids)

@@ -225,6 +225,38 @@ class TestBadProbabilities:
         assert err == f"error: {path}: outcome probability -0.2 in state 'stormy' (outcome 1) is negative\n"
 
 
+class TestRefusedInputs:
+    """Refused inputs exit 2 with one error line that names the culprit."""
+
+    def test_payoff_outside_the_utility_domain_is_a_plain_number(self, capsys):
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
+                                 "--penalty", "maxmin:vertices", "--utility", "power:0.5")
+        assert (code, out) == (2, "")
+        assert err == "error: payoff 0.0 at (state 'calm', outcome 0) is outside the utility domain (0, inf)\n"
+
+    def test_battery_payoff_outside_the_utility_domain_is_a_plain_number(self, capsys):
+        code, out, err = run_cli(capsys, "battery", "--penalty", "entropic:1@w0=0.5,w1=0.5",
+                                 "--utility", "power:0.5", "--cases", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: payoff -1.4220480329092977 at (state 'w0', outcome 2) "
+                       "is outside the utility domain (0, inf)\n")
+
+    def test_compare_names_the_file_whose_states_differ(self, capsys):
+        first, second = str(FIXTURES / "two_state.json"), str(FIXTURES / "single_state.json")
+        code, out, err = run_cli(capsys, "compare", "--scenario", first, "--scenario2", second,
+                                 "--penalty", "maxmin:vertices")
+        assert (code, out) == (2, "")
+        assert err == f"error: {second}: states ('only',) do not match the states ('calm', 'storm') of {first}\n"
+
+    @pytest.mark.parametrize("multi_first", [True, False])
+    def test_dominance_names_the_multi_state_file(self, capsys, multi_first):
+        multi, single = str(FIXTURES / "two_state.json"), str(FIXTURES / "single_state.json")
+        paths = (multi, single) if multi_first else (single, multi)
+        code, out, err = run_cli(capsys, "dominance", "--scenario", paths[0], "--scenario2", paths[1])
+        assert (code, out) == (2, "")
+        assert err == f"error: {multi}: dominance compares one-stage laws; the scenario has 2 states, not 1\n"
+
+
 PREFERENCE_FLAGS = {"--scenario", "--utility", "--distortion", "--penalty"}
 COMMAND_FLAGS = {
     "evaluate": PREFERENCE_FLAGS,

@@ -132,6 +132,11 @@ class TestApply:
         with pytest.raises(DomainError, match="distortion 'odd' is not finite on"):
             Distortion("odd", lambda p: np.where(p == 0.5, np.nan, p))
 
+    def test_endpoints_are_printed_as_plain_numbers(self):
+        with pytest.raises(DomainError) as err:
+            Distortion("bad", lambda p: 0.5 * p + 0.25)
+        assert str(err.value) == "distortion 'bad' must satisfy psi(0)=0 and psi(1)=1, got 0.25 and 0.75"
+
     @pytest.mark.parametrize("spec", ["identity:1", "power:", "power:1,2", "prelec:0.5",
                                       "prelec:0.5,1,2", "es:0.1;0.2", "pwl:0,0;0.5;1,1", "pwl:0,0,0;1,1"])
     def test_wrong_count_names_the_spec(self, spec):

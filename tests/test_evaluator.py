@@ -3,7 +3,6 @@ import json
 import math
 import re
 from contextlib import redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +26,6 @@ from rankrobust import (
     add_variables,
     affine,
     ambiguity_aversion_check,
-    ambiguity_neutral_value,
     choquet,
     comonotonic,
     dual_power,
@@ -37,7 +35,6 @@ from rankrobust import (
     es_tail,
     evaluate,
     exponential,
-    generate_battery,
     identity,
     identity_utility,
     inner_rdu,
@@ -48,9 +45,7 @@ from rankrobust import (
     parse_utility,
     piecewise_linear,
     power,
-    power_utility,
     prelec,
-    reduction_suite,
     tversky_kahneman,
     var_step,
 )
@@ -463,15 +458,21 @@ class TestEllsbergConstruction:
         assert calls == {"evaluate": 4}
 
 
+def neutral_value(v, phi, psi, p0):
+    """The ambiguity-neutral value: the p0-weighted average of the per-state
+    distorted utilities."""
+    return float(p0.weights @ inner_rdu(v, phi, psi))
+
+
 class TestAmbiguityNeutralValue:
     def test_single_state_is_inner_value(self):
         v = single_state({0.0: 0.7, 100.0: 0.3})
-        got = ambiguity_neutral_value(v, identity_utility(), power(2), Prior.uniform(1))
+        got = neutral_value(v, identity_utility(), power(2), Prior.uniform(1))
         assert got == pytest.approx(9.0, abs=1e-12)
 
     def test_two_state_average(self):
         v = TwoStageVariable(["a", "b"], [[1.0], [1.0]], [[0.0], [1.0]])
-        got = ambiguity_neutral_value(v, identity_utility(), identity(), UNIFORM2)
+        got = neutral_value(v, identity_utility(), identity(), UNIFORM2)
         assert got == pytest.approx(0.5, abs=1e-12)
 
     def test_degenerate_penalty_oracle(self, rng):
@@ -485,7 +486,7 @@ class TestAmbiguityNeutralValue:
             pinned = Tabulated([(p0, 0.0)])
             pref = pref_for(v, psi=power(1.3), amb=pinned)
             ev = evaluate(v, pref)
-            neutral = ambiguity_neutral_value(v, pref.phi, pref.psi, p0)
+            neutral = neutral_value(v, pref.phi, pref.psi, p0)
             assert ev.value_utils == pytest.approx(neutral, abs=1e-10)
 
 
@@ -533,8 +534,7 @@ class TestStepOneProperties:
         assert ran >= 60
 
     def test_translation_invariance(self, rng):
-        from conftest import random_variable
-        from rankrobust import translate_variable
+        from conftest import random_variable, translated
 
         ran = 0
         for _ in range(120):
@@ -544,7 +544,7 @@ class TestStepOneProperties:
             pref = pref_for(v, phi=phi, psi=power(1.4), amb=amb)
             m = float(rng.uniform(-0.5, 0.5))
             try:
-                shifted = translate_variable(v, m, phi)
+                shifted = translated(v, m, phi)
             except ImageOverflowError:
                 continue
             base = evaluate(v, pref).value_utils
@@ -554,8 +554,7 @@ class TestStepOneProperties:
         assert ran >= 80
 
     def test_ambiguity_concavity_on_risk_free(self, rng):
-        spec = BatterySpec(n_cases=100, seed=11, risk_free=True, payoff_low=-1.5, payoff_high=1.5)
-        for v in generate_battery(spec):
+        for v in reference_generate_battery(100, 11, risk_free=True, payoffs=(-1.5, 1.5)):
             phi = self._phis()[v.n_states % 2]
             amb = Entropic(1.0, Prior.uniform(v.n_states))
             pref = pref_for(v, phi=phi, amb=amb)
@@ -569,8 +568,7 @@ class TestStepOneProperties:
 
     def test_dual_diversification_preference(self, rng):
         # mixing two equally-valued risk-free prospects never hurts
-        spec = BatterySpec(n_cases=80, seed=13, risk_free=True, payoff_low=-1.0, payoff_high=1.0)
-        for v in generate_battery(spec):
+        for v in reference_generate_battery(80, 13, risk_free=True, payoffs=(-1.0, 1.0)):
             amb = Entropic(0.7, Prior.uniform(v.n_states))
             pref = pref_for(v, amb=amb)
             u = v.with_payoffs(np.roll(v.payoffs, 1, axis=0))
@@ -624,7 +622,7 @@ class TestStepOneProperties:
 class TestComparativeAversion:
     def test_identical_preferences(self):
         pref = Preference(identity_utility(), identity(), Entropic(1.0, UNIFORM2), ("w0", "w1"))
-        report = is_more_ambiguity_averse(pref, pref, BatterySpec(n_cases=40, n_states=2))
+        report = is_more_ambiguity_averse(pref, pref, BatterySpec(n_cases=40))
         assert report["more_ambiguity_averse"] is True
         assert report["consistent"] is True
         assert not report["behavioral"]["violations"]
@@ -632,7 +630,7 @@ class TestComparativeAversion:
     def test_entropic_theta_ordering(self):
         tight = Preference(identity_utility(), identity(), Entropic(1.0, UNIFORM2), ("w0", "w1"))
         loose = Preference(identity_utility(), identity(), Entropic(2.0, UNIFORM2), ("w0", "w1"))
-        spec = BatterySpec(n_cases=60, n_states=2)
+        spec = BatterySpec(n_cases=60)
         # smaller theta penalizes deviations less, so it is MORE ambiguity averse
         report = is_more_ambiguity_averse(tight, loose, spec)
         assert report["more_ambiguity_averse"] is True
@@ -648,7 +646,7 @@ class TestComparativeAversion:
         pinned = Preference(
             identity_utility(), identity(), MaxminSet([UNIFORM2]), ("w0", "w1")
         )
-        spec = BatterySpec(n_cases=60, n_states=2)
+        spec = BatterySpec(n_cases=60)
         report = is_more_ambiguity_averse(full, pinned, spec)
         assert report["more_ambiguity_averse"] is True
         assert report["consistent"] is True
@@ -660,29 +658,29 @@ class TestComparativeAversion:
         scaled = Preference(
             identity_utility().rescaled(2.0, 1.0), identity(), Entropic(2.0, UNIFORM2), ("w0", "w1")
         )
-        spec = BatterySpec(n_cases=40, n_states=2)
+        spec = BatterySpec(n_cases=40)
         assert is_more_ambiguity_averse(base, scaled, spec)["more_ambiguity_averse"] is True
         assert is_more_ambiguity_averse(scaled, base, spec)["more_ambiguity_averse"] is True
 
-    def test_battery_options_reach_the_battery(self, monkeypatch):
-        specs = []
+    def test_battery_draws_the_preferences_state_count(self, monkeypatch):
+        drawn = []
         real = evaluator_module._draw_cases
 
-        def recorded(spec):
-            specs.append(spec)
-            return real(spec)
+        def recorded(*args, **kwargs):
+            drawn.append(real(*args, **kwargs))
+            return drawn[-1]
 
         monkeypatch.setattr(evaluator_module, "_draw_cases", recorded)
-        pref = Preference(identity_utility(), identity(), Entropic(1.0, UNIFORM2), ("w0", "w1"))
-        spec = BatterySpec(n_cases=3, max_states=4, max_outcomes=4, uniform_outcome_probs=True, risk_free=True)
-        is_more_ambiguity_averse(pref, pref, spec)
-        assert specs == [replace(spec, n_states=2)]
-        assert specs[0].uniform_outcome_probs and specs[0].risk_free
+        pref = Preference(identity_utility(), identity(), Entropic(1.0, Prior.uniform(3)), ("w0", "w1", "w2"))
+        report = is_more_ambiguity_averse(pref, pref, BatterySpec(n_cases=7, seed=5))
+        (cases,) = drawn
+        assert cases.states.tolist() == [3] * 7
+        assert report["behavioral"] == {"cases": 7, "violations": [], "seed": 5}
 
     def test_distortion_mismatch_blocks_verdict(self):
         a = Preference(identity_utility(), identity(), Entropic(1.0, UNIFORM2), ("w0", "w1"))
         b = Preference(identity_utility(), power(2), Entropic(1.0, UNIFORM2), ("w0", "w1"))
-        report = is_more_ambiguity_averse(a, b, BatterySpec(n_cases=10, n_states=2))
+        report = is_more_ambiguity_averse(a, b, BatterySpec(n_cases=10))
         assert report["structural"]["psi_equal"] is False
         assert report["more_ambiguity_averse"] is False
 
@@ -708,10 +706,10 @@ class TestAbsoluteAversion:
         flat = TwoStageVariable(["a", "b"], [[1.0], [1.0]], [[2.0], [2.0]])
         tilted = TwoStageVariable(["a", "b"], [[1.0], [1.0]], [[2.0], [3.0]])
         ev_flat = evaluate(flat, pref)
-        neutral_flat = ambiguity_neutral_value(flat, pref.phi, pref.psi, UNIFORM2)
+        neutral_flat = neutral_value(flat, pref.phi, pref.psi, UNIFORM2)
         assert ev_flat.value_utils == pytest.approx(neutral_flat, abs=1e-12)
         ev_tilted = evaluate(tilted, pref)
-        neutral_tilted = ambiguity_neutral_value(tilted, pref.phi, pref.psi, UNIFORM2)
+        neutral_tilted = neutral_value(tilted, pref.phi, pref.psi, UNIFORM2)
         assert ev_tilted.value_utils < neutral_tilted - 1e-6
 
 
@@ -837,25 +835,30 @@ class TestLoopFreeKernel:
 class TestReductionSuite:
     def test_all_reductions_pass(self):
         pref = Preference(identity_utility(), power(2), Entropic(1.0, UNIFORM2), ("w0", "w1"))
-        report = reduction_suite(pref, BatterySpec(n_cases=60))
+        report, _ = battery_reports(pref, BatterySpec(n_cases=60))
         assert report["passed"], report
         for key in ("expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu"):
             assert report[key]["max_error"] <= 1e-9
 
     def test_table_on_two_states_fails_before_any_section(self, monkeypatch):
         drawn = []
-        monkeypatch.setattr(evaluator_module, "_draw_cases", lambda spec: drawn.append(spec))
+        monkeypatch.setattr(evaluator_module, "_draw_cases", lambda *args, **kwargs: drawn.append(args))
         table = Tabulated([(UNIFORM2, 0.0), (Prior([0.2, 0.8]), 0.5)])
         pref = Preference(identity_utility(), power(2), table, ("w0", "w1"))
         with pytest.raises(ConfigError, match=r"section \(d\).*recentred on 1 state.*table: penalties"):
-            reduction_suite(pref, BatterySpec(n_cases=5, n_states=2))
+            battery_reports(pref, BatterySpec(n_cases=5))
         assert drawn == []
 
     def test_table_on_one_state_runs(self):
+        # A 1-state table cannot be recentred, so it values only batteries
+        # whose main and unambiguous cases all drew one state.
+        seed = next(s for s in range(1000) if all(
+            v.n_states == 1 for v in [*reference_generate_battery(1, s), *reference_generate_battery(1, s + 2)]))
         table = Tabulated([(Prior([1.0]), 0.0)])
-        report = reduction_suite(Preference(exponential(0.1), power(2), table, ("w0",)),
-                                 BatterySpec(n_cases=20, max_states=1))
+        report, check = battery_reports(Preference(exponential(0.1), power(2), table, ("w0",)),
+                                        BatterySpec(n_cases=1, seed=seed))
         assert report["passed"], report
+        assert check == {"cases": 1, "violations": [], "seed": seed, "passed": True}
 
 
 @st.composite
@@ -879,32 +882,16 @@ def battery_setups(draw):
         identity(), power(1.5), prelec(0.65, 1.0), dual_power(2.0), es_tail(0.4), var_step(0.3),
         tversky_kahneman(0.7), piecewise_linear([(0, 0), (0.5, 0.3), (1, 1)]),
     ]))
-    spec = BatterySpec(
-        n_cases=draw(st.integers(1, 6)),
-        n_states=draw(st.sampled_from([None, n])),
-        max_states=draw(st.sampled_from([1, 2, 4, 10])),
-        max_outcomes=draw(st.sampled_from([2, 3, 6, 10])),
-        seed=draw(st.integers(0, 10**6)),
-        uniform_outcome_probs=draw(st.booleans()),
-        unambiguous=draw(st.booleans()),
-        risk_free=draw(st.booleans()),
-    )
+    spec = BatterySpec(n_cases=draw(st.integers(1, 6)), seed=draw(st.integers(0, 10**6)))
     return Preference(phi, psi, amb, [f"w{i}" for i in range(n)]), spec
 
 
 @st.composite
-def battery_specs(draw):
-    """A battery spec with every option, outcome counts up to 10."""
-    return BatterySpec(
-        n_cases=draw(st.integers(1, 8)),
-        n_states=draw(st.sampled_from([None, 1, 3])),
-        max_states=draw(st.integers(1, 10)),
-        max_outcomes=draw(st.integers(2, 10)),
-        seed=draw(st.integers(0, 10**6)),
-        uniform_outcome_probs=draw(st.booleans()),
-        unambiguous=draw(st.booleans()),
-        risk_free=draw(st.booleans()),
-    )
+def case_draws(draw):
+    """The arguments of a ``_draw_cases`` call: case count, seed, a fixed
+    state count or none, and whether the cases are unambiguous."""
+    return (draw(st.integers(1, 8)), draw(st.integers(0, 10**6)), draw(st.sampled_from([None, 1, 3])),
+            draw(st.booleans()))
 
 
 def json_or_error(run):
@@ -940,26 +927,23 @@ class TestBatteryBlocks:
 
     @settings(derandomize=True, max_examples=120, deadline=None)
     @given(battery_setups())
-    # The one check with cases of its own, a 1-state table's on a battery of
-    # any state count: here they reach outside the utility's domain, and the
-    # suite's 1-state cases do not.
-    @example((Preference(power_utility(0.5), prelec(0.65, 1.0), Tabulated([(Prior([1.0]), 0.3)]), ["w0"]),
-              BatterySpec(n_cases=1, max_states=2, max_outcomes=2, payoff_low=-1.0, payoff_high=9.0, seed=60)))
     def test_one_pass_equals_the_separate_reports(self, setup):
-        """``battery_reports`` gives the two reports of the separate calls bit
-        for bit, or the error class the first failing call raises; tables
-        included (a 2+-state table is refused by the suite and checked by
-        ``ambiguity_aversion_check``)."""
+        """``battery_reports``' check is ``ambiguity_aversion_check``'s report
+        bit for bit, or both calls raise the error class the first failing
+        one raises; tables included (a 2+-state table is refused by the
+        reduction report and checked by ``ambiguity_aversion_check``)."""
         pref, spec = setup
-        want = json_or_error(lambda: (reduction_suite(pref, spec), ambiguity_aversion_check(pref, spec)))
+        want = json_or_error(lambda: (battery_reports(pref, spec)[0], ambiguity_aversion_check(pref, spec)))
         assert json_or_error(lambda: battery_reports(pref, spec)) == want
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(battery_specs())
-    def test_drawn_block_equals_the_per_case_draws(self, spec):
+    @given(case_draws())
+    def test_drawn_block_equals_the_per_case_draws(self, args):
         """Each case's rows of the block are the per-case loop's draws, bit
         for bit; pads have zero mass and repeat the row's largest payoff."""
-        cases, want = _draw_cases(spec), reference_generate_battery(spec)
+        n_cases, seed, n_states, unambiguous = args
+        cases = _draw_cases(n_cases, seed, n_states, unambiguous)
+        want = reference_generate_battery(n_cases, seed, n_states, unambiguous=unambiguous)
         assert cases.states.tolist() == [v.n_states for v in want]
         assert cases.outcomes.tolist() == [v.n_outcomes for v in want]
         for v, lo in zip(want, cases.starts.tolist()):
@@ -968,9 +952,6 @@ class TestBatteryBlocks:
             assert cases.payoffs[rows, :m].tobytes() == v.payoffs.tobytes()
             assert not cases.probs[rows, m:].any()
             assert (cases.payoffs[rows, m:] == v.payoffs.max(axis=1, keepdims=True)).all()
-        for got, v in zip(generate_battery(spec), want, strict=True):
-            assert got.state_ids == v.state_ids
-            assert (got.outcome_probs.tobytes(), got.payoffs.tobytes()) == (v.outcome_probs.tobytes(), v.payoffs.tobytes())
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.lists(rank_cases(), min_size=1, max_size=5))
@@ -998,13 +979,13 @@ class TestBatteryBlocks:
         monkeypatch.setattr(evaluator_module, "inner_rdu", recorded_inner)
         monkeypatch.setattr(evaluator_module, "_draw_listed_priors", recorded_listed)
         spec = BatterySpec(n_cases=12, seed=99)
-        reduction_suite(Preference(exponential(0.1), prelec(0.65, 1.0), Entropic(1.5, UNIFORM2), ("w0", "w1")), spec)
+        battery_reports(Preference(exponential(0.1), prelec(0.65, 1.0), Entropic(1.5, UNIFORM2), ("w0", "w1")), spec)
 
         # The per-case loop's draws: (a, b) per unambiguous case, a shift per
         # case, then each case's listed maxmin priors.
         rng = np.random.default_rng(spec.seed + 1)
-        cases = reference_generate_battery(spec)
-        unamb = reference_generate_battery(replace(spec, seed=spec.seed + 2, unambiguous=True))
+        cases = reference_generate_battery(spec.n_cases, spec.seed)
+        unamb = reference_generate_battery(spec.n_cases, spec.seed + 2, unambiguous=True)
         moved = []
         for v in unamb:
             a = float(rng.uniform(0.5, 2.5))
@@ -1064,8 +1045,8 @@ SECTIONS = ("expectation_reduction", "affine_equivariance", "maxmin_reduction", 
 
 
 def composed_battery_output(penalty, utility, distortion, cases, seed):
-    """The battery report as it was put together before the shared pass:
-    separate ``reduction_suite`` and ``ambiguity_aversion_check`` calls.
+    """The battery report put together from the reduction report of
+    ``battery_reports`` and a separate ``ambiguity_aversion_check`` call.
     A spec with no cases is refused, which the command reports as exit 2."""
     ids = list(dict.fromkeys(re.findall(r"([A-Za-z_]\w*)\s*=", penalty)))
     pref = Preference(parse_utility(utility), parse_distortion(distortion), parse_penalty(penalty, ids), ids)
@@ -1073,7 +1054,7 @@ def composed_battery_output(penalty, utility, distortion, cases, seed):
         spec = BatterySpec(n_cases=cases, seed=seed)
     except ConfigError:
         return 2, ""
-    reductions = reduction_suite(pref, spec)
+    reductions = battery_reports(pref, spec)[0]
     aversion = ambiguity_aversion_check(pref, spec)
     violations = sum(len(reductions[k]["violations"]) for k in SECTIONS) + len(aversion["violations"])
     report = {
@@ -1131,8 +1112,8 @@ class TestBatteryPass:
         kind = type(parse_penalty(penalty, ["w0", "w1"]))
         real_recentered, real_solve = kind.recentered, kind.robust_solve
 
-        def draw(spec):
-            cases = real_draw(spec)
+        def draw(*args, **kwargs):
+            cases = real_draw(*args, **kwargs)
             drawn.append(cases)
             return cases
 
@@ -1183,5 +1164,5 @@ class TestBatteryPass:
             priors.append(len(built))
         assert priors[0] == priors[1] < 20, priors
         built.clear()
-        generate_battery(BatterySpec(n_cases=2))  # the probes do record
+        reference_generate_battery(2, 0)  # the probes do record
         assert built == ["TwoStageVariable"] * 2

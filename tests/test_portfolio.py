@@ -29,14 +29,13 @@ from rankrobust import (
     parse_distortion,
     parse_penalty,
     parse_prior,
-    portfolio_variable,
     power,
     prelec,
     simplex_grid,
 )
 from rankrobust import portfolio as portfolio_module
 from rankrobust.cli import main as cli_main, parse_panel
-from rankrobust.portfolio import _score_block
+from rankrobust.portfolio import _block_payoffs, _score_block
 from rankrobust.utility import is_affine
 from conftest import mean_risk_objective
 
@@ -81,10 +80,12 @@ def two_state_panel(rng, n_assets=3, n_outcomes=4):
 
 
 class TestPortfolioVariable:
+    """A portfolio's payoffs: per (state, outcome), the weighted sum of the asset returns."""
+
     def test_single_asset_passthrough(self):
         panel = risky_riskfree_panel()
-        v = portfolio_variable(panel, Weights(np.array([1.0, 0.0])))
-        assert np.allclose(v.payoffs, [[1.0, -1.0]])
+        payoffs = _block_payoffs(panel, np.array([[1.0, 0.0]]))[0]
+        assert np.allclose(payoffs, [[1.0, -1.0]])
 
     def test_identical_assets_mix_to_same(self):
         panel = ScenarioPanel(
@@ -93,16 +94,16 @@ class TestPortfolioVariable:
             outcome_probs=[[0.4, 0.6]],
             returns=[[[0.2, 0.2], [-0.1, -0.1]]],
         )
-        v = portfolio_variable(panel, Weights(np.array([0.5, 0.5])))
-        assert np.allclose(v.payoffs, [[0.2, -0.1]])
+        payoffs = _block_payoffs(panel, np.array([[0.5, 0.5]]))[0]
+        assert np.allclose(payoffs, [[0.2, -0.1]])
 
     def test_perfect_hedge_is_constant_zero(self):
-        v = portfolio_variable(hedge_panel(), Weights(np.array([0.5, 0.5])))
-        assert np.allclose(v.payoffs, 0.0)
+        payoffs = _block_payoffs(hedge_panel(), np.array([[0.5, 0.5]]))[0]
+        assert np.allclose(payoffs, 0.0)
 
     def test_weight_validation(self):
         with pytest.raises(ShapeError):
-            portfolio_variable(hedge_panel(), Weights(np.array([1.0])))
+            _block_payoffs(hedge_panel(), np.array([[1.0]]))
         with pytest.raises(Exception):
             Weights(np.array([0.7, 0.7]))
 

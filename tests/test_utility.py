@@ -21,11 +21,9 @@ from rankrobust import (
     parse_utility,
     piecewise_linear_utility,
     power_utility,
-    preference_average,
     preference_double,
     subjective_add,
     subjective_mix,
-    translate_variable,
 )
 
 CUBE = power_utility(3, domain=(-math.inf, math.inf))
@@ -211,17 +209,19 @@ class TestSubjectiveMix:
 
 
 class TestPreferenceAverage:
+    """The equal-weight subjective mix."""
+
     def test_affine(self):
-        assert preference_average(0, 10, identity_utility()) == pytest.approx(5.0)
+        assert subjective_mix(0, 10, 0.5, identity_utility()) == pytest.approx(5.0)
 
     def test_exponential_halfway(self):
-        got = preference_average(0, 1, exponential(1))
+        got = subjective_mix(0, 1, 0.5, exponential(1))
         want = -math.log(1 - (1 - math.exp(-1)) / 2)  # independent closed form
         assert got == pytest.approx(want, abs=1e-10)
         assert got == pytest.approx(0.3798854930417224, abs=1e-10)
 
     def test_degenerate(self):
-        assert preference_average(2.5, 2.5, exponential(0.7)) == pytest.approx(2.5)
+        assert subjective_mix(2.5, 2.5, 0.5, exponential(0.7)) == pytest.approx(2.5)
 
 
 class TestPreferenceDouble:
@@ -347,14 +347,14 @@ class TestLiftedOperations:
         assert add_variables(small, small, phi) is not None
 
     def test_translate_matches_scalar_add(self, rng):
-        from conftest import random_variable
+        from conftest import random_variable, translated
 
         for _ in range(50):
             v = random_variable(rng, lo=-1.5, hi=1.5)
             phi = random_phi(rng)
             m = float(rng.uniform(-0.5, 0.5))
             try:
-                shifted = translate_variable(v, m, phi)
+                shifted = translated(v, m, phi)
             except ImageOverflowError:
                 continue
             for w in range(v.n_states):
