@@ -37,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .distribution import exact_sum
 from .errors import ConfigError, DomainError, ShapeError, SolverError, SpecStringError, UnknownPriorError
 
 PRIOR_SUM_TOL = 1e-12
@@ -55,7 +56,7 @@ class Prior:
             raise ShapeError("a prior must be a non-empty 1-D weight vector")
         if not np.all(w >= 0.0):  # NaN-safe
             raise DomainError(f"prior weights must be >= 0, got min {w.min()}")
-        total = math.fsum(w)
+        total = exact_sum(w.tolist())
         if not abs(total - 1.0) <= PRIOR_SUM_TOL:
             raise DomainError(f"prior weights must sum to 1 within {PRIOR_SUM_TOL}, got {total!r}")
         w.setflags(write=False)
@@ -76,7 +77,16 @@ class Prior:
         return self.weights.size
 
     def __repr__(self):
-        return f"Prior({np.array2string(self.weights, precision=6, separator=', ')})"
+        return f"Prior({_array_text(self.weights, precision=6, separator=', ')})"
+
+
+def _array_text(a: np.ndarray, precision: int, separator: str) -> str:
+    """``np.array2string`` with every print option given, so that numpy's
+    global print options cannot change a report or a message."""
+    return np.array2string(
+        a, max_line_width=75, precision=precision, suppress_small=False, separator=separator, threshold=1000,
+        edgeitems=3, sign="-", floatmode="maxprec", legacy=False, formatter={},
+    )
 
 
 PRODUCT_BLOCK = 1 << 17  # floats in one temporary product block of _prior_dots
@@ -399,7 +409,8 @@ class Tabulated(_ListedPriors):
         idx = int(np.argmin(gaps))
         if gaps[idx] > 1e-12:
             raise UnknownPriorError(
-                f"prior {w} is not on the tabulated grid (closest gap {gaps[idx]:g})"
+                f"prior {_array_text(w, precision=8, separator=' ')} is not on the tabulated grid "
+                f"(closest gap {gaps[idx]:g})"
             )
         return float(self.costs[idx])
 
@@ -628,7 +639,7 @@ def parse_prior(spec: str, state_ids) -> Prior:
 def _load_penalty_table(path: str, state_ids) -> Tabulated:
     ids = [str(s) for s in state_ids]
     entries = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ids + ["penalty"] if c not in (reader.fieldnames or [])]
         if missing:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import re
@@ -52,28 +53,38 @@ _VALIDATION_ERRORS = (ValueError, LookupError, OSError)
 def parse_scenario(path: str) -> TwoStageVariable:
     """Load a two-stage variable from its JSON schema with precise diagnostics."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read scenario: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("states"), dict) or not doc["states"]:
         raise ScenarioError(f"{path}: scenario must be an object with a non-empty 'states' mapping")
     states = doc["states"]
-    # One conversion per field; if it fails, the per-state loop names the bad state.
+    # One flat conversion per field; if it fails, the per-state loop names the bad state.
     try:
-        probs = np.array([entry["probs"] for entry in states.values()], dtype=float)
-        payoffs = np.array([entry["payoffs"] for entry in states.values()], dtype=float)
+        probs, payoffs = (_field_matrix(states, key) for key in ("probs", "payoffs"))
     except (TypeError, ValueError, LookupError, OverflowError):
         probs = payoffs = None
-    if probs is None or probs.ndim != 2 or probs.shape != payoffs.shape:
+    if probs is None or probs.shape != payoffs.shape:
         _check_states(path, states)
     # Sums and signs are checked, naming the state, by TwoStageVariable.
     try:
         return TwoStageVariable(list(states), probs, payoffs)
     except (DomainError, ShapeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _field_matrix(states: dict, key: str) -> np.ndarray:
+    """The (state, outcome) float matrix of one field's lists, converted in one
+    pass; ValueError unless every state holds a list of the first one's length."""
+    rows = [entry[key] for entry in states.values()]
+    width = len(rows[0]) if isinstance(rows[0], list) else -1
+    if not all(isinstance(row, list) and len(row) == width for row in rows):
+        raise ValueError(f"{key} rows differ")
+    flat = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
+    return flat.reshape(len(rows), width)
 
 
 def _check_states(path: str, states: dict) -> None:
@@ -97,10 +108,9 @@ def _check_states(path: str, states: dict) -> None:
 def parse_panel(path: str) -> ScenarioPanel:
     """Load a scenario panel from CSV (state,prob,outcome,asset_1,...)."""
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read panel: {exc}") from exc
     if not rows or len(rows[0]) < 4 or rows[0][:3] != ["state", "prob", "outcome"]:
         raise ScenarioError(
@@ -146,9 +156,44 @@ def _resolve_preference(args, state_ids) -> Preference:
 
 def _emit(report: dict, args) -> None:
     if args.output == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
         return
     _print_text(report)
+
+
+_json_str = json.encoder.encode_basestring_ascii
+_JSON_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, for
+    dicts with str keys, lists, tuples and JSON scalars.
+
+    json writes indented text with its pure-Python encoder, one generator
+    step per value.  This writer encodes each list of floats or of strings
+    in one pass, strings with json's own C encoder and floats as json does
+    (``float.__repr__``, or NaN, Infinity, -Infinity).  Any other scalar goes
+    to ``json.dumps``, which also refuses what JSON cannot hold.
+    """
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, float):
+        text = float.__repr__(obj)
+        return _JSON_SPECIAL_FLOATS.get(text, text)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [f"{inner}{_json_str(key)}: {_json_text(value, inner)}" for key, value in sorted(obj.items())]
+        return "{" + ",".join(items) + pad + "}" if items else "{}"
+    if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            texts = [_JSON_SPECIAL_FLOATS.get(text, text) for text in map(float.__repr__, obj)]
+        elif kinds == {str}:
+            texts = list(map(_json_str, obj))
+        else:
+            texts = [_json_text(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(texts) + pad + "]" if texts else "[]"
+    return json.dumps(obj)
 
 
 def _print_text(report: dict, indent: int = 0) -> None:

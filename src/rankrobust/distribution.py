@@ -23,6 +23,12 @@ MERGE_TOL = 1e-12
 #: Probabilities must sum to one within this tolerance.
 PROB_SUM_TOL = 1e-12
 
+_EPS = float(np.finfo(float).eps)
+
+#: Blocks of at most this many entries (a portfolio's weight rows, a small
+#: panel) are summed row by row; larger ones take the bounded numpy check.
+SMALL_BLOCK = 64
+
 #: Recognized dominance orders.
 ORDERS = ("fsd", "ssd", "phissd")
 
@@ -147,19 +153,79 @@ class DiscreteDistribution:
         return f"DiscreteDistribution({{{pairs}}})"
 
 
+def exact_sum(values) -> float:
+    """The correctly rounded sum of a sequence of floats, as ``math.fsum``
+    gives it, and where fsum raises, what exact arithmetic gives: +-inf for a
+    sum beyond the float range and nan for inf - inf."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # finite partial sums overflowed
+        special = [x for x in values if not math.isfinite(x)]
+        if special:
+            return sum(special)
+        from fractions import Fraction  # imported here: it loads decimal, which start-up need not pay for
+
+        total = sum(map(Fraction, values))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
+    except ValueError:  # inf - inf
+        return math.nan
+
+
+def sums_off_one(rows: np.ndarray, tol: float) -> np.ndarray:
+    """For each row of a 2-D array, whether ``not abs(exact_sum(row) - 1) <= tol``.
+
+    The row sum s that numpy computes (a product with a vector of ones) is
+    off the exact sum S of the row's m entries by at most gamma_m * sum|x|,
+    in whatever order the additions run (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 4.2), and the correctly rounded total is off S by
+    at most u * sum|x|.  The radius r = (2m + 4) eps sum|x| bounds both, with
+    room for the rounding of sum|x| and of the test, so s settles every row
+    whose |s - 1| is more than r away from tol.  ``exact_sum`` decides the
+    rest: rows within r of the tolerance edge, and rows with a NaN, an
+    infinite entry or an overflowing sum, whose s or r is not finite.  It
+    also decides every row of a block of at most SMALL_BLOCK entries, where
+    the bounded check's dozen numpy calls cost more than summing each row.
+    """
+    if rows.size <= SMALL_BLOCK:
+        return np.array([not abs(exact_sum(row) - 1.0) <= tol for row in rows.tolist()], dtype=bool)
+    ones = np.ones(rows.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows go to exact_sum
+        dist = np.abs(rows @ ones - 1.0)
+        radius = np.abs(rows) @ ones * ((2 * rows.shape[1] + 4) * _EPS)
+    off = dist > tol
+    sure = np.abs(dist - tol) > radius
+    if not sure.all():
+        for w in np.flatnonzero(~sure):
+            off[w] = not abs(exact_sum(rows[w].tolist()) - 1.0) <= tol
+    return off
+
+
 def check_outcome_probs(state_ids, probs: np.ndarray) -> None:
     """Raise DomainError, naming the state, unless every row of the
-    (state x outcome) matrix is non-negative and sums to one."""
+    (state x outcome) matrix is non-negative and sums to one.
+
+    A negative entry is reported first, then the first row whose correctly
+    rounded sum is not within PROB_SUM_TOL of 1.  Each row is decided from
+    numpy's row sum s and a rounding radius r (``sums_off_one``): it passes
+    when |s - 1| + r <= tol and fails when |s - 1| - r > tol.  ``math.fsum``
+    runs only on the rows in between, on rows with a NaN, an infinite entry
+    or an overflowing sum, on the row whose total the message prints, and
+    on every row of a matrix of at most SMALL_BLOCK entries.
+    """
     negative = probs < 0.0
     if negative.any():
         w, s = np.argwhere(negative)[0]
         raise DomainError(
             f"outcome probability {float(probs[w, s])!r} in state {state_ids[w]!r} (outcome {int(s)}) is negative"
         )
-    # Python floats, not numpy scalars, give fsum the same totals faster.
-    for sid, total in zip(state_ids, map(math.fsum, probs.tolist())):
-        if not abs(total - 1.0) <= PROB_SUM_TOL:
-            raise DomainError(f"outcome probabilities in state {sid!r} sum to {total!r}, not 1")
+    off = sums_off_one(probs, PROB_SUM_TOL)
+    if off.any():
+        w = int(np.argmax(off))
+        total = exact_sum(probs[w].tolist())
+        raise DomainError(f"outcome probabilities in state {state_ids[w]!r} sum to {total!r}, not 1")
 
 
 class TwoStageVariable:

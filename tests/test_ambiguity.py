@@ -57,6 +57,22 @@ class TestPrior:
         with pytest.raises(DomainError, match=r"^prior weights must be >= 0, got min nan$"):
             Prior(np.array(weights))
 
+    def test_overflowing_sum_is_reported_as_infinite(self):
+        with pytest.raises(DomainError, match=r"^prior weights must sum to 1 within 1e-12, got inf$"):
+            Prior(np.array([1e308, 1e308]))
+        with pytest.raises(SpecStringError, match=r"prior weights must sum to 1 within 1e-12, got inf$"):
+            parse_penalty("entropic:1@calm=1e308,stormy=1e308", ["calm", "stormy"])
+
+    def test_repr_ignores_numpy_print_options(self):
+        priors = [Prior(np.array([0.3, 0.7])), Prior(np.array([1 / 3, 1 / 3, 1 / 3])), Prior.uniform(1200),
+                  Prior(np.array([1e-9, 1 - 1e-9]))]
+        default = [repr(p) for p in priors]
+        assert default[0] == "Prior([0.3, 0.7])"
+        assert default[1] == "Prior([0.333333, 0.333333, 0.333333])"
+        with np.printoptions(sign="+", floatmode="fixed", legacy="1.13", precision=2, threshold=5, edgeitems=1,
+                             linewidth=20, suppress=True, formatter={"float": lambda x: "F"}):
+            assert [repr(p) for p in priors] == default
+
     def test_helpers(self):
         assert np.allclose(Prior.uniform(4).weights, 0.25)
         assert list(Prior.point_mass(3, 1).weights) == [0.0, 1.0, 0.0]
@@ -106,6 +122,14 @@ class TestPenalty:
         assert c.penalty([1.0, 0.0]) == 2.0
         with pytest.raises(UnknownPriorError):
             c.penalty([0.25, 0.75])
+
+    def test_off_grid_message_ignores_numpy_print_options(self):
+        c = Tabulated([(Prior(np.array([1.0, 0.0])), 3.0), (Prior(np.array([0.5, 0.5])), 1.0)])
+        want = "prior [0.25 0.75] is not on the tabulated grid (closest gap 0.25)"
+        for options in ({}, {"sign": "+", "floatmode": "fixed", "legacy": "1.13", "precision": 3}):
+            with np.printoptions(**options), pytest.raises(UnknownPriorError) as err:
+                c.penalty([0.25, 0.75])
+            assert str(err.value) == want
 
     def test_convexity_entropic_gini(self, rng):
         for c in (Entropic(0.7, UNIFORM2), Gini(1.3, Prior(np.array([0.4, 0.6])))):

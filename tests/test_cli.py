@@ -1,14 +1,16 @@
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankrobust import DomainError, ScenarioError, ShapeError, TwoStageVariable, ambiguity_aversion_check
-from rankrobust.cli import build_parser, main, parse_panel, parse_scenario
+from rankrobust.cli import _json_text, build_parser, main, parse_panel, parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -178,6 +180,7 @@ BAD_ROWS = {
     "sum": ([0.5, 0.49], "sum to"),
     "negative": ([1.2, -0.2], "negative"),
     "nan": ([1.0, float("nan")], "sum to nan"),
+    "overflow": ([1e308, 1e308], "sum to inf, not 1"),
 }
 
 
@@ -215,6 +218,16 @@ class TestBadProbabilities:
         assert wording in err
         assert "'calm'" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_sum_is_one_error_line(self, capsys, tmp_path, fmt):
+        path, command = write_bad_rows(tmp_path, fmt, BAD_ROWS["overflow"][0])
+        code, out, err = run_cli(
+            capsys, *command, "--scenario", str(path), "--penalty", "maxmin:vertices",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: outcome probabilities in state 'stormy' sum to inf, not 1\n"
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_negative_probability_is_printed_as_a_plain_number(self, capsys, tmp_path, fmt):
         path, command = write_bad_rows(tmp_path, fmt, BAD_ROWS["negative"][0])
@@ -223,6 +236,56 @@ class TestBadProbabilities:
         )
         assert (code, out) == (2, "")
         assert err == f"error: {path}: outcome probability -0.2 in state 'stormy' (outcome 1) is negative\n"
+
+
+class TestInputEncoding:
+    """Scenario, panel and penalty-table files are read as UTF-8, whatever
+    the locale; a file that is not UTF-8 exits 2 naming the file."""
+
+    def test_utf8_state_names_are_read(self, capsys, tmp_path):
+        path = tmp_path / "utf8.json"
+        path.write_bytes('{"states": {"café": {"probs": [1.0], "payoffs": [2.0]}}}'.encode("utf-8"))
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(path), "--penalty", "maxmin:vertices",
+                                 "--output", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["preference"]["state_ids"] == ["café"]
+
+    def test_latin1_scenario_exits_two_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"states": {"caf\xe9": {"probs": [1.0], "payoffs": [2.0]}}}')
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(path), "--penalty", "maxmin:vertices")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: cannot read scenario: 'utf-8' codec can't decode byte 0xe9 in position 16: "
+                       "invalid continuation byte\n")
+
+    def test_latin1_panel_exits_two_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"state,prob,outcome,caf\xe9\nw,1.0,x,0.1\n")
+        code, out, err = run_cli(capsys, "portfolio", "--scenario", str(path), "--penalty", "maxmin:vertices",
+                                 "--mean-prior", "uniform")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: cannot read panel: 'utf-8' codec can't decode byte 0xe9 in position 22: "
+                       "invalid continuation byte\n")
+
+    def test_latin1_penalty_table_exits_two_naming_the_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1_table.csv"
+        path.write_bytes(b"calm,storm,penalty\n0.5,0.5,0.0\n1.0,0.0,1.0 \xe9\n")
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
+                                 "--penalty", f"table:{path}")
+        assert (code, out) == (2, "")
+        assert str(path) in err and "'utf-8' codec can't decode byte 0xe9" in err
+
+    def test_no_command_relies_on_the_locale_encoding(self):
+        commands = [
+            ["evaluate", "--scenario", str(FIXTURES / "two_state.json"), "--penalty", "entropic:1@uniform"],
+            ["portfolio", "--scenario", str(FIXTURES / "panel_hedge.csv"), "--penalty", "maxmin:vertices",
+             "--mean-prior", "uniform"],
+            ["cmin", "--penalty", "table:" + str(FIXTURES / "penalty_table.csv"), "--prior", "calm=0.1,storm=0.9"],
+        ]
+        for argv in commands:
+            proc = subprocess.run([sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                                   "-m", "rankrobust", *argv], capture_output=True, text=True)
+            assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestRefusedInputs:
@@ -247,6 +310,13 @@ class TestRefusedInputs:
                                  "--penalty", "maxmin:vertices")
         assert (code, out) == (2, "")
         assert err == f"error: {second}: states ('only',) do not match the states ('calm', 'storm') of {first}\n"
+
+    def test_overflowing_prior_weights_sum_to_inf(self, capsys):
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
+                                 "--penalty", "entropic:1@calm=1e308,storm=1e308")
+        assert (code, out) == (2, "")
+        assert err == ("error: bad prior spec 'calm=1e308,storm=1e308': "
+                       "prior weights must sum to 1 within 1e-12, got inf\n")
 
     @pytest.mark.parametrize("multi_first", [True, False])
     def test_dominance_names_the_multi_state_file(self, capsys, multi_first):
@@ -616,6 +686,49 @@ class TestDeterminism:
         second = subprocess.run(argv, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.strip()
+
+
+JSON_SCALARS = st.one_of(
+    st.text(),
+    st.sampled_from(['"quoted"', "back\\slash", "tab\tnewline\n\x00\x1f\x7f", "caf\u00e9 \u2603 \U0001f600"]),
+    st.integers(-(10**40), 10**40),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072014e-308]),
+    st.floats().map(np.float64),
+    st.none(),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | st.lists(st.floats(), min_size=1) | st.lists(st.text(), min_size=1),
+    lambda children: (st.lists(children, max_size=5) | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=5)),
+    max_leaves=40,
+)
+
+
+class TestReportWriter:
+    """The report writer is json.dumps(indent=2, sort_keys=True), byte for byte."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(JSON_VALUES)
+    def test_equals_json_dumps(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("obj", [{}, [], (), {"a": {}, "b": [[], ()]}, [[1.5, 2.5], ["x", "y"], [1.5, "x"]]])
+    def test_empty_and_nested_containers(self, obj):
+        assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            _json_text({"a": [np.int64(1)]})
+
+    def test_entropic_report_ignores_numpy_print_options(self, capsys):
+        argv = ["evaluate", "--scenario", str(FIXTURES / "two_state.json"), "--penalty", "entropic:1@calm=0.3,storm=0.7",
+                "--output", "json"]
+        _, want, _ = run_cli(capsys, *argv)
+        assert "Prior([0.3, 0.7])" in json.loads(want)["preference"]["penalty"]
+        with np.printoptions(sign="+", floatmode="fixed", legacy="1.13"):
+            assert run_cli(capsys, *argv) == (0, want, "")
 
 
 class TestParserReuse:

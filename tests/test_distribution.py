@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankrobust import (
     DiscreteDistribution,
@@ -13,7 +15,8 @@ from rankrobust import (
     ellsberg_variables,
     power_utility,
 )
-from rankrobust.distribution import check_outcome_probs
+from rankrobust.distribution import SMALL_BLOCK, check_outcome_probs, exact_sum, sums_off_one
+from rankrobust.portfolio import _check_weight_rows
 from conftest import quantile_oracle, random_distribution
 
 
@@ -194,6 +197,178 @@ class TestRowCheck:
         message = rejection([0.5, bad, 0.5])
         assert message is not None and "'edge'" in message and wording in message
         assert "'calm'" not in message
+
+
+def fsum_total(row):
+    """The per-row oracle: math.fsum, and where fsum raises, the sum exact
+    arithmetic gives (nan for inf - inf, +-inf beyond the float range)."""
+    try:
+        return math.fsum(row)
+    except ValueError:
+        return math.nan
+    except OverflowError:
+        if any(map(math.isnan, row)) or (math.inf in row and -math.inf in row):
+            return math.nan
+        if math.inf in row or -math.inf in row:
+            return math.inf if math.inf in row else -math.inf
+        exact = sum(map(Fraction, row))
+        try:
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
+
+
+def loop_probs_message(state_ids, probs):
+    """check_outcome_probs's message as the per-row fsum loop gave it."""
+    for w, row in enumerate(probs.tolist()):
+        for s, p in enumerate(row):
+            if p < 0.0:
+                return f"outcome probability {p!r} in state {state_ids[w]!r} (outcome {s}) is negative"
+    for sid, row in zip(state_ids, probs.tolist()):
+        total = fsum_total(row)
+        if not abs(total - 1.0) <= 1e-12:
+            return f"outcome probabilities in state {sid!r} sum to {total!r}, not 1"
+    return None
+
+
+def loop_weights_message(W):
+    """The weights rule as the per-row fsum loop: sum first, then signs."""
+    for row in W.tolist():
+        total = fsum_total(row)
+        if not abs(total - 1.0) <= 1e-12:
+            return f"weights must sum to 1 within 1e-12, got {total!r}"
+        if not all(x >= 0.0 for x in row):
+            return "long-only weights must be >= 0"
+    return None
+
+
+def message_of(check, *args):
+    try:
+        check(*args)
+    except DomainError as exc:
+        return str(exc)
+    return None
+
+
+def nudged(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.inf if ulps > 0 else -math.inf)
+    return x
+
+
+def edge_row(rng, width, target):
+    """A random non-negative row whose sum lies within an ulp or two of target."""
+    if width == 0:
+        return []
+    head = list(rng.random(width - 1) * (2.0 / width))
+    last = float(Fraction(target) - sum(map(Fraction, head)))
+    return head + [last]
+
+
+def family_row(rng, family, width):
+    """One row of the named family, ``width`` entries long."""
+    if family == "edge":
+        target = nudged(float(rng.choice([1.0 + 1e-12, 1.0 - 1e-12, 1.0])), int(rng.integers(-3, 4)))
+        row = edge_row(rng, width, target)
+        if row:
+            k = int(rng.integers(width))
+            row[k] = nudged(row[k], int(rng.integers(-2, 3)))
+        return row
+    if family == "tiny":
+        # Entries below an ulp of 1, which a left-to-right np.sum swallows or rounds up.
+        if width < 2:
+            return [nudged(1.0 + 1e-12, int(rng.integers(-2, 3)))][:width]
+        tiny = float(rng.uniform(0.05, 1.0)) * 2.0**-52
+        head = 0.5 + int(rng.integers(4400, 4510)) * 2.0**-52
+        return [head, 0.5] + [tiny] * (width - 2)
+    if family == "subnormal":
+        row = edge_row(rng, width, nudged(1.0, int(rng.integers(-3, 4))))
+        for k in rng.integers(0, max(width, 1), size=min(width, 3)):
+            row[int(k)] = float(rng.integers(1, 1 << 20)) * 5e-324
+        return row
+    if family == "nonfinite":
+        row = edge_row(rng, width, 1.0)
+        if row:
+            row[int(rng.integers(width))] = float(rng.choice([math.nan, math.inf, -math.inf]))
+        return row
+    if family == "overflow":
+        big = [1e308, 1.5e308, -1e308, -1.7e308, float(np.finfo(float).max)]
+        return [float(rng.choice(big)) if rng.random() < 0.6 else float(rng.random()) for _ in range(width)]
+    if family == "cancelling":
+        # Signed entries whose exact sum is near 1, for the weights rule.
+        row = edge_row(rng, width, nudged(1.0, int(rng.integers(-2, 3))))
+        if width >= 2:
+            spike = float(rng.choice([1e3, 1e16, 1e300]))
+            row[0] += spike
+            row[-1] -= spike
+        return row
+    return edge_row(rng, width, 1.0)  # plain
+
+
+FAMILIES = ("plain", "edge", "tiny", "subnormal", "nonfinite", "overflow", "cancelling")
+
+
+def family_block(seed, width, n_rows):
+    rng = np.random.default_rng(seed)
+    return np.array([family_row(rng, str(rng.choice(FAMILIES)), width) for _ in range(n_rows)],
+                    dtype=float).reshape(n_rows, width)
+
+
+class TestCertifiedRowSums:
+    """The bound-certified row check decides every row, and words every
+    message, as the per-row math.fsum loop it replaced."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([0, 1, 2, 3, 5, 17, 65, 2000]),
+           n_rows=st.integers(1, 6))
+    def test_every_row_verdict_and_message_follow_the_fsum_loop(self, seed, width, n_rows):
+        rows = family_block(seed, width, n_rows)
+        want = [not abs(fsum_total(row) - 1.0) <= 1e-12 for row in rows.tolist()]
+        assert sums_off_one(rows, 1e-12).tolist() == want
+        assert [repr(exact_sum(row)) for row in rows.tolist()] == [repr(fsum_total(row)) for row in rows.tolist()]
+        ids = [f"w{i}" for i in range(n_rows)]
+        assert message_of(check_outcome_probs, ids, rows) == loop_probs_message(ids, rows)
+        assert message_of(_check_weight_rows, rows) == loop_weights_message(rows)
+
+    @pytest.mark.parametrize("width", [0, 1, 2000])
+    def test_widths(self, width):
+        rows = np.array([edge_row(np.random.default_rng(width), width, 1.0), [1.0 / max(width, 1)] * width])
+        want = [not abs(fsum_total(row) - 1.0) <= 1e-12 for row in rows.tolist()]
+        assert sums_off_one(rows, 1e-12).tolist() == want == [width == 0] * 2
+        assert message_of(check_outcome_probs, ["a", "b"], rows) == loop_probs_message(["a", "b"], rows)
+
+    def test_edge_rows_in_a_block_beyond_the_small_block_size(self):
+        edge = [row_summing_to(t) for t in (nudged(TestRowCheck.HIGH, -1), TestRowCheck.HIGH,
+                                             TestRowCheck.LOW, nudged(TestRowCheck.LOW, -1))]
+        swallowed = [0.5 + 4503 * ULP_ABOVE_ONE, 0.5] + [0.3 * ULP_ABOVE_ONE] * 70
+        rounded_up = [1.0 + 4502 * ULP_ABOVE_ONE] + [0.51 * ULP_ABOVE_ONE] * 2
+        width = len(swallowed)
+        rows = np.array([row + [0.0] * (width - len(row)) for row in edge + [swallowed, rounded_up]])
+        assert rows.size > SMALL_BLOCK
+        want = [not abs(fsum_total(row) - 1.0) <= 1e-12 for row in rows.tolist()]
+        assert want == [False, True, False, True, True, False]
+        assert sums_off_one(rows, 1e-12).tolist() == want
+        ids = [f"w{i}" for i in range(len(rows))]
+        assert message_of(check_outcome_probs, ids, rows) == loop_probs_message(ids, rows)
+
+    def test_the_first_failing_row_is_reported_and_sums_precede_signs(self):
+        W = np.array([[0.5, 0.5], [1.5, -0.5], [0.7, -0.2], [0.5, 0.49]])
+        assert message_of(_check_weight_rows, W) == "long-only weights must be >= 0"
+        assert message_of(_check_weight_rows, W[2:]) == "weights must sum to 1 within 1e-12, got 0.49999999999999994"
+        probs = np.array([[0.5, 0.5], [0.5, 0.49], [0.6, 0.6]])
+        assert message_of(check_outcome_probs, ["a", "b", "c"], probs) == \
+            "outcome probabilities in state 'b' sum to 0.99, not 1"
+
+    @pytest.mark.parametrize("row, total", [
+        ([1e308, 1e308], math.inf),
+        ([-1e308, -1e308], -math.inf),
+        ([1e308, 1e308, -1e308, -1e308, 1.0], 1.0),
+        ([math.inf, 1e308, 1e308], math.inf),
+        ([math.nan, 1e308, 1e308], math.nan),
+        ([math.inf, -math.inf], math.nan),
+    ])
+    def test_sums_fsum_cannot_give(self, row, total):
+        assert repr(exact_sum(row)) == repr(total)
 
 
 class TestComonotonic:

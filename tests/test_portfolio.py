@@ -465,6 +465,12 @@ class TestLongOnlyRule:
         with pytest.raises(DomainError, match=r"^weights must sum to 1 within 1e-12, got nan$"):
             Weights(np.array(weights))
 
+    @pytest.mark.parametrize("weights, total", [([1e308, 1e308], "inf"), ([-1e308, -1e308, 1.0], "-inf")])
+    def test_overflowing_sum_is_reported_as_infinite(self, weights, total):
+        with pytest.raises(DomainError) as err:
+            Weights(weights)
+        assert str(err.value) == f"weights must sum to 1 within 1e-12, got {total}"
+
     def test_sum_reported_before_sign(self):
         for score in (Weights, lambda w: _score_block(hedge_panel(), np.array([w]), Prior.uniform(1), base_pref())):
             with pytest.raises(DomainError) as err:
