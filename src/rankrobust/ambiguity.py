@@ -80,13 +80,66 @@ class Prior:
         return f"Prior({_array_text(self.weights, precision=6, separator=', ')})"
 
 
+def _float_texts(values: list, form: str, precision: int) -> list[str]:
+    """Each value with ``precision`` digits after the point in fixed ("f") or
+    scientific ("e") form, as numpy's Dragon4 writes it in unique mode: the
+    shortest repr padded with zeros if it has no more digits, else the value
+    correctly rounded.  The two can differ only where two such decimals
+    round to the same float, so the repr is read only where ulp(x) is at
+    least a hundredth of the last digit's place: fixed values from 2**19 at
+    precision 8 (all below 1e8, so their repr is fixed too) and subnormals."""
+    scale = 10.0 ** (precision + 2)
+    texts = [f"{x:#.{precision}{form}}" for x in values]
+    for k, x in enumerate(values):
+        if x and math.ulp(x) * scale >= (1.0 if form == "f" else abs(x)):
+            mantissa, e, exponent = repr(x).partition("e")
+            whole, _, frac = mantissa.partition(".")
+            if len(frac.rstrip("0")) <= precision:
+                texts[k] = f"{whole}.{frac.rstrip('0'):0<{precision}}{e}{exponent}"
+    return texts
+
+
 def _array_text(a: np.ndarray, precision: int, separator: str) -> str:
-    """``np.array2string`` with every print option given, so that numpy's
-    global print options cannot change a report or a message."""
-    return np.array2string(
-        a, max_line_width=75, precision=precision, suppress_small=False, separator=separator, threshold=1000,
-        edgeitems=3, sign="-", floatmode="maxprec", legacy=False, formatter={},
-    )
+    """The text of the finite 1-d float array ``a`` as ``np.array2string`` gives
+    it with max_line_width=75, threshold=1000, edgeitems=3, sign="-",
+    floatmode="maxprec" and suppress_small=False, written from Python's float
+    formatting of the shown values, so that numpy's print options cannot
+    change a report or a message.
+
+    Each value has at most ``precision`` digits after the point
+    (``_float_texts``), trailing zeros dropped, and its integer and fraction
+    parts padded to common widths.  The exponent form, mantissas rounded to
+    their common number of digits, applies when the smallest nonzero |value|
+    is below 1e-4, the largest is 1e8 or more, or their ratio exceeds 1000.
+    Past 1,000 entries only the first and last three are shown, around
+    "...", and lines wrap at 75 columns.
+    """
+    shown = a.tolist() if a.size <= 1000 else a[:3].tolist() + a[-3:].tolist()
+    nonzero = [abs(x) for x in shown if x != 0.0]
+    if nonzero and (max(nonzero) >= 1e8 or min(nonzero) < 1e-4 or max(nonzero) / min(nonzero) > 1000.0):
+        parts = [t.partition("e") for t in _float_texts(shown, "e", precision)]
+        digits = max(len(m.rstrip("0")) - m.index(".") - 1 for m, _, _ in parts)
+        size = max(len(e) for _, _, e in parts) - 1  # exponent digits, at least two
+        parts = [f"{x:#.{digits}e}".partition("e") for x in shown]
+        lead = max(len(m) for m, _, _ in parts)
+        words = [f"{m:>{lead}}e{e[0]}{e[1:]:0>{size}}" for m, _, e in parts]
+    else:
+        texts = [t.rstrip("0") for t in _float_texts(shown, "f", precision)]
+        points = [t.index(".") for t in texts]
+        lead, width = max(points), max(len(t) - i for t, i in zip(texts, points))
+        words = [(" " * (lead - i) + t).ljust(lead + width) for t, i in zip(texts, points)]
+    if a.size > 1000:  # "..." is narrower than the words: fill the lines greedily
+        words[3:3] = ["..."]
+        lines = [[]]
+        for word in words:
+            if lines[-1] and 1 + sum(len(w) + len(separator) for w in lines[-1]) + len(word) > 74:
+                lines.append([])
+            lines[-1].append(word)
+    else:  # words of one width: as many to a line as fit in 74 columns after its indent
+        per = max(1, (73 - len(words[0])) // (len(words[0]) + len(separator)) + 1)
+        lines = [words[k : k + per] for k in range(0, len(words), per)]
+    wrapped = [(separator.join(line) + separator).rstrip() for line in lines[:-1]]
+    return "[" + "\n ".join(wrapped + [separator.join(lines[-1])]) + "]"
 
 
 PRODUCT_BLOCK = 1 << 17  # floats in one temporary product block of _prior_dots

@@ -301,7 +301,7 @@ def _cmd_cmin(args) -> int:
     report = {
         "command": "cmin",
         "penalty": amb.describe(),
-        "prior": [float(x) for x in q.weights],
+        "prior": q.weights.tolist(),
         "grid": {"low": lo, "high": hi, "step": step},
         "seed": args.seed,
         "result": {
@@ -369,12 +369,12 @@ def _cmd_portfolio(args) -> int:
         "command": "portfolio",
         "scenario": args.scenario,
         "preference": pref.describe(),
-        "mean_prior": [float(x) for x in p_mean.weights],
+        "mean_prior": p_mean.weights.tolist(),
         "seed": args.seed,
         "budget": args.budget,
         "result": {
             "assets": list(panel.assets),
-            "weights": [float(x) for x in result.weights.values],
+            "weights": result.weights.values.tolist(),
             "objective": result.objective,
             "mean_term": result.mean_term,
             "risk_term": result.risk_term,

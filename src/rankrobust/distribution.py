@@ -39,9 +39,9 @@ DOMINANCE_TOL = 1e-12
 def _merge_support(values, probs):
     """Sort support, merge points within MERGE_TOL of a group leader, drop zero mass.
 
-    Group sums use math.fsum so merged probabilities are correctly rounded
-    and independent of input ordering (label permutations cannot change
-    any downstream value).
+    Group sums use ``exact_sum`` so merged probabilities are correctly
+    rounded and independent of input ordering (label permutations cannot
+    change any downstream value), and a sum past the float range reads inf.
     """
     v = np.asarray(values, dtype=float)
     p = np.asarray(probs, dtype=float)
@@ -62,7 +62,7 @@ def _merge_support(values, probs):
         j = i + 1
         while j < n and v[j] - v[i] <= MERGE_TOL:
             j += 1
-        mass = math.fsum(p[i:j])
+        mass = exact_sum(p[i:j].tolist())
         if mass > 0.0:
             out_v.append(float(v[i]))
             out_p.append(mass)
@@ -86,7 +86,7 @@ class DiscreteDistribution:
 
     def __init__(self, values, probs):
         v, p = _merge_support(values, probs)
-        total = math.fsum(p)
+        total = exact_sum(p.tolist())
         if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise DomainError(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
         cum = np.array([math.fsum(p[: i + 1]) for i in range(p.size)])

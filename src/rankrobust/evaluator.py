@@ -34,7 +34,7 @@ import numpy as np
 
 from .ambiguity import AmbiguityIndex, MaxminSet, Prior, _prior_dots, simplex_grid
 from .distortion import Distortion, identity as identity_distortion
-from .distribution import MERGE_TOL, TwoStageVariable
+from .distribution import MERGE_TOL, TwoStageVariable, exact_sum
 from .errors import ConfigError, DomainError, ShapeError
 from .utility import UtilityFn, add_variables, identity_utility
 
@@ -91,8 +91,8 @@ class Evaluation:
     def to_dict(self) -> dict:
         return {
             "value_utils": self.value_utils,
-            "per_state_utils": [float(x) for x in self.per_state_utils],
-            "minimizer": [float(x) for x in self.minimizer.weights],
+            "per_state_utils": self.per_state_utils.tolist(),
+            "minimizer": self.minimizer.weights.tolist(),
             "certainty_equivalent": self.certainty_equivalent,
         }
 
@@ -147,17 +147,21 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
     reproduces the former loop over outcome columns bit for bit.  As the
     reference does, the mass of payoffs tied within MERGE_TOL is rounded
     first, then that of tied utilities; each of these segmented sums takes
-    one pass per depth inside its longest tie chain.  The cost is O(1) numpy
-    passes over the block plus one pass per tie-chain depth, none without ties.
+    one pass per depth inside its longest tie chain.  The payoffs are checked
+    against phi's domain once (on the whole line by ``isfinite`` alone) and
+    a block without ties skips the segmented sums, so the cost is a fixed
+    count of numpy passes over the block (about 30, phi's and psi's
+    included), plus one pass per tie-chain depth in a block with ties.
 
     Agrees with the scalar reference ``choquet(v.marginal(s).pushforward(phi),
     psi)`` within 1e-12 * (1 + max |phi(payoff)|) per state, except that a
     var: threshold may split a chain of 3+ payoffs (or utilities) under 1e-12
     apart differently.  Payoffs outside phi's domain raise with the offending
-    (state, outcome).
+    (state, outcome); so does a state whose value is not finite, naming the
+    outcome whose utility overflowed, if one did.
     """
-    inside = phi.domain.contains_mask(v.payoffs, tol=1e-12 * (1.0 + float(np.max(np.abs(v.payoffs)))))
-    if not np.all(inside):
+    inside = phi.domain.slack_mask(v.payoffs)
+    if not inside.all():
         w, s = np.argwhere(~inside)[0]
         raise DomainError(
             f"payoff {float(v.payoffs[w, s])!r} at (state {v.state_ids[w]!r}, outcome {int(s)}) "
@@ -166,29 +170,51 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
     order = np.argsort(np.where(v.outcome_probs > 0.0, v.payoffs, np.inf), axis=1, kind="stable")
     rows = np.arange(order.shape[0])[:, None]
     x, p = v.payoffs[rows, order], v.outcome_probs[rows, order]
-    u = phi(x)
-    # Scan column j holds outcome n-1-j, so ranks are added top down.  A flag
-    # ends a run of tied payoffs (utilities) there, rounding the run's mass;
-    # outcome 0 ends every row, and its tail, the whole mass, is not needed.
-    new_point = np.ones(x.shape, dtype=bool)
-    new_point[:, :-1] = (x[:, 1:] - x[:, :-1] > MERGE_TOL)[:, ::-1]
-    new_atom = new_point.copy()
-    du = u[:, 1:] - u[:, :-1]
-    new_atom[:, :-1] &= (du > MERGE_TOL)[:, ::-1]
-    ends = new_point.ravel()
-    mass = np.where(ends, _run_sums(p[:, ::-1].ravel(), ends), 0.0)
-    # Unless a utility tie joins payoff runs, each utility run is one payoff
-    # run and rounding its mass again changes nothing.
-    if not np.array_equal(new_atom, new_point):
-        ends = new_atom.ravel()
-        mass = np.where(ends, _run_sums(mass, ends), 0.0)
-    mass = mass.reshape(x.shape)
-    s = np.cumsum(mass, axis=1)
-    prev = np.zeros_like(s)
-    prev[:, 1:] = s[:, :-1]
-    tails = (s + np.cumsum(_twosum_errors(prev, mass, s), axis=1))[:, -2::-1]
-    terms = du * np.where(tails > 0.0, psi(tails), 0.0)
-    return _row_fsum(np.concatenate((u[:, :1], terms), axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        u = np.asarray(phi._fwd(x), dtype=float)  # the domain check above is phi's own
+        du = u[:, 1:] - u[:, :-1]
+        gaps = x[:, 1:] - x[:, :-1] > MERGE_TOL
+        atoms = gaps & (du > MERGE_TOL)
+        if atoms.all():
+            # No ties: every run is one outcome, and its mass is its
+            # probability (+ 0.0 turns -0.0 into 0.0, as ``_run_sums`` does).
+            mass = p[:, ::-1] + 0.0
+        else:
+            # Scan column j holds outcome n-1-j, so ranks are added top down.  A
+            # flag ends a run of tied payoffs (utilities) there, rounding the
+            # run's mass; outcome 0 ends every row, and its tail is not needed.
+            new_point = np.ones(x.shape, dtype=bool)
+            new_point[:, :-1] = gaps[:, ::-1]
+            new_atom = new_point.copy()
+            new_atom[:, :-1] = atoms[:, ::-1]
+            ends = new_point.ravel()
+            mass = np.where(ends, _run_sums(p[:, ::-1].ravel(), ends), 0.0)
+            # Unless a utility tie joins payoff runs, each utility run is one
+            # payoff run and rounding its mass again changes nothing.
+            if not np.array_equal(atoms, gaps):
+                ends = new_atom.ravel()
+                mass = np.where(ends, _run_sums(mass, ends), 0.0)
+            mass = mass.reshape(x.shape)
+        s = np.cumsum(mass, axis=1)
+        prev = np.zeros_like(s)
+        prev[:, 1:] = s[:, :-1]
+        tails = (s + np.cumsum(_twosum_errors(prev, mass, s), axis=1))[:, -2::-1]
+        terms = du * np.where(tails > 0.0, psi(tails), 0.0)
+        table = np.concatenate((u[:, :1], terms), axis=1)
+        try:
+            values = _row_fsum(table)
+        except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
+            values = np.array([exact_sum(row) for row in table.tolist()])
+    if not np.isfinite(values).all():
+        w = int(np.argmax(~np.isfinite(values)))
+        bad = np.flatnonzero(~np.isfinite(u[w]))
+        if bad.size:
+            raise DomainError(
+                f"utility {phi.describe()} of payoff {float(x[w, bad[0]])!r} at (state {v.state_ids[w]!r}, "
+                f"outcome {int(order[w, bad[0]])}) is not finite"
+            )
+        raise DomainError(f"the distorted expected utility of state {v.state_ids[w]!r} is not finite")
+    return values
 
 
 def _certainty_equivalent(phi: UtilityFn, value: float) -> float | None:

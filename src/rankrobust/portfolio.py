@@ -114,15 +114,10 @@ def _block_payoffs(panel: ScenarioPanel, W: np.ndarray) -> np.ndarray:
     return payoffs
 
 
-def _score_block(panel: ScenarioPanel, W, p_mean: Prior, pref: Preference) -> tuple[np.ndarray, np.ndarray]:
-    """Mean terms and risk terms of the K portfolios in the (K, assets) block W.
-
-    All K * states rows go through one ``inner_rdu`` call and the (K, states)
-    profile through one ``robust_solve`` call.  Every step is elementwise or
-    a reduction within a row, so row k equals the 1-row block W[k:k+1] bit
-    for bit.  The risk term is rho = -(robust value), normalized to the
-    linear-utility scale.
-    """
+def _utility_scale(panel: ScenarioPanel, p_mean: Prior, pref: Preference) -> tuple[float, float]:
+    """phi(0) and phi(1) - phi(0) of the preference's utility, which must be
+    affine, once the preference and the mean prior are checked against the
+    panel's states: the constants that put risk terms on the linear scale."""
     if not is_affine(pref.phi):
         raise ConfigError(
             "the mean-risk criterion needs an affine utility; "
@@ -134,6 +129,22 @@ def _score_block(panel: ScenarioPanel, W, p_mean: Prior, pref: Preference) -> tu
         )
     if p_mean.n_states != len(panel.state_ids):
         raise ShapeError(f"mean prior covers {p_mean.n_states} states, panel has {len(panel.state_ids)}")
+    intercept = pref.phi(0.0)
+    return intercept, pref.phi(1.0) - intercept
+
+
+def _score_block(
+    panel: ScenarioPanel, W, p_mean: Prior, pref: Preference, scale: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean terms and risk terms of the K portfolios in the (K, assets) block W,
+    ``scale`` being ``_utility_scale(panel, p_mean, pref)``.
+
+    All K * states rows go through one ``inner_rdu`` call and the (K, states)
+    profile through one ``robust_solve`` call.  Every step is elementwise or
+    a reduction within a row, so row k equals the 1-row block W[k:k+1] bit
+    for bit.  The risk term is rho = -(robust value), normalized to the
+    linear-utility scale.
+    """
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[1] == 0:
         raise ShapeError(f"a weight block must be a non-empty (K, assets) array, got shape {W.shape}")
@@ -142,8 +153,7 @@ def _score_block(panel: ScenarioPanel, W, p_mean: Prior, pref: Preference) -> tu
     k, n, m = payoffs.shape
     rows = _PayoffRows(panel.state_ids * k, np.tile(panel.outcome_probs, (k, 1)), payoffs.reshape(k * n, m))
     values = pref.ambiguity.robust_solve(inner_rdu(rows, pref.phi, pref.psi).reshape(k, n))[0]
-    intercept = pref.phi(0.0)
-    slope = pref.phi(1.0) - intercept
+    intercept, slope = scale
     means = np.sum(np.sum(payoffs * panel.outcome_probs, axis=-1) * p_mean.weights, axis=-1)
     return means, -(values - intercept) / slope
 
@@ -152,7 +162,7 @@ def mean_risk_components(panel: ScenarioPanel, w: Weights, p_mean: Prior, pref: 
     """The (mean term, risk term) pair, reported separately so degenerate
     configurations (e.g. a risk-neutral rho that doubles the mean) stay visible."""
     weights = np.asarray(w.values if isinstance(w, Weights) else w, dtype=float)
-    means, risks = _score_block(panel, weights.reshape(1, -1), p_mean, pref)
+    means, risks = _score_block(panel, weights.reshape(1, -1), p_mean, pref, _utility_scale(panel, p_mean, pref))
     return float(means[0]), float(risks[0])
 
 
@@ -217,10 +227,11 @@ def optimize(
     if budget < size:
         raise BudgetError(f"budget {budget} is below the coarse grid size {size}")
     grid = simplex_grid(panel.n_assets, coarse_resolution)
+    scale = _utility_scale(panel, p_mean, pref)
     trace: list[tuple[tuple, float]] = []
 
     def score(block: np.ndarray) -> tuple[list[float], list[float], list[float]]:
-        means, risks = _score_block(panel, block, p_mean, pref)
+        means, risks = _score_block(panel, block, p_mean, pref, scale)
         return means.tolist(), risks.tolist(), (means - risks).tolist()
 
     # The grid is lexicographically sorted and only strict improvements move

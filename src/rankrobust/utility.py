@@ -50,6 +50,13 @@ class Interval:
             ok &= (arr <= self.hi + tol) if self.closed_hi else (arr < self.hi)
         return ok
 
+    def slack_mask(self, arr: np.ndarray) -> np.ndarray:
+        """``contains_mask`` with the slack of every utility check, closed ends
+        relaxed by 1e-12 * (1 + max |arr|); on the whole line just ``isfinite``."""
+        if self.lo == -_INF and self.hi == _INF:
+            return np.isfinite(arr)
+        return self.contains_mask(arr, 1e-12 * (1.0 + np.max(np.abs(arr), initial=0.0)))
+
     def clamp(self, x: float) -> float:
         return min(max(x, self.lo), self.hi)
 
@@ -102,16 +109,14 @@ class UtilityFn:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        tol = 1e-12 * (1.0 + np.max(np.abs(arr), initial=0.0))
-        if not self.domain.contains(arr, tol=tol):
+        if not self.domain.slack_mask(arr).all():
             raise DomainError(f"utility argument outside domain {self.domain}: {t!r}")
         out = self._fwd(arr)
         return float(out) if np.ndim(t) == 0 else np.asarray(out, dtype=float)
 
     def inverse(self, y):
         arr = np.asarray(y, dtype=float)
-        tol = 1e-12 * (1.0 + np.max(np.abs(arr), initial=0.0))
-        if not self.image.contains(arr, tol=tol):
+        if not self.image.slack_mask(arr).all():
             raise DomainError(f"inverse argument outside image {self.image}: {y!r}")
         out = self._inv(arr)
         return float(out) if np.ndim(y) == 0 else np.asarray(out, dtype=float)

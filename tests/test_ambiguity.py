@@ -26,6 +26,7 @@ from rankrobust import (
     parse_prior,
     simplex_grid,
 )
+from rankrobust.ambiguity import _array_text
 from conftest import solve_one, values_of
 from lattice_oracle import UtilityGrid, c_min_bruteforce
 
@@ -76,6 +77,63 @@ class TestPrior:
     def test_helpers(self):
         assert np.allclose(Prior.uniform(4).weights, 0.25)
         assert list(Prior.point_mass(3, 1).weights) == [0.0, 1.0, 0.0]
+
+
+def array2string_oracle(a, precision, separator):
+    """``np.array2string`` with the arguments ``_array_text`` stands for."""
+    return np.array2string(
+        a, max_line_width=75, precision=precision, suppress_small=False, separator=separator, threshold=1000,
+        edgeitems=3, sign="-", floatmode="maxprec", legacy=False, formatter={},
+    )
+
+
+@st.composite
+def printed_arrays(draw):
+    """Finite 1-d float arrays of every shape the printer treats apart: priors,
+    values spread over many decades (the exponent form), rounded and dyadic
+    values (ties at the last digit), negative values and -0.0, large values
+    whose ulp nears the last fixed digit, subnormals, and arrays past the
+    1,000-entry summary threshold."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.sampled_from([1, 2, 3, 5, 8, 13, 40, 200, 1000, 1001, 1500]))
+    kind = draw(st.sampled_from(["prior", "decades", "rounded", "dyadic", "signed", "large", "subnormal"]))
+    if kind == "prior":
+        a = rng.dirichlet(np.full(size, draw(st.sampled_from([0.05, 1.0, 50.0]))))
+    elif kind == "decades":
+        a = rng.random(size) * 10.0 ** rng.integers(-12, 12, size=size if draw(st.booleans()) else 1)
+    elif kind == "rounded":
+        a = np.round(rng.random(size) * 10.0 ** draw(st.integers(-3, 7)), draw(st.integers(0, 10)))
+    elif kind == "dyadic":
+        a = rng.integers(0, 2 ** draw(st.integers(1, 12)), size) / 2.0 ** draw(st.integers(0, 30))
+    elif kind == "signed":
+        a = (rng.random(size) - 0.5) * 10.0 ** draw(st.integers(-6, 10))
+    elif kind == "large":
+        a = np.round(2.0 ** draw(st.integers(17, 27)) * (1.0 + rng.random(size)), draw(st.integers(0, 12)))
+    else:
+        a = rng.integers(1, 2**20, size) * 5e-324
+    if draw(st.booleans()):
+        a[rng.random(size) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
+    return a
+
+
+class TestArrayText:
+    """``_array_text`` writes the bytes of ``np.array2string`` at both call sites' settings."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(printed_arrays())
+    def test_matches_array2string(self, a):
+        for precision, separator in ((6, ", "), (8, " ")):
+            assert _array_text(a, precision, separator) == array2string_oracle(a, precision, separator)
+
+    @pytest.mark.parametrize("values", [
+        [1 / 128, 0.5],  # 0.0078125 ties at the sixth digit
+        [0.0], [-0.0, 1.0], [1e-5, 1.0], [1e8, 1.0], [1e-100, 1e100], [5e-324, 1.0],
+        [2.0**26 + 2.0**-26, 1e5], [99999999.99999999, 1e6], [0.1] * 75, [1 / 3] * 2000,
+    ])
+    def test_edges(self, values):
+        a = np.array(values)
+        for precision, separator in ((6, ", "), (8, " ")):
+            assert _array_text(a, precision, separator) == array2string_oracle(a, precision, separator)
 
 
 class TestPenalty:

@@ -304,6 +304,25 @@ class TestRefusedInputs:
         assert err == ("error: payoff -1.4220480329092977 at (state 'w0', outcome 2) "
                        "is outside the utility domain (0, inf)\n")
 
+    @pytest.mark.parametrize("payoffs, utility, message", [
+        ([-1000, 0], "exp:1", "utility exp:1 of payoff -1000.0 at (state 'stormy', outcome 0) is not finite"),
+        ([1e308, -1e308], "identity", "the distorted expected utility of state 'stormy' is not finite"),
+    ], ids=["utility", "difference"])
+    def test_non_finite_utility_names_the_state(self, capsys, tmp_path, payoffs, utility, message):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"states": {"calm": {"probs": [0.5, 0.5], "payoffs": [0, 1]},
+                                                   "stormy": {"probs": [0.5, 0.5], "payoffs": payoffs}}}))
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(scenario), "--penalty", "maxmin:vertices",
+                                 "--utility", utility)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_non_finite_portfolio_utility_names_the_state(self, capsys, tmp_path):
+        panel = tmp_path / "panel.csv"
+        panel.write_text("state,prob,outcome,a1,a2\nw0,0.5,up,1e308,-1e308\nw0,0.5,down,-1e308,1e308\n")
+        code, out, err = run_cli(capsys, "portfolio", "--scenario", str(panel), "--penalty", "maxmin:vertices",
+                                 "--mean-prior", "uniform")
+        assert (code, out, err) == (2, "", "error: the distorted expected utility of state 'w0' is not finite\n")
+
     def test_compare_names_the_file_whose_states_differ(self, capsys):
         first, second = str(FIXTURES / "two_state.json"), str(FIXTURES / "single_state.json")
         code, out, err = run_cli(capsys, "compare", "--scenario", first, "--scenario2", second,

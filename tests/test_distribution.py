@@ -85,6 +85,13 @@ class TestDiscreteDistribution:
             DiscreteDistribution([0, 1], [-0.1, 1.1])
 
 
+    @pytest.mark.parametrize("values", [[0.0, 1.0], [0.0, 0.0]], ids=["two points", "merged points"])
+    def test_overflowing_probabilities_sum_to_inf(self, values):
+        # The total of two points, or the mass of one merged point, leaves the float range.
+        with pytest.raises(DomainError, match=r"^probabilities must sum to 1 within 1e-12, got inf$"):
+            DiscreteDistribution(values, [1e308, 1e308])
+
+
 class TestTwoStageVariable:
     def test_marginal_direct_read(self):
         v = TwoStageVariable(["w"], [[0.3, 0.7]], [[100.0, 0.0]])

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -53,6 +54,7 @@ import rankrobust.evaluator as evaluator_module
 from rankrobust.cli import main as cli_main, parse_scenario
 from rankrobust.distribution import MERGE_TOL
 from rankrobust.evaluator import _Cases, _PayoffRows, _choquet_rows, _draw_cases, _stack, battery_reports, relation
+from kernel_oracle import scan_inner_rdu
 from battery_oracle import reference_aversion_check, reference_battery_reports, reference_generate_battery
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -830,6 +832,96 @@ class TestLoopFreeKernel:
                            payoffs.astype(float))
         for psi in (prelec(0.65, 1.0), es_tail(0.3), var_step(0.25), var_step(0.5)):
             assert_same_as_column_loop(rows, exponential(0.3), psi)
+
+
+@st.composite
+def lean_kernel_blocks(draw):
+    """A block for the lean kernel against its scan oracle: a ``kernel_blocks``
+    block (ties of every kind, zero masses, pads), a battery block (padded
+    rows of 2-8 outcomes), or rows of distinct payoffs (the path without
+    ties, unless their utilities tie under SATURATED), some with zero
+    masses; with one outcome or more, and any zero probability possibly -0.0."""
+    source = draw(st.sampled_from(["kernel", "battery", "distinct", "saturated"]))
+    phi = draw(st.sampled_from([identity_utility(), affine(2.5, -1.0), exponential(0.7), exponential(-0.2)]))
+    psi = draw(st.sampled_from(every_distortion(4)))
+    if source == "kernel":
+        rows, phi, psi = draw(kernel_blocks())
+    elif source == "battery":
+        rows = _draw_cases(draw(st.integers(1, 8)), draw(st.integers(0, 2**16))).rows
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        n_w, n_s = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+        low, phi = (10.0, SATURATED) if source == "saturated" else (-5.0, phi)
+        payoffs = rng.permuted(np.cumsum(rng.uniform(0.01, 0.8, size=(n_w, n_s)), axis=1) + low, axis=1)
+        weights = rng.integers(draw(st.integers(0, 1)), 4, size=(n_w, n_s)).astype(float)
+        weights[:, 0] += weights.sum(axis=1) == 0
+        rows = _PayoffRows(tuple(f"w{i}" for i in range(n_w)), weights / weights.sum(axis=1, keepdims=True), payoffs)
+    if draw(st.booleans()):
+        rows = rows._replace(outcome_probs=np.where(rows.outcome_probs == 0.0, -0.0, rows.outcome_probs))
+    return rows, phi, psi
+
+
+class TestLeanKernel:
+    """``inner_rdu`` equals its former scan form, ``kernel_oracle.scan_inner_rdu``, bit for bit."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(lean_kernel_blocks())
+    @example((_PayoffRows(("w",), np.array([[1.0]]), np.array([[2.0]])), exponential(0.7), var_step(0.5)))
+    @example((_PayoffRows(("w",), np.array([[-0.0, 1.0, -0.0]]), np.array([[3.0, 1.0, 2.0]])),
+              identity_utility(), es_tail(0.5)))
+    def test_matches_scan_oracle(self, case):
+        rows, phi, psi = case
+        got, want = inner_rdu(rows, phi, psi), scan_inner_rdu(rows, phi, psi)
+        assert got.tobytes() == want.tobytes(), (psi.describe(), phi.describe(), got - want)
+
+    def test_blocks_without_ties_skip_the_run_sums(self, monkeypatch):
+        calls = []
+        real = evaluator_module._run_sums
+        monkeypatch.setattr(evaluator_module, "_run_sums", lambda *args: calls.append(args) or real(*args))
+        # The zero-mass outcome ranks last and its payoff is the largest: no tie.
+        distinct = _PayoffRows(("w0", "w1"), np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]]),
+                               np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]))
+        inner_rdu(distinct, exponential(0.7), prelec(0.65, 1.0))
+        assert calls == []
+        inner_rdu(distinct._replace(payoffs=np.array([[1.0, 1.0, 3.0], [3.0, 1.0, 2.0]])), exponential(0.7),
+                  prelec(0.65, 1.0))
+        assert len(calls) == 1
+
+    def test_payoffs_are_checked_once(self, monkeypatch):
+        def refused(self, t):
+            raise AssertionError("inner_rdu checked the payoffs again through UtilityFn.__call__")
+
+        v = TwoStageVariable(["a", "b"], [[0.5, 0.5], [0.25, 0.75]], [[1.0, 2.0], [0.5, 3.0]])
+        want = inner_rdu(v, exponential(0.7), power(2))
+        monkeypatch.setattr(type(identity_utility()), "__call__", refused)
+        assert inner_rdu(v, exponential(0.7), power(2)).tobytes() == want.tobytes()
+
+
+class TestNonFiniteUtilities:
+    """A state whose value is not finite is refused, naming the state (and the
+    outcome whose utility overflowed), with no numpy warning."""
+
+    def test_overflowing_utility_names_the_state_and_the_outcome(self):
+        v = TwoStageVariable(["calm", "storm"], [[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0], [0.0, -1000.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                inner_rdu(v, exponential(1.0), identity())
+        assert str(err.value) == "utility exp:1 of payoff -1000.0 at (state 'storm', outcome 1) is not finite"
+
+    @pytest.mark.parametrize("payoffs, probs", [([1e308, -1e308], [0.5, 0.5]), ([-1e308, 1e308], [1.0, 0.0])],
+                             ids=["difference", "zero-mass difference"])
+    def test_overflowing_differences_name_the_state(self, payoffs, probs):
+        v = TwoStageVariable(["calm", "storm"], [[0.5, 0.5], probs], [[0.0, 1.0], payoffs])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                inner_rdu(v, identity_utility(), power(2))
+        assert str(err.value) == "the distorted expected utility of state 'storm' is not finite"
+
+    def test_finite_values_pass(self):
+        v = TwoStageVariable(["calm"], [[0.5, 0.5]], [[-1e307, 1e307]])
+        assert np.isfinite(inner_rdu(v, identity_utility(), power(2))).all()
 
 
 class TestReductionSuite:

@@ -35,7 +35,7 @@ from rankrobust import (
 )
 from rankrobust import portfolio as portfolio_module
 from rankrobust.cli import main as cli_main, parse_panel
-from rankrobust.portfolio import _block_payoffs, _score_block
+from rankrobust.portfolio import _block_payoffs, _score_block, _utility_scale
 from rankrobust.utility import is_affine
 from conftest import mean_risk_objective
 
@@ -383,9 +383,9 @@ class CountedScoring:
         self.rows = []
         real = portfolio_module._score_block
 
-        def counted(panel, W, p_mean, pref):
+        def counted(panel, W, *args):
             self.rows.append(len(W))
-            return real(panel, W, p_mean, pref)
+            return real(panel, W, *args)
 
         monkeypatch.setattr(portfolio_module, "_score_block", counted)
 
@@ -431,7 +431,7 @@ class TestBlockScoring:
                 p = random_prior(rng, 3)
                 block = np.vstack([np.array(simplex_lattice(n_assets, 4)), rng.dirichlet(np.ones(n_assets), 50)])
                 block /= block.sum(axis=1, keepdims=True)
-                means, risks = _score_block(panel, block, p, pref)
+                means, risks = _score_block(panel, block, p, pref, _utility_scale(panel, p, pref))
                 for w, mean, risk in zip(block, means, risks):
                     assert (mean, risk) == mean_risk_components(panel, Weights(w), p, pref)
 
@@ -442,10 +442,15 @@ class TestBlockScoring:
             with pytest.raises(exc) as want:
                 Weights(np.array(bad))
             with pytest.raises(exc) as got:
-                _score_block(panel, np.array([[0.5, 0.5], bad]), p, pref)
+                _score_block(panel, np.array([[0.5, 0.5], bad]), p, pref, _utility_scale(panel, p, pref))
             assert str(got.value) == str(want.value)
         with pytest.raises(ShapeError):
-            _score_block(panel, np.array([[1.0]]), p, pref)
+            _score_block(panel, np.array([[1.0]]), p, pref, _utility_scale(panel, p, pref))
+
+
+def score_hedge(block):
+    panel, p, pref = hedge_panel(), Prior.uniform(1), base_pref()
+    return _score_block(panel, block, p, pref, _utility_scale(panel, p, pref))
 
 
 class TestLongOnlyRule:
@@ -458,7 +463,7 @@ class TestLongOnlyRule:
     def test_negative_row_in_a_block_refused(self):
         block = np.array([[0.5, 0.5], [1.5, -0.5], [0.25, 0.75]])
         with pytest.raises(DomainError, match="long-only weights must be >= 0"):
-            _score_block(hedge_panel(), block, Prior.uniform(1), base_pref())
+            score_hedge(block)
 
     @pytest.mark.parametrize("weights", [[math.nan, 1.0], [0.5, math.nan]])
     def test_nan_weight_refused(self, weights):
@@ -472,7 +477,7 @@ class TestLongOnlyRule:
         assert str(err.value) == f"weights must sum to 1 within 1e-12, got {total}"
 
     def test_sum_reported_before_sign(self):
-        for score in (Weights, lambda w: _score_block(hedge_panel(), np.array([w]), Prior.uniform(1), base_pref())):
+        for score in (Weights, lambda w: score_hedge(np.array([w]))):
             with pytest.raises(DomainError) as err:
                 score([0.7, -0.2])
             assert str(err.value) == "weights must sum to 1 within 1e-12, got 0.49999999999999994"
