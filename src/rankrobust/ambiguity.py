@@ -37,10 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import exact_sum
+from .distribution import PROB_SUM_TOL, exact_row_sums, exact_sum
 from .errors import ConfigError, DomainError, ShapeError, SolverError, SpecStringError, UnknownPriorError
 
-PRIOR_SUM_TOL = 1e-12
 HULL_TOL = 1e-9
 
 
@@ -57,8 +56,8 @@ class Prior:
         if not np.all(w >= 0.0):  # NaN-safe
             raise DomainError(f"prior weights must be >= 0, got min {w.min()}")
         total = exact_sum(w.tolist())
-        if not abs(total - 1.0) <= PRIOR_SUM_TOL:
-            raise DomainError(f"prior weights must sum to 1 within {PRIOR_SUM_TOL}, got {total!r}")
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
+            raise DomainError(f"prior weights must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -391,9 +390,7 @@ class Entropic(_ReferencePenalty):
         shifted = np.exp(np.where(is_top, -np.inf, logits) - top).sum(axis=1, keepdims=True)
         lse = np.log1p(shifted / count) + np.log(count) + top
         q = np.exp(logits - lse)
-        # Correctly rounded row sums: math.fsum over the rows of one flat list.
-        rows = zip(*[iter(q.ravel().tolist())] * q.shape[1])
-        return -self.theta * lse[:, 0], q / np.fromiter(map(math.fsum, rows), float, len(q))[:, None]
+        return -self.theta * lse[:, 0], q / exact_row_sums(q)[:, None]
 
 
 class Gini(_ReferencePenalty):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .distribution import DiscreteDistribution
+from .distribution import DiscreteDistribution, exact_row_sums
 from .errors import DomainError
 from .spec import parse_spec, spec_text
 
@@ -188,22 +188,29 @@ def parse_distortion(spec: str) -> Distortion:
 
 
 def choquet(d: DiscreteDistribution, psi: Distortion) -> float:
-    """Distorted expectation of d under psi; the scalar reference for ``inner_rdu``.
+    """Distorted expectation of d under psi, the scalar reference for
+    ``inner_rdu``: ``choquet_rows`` of d's one row.
 
     With support x_1 < ... < x_n and survivals S_i = P(v > x_i), returns
     x_1 + sum_i (x_{i+1} - x_i) * psi(S_i).  For step cdfs this evaluates
     the survival-distortion integral exactly; survivals are correctly
     rounded tail sums, so relabeling or splitting outcomes cannot change
-    the result.
+    the result.  A one-point law reads ``math.fsum`` of its point (0.0 at
+    -0.0).
     """
-    v = d.values
-    n = v.size
-    if n == 1:
-        return float(v[0])
-    survivals = np.array([d.survival(i) for i in range(n - 1)])
-    weights = psi(survivals)
-    terms = np.diff(v) * weights
-    return math.fsum([float(v[0]), *terms])
+    return float(choquet_rows(d.values[None, :], d.probs[None, :], psi)[0])
+
+
+def choquet_rows(u: np.ndarray, mass: np.ndarray, psi: Distortion) -> np.ndarray:
+    """The survival form of the distorted expectation on every row of a
+    (rows, points) block of merged support points u, sorted and with their
+    masses (``distribution.merge_rows``' output: zero-mass pads repeat a
+    row's last point): u_1 + sum_i (u_{i+1} - u_i) * psi(S_i), where S_i is
+    the fsum of the masses above point i, psi is called once for the block
+    and each row's terms are summed exactly (``exact_row_sums``)."""
+    tails = [math.fsum(row[i:]) for row in mass.tolist() for i in range(1, len(row))]
+    terms = np.diff(u, axis=1) * psi(np.array(tails).reshape(len(u), u.shape[1] - 1))
+    return exact_row_sums(np.concatenate((u[:, :1], terms), axis=1))
 
 
 def value_at_risk(d: DiscreteDistribution, lam: float) -> float:

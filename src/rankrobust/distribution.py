@@ -36,47 +36,13 @@ ORDERS = ("fsd", "ssd", "phissd")
 DOMINANCE_TOL = 1e-12
 
 
-def _merge_support(values, probs):
-    """Sort support, merge points within MERGE_TOL of a group leader, drop zero mass.
-
-    Group sums use ``exact_sum`` so merged probabilities are correctly
-    rounded and independent of input ordering (label permutations cannot
-    change any downstream value), and a sum past the float range reads inf.
-    """
-    v = np.asarray(values, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    if v.ndim != 1 or p.ndim != 1 or v.shape != p.shape or v.size == 0:
-        raise ShapeError("values and probs must be equal-length non-empty 1-D sequences")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("support values must be finite")
-    if not np.all(p >= 0.0):  # NaN-safe
-        raise DomainError(f"probabilities must be >= 0, got min {p.min()}")
-    order = np.argsort(v, kind="stable")
-    v = v[order]
-    p = p[order]
-    out_v: list[float] = []
-    out_p: list[float] = []
-    i = 0
-    n = v.size
-    while i < n:
-        j = i + 1
-        while j < n and v[j] - v[i] <= MERGE_TOL:
-            j += 1
-        mass = exact_sum(p[i:j].tolist())
-        if mass > 0.0:
-            out_v.append(float(v[i]))
-            out_p.append(mass)
-        i = j
-    if not out_v:
-        raise DomainError("distribution has no support point with positive mass")
-    return np.array(out_v), np.array(out_p)
-
-
 class DiscreteDistribution:
     """Finite-support probability law of a monetary payoff.
 
-    Duplicate (within 1e-12) support points are merged at construction by
-    summing probabilities; zero-mass points are dropped.  The stored
+    Support points are merged at construction by ``merge_rows``: a point
+    within MERGE_TOL of its group's first point joins the group, the group's
+    mass is the correctly rounded sum of its members' (independent of their
+    order), and groups without mass are dropped.  The stored
     ``values`` are strictly increasing, ``probs`` sum to one within 1e-12,
     and ``cumulative`` holds their correctly rounded running sums, the last
     exactly 1.
@@ -85,7 +51,18 @@ class DiscreteDistribution:
     __slots__ = ("values", "probs", "cumulative")
 
     def __init__(self, values, probs):
-        v, p = _merge_support(values, probs)
+        v = np.asarray(values, dtype=float)
+        p = np.asarray(probs, dtype=float)
+        if v.ndim != 1 or p.ndim != 1 or v.shape != p.shape or v.size == 0:
+            raise ShapeError("values and probs must be equal-length non-empty 1-D sequences")
+        if not np.all(np.isfinite(v)):
+            raise DomainError("support values must be finite")
+        if not np.all(p >= 0.0):  # NaN-safe
+            raise DomainError(f"probabilities must be >= 0, got min {p.min()}")
+        if not np.any(p > 0.0):
+            raise DomainError("distribution has no support point with positive mass")
+        order = np.argsort(v, kind="stable")
+        (v,), (p,) = merge_rows(v[None, order], p[None, order])
         total = exact_sum(p.tolist())
         if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise DomainError(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
@@ -172,6 +149,50 @@ def exact_sum(values) -> float:
             return math.inf if total > 0 else -math.inf
     except ValueError:  # inf - inf
         return math.nan
+
+
+def exact_row_sums(rows: np.ndarray) -> np.ndarray:
+    """``exact_sum`` of each row of a 2-d array: ``math.fsum`` over the rows
+    of one flat list, and ``exact_sum`` row by row where fsum raises."""
+    flat = iter(rows.ravel().tolist())
+    try:
+        return np.fromiter(map(math.fsum, zip(*[flat] * rows.shape[1])), float, len(rows))
+    except (ValueError, OverflowError):  # inf - inf, a sum past the float range, or rows of width 0
+        return np.array([exact_sum(row) for row in rows.tolist()], dtype=float)
+
+
+def merge_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The support merge of every row of the (rows, width) values, each row
+    sorted and with some mass: a point within MERGE_TOL of its group's first
+    point joins the group, a group's mass is the ``exact_sum`` of its
+    members' masses (>= 0), and groups without mass are dropped.  Returns the
+    groups' first values and masses, left-aligned; each row is padded with
+    zero masses at its last group's value."""
+    rows, width = values.shape
+    first = np.ones(values.shape, dtype=bool)
+    first[:, 1:] = values[:, 1:] - values[:, :-1] > MERGE_TOL
+    # A point within MERGE_TOL above the one before it still starts a group
+    # if it lies more than MERGE_TOL above its group's first point.
+    for j in (np.flatnonzero(((values[:, 1:] > values[:, :-1]) & ~first[:, 1:]).any(axis=0)) + 1).tolist():
+        lead = np.where(first[:, :j], np.arange(j), 0).max(axis=1)
+        first[:, j] = values[:, j] - values[np.arange(rows), lead] > MERGE_TOL
+    group = (np.cumsum(first, axis=1) - 1 + width * np.arange(rows)[:, None]).ravel()
+    value = np.empty(rows * width)
+    value[group[first.ravel()]] = values[first]
+    masses = masses.ravel()
+    # Sums in index order, exact while a group has one member with mass.
+    mass = np.bincount(group, masses, rows * width)
+    for g in np.flatnonzero(np.bincount(group[masses > 0.0], minlength=rows * width) > 1).tolist():
+        mass[g] = exact_sum(masses[group == g].tolist())
+    keep = mass.reshape(rows, width) > 0.0
+    count = keep.sum(axis=1)
+    r, c = np.nonzero(keep)
+    slot = (np.cumsum(keep, axis=1) - 1)[r, c]
+    merged, merged_mass = np.empty((rows, count.max())), np.zeros((rows, count.max()))
+    merged[r, slot] = value.reshape(rows, width)[r, c]
+    merged_mass[r, slot] = mass.reshape(rows, width)[r, c]
+    pad = np.arange(merged.shape[1]) >= count[:, None]
+    return np.where(pad, merged[np.arange(rows), count - 1][:, None], merged), merged_mass
 
 
 def sums_off_one(rows: np.ndarray, tol: float) -> np.ndarray:
@@ -286,21 +307,6 @@ class TwoStageVariable:
     def with_payoffs(self, payoffs) -> "TwoStageVariable":
         """Same space, new payoff matrix."""
         return TwoStageVariable(self.state_ids, self.outcome_probs, payoffs)
-
-    def is_unambiguous(self) -> bool:
-        """True when every state induces the same one-stage law, its support
-        points within MERGE_TOL and probabilities within PROB_SUM_TOL."""
-        first = self.marginal(self.state_ids[0])
-        for sid in self.state_ids[1:]:
-            m = self.marginal(sid)
-            if m.n_points != first.n_points:
-                return False
-            if not (
-                np.allclose(m.values, first.values, atol=MERGE_TOL, rtol=0.0)
-                and np.allclose(m.probs, first.probs, atol=PROB_SUM_TOL, rtol=0.0)
-            ):
-                return False
-        return True
 
     def __repr__(self):
         return (

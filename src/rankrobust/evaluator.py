@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .ambiguity import AmbiguityIndex, MaxminSet, Prior, _prior_dots, simplex_grid
-from .distortion import Distortion, identity as identity_distortion
-from .distribution import MERGE_TOL, TwoStageVariable, exact_sum
+from .distortion import Distortion, choquet_rows, identity as identity_distortion
+from .distribution import MERGE_TOL, TwoStageVariable, exact_row_sums, merge_rows
 from .errors import ConfigError, DomainError, ShapeError
 from .utility import UtilityFn, add_variables, identity_utility
 
@@ -118,11 +118,6 @@ def _run_sums(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return s + comp
 
 
-def _row_fsum(terms: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each row of the 2-d ``terms``."""
-    return np.fromiter(map(math.fsum, terms.tolist()), float, len(terms))
-
-
 class _PayoffRows(NamedTuple):
     """The (state x outcome) rows of a block, as ``inner_rdu`` reads them."""
 
@@ -135,10 +130,12 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
     """Per-state distorted expectation of utility, all states in one pass.
 
     Ranks each row by payoff and returns u_1 + sum_i (u_{i+1} - u_i) * psi(S_i),
-    with S_i the mass ranked above i, each state's terms summed by math.fsum.
-    Zero-mass outcomes rank last, so they get zero tails and no weight.
-    Only ``v.payoffs``, ``v.outcome_probs`` and ``v.state_ids`` are read, and
-    each state's value depends on its own row alone.
+    with S_i the mass ranked above i, each state's terms summed exactly
+    (``exact_row_sums``).  Zero-mass outcomes rank last, so they get zero
+    tails and no weight: a term whose tail is 0 is 0, even where its utility
+    difference overflowed.  Only ``v.payoffs``, ``v.outcome_probs`` and
+    ``v.state_ids`` are read, and each state's value depends on its own row
+    alone.
 
     The tails are Neumaier sums from the top rank down, written as scans: the
     Neumaier running sum of x is s + cumsum(e), where s = cumsum(x) is the
@@ -148,10 +145,12 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
     reference does, the mass of payoffs tied within MERGE_TOL is rounded
     first, then that of tied utilities; each of these segmented sums takes
     one pass per depth inside its longest tie chain.  The payoffs are checked
-    against phi's domain once (on the whole line by ``isfinite`` alone) and
-    a block without ties skips the segmented sums, so the cost is a fixed
-    count of numpy passes over the block (about 30, phi's and psi's
-    included), plus one pass per tie-chain depth in a block with ties.
+    against phi's domain once (on the whole line by ``isfinite`` alone),
+    psi's map is applied once to the tails clipped to [0, 1] (sums of
+    probabilities need no domain check), and a block without ties skips the
+    segmented sums, so the cost is a fixed count of numpy passes over the
+    block (about 30, phi's and psi's included), plus one pass per tie-chain
+    depth in a block with ties.
 
     Agrees with the scalar reference ``choquet(v.marginal(s).pushforward(phi),
     psi)`` within 1e-12 * (1 + max |phi(payoff)|) per state, except that a
@@ -175,10 +174,8 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
         du = u[:, 1:] - u[:, :-1]
         gaps = x[:, 1:] - x[:, :-1] > MERGE_TOL
         atoms = gaps & (du > MERGE_TOL)
-        if atoms.all():
-            # No ties: every run is one outcome, and its mass is its
-            # probability (+ 0.0 turns -0.0 into 0.0, as ``_run_sums`` does).
-            mass = p[:, ::-1] + 0.0
+        if atoms.all():  # no ties: every run is one outcome, and its mass is its probability
+            mass = p[:, ::-1]
         else:
             # Scan column j holds outcome n-1-j, so ranks are added top down.  A
             # flag ends a run of tied payoffs (utilities) there, rounding the
@@ -199,12 +196,8 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
         prev = np.zeros_like(s)
         prev[:, 1:] = s[:, :-1]
         tails = (s + np.cumsum(_twosum_errors(prev, mass, s), axis=1))[:, -2::-1]
-        terms = du * np.where(tails > 0.0, psi(tails), 0.0)
-        table = np.concatenate((u[:, :1], terms), axis=1)
-        try:
-            values = _row_fsum(table)
-        except (ValueError, OverflowError):  # inf - inf, or a sum past the float range
-            values = np.array([exact_sum(row) for row in table.tolist()])
+        terms = np.where(tails > 0.0, du * psi._fn(np.clip(tails, 0.0, 1.0)), 0.0)
+        values = exact_row_sums(np.concatenate((u[:, :1], terms), axis=1))
     if not np.isfinite(values).all():
         w = int(np.argmax(~np.isfinite(values)))
         bad = np.flatnonzero(~np.isfinite(u[w]))
@@ -449,59 +442,6 @@ def _case_values(local, utils: np.ndarray, states: np.ndarray) -> np.ndarray:
     return values
 
 
-def _merge_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``DiscreteDistribution``'s support merge on every row of the (rows,
-    width) values, each row sorted: a point within MERGE_TOL of its group's
-    first point joins the group, a group's mass is the fsum of its members'
-    masses (>= 0), and groups without mass are dropped.  Returns the groups'
-    values and masses, left-aligned; each row is padded with zero masses at
-    its last group's value."""
-    rows, width = values.shape
-    first = np.ones(values.shape, dtype=bool)
-    first[:, 1:] = values[:, 1:] - values[:, :-1] > MERGE_TOL
-    # A point within MERGE_TOL above the one before it still starts a group
-    # if it lies more than MERGE_TOL above its group's first point.
-    for j in (np.flatnonzero(((values[:, 1:] > values[:, :-1]) & ~first[:, 1:]).any(axis=0)) + 1).tolist():
-        lead = np.where(first[:, :j], np.arange(j), 0).max(axis=1)
-        first[:, j] = values[:, j] - values[np.arange(rows), lead] > MERGE_TOL
-    group = (np.cumsum(first, axis=1) - 1 + width * np.arange(rows)[:, None]).ravel()
-    value = np.empty(rows * width)
-    value[group[first.ravel()]] = values[first]
-    masses = masses.ravel()
-    # Sums in index order, exact while a group has one member with mass.
-    mass = np.bincount(group, masses, rows * width)
-    for g in np.flatnonzero(np.bincount(group[masses > 0.0], minlength=rows * width) > 1).tolist():
-        mass[g] = math.fsum(masses[group == g].tolist())
-    keep = mass.reshape(rows, width) > 0.0
-    count = keep.sum(axis=1)
-    r, c = np.nonzero(keep)
-    slot = (np.cumsum(keep, axis=1) - 1)[r, c]
-    merged, merged_mass = np.empty((rows, count.max())), np.zeros((rows, count.max()))
-    merged[r, slot] = value.reshape(rows, width)[r, c]
-    merged_mass[r, slot] = mass.reshape(rows, width)[r, c]
-    pad = np.arange(merged.shape[1]) >= count[:, None]
-    return np.where(pad, merged[np.arange(rows), count - 1][:, None], merged), merged_mass
-
-
-def _choquet_rows(payoffs: np.ndarray, probs: np.ndarray, phi: UtilityFn, psi: Distortion) -> np.ndarray:
-    """``choquet`` of the utility law of every row of a (rows, outcomes)
-    block, in its survival form: sort by payoff, merge payoffs and then
-    utilities within MERGE_TOL, take each survival S_i as the fsum of the
-    masses above point i, and return u_1 + sum_i (u_{i+1} - u_i) * psi(S_i)
-    by fsum, with psi called once for the block.  Equals
-    ``choquet(DiscreteDistribution(x, p).pushforward(phi), psi)`` row by row
-    as floats (a one-point row reads 0.0 where ``choquet`` may read -0.0),
-    zero-mass pads at a row's largest payoff included: they merge into its
-    top point.  The reference of the single-state section, independent of
-    ``inner_rdu``'s scans."""
-    order = np.argsort(payoffs, axis=1, kind="stable")
-    x, mass = _merge_rows(np.take_along_axis(payoffs, order, axis=1), np.take_along_axis(probs, order, axis=1))
-    u, mass = _merge_rows(phi(x), mass)
-    tails = [math.fsum(row[i:]) for row in mass.tolist() for i in range(1, len(row))]
-    terms = np.diff(u, axis=1) * psi(np.array(tails).reshape(len(u), u.shape[1] - 1))
-    return _row_fsum(np.concatenate((u[:, :1], terms), axis=1))
-
-
 # ---------------------------------------------------------------------------
 # Comparative and absolute ambiguity aversion
 # ---------------------------------------------------------------------------
@@ -696,10 +636,10 @@ def _section(errors, labels) -> dict:
 
 def _expectation_section(pref: Preference, cases: _Cases) -> dict:
     """(a) Under the identity distortion each state's inner value is the
-    expected utility, each row's terms summed by ``math.fsum``; a case's
+    expected utility, each row's terms summed by ``exact_row_sums``; a case's
     error is the largest over its states."""
     inner = inner_rdu(cases.rows, pref.phi, identity_distortion())
-    expected = _row_fsum(cases.probs * pref.phi(cases.payoffs))
+    expected = exact_row_sums(cases.probs * pref.phi(cases.payoffs))
     return _section(np.maximum.reduceat(np.abs(inner - expected), cases.starts), range(len(cases.states)))
 
 
@@ -741,9 +681,13 @@ def _maxmin_section(groups, listed: np.ndarray) -> dict:
 
 def _single_state_section(pref: Preference, singles: _Cases, values: np.ndarray) -> dict:
     """(d) The value of a single-state case against ``choquet`` of its
-    utility law, in ``_choquet_rows``' survival form."""
-    return _section(np.abs(values - _choquet_rows(singles.payoffs, singles.probs, pref.phi, pref.psi)),
-                    range(len(values)))
+    utility law, row by row: sort by payoff, merge payoffs and then
+    utilities (zero-mass pads merge into a row's top point), and take
+    ``choquet_rows``' survival form, independent of ``inner_rdu``'s scans."""
+    order = np.argsort(singles.payoffs, axis=1, kind="stable")
+    x, mass = merge_rows(np.take_along_axis(singles.payoffs, order, axis=1),
+                         np.take_along_axis(singles.probs, order, axis=1))
+    return _section(np.abs(values - choquet_rows(*merge_rows(pref.phi(x), mass), pref.psi)), range(len(values)))
 
 
 def _aversion_section(seed: int, local, groups, values: np.ndarray) -> dict:

@@ -25,12 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambiguity import Prior, simplex_grid
-from .distribution import check_outcome_probs, exact_sum, sums_off_one
+from .distribution import PROB_SUM_TOL, check_outcome_probs, exact_sum, sums_off_one
 from .errors import BudgetError, ConfigError, DomainError, ShapeError
 from .evaluator import Preference, _PayoffRows, inner_rdu
 from .utility import is_affine
-
-WEIGHT_SUM_TOL = 1e-12
 
 
 class ScenarioPanel:
@@ -94,12 +92,12 @@ class Weights:
 def _check_weight_rows(W: np.ndarray) -> None:
     """The Weights rules, applied to every row of a (K, assets) block; the
     first failing row raises, its sum checked before its signs."""
-    bad_sum = sums_off_one(W, WEIGHT_SUM_TOL)  # NaN fails this and the sign test
+    bad_sum = sums_off_one(W, PROB_SUM_TOL)  # NaN fails this and the sign test
     bad = bad_sum | ~(W >= 0.0).all(axis=1)
     if bad.any():
         row = int(np.argmax(bad))
         if bad_sum[row]:
-            raise DomainError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {exact_sum(W[row].tolist())!r}")
+            raise DomainError(f"weights must sum to 1 within {PROB_SUM_TOL}, got {exact_sum(W[row].tolist())!r}")
         raise DomainError("long-only weights must be >= 0")
 
 

@@ -4,8 +4,9 @@ Cases are ``TwoStageVariable``s drawn one by one, each valued alone: its
 own ``inner_rdu`` call and a one-row ``robust_solve`` under the penalty
 carried to its state count by ``adapt``, written here apart from
 ``AmbiguityIndex.recentered``.  Section (c) builds a ``MaxminSet`` for each
-case and section (d) compares with ``choquet`` of the case's
-``DiscreteDistribution`` pushed forward by phi.  The phases run in the
+case and section (d) compares with the survival-loop ``choquet`` oracle
+(``support_oracle.loop_choquet``) of the case's ``DiscreteDistribution``
+pushed forward by phi.  The phases run in the
 order of the batched pass (draws and inner values first, robust values
 after), so both raise the same error class, and every figure is computed
 with the arithmetic the batched sections reproduce, so the JSON of the
@@ -27,11 +28,11 @@ from rankrobust import (
     Prior,
     ShapeError,
     TwoStageVariable,
-    choquet,
     identity,
     identity_utility,
     inner_rdu,
 )
+from support_oracle import loop_choquet
 
 TOL = 1e-9  # a reduction error above this is a violation
 SECTIONS = ("expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu")
@@ -162,7 +163,7 @@ def reference_battery_reports(pref, battery=None):
     for idx, (u, priors) in enumerate(zip(profiles, listed)):
         value = float(priors.robust_solve(u[None, :])[0][0])
         maxmin.append((idx, abs(value - min(float(q.weights @ u) for q in priors.priors))))
-    single = [(idx, abs(value - choquet(v.marginal(v.state_ids[0]).pushforward(pref.phi), pref.psi)))
+    single = [(idx, abs(value - loop_choquet(v.marginal(v.state_ids[0]).pushforward(pref.phi), pref.psi)))
               for idx, (v, value) in enumerate(zip(singles, single_values))]
     report = {"seed": battery.seed}
     for key, errors in zip(SECTIONS, (expectation, affine, maxmin, single)):

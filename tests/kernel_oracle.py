@@ -2,11 +2,18 @@
 skipped the segmented sums on blocks without ties: the byte-for-byte oracle
 of the kernel in ``rankrobust.evaluator`` (kept verbatim)."""
 
+import math
+
 import numpy as np
 
 from rankrobust.distribution import MERGE_TOL
 from rankrobust.errors import DomainError
-from rankrobust.evaluator import _row_fsum, _run_sums, _twosum_errors
+from rankrobust.evaluator import _run_sums, _twosum_errors
+
+
+def _row_fsum(terms: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each row of the 2-d ``terms``."""
+    return np.fromiter(map(math.fsum, terms.tolist()), float, len(terms))
 
 
 def scan_inner_rdu(v, phi, psi) -> np.ndarray:

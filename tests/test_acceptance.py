@@ -59,6 +59,7 @@ from rankrobust import (
 from battery_oracle import reference_generate_battery
 from conftest import mean_risk_objective, solve_one, translated, values_of
 from lattice_oracle import UtilityGrid, c_min_bruteforce
+from support_oracle import is_unambiguous
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -245,7 +246,7 @@ def test_c05_certainty_level_properties():
             ranks = np.argsort(np.argsort(v.payoffs[w], kind="stable"), kind="stable")
             payoffs[w] = base[ranks]
         r = v.with_payoffs(payoffs)
-        assert comonotonic(v, r) and r.is_unambiguous()
+        assert comonotonic(v, r) and is_unambiguous(r)
         phi = phis[int(rng.integers(2))]
         pref = Preference(phi, identity(), Entropic(1.0, Prior.uniform(v.n_states)), v.state_ids)
         try:

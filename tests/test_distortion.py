@@ -1,7 +1,9 @@
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rankrobust import (
     DiscreteDistribution,
@@ -24,6 +26,7 @@ from rankrobust import (
     weighted_var,
 )
 from conftest import random_distribution, riemann_choquet, riemann_tolerance, var_oracle
+from support_oracle import loop_choquet, support_laws
 
 TOL = 1e-9
 
@@ -207,6 +210,25 @@ class TestChoquet:
             psi = es_tail(float(rng.uniform(0.05, 1.0)))
             assert dominance(d1, d2, "fsd").relation in ("dominates", "equal")
             assert choquet(d1, psi) >= choquet(d2, psi) - 1e-12
+
+
+class TestChoquetOracle:
+    """``choquet`` equals the former survival loop (``support_oracle.loop_choquet``)
+    bit for bit, except that a one-point law reads fsum of its point: 0.0 at -0.0."""
+
+    DISTORTIONS = [identity(), power(2.0), prelec(0.65, 1.0), tversky_kahneman(0.6), es_tail(0.5), var_step(0.3),
+                   dual_power(2.0), piecewise_linear([(0, 0), (0.5, 0.3), (1, 1)])]
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(support_laws(valid=True), st.sampled_from(DISTORTIONS))
+    @example(([-0.0], [1.0]), power(2.0))
+    @example(([0.0, 6e-13, 1.2e-12, 5.0], [0.25, 0.25, 0.25, 0.25]), var_step(0.3))
+    def test_matches_the_survival_loop(self, law, psi):
+        d = DiscreteDistribution(*law)
+        want = loop_choquet(d, psi)
+        if d.n_points == 1:
+            want = math.fsum([want])
+        assert repr(choquet(d, psi)) == repr(want)
 
 
 class TestVaR:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rankrobust import (
     DiscreteDistribution,
@@ -15,9 +15,10 @@ from rankrobust import (
     ellsberg_variables,
     power_utility,
 )
-from rankrobust.distribution import SMALL_BLOCK, check_outcome_probs, exact_sum, sums_off_one
+from rankrobust.distribution import SMALL_BLOCK, check_outcome_probs, exact_row_sums, exact_sum, sums_off_one
 from rankrobust.portfolio import _check_weight_rows
 from conftest import quantile_oracle, random_distribution
+from support_oracle import loop_distribution, support_laws
 
 
 class TestDiscreteDistribution:
@@ -90,6 +91,41 @@ class TestDiscreteDistribution:
         # The total of two points, or the mass of one merged point, leaves the float range.
         with pytest.raises(DomainError, match=r"^probabilities must sum to 1 within 1e-12, got inf$"):
             DiscreteDistribution(values, [1e308, 1e308])
+
+
+def law_or_error(build, values, probs):
+    """The bytes of (values, probs, cumulative) that build returns, or the
+    class and message of the error it raises."""
+    try:
+        return [a.tobytes() for a in build(values, probs)]
+    except (ShapeError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def fields(values, probs):
+    d = DiscreteDistribution(values, probs)
+    return d.values, d.probs, d.cumulative
+
+
+class TestSupportMerge:
+    """``DiscreteDistribution`` merges its support as the former per-point
+    loop (``support_oracle.merge_support``) did, bit for bit, and refuses
+    the same laws with the same messages."""
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(support_laws())
+    @example(([0.0, 6e-13, 1.2e-12], [0.25, 0.25, 0.5]))  # a 3-point chain splits at its third point
+    @example(([2.0, 2.0 + 5e-13], [0.0, 1.0]))  # a zero-mass leader names its group
+    @example(([-0.0], [1.0]))
+    @example(([0.0, 0.0], [1e308, 1e308]))
+    @example(([1.0, 2.0], [-0.0, 0.0]))
+    def test_matches_the_merge_loop(self, law):
+        assert law_or_error(fields, *law) == law_or_error(loop_distribution, *law)
+
+    @pytest.mark.parametrize("values, probs", [([], []), ([[0.0]], [[1.0]]), ([0.0, 1.0], [1.0]),
+                                               ([math.nan], [1.0]), ([0.0], [math.nan])])
+    def test_refusals_match_the_merge_loop(self, values, probs):
+        assert law_or_error(fields, values, probs) == law_or_error(loop_distribution, values, probs)
 
 
 class TestTwoStageVariable:
@@ -376,6 +412,35 @@ class TestCertifiedRowSums:
     ])
     def test_sums_fsum_cannot_give(self, row, total):
         assert repr(exact_sum(row)) == repr(total)
+
+
+class TestExactRowSums:
+    """``exact_row_sums`` gives every row's ``exact_sum``, bit for bit."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), width=st.sampled_from([0, 1, 2, 3, 5, 17, 65]),
+           n_rows=st.integers(0, 6), twist=st.sampled_from(["none", "negative zeros", "inf - inf"]))
+    def test_each_row_is_its_exact_sum(self, seed, width, n_rows, twist):
+        rows = family_block(seed, width, n_rows)
+        if twist == "negative zeros":
+            rows = np.where(np.random.default_rng(seed).random(rows.shape) < 0.5, -0.0, rows)
+        elif twist == "inf - inf" and width >= 2:
+            rows[:, :2] = [math.inf, -math.inf]
+        assert [repr(x) for x in exact_row_sums(rows).tolist()] == [repr(exact_sum(row)) for row in rows.tolist()]
+
+    @pytest.mark.parametrize("rows, want", [
+        ([[math.inf, -math.inf], [0.5, 0.25]], [math.nan, 0.75]),
+        ([[1e308, 1e308], [-1e308, -1e308]], [math.inf, -math.inf]),
+        ([[1e308, 1e308, -1e308, -1e308, 1.0]], [1.0]),
+        ([[-0.0], [-0.0]], [math.fsum([-0.0])] * 2),
+        ([[5e-324, 5e-324, -5e-324]], [5e-324]),
+        ([[0.1]], [0.1]),
+        (np.zeros((3, 0)), [0.0, 0.0, 0.0]),
+        (np.zeros((0, 4)), []),
+    ], ids=["inf - inf", "overflow", "cancelling overflow", "negative zero", "subnormals", "width 1", "width 0",
+            "no rows"])
+    def test_edge_rows(self, rows, want):
+        assert [repr(x) for x in exact_row_sums(np.array(rows, dtype=float)).tolist()] == [repr(x) for x in want]
 
 
 class TestComonotonic:

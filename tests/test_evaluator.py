@@ -53,9 +53,10 @@ from rankrobust import (
 import rankrobust.evaluator as evaluator_module
 from rankrobust.cli import main as cli_main, parse_scenario
 from rankrobust.distribution import MERGE_TOL
-from rankrobust.evaluator import _Cases, _PayoffRows, _choquet_rows, _draw_cases, _stack, battery_reports, relation
+from rankrobust.evaluator import _Cases, _PayoffRows, _draw_cases, _single_state_section, _stack, battery_reports, relation
 from kernel_oracle import scan_inner_rdu
 from battery_oracle import reference_aversion_check, reference_battery_reports, reference_generate_battery
+from support_oracle import is_unambiguous, loop_choquet
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -515,7 +516,7 @@ class TestStepOneProperties:
             v = random_variable(rng, lo=-1.5, hi=1.5, uniform_probs=True)
             r = self._comonotone_unambiguous_companion(v, rng)
             assert comonotonic(v, r)
-            assert r.is_unambiguous()
+            assert is_unambiguous(r)
             phi = self._phis()[int(rng.integers(2))]
             amb = Entropic(1.0, Prior.uniform(v.n_states))
             pref = pref_for(v, phi=phi, amb=amb)
@@ -899,7 +900,8 @@ class TestLeanKernel:
 
 class TestNonFiniteUtilities:
     """A state whose value is not finite is refused, naming the state (and the
-    outcome whose utility overflowed), with no numpy warning."""
+    outcome whose utility overflowed), with no numpy warning; an overflowed
+    utility difference of zero weight leaves the value finite."""
 
     def test_overflowing_utility_names_the_state_and_the_outcome(self):
         v = TwoStageVariable(["calm", "storm"], [[0.5, 0.5], [0.5, 0.5]], [[0.0, 1.0], [0.0, -1000.0]])
@@ -909,15 +911,20 @@ class TestNonFiniteUtilities:
                 inner_rdu(v, exponential(1.0), identity())
         assert str(err.value) == "utility exp:1 of payoff -1000.0 at (state 'storm', outcome 1) is not finite"
 
-    @pytest.mark.parametrize("payoffs, probs", [([1e308, -1e308], [0.5, 0.5]), ([-1e308, 1e308], [1.0, 0.0])],
-                             ids=["difference", "zero-mass difference"])
-    def test_overflowing_differences_name_the_state(self, payoffs, probs):
+    @pytest.mark.parametrize("payoffs, probs, want", [
+        ([1e308, -1e308], [0.5, 0.5], "the distorted expected utility of state 'storm' is not finite"),
+        # The overflowed difference has no mass above it, so it has no weight.
+        ([-1e308, 1e308], [1.0, 0.0], -1e308),
+    ], ids=["difference", "zero-mass difference"])
+    def test_overflowing_differences_name_the_state(self, payoffs, probs, want):
         v = TwoStageVariable(["calm", "storm"], [[0.5, 0.5], probs], [[0.0, 1.0], payoffs])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DomainError) as err:
-                inner_rdu(v, identity_utility(), power(2))
-        assert str(err.value) == "the distorted expected utility of state 'storm' is not finite"
+            try:
+                got = inner_rdu(v, identity_utility(), power(2))[1]
+            except DomainError as err:
+                got = str(err)
+        assert got == want
 
     def test_finite_values_pass(self):
         v = TwoStageVariable(["calm"], [[0.5, 0.5]], [[-1e307, 1e307]])
@@ -1120,17 +1127,23 @@ class TestBatteryBlocks:
 
 
 class TestChoquetRows:
-    """Section (d)'s reference, ``_choquet_rows``, equals ``choquet`` of each
-    row's utility law exactly, ties, chains, zero masses and pads included."""
+    """Section (d)'s reference (``merge_rows`` on payoffs, then on utilities,
+    then ``choquet_rows``) equals the survival-loop oracle ``loop_choquet`` of
+    each row's utility law exactly, ties, chains, zero masses and pads
+    included."""
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(kernel_blocks())
     @example((_PayoffRows(("w",), np.array([[1.0]]), np.array([[2.0]])), exponential(0.7), var_step(0.5)))
     def test_equals_choquet_row_by_row(self, case):
         rows, phi, psi = case
-        want = [choquet(DiscreteDistribution(x, p).pushforward(phi), psi)
-                for x, p in zip(rows.payoffs, rows.outcome_probs)]
-        assert _choquet_rows(rows.payoffs, rows.outcome_probs, phi, psi).tolist() == want
+        want = np.array([loop_choquet(DiscreteDistribution(x, p).pushforward(phi), psi)
+                         for x, p in zip(rows.payoffs, rows.outcome_probs)])
+        assert np.isfinite(want).all()
+        n = len(want)
+        singles = _Cases(rows.outcome_probs, rows.payoffs, np.ones(n, dtype=int), np.full(n, rows.payoffs.shape[1]))
+        pref = Preference(phi, psi, MaxminSet.vertices(1), ("w",))
+        assert _single_state_section(pref, singles, want) == {"max_error": 0.0, "violations": []}
 
 
 SECTIONS = ("expectation_reduction", "affine_equivariance", "maxmin_reduction", "single_state_rdu")
