@@ -254,19 +254,21 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_dominance(args) -> int:
-    v1 = parse_scenario(args.scenario)
-    v2 = parse_scenario(args.scenario2)
-    for path, v in ((args.scenario, v1), (args.scenario2, v2)):
+    paths = (args.scenario, args.scenario2)
+    variables = [parse_scenario(path) for path in paths]
+    for path, v in zip(paths, variables):
         if v.n_states != 1:
             raise ScenarioError(f"{path}: dominance compares one-stage laws; the scenario has {v.n_states} states, "
                                 f"not 1")
+    laws = [v.marginal(v.state_ids[0]) for v in variables]
     phi = parse_utility(args.utility) if args.utility else None
-    report_obj = dominance(
-        v1.marginal(v1.state_ids[0]),
-        v2.marginal(v2.state_ids[0]),
-        args.order,
-        phi=phi,
-    )
+    if phi is not None and args.order == "phissd":
+        for path, law in zip(paths, laws):
+            try:
+                phi(law.values)
+            except DomainError as exc:
+                raise ScenarioError(f"{path}: {exc}") from exc
+    report_obj = dominance(*laws, args.order, phi=phi)
     report = {
         "command": "dominance",
         "scenario": args.scenario,

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .distribution import DiscreteDistribution, exact_row_sums
+from .distribution import DiscreteDistribution, exact_row_sums, running_sums
 from .errors import DomainError
 from .spec import parse_spec, spec_text
 
@@ -52,8 +52,9 @@ class Distortion:
     def __call__(self, p):
         """Evaluate psi at p (scalar or array), p in [0, 1]."""
         arr = np.asarray(p, dtype=float)
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
-            raise DomainError(f"distortion argument must lie in [0, 1], got {p!r}")
+        outside = (arr < -1e-12) | (arr > 1.0 + 1e-12)
+        if outside.any():
+            raise DomainError(f"distortion argument must lie in [0, 1], got {float(arr[outside].flat[0])!r}")
         out = self._fn(np.clip(arr, 0.0, 1.0))
         return float(out) if np.ndim(p) == 0 else np.asarray(out, dtype=float)
 
@@ -188,13 +189,13 @@ def parse_distortion(spec: str) -> Distortion:
 
 
 def choquet(d: DiscreteDistribution, psi: Distortion) -> float:
-    """Distorted expectation of d under psi, the scalar reference for
-    ``inner_rdu``: ``choquet_rows`` of d's one row.
+    """Distorted expectation of d under psi: ``choquet_rows`` of d's one row,
+    the kernel ``inner_rdu`` runs on every state.
 
     With support x_1 < ... < x_n and survivals S_i = P(v > x_i), returns
     x_1 + sum_i (x_{i+1} - x_i) * psi(S_i).  For step cdfs this evaluates
-    the survival-distortion integral exactly; survivals are correctly
-    rounded tail sums, so relabeling or splitting outcomes cannot change
+    the survival-distortion integral exactly; survivals are compensated
+    tail sums of the merged masses, so relabeling outcomes cannot change
     the result.  A one-point law reads ``math.fsum`` of its point (0.0 at
     -0.0).
     """
@@ -203,13 +204,15 @@ def choquet(d: DiscreteDistribution, psi: Distortion) -> float:
 
 def choquet_rows(u: np.ndarray, mass: np.ndarray, psi: Distortion) -> np.ndarray:
     """The survival form of the distorted expectation on every row of a
-    (rows, points) block of merged support points u, sorted and with their
-    masses (``distribution.merge_rows``' output: zero-mass pads repeat a
-    row's last point): u_1 + sum_i (u_{i+1} - u_i) * psi(S_i), where S_i is
-    the fsum of the masses above point i, psi is called once for the block
-    and each row's terms are summed exactly (``exact_row_sums``)."""
-    tails = [math.fsum(row[i:]) for row in mass.tolist() for i in range(1, len(row))]
-    terms = np.diff(u, axis=1) * psi(np.array(tails).reshape(len(u), u.shape[1] - 1))
+    (rows, points) block of merged support points u with their masses
+    (``distribution.merge_rows``' output): u_1 + sum_i (u_{i+1} - u_i) *
+    psi(S_i), where S_i is the ``running_sums`` tail of the masses above
+    point i, psi's map is applied once to the tails capped at 1 (sums of
+    non-negative masses need no other check), a term whose tail is 0 is 0
+    (even where its difference overflowed), and each row's terms are summed
+    exactly (``exact_row_sums``)."""
+    tails = running_sums(mass[:, ::-1])[:, -2::-1]
+    terms = np.where(tails > 0.0, (u[:, 1:] - u[:, :-1]) * psi._fn(np.minimum(tails, 1.0)), 0.0)
     return exact_row_sums(np.concatenate((u[:, :1], terms), axis=1))
 
 

@@ -39,12 +39,12 @@ DOMINANCE_TOL = 1e-12
 class DiscreteDistribution:
     """Finite-support probability law of a monetary payoff.
 
-    Support points are merged at construction by ``merge_rows``: a point
-    within MERGE_TOL of its group's first point joins the group, the group's
-    mass is the correctly rounded sum of its members' (independent of their
-    order), and groups without mass are dropped.  The stored
-    ``values`` are strictly increasing, ``probs`` sum to one within 1e-12,
-    and ``cumulative`` holds their correctly rounded running sums, the last
+    Points without mass are dropped first, so none leads a group; the rest
+    are sorted and merged by ``merge_rows``: a point within MERGE_TOL of its
+    group's first point joins the group, and the group's mass is the
+    correctly rounded sum of its members' (independent of their order).
+    The stored ``values`` are strictly increasing, ``probs`` sum to one
+    within 1e-12, and ``cumulative`` holds their ``running_sums``, the last
     exactly 1.
     """
 
@@ -59,14 +59,16 @@ class DiscreteDistribution:
             raise DomainError("support values must be finite")
         if not np.all(p >= 0.0):  # NaN-safe
             raise DomainError(f"probabilities must be >= 0, got min {p.min()}")
-        if not np.any(p > 0.0):
+        keep = p > 0.0
+        if not keep.any():
             raise DomainError("distribution has no support point with positive mass")
+        v, p = v[keep], p[keep]
         order = np.argsort(v, kind="stable")
         (v,), (p,) = merge_rows(v[None, order], p[None, order])
         total = exact_sum(p.tolist())
         if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise DomainError(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
-        cum = np.array([math.fsum(p[: i + 1]) for i in range(p.size)])
+        cum = running_sums(p)
         cum[-1] = 1.0
         v.setflags(write=False)
         p.setflags(write=False)
@@ -84,10 +86,6 @@ class DiscreteDistribution:
     @classmethod
     def degenerate(cls, value: float) -> "DiscreteDistribution":
         return cls([value], [1.0])
-
-    @property
-    def n_points(self) -> int:
-        return self.values.size
 
     def cdf(self, t: float) -> float:
         """P(payoff <= t); right-continuous, 0 below the support, 1 at/above its max."""
@@ -161,13 +159,30 @@ def exact_row_sums(rows: np.ndarray) -> np.ndarray:
         return np.array([exact_sum(row) for row in rows.tolist()], dtype=float)
 
 
+def running_sums(x: np.ndarray) -> np.ndarray:
+    """Neumaier running sums along the last axis of the non-negative x: the
+    naive ``cumsum`` s plus the running sum of its steps' rounding errors,
+    each exact (Fast2Sum of the larger and the smaller of the sum before
+    the step and the new term)."""
+    s = np.add.accumulate(x, axis=-1)
+    before, term = s[..., :-1], x[..., 1:]
+    s[..., 1:] += np.add.accumulate((np.maximum(before, term) - s[..., 1:]) + np.minimum(before, term), axis=-1)
+    return s
+
+
 def merge_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The support merge of every row of the (rows, width) values, each row
-    sorted and with some mass: a point within MERGE_TOL of its group's first
-    point joins the group, a group's mass is the ``exact_sum`` of its
-    members' masses (>= 0), and groups without mass are dropped.  Returns the
+    with some mass, its points with mass sorted and ahead of its zero-mass
+    points (which may follow in any order), so that no point without mass
+    leads a group: a point within MERGE_TOL of its group's first point
+    joins the group, a group's mass is the ``exact_sum`` of its members'
+    masses (>= 0), and groups without mass are dropped.  Returns the
     groups' first values and masses, left-aligned; each row is padded with
-    zero masses at its last group's value."""
+    zero masses at its last group's value.  A block whose points with mass
+    are all more than MERGE_TOL apart is returned as it is, which one
+    reduction decides."""
+    if ((values[:, 1:] - values[:, :-1] > MERGE_TOL) | (masses[:, 1:] <= 0.0)).all():
+        return values, masses
     rows, width = values.shape
     first = np.ones(values.shape, dtype=bool)
     first[:, 1:] = values[:, 1:] - values[:, :-1] > MERGE_TOL
@@ -180,10 +195,14 @@ def merge_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.n
     value = np.empty(rows * width)
     value[group[first.ravel()]] = values[first]
     masses = masses.ravel()
-    # Sums in index order, exact while a group has one member with mass.
+    # Sums in index order, exact while a group has one member with mass; a
+    # group's members are one run of the flat block.
     mass = np.bincount(group, masses, rows * width)
-    for g in np.flatnonzero(np.bincount(group[masses > 0.0], minlength=rows * width) > 1).tolist():
-        mass[g] = exact_sum(masses[group == g].tolist())
+    multi = np.bincount(group[masses > 0.0], minlength=rows * width) > 1
+    if multi.any():
+        members = masses[multi[group]].tolist()
+        ends = np.cumsum(np.bincount(group, minlength=rows * width)[multi]).tolist()
+        mass[multi] = [exact_sum(members[lo:hi]) for lo, hi in zip([0, *ends], ends)]
     keep = mass.reshape(rows, width) > 0.0
     count = keep.sum(axis=1)
     r, c = np.nonzero(keep)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .ambiguity import AmbiguityIndex, MaxminSet, Prior, _prior_dots, simplex_grid
 from .distortion import Distortion, choquet_rows, identity as identity_distortion
-from .distribution import MERGE_TOL, TwoStageVariable, exact_row_sums, merge_rows
+from .distribution import TwoStageVariable, exact_row_sums, merge_rows
 from .errors import ConfigError, DomainError, ShapeError
 from .utility import UtilityFn, add_variables, identity_utility
 
@@ -97,27 +97,6 @@ class Evaluation:
         }
 
 
-def _twosum_errors(prev: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Rounding errors of the steps s = prev + x on non-negative arrays (the
-    Neumaier correction terms)."""
-    return np.where(prev >= x, (prev - s) + x, (x - s) + prev)
-
-
-def _run_sums(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Neumaier running sums of the 1-d x over runs that end where ``ends`` is
-    set (``ends[-1]`` must be).  One pass per depth inside the longest run,
-    each adding the next element of every run at once; none without runs."""
-    s, comp = x.copy(), np.zeros_like(x)
-    starts = np.concatenate(([True], ends[:-1]))
-    k = np.flatnonzero(starts & ~ends) + 1  # the second element of every run
-    while k.size:
-        prev, xk = s[k - 1], x[k]
-        s[k] = sk = prev + xk
-        comp[k] = comp[k - 1] + _twosum_errors(prev, xk, sk)
-        k = k[~ends[k]] + 1
-    return s + comp
-
-
 class _PayoffRows(NamedTuple):
     """The (state x outcome) rows of a block, as ``inner_rdu`` reads them."""
 
@@ -127,37 +106,21 @@ class _PayoffRows(NamedTuple):
 
 
 def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarray:
-    """Per-state distorted expectation of utility, all states in one pass.
+    """Per-state distorted expectation of utility, all states in one pass:
+    each state's value is ``choquet(v.marginal(s).pushforward(phi), psi)``,
+    bit for bit.
 
-    Ranks each row by payoff and returns u_1 + sum_i (u_{i+1} - u_i) * psi(S_i),
-    with S_i the mass ranked above i, each state's terms summed exactly
-    (``exact_row_sums``).  Zero-mass outcomes rank last, so they get zero
-    tails and no weight: a term whose tail is 0 is 0, even where its utility
+    The payoffs are checked against phi's domain once (on the whole line by
+    ``isfinite`` alone).  Each row is sorted by payoff, zero-mass outcomes
+    last, so no point without mass leads a group; ``merge_rows`` merges the
+    payoffs, phi maps the merged points, ``merge_rows`` merges the
+    utilities, and ``choquet_rows`` returns u_1 + sum_i (u_{i+1} - u_i) *
+    psi(S_i), a term whose tail is 0 being 0, even where its utility
     difference overflowed.  Only ``v.payoffs``, ``v.outcome_probs`` and
     ``v.state_ids`` are read, and each state's value depends on its own row
-    alone.
-
-    The tails are Neumaier sums from the top rank down, written as scans: the
-    Neumaier running sum of x is s + cumsum(e), where s = cumsum(x) is the
-    naive running sum and e holds the TwoSum errors, each computed elementwise
-    from s shifted by one and x.  ``np.cumsum`` adds left to right, so this
-    reproduces the former loop over outcome columns bit for bit.  As the
-    reference does, the mass of payoffs tied within MERGE_TOL is rounded
-    first, then that of tied utilities; each of these segmented sums takes
-    one pass per depth inside its longest tie chain.  The payoffs are checked
-    against phi's domain once (on the whole line by ``isfinite`` alone),
-    psi's map is applied once to the tails clipped to [0, 1] (sums of
-    probabilities need no domain check), and a block without ties skips the
-    segmented sums, so the cost is a fixed count of numpy passes over the
-    block (about 30, phi's and psi's included), plus one pass per tie-chain
-    depth in a block with ties.
-
-    Agrees with the scalar reference ``choquet(v.marginal(s).pushforward(phi),
-    psi)`` within 1e-12 * (1 + max |phi(payoff)|) per state, except that a
-    var: threshold may split a chain of 3+ payoffs (or utilities) under 1e-12
-    apart differently.  Payoffs outside phi's domain raise with the offending
-    (state, outcome); so does a state whose value is not finite, naming the
-    outcome whose utility overflowed, if one did.
+    alone.  Payoffs outside phi's domain raise with the offending (state,
+    outcome); so does a state whose value is not finite, naming the outcome
+    whose utility overflowed, if one did.
     """
     inside = phi.domain.slack_mask(v.payoffs)
     if not inside.all():
@@ -168,42 +131,18 @@ def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarra
         )
     order = np.argsort(np.where(v.outcome_probs > 0.0, v.payoffs, np.inf), axis=1, kind="stable")
     rows = np.arange(order.shape[0])[:, None]
-    x, p = v.payoffs[rows, order], v.outcome_probs[rows, order]
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
-        u = np.asarray(phi._fwd(x), dtype=float)  # the domain check above is phi's own
-        du = u[:, 1:] - u[:, :-1]
-        gaps = x[:, 1:] - x[:, :-1] > MERGE_TOL
-        atoms = gaps & (du > MERGE_TOL)
-        if atoms.all():  # no ties: every run is one outcome, and its mass is its probability
-            mass = p[:, ::-1]
-        else:
-            # Scan column j holds outcome n-1-j, so ranks are added top down.  A
-            # flag ends a run of tied payoffs (utilities) there, rounding the
-            # run's mass; outcome 0 ends every row, and its tail is not needed.
-            new_point = np.ones(x.shape, dtype=bool)
-            new_point[:, :-1] = gaps[:, ::-1]
-            new_atom = new_point.copy()
-            new_atom[:, :-1] = atoms[:, ::-1]
-            ends = new_point.ravel()
-            mass = np.where(ends, _run_sums(p[:, ::-1].ravel(), ends), 0.0)
-            # Unless a utility tie joins payoff runs, each utility run is one
-            # payoff run and rounding its mass again changes nothing.
-            if not np.array_equal(atoms, gaps):
-                ends = new_atom.ravel()
-                mass = np.where(ends, _run_sums(mass, ends), 0.0)
-            mass = mass.reshape(x.shape)
-        s = np.cumsum(mass, axis=1)
-        prev = np.zeros_like(s)
-        prev[:, 1:] = s[:, :-1]
-        tails = (s + np.cumsum(_twosum_errors(prev, mass, s), axis=1))[:, -2::-1]
-        terms = np.where(tails > 0.0, du * psi._fn(np.clip(tails, 0.0, 1.0)), 0.0)
-        values = exact_row_sums(np.concatenate((u[:, :1], terms), axis=1))
+        x, mass = merge_rows(v.payoffs[rows, order], v.outcome_probs[rows, order])
+        # The domain check above is phi's own.
+        values = choquet_rows(*merge_rows(np.asarray(phi._fwd(x), dtype=float), mass), psi)
     if not np.isfinite(values).all():
         w = int(np.argmax(~np.isfinite(values)))
-        bad = np.flatnonzero(~np.isfinite(u[w]))
+        x = v.payoffs[w, order[w]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = np.flatnonzero(~np.isfinite(phi._fwd(x)))
         if bad.size:
             raise DomainError(
-                f"utility {phi.describe()} of payoff {float(x[w, bad[0]])!r} at (state {v.state_ids[w]!r}, "
+                f"utility {phi.describe()} of payoff {float(x[bad[0]])!r} at (state {v.state_ids[w]!r}, "
                 f"outcome {int(order[w, bad[0]])}) is not finite"
             )
         raise DomainError(f"the distorted expected utility of state {v.state_ids[w]!r} is not finite")
@@ -571,8 +510,9 @@ def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tup
     constant shifts translate every variable's value; (c) indicator
     penalties: the value is the explicit minimum over the listed priors;
     (d) a single state: the value is stand-alone rank-dependent utility.
-    The plain expectation, the explicit minimum and ``choquet``'s survival
-    form are the oracles.  Section (d) values the penalty recentred on 1
+    The plain expectation, the explicit minimum and, in (d), the case's own
+    ``inner_rdu`` value (``choquet`` of its utility law) are the oracles.
+    Section (d) values the penalty recentred on 1
     state, so a penalty that cannot be recentred (a ``table:`` penalty on 2
     or more states) raises ConfigError before any section runs.  The check
     is ``ambiguity_aversion_check``'s on the main cases.
@@ -619,7 +559,8 @@ def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tup
     groups = list(_by_state_count(utils[: len(cases.probs)], cases.states))
     report["affine_equivariance"] = _affine_section(maps, shifts, values[:n_affine])
     report["maxmin_reduction"] = _maxmin_section(groups, listed)
-    report["single_state_rdu"] = _single_state_section(pref, singles, values[n_affine + n_cases :])
+    report["single_state_rdu"] = _section(np.abs(values[n_affine + n_cases :] - utils[len(cases.probs) :]),
+                                          range(n_cases))
     report["passed"] = all(not report[k]["violations"] for k in REDUCTION_SECTIONS)
     return report, _aversion_section(seed, local, groups, values[n_affine : n_affine + n_cases])
 
@@ -677,17 +618,6 @@ def _maxmin_section(groups, listed: np.ndarray) -> dict:
         explicit = (priors[:, :, None, :] @ profiles[:, None, :, None])[:, :, 0, 0].min(axis=1)
         errors[idx] = np.abs(value - explicit)
     return _section(errors, range(len(listed)))
-
-
-def _single_state_section(pref: Preference, singles: _Cases, values: np.ndarray) -> dict:
-    """(d) The value of a single-state case against ``choquet`` of its
-    utility law, row by row: sort by payoff, merge payoffs and then
-    utilities (zero-mass pads merge into a row's top point), and take
-    ``choquet_rows``' survival form, independent of ``inner_rdu``'s scans."""
-    order = np.argsort(singles.payoffs, axis=1, kind="stable")
-    x, mass = merge_rows(np.take_along_axis(singles.payoffs, order, axis=1),
-                         np.take_along_axis(singles.probs, order, axis=1))
-    return _section(np.abs(values - choquet_rows(*merge_rows(pref.phi(x), mass), pref.psi)), range(len(values)))
 
 
 def _aversion_section(seed: int, local, groups, values: np.ndarray) -> dict:

@@ -109,15 +109,17 @@ class UtilityFn:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        if not self.domain.slack_mask(arr).all():
-            raise DomainError(f"utility argument outside domain {self.domain}: {t!r}")
+        inside = self.domain.slack_mask(arr)
+        if not inside.all():
+            raise DomainError(f"utility argument outside domain {self.domain}: {float(arr[~inside].flat[0])!r}")
         out = self._fwd(arr)
         return float(out) if np.ndim(t) == 0 else np.asarray(out, dtype=float)
 
     def inverse(self, y):
         arr = np.asarray(y, dtype=float)
-        if not self.image.slack_mask(arr).all():
-            raise DomainError(f"inverse argument outside image {self.image}: {y!r}")
+        inside = self.image.slack_mask(arr)
+        if not inside.all():
+            raise DomainError(f"inverse argument outside image {self.image}: {float(arr[~inside].flat[0])!r}")
         out = self._inv(arr)
         return float(out) if np.ndim(y) == 0 else np.asarray(out, dtype=float)
 

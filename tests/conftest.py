@@ -58,7 +58,7 @@ def riemann_choquet(d, psi, n_steps=400_000):
 
 def riemann_tolerance(d, n_steps=400_000):
     span = max(0.0, float(d.values[-1])) - min(0.0, float(d.values[0]))
-    return (d.n_points + 2) * span / n_steps + 1e-9
+    return (d.values.size + 2) * span / n_steps + 1e-9
 
 
 def quantile_oracle(d, lam):

@@ -1,6 +1,10 @@
 """The scan form of ``inner_rdu`` before it checked the domain once and
-skipped the segmented sums on blocks without ties: the byte-for-byte oracle
-of the kernel in ``rankrobust.evaluator`` (kept verbatim)."""
+skipped the segmented sums on blocks without ties, with its segmented
+Neumaier sums ``_run_sums`` and ``_twosum_errors``: the byte-for-byte
+oracle of ``rankrobust.evaluator.inner_rdu`` on blocks without near ties
+(kept verbatim).  It merges ties by the adjacent-gap rule, so on points
+distinct but within MERGE_TOL it may differ from the group-leader merge
+the package runs."""
 
 import math
 
@@ -8,7 +12,27 @@ import numpy as np
 
 from rankrobust.distribution import MERGE_TOL
 from rankrobust.errors import DomainError
-from rankrobust.evaluator import _run_sums, _twosum_errors
+
+
+def _twosum_errors(prev: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rounding errors of the steps s = prev + x on non-negative arrays (the
+    Neumaier correction terms)."""
+    return np.where(prev >= x, (prev - s) + x, (x - s) + prev)
+
+
+def _run_sums(x: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Neumaier running sums of the 1-d x over runs that end where ``ends`` is
+    set (``ends[-1]`` must be).  One pass per depth inside the longest run,
+    each adding the next element of every run at once; none without runs."""
+    s, comp = x.copy(), np.zeros_like(x)
+    starts = np.concatenate(([True], ends[:-1]))
+    k = np.flatnonzero(starts & ~ends) + 1  # the second element of every run
+    while k.size:
+        prev, xk = s[k - 1], x[k]
+        s[k] = sk = prev + xk
+        comp[k] = comp[k - 1] + _twosum_errors(prev, xk, sk)
+        k = k[~ends[k]] + 1
+    return s + comp
 
 
 def _row_fsum(terms: np.ndarray) -> np.ndarray:

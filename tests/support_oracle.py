@@ -2,7 +2,8 @@
 ``DiscreteDistribution`` and ``distortion.choquet`` used before both moved
 onto the row kernels ``distribution.merge_rows`` and
 ``distortion.choquet_rows``: their bit-for-bit oracles (kept verbatim, but
-for ``survival``'s fsum written inline), ``is_unambiguous``, which only
+for ``survival``'s fsum written inline and the merge dropping zero masses
+first, as ``DiscreteDistribution`` does), ``is_unambiguous``, which only
 tests read, and ``support_laws``, the laws the oracles are compared on."""
 
 import math
@@ -15,7 +16,7 @@ from rankrobust.errors import DomainError, ShapeError
 
 
 def merge_support(values, probs):
-    """Sort support, merge points within MERGE_TOL of a group leader, drop zero mass.
+    """Drop zero masses, sort support, merge points within MERGE_TOL of a group leader.
 
     Group sums use ``exact_sum`` so merged probabilities are correctly
     rounded and independent of input ordering (label permutations cannot
@@ -29,6 +30,7 @@ def merge_support(values, probs):
         raise DomainError("support values must be finite")
     if not np.all(p >= 0.0):  # NaN-safe
         raise DomainError(f"probabilities must be >= 0, got min {p.min()}")
+    v, p = v[p > 0.0], p[p > 0.0]
     order = np.argsort(v, kind="stable")
     v = v[order]
     p = p[order]
@@ -82,7 +84,7 @@ def is_unambiguous(v) -> bool:
     first = v.marginal(v.state_ids[0])
     for sid in v.state_ids[1:]:
         m = v.marginal(sid)
-        if m.n_points != first.n_points:
+        if m.values.size != first.values.size:
             return False
         if not (
             np.allclose(m.values, first.values, atol=MERGE_TOL, rtol=0.0)

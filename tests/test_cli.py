@@ -346,6 +346,23 @@ class TestRefusedInputs:
         assert err == f"error: {multi}: dominance compares one-stage laws; the scenario has 2 states, not 1\n"
 
 
+    @pytest.mark.parametrize("negative_first", [True, False])
+    def test_dominance_names_the_file_outside_the_utility_domain(self, capsys, tmp_path, negative_first):
+        paths = []
+        for name, payoffs in (("negative.json", [-1.0, 2.0]), ("positive.json", [1.0, 2.0])):
+            path = tmp_path / name
+            path.write_text(json.dumps({"states": {"only": {"probs": [0.5, 0.5], "payoffs": payoffs}}}),
+                            encoding="utf-8")
+            paths.append(str(path))
+        negative = paths[0]
+        paths = paths if negative_first else paths[::-1]
+        argv = ["dominance", "--scenario", paths[0], "--scenario2", paths[1], "--utility", "power:0.5"]
+        code, out, err = run_cli(capsys, *argv, "--order", "phissd")
+        assert (code, out) == (2, "")
+        assert err == f"error: {negative}: utility argument outside domain (0, inf): -1.0\n"
+        assert run_cli(capsys, *argv, "--order", "fsd")[0] == 0  # only phissd reads the utility
+
+
 PREFERENCE_FLAGS = {"--scenario", "--utility", "--distortion", "--penalty"}
 COMMAND_FLAGS = {
     "evaluate": PREFERENCE_FLAGS,

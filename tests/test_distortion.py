@@ -61,6 +61,8 @@ class TestApply:
             identity()(1.2)
         with pytest.raises(DomainError):
             identity()(-0.1)
+        with pytest.raises(DomainError, match=r"^distortion argument must lie in \[0, 1\], got 1\.2$"):
+            power(2)(np.array([0.5, 1.2, -0.1]))
 
     def test_construction_validation(self):
         with pytest.raises(DomainError):
@@ -226,7 +228,7 @@ class TestChoquetOracle:
     def test_matches_the_survival_loop(self, law, psi):
         d = DiscreteDistribution(*law)
         want = loop_choquet(d, psi)
-        if d.n_points == 1:
+        if d.values.size == 1:
             want = math.fsum([want])
         assert repr(choquet(d, psi)) == repr(want)
 

@@ -15,7 +15,8 @@ from rankrobust import (
     ellsberg_variables,
     power_utility,
 )
-from rankrobust.distribution import SMALL_BLOCK, check_outcome_probs, exact_row_sums, exact_sum, sums_off_one
+from rankrobust.distribution import (MERGE_TOL, SMALL_BLOCK, check_outcome_probs, exact_row_sums, exact_sum, merge_rows,
+                                     sums_off_one)
 from rankrobust.portfolio import _check_weight_rows
 from conftest import quantile_oracle, random_distribution
 from support_oracle import loop_distribution, support_laws
@@ -74,7 +75,7 @@ class TestDiscreteDistribution:
         values = [1.0, 1.0, 2.0, 3.0, 3.0, 3.0]
         probs = [0.1, 0.2, 0.3, 0.1, 0.1, 0.2]
         merged = DiscreteDistribution(values, probs)
-        assert merged.n_points == 3
+        assert merged.values.size == 3
         plain = DiscreteDistribution([1.0, 2.0, 3.0], [0.3, 0.3, 0.4])
         for t in np.linspace(0, 4, 41):
             assert merged.cdf(t) == pytest.approx(plain.cdf(t), abs=1e-15)
@@ -108,14 +109,15 @@ def fields(values, probs):
 
 
 class TestSupportMerge:
-    """``DiscreteDistribution`` merges its support as the former per-point
-    loop (``support_oracle.merge_support``) did, bit for bit, and refuses
-    the same laws with the same messages."""
+    """``DiscreteDistribution`` merges its support as the per-point loop
+    ``support_oracle.merge_support`` does after dropping zero masses, bit
+    for bit, cumulative included, and refuses the same laws with the same
+    messages."""
 
     @settings(derandomize=True, max_examples=600, deadline=None)
     @given(support_laws())
     @example(([0.0, 6e-13, 1.2e-12], [0.25, 0.25, 0.5]))  # a 3-point chain splits at its third point
-    @example(([2.0, 2.0 + 5e-13], [0.0, 1.0]))  # a zero-mass leader names its group
+    @example(([2.0, 2.0 + 5e-13], [0.0, 1.0]))  # a zero-mass point leads no group
     @example(([-0.0], [1.0]))
     @example(([0.0, 0.0], [1e308, 1e308]))
     @example(([1.0, 2.0], [-0.0, 0.0]))
@@ -126,6 +128,19 @@ class TestSupportMerge:
                                                ([math.nan], [1.0]), ([0.0], [math.nan])])
     def test_refusals_match_the_merge_loop(self, values, probs):
         assert law_or_error(fields, values, probs) == law_or_error(loop_distribution, values, probs)
+
+    @pytest.mark.parametrize("values, masses, unmerged", [
+        ([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]], True),
+        ([[0.0, 1.0, -5.0]], [[0.5, 0.5, -0.0]], True),  # trailing zero masses may lie anywhere
+        ([[0.0, math.nextafter(MERGE_TOL, 1.0)]], [[0.5, 0.5]], True),
+        ([[0.0, MERGE_TOL]], [[0.5, 0.5]], False),
+        ([[0.0, 1.0], [2.0, 2.0]], [[0.5, 0.5], [0.5, 0.5]], False),  # one tied row merges the block
+        ([[0.0, 1.0, 1.0]], [[0.5, 0.5, 0.0]], True),  # a zero-mass point tied to the last group
+    ])
+    def test_blocks_without_ties_are_returned_as_they_are(self, values, masses, unmerged):
+        values, masses = np.array(values), np.array(masses)
+        merged = merge_rows(values, masses)
+        assert (merged[0] is values and merged[1] is masses) == unmerged
 
 
 class TestTwoStageVariable:
@@ -138,7 +153,7 @@ class TestTwoStageVariable:
     def test_marginal_merges_duplicates(self):
         v = TwoStageVariable(["w"], [[0.5, 0.5]], [[1.0, 1.0]])
         m = v.marginal("w")
-        assert m.n_points == 1
+        assert m.values.size == 1
         assert m.probs[0] == 1.0
 
     def test_ellsberg_marginal(self):

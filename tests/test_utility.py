@@ -115,6 +115,15 @@ class TestEvalInverse:
         with pytest.raises(DomainError):
             bounded.inverse(1.5)
 
+    def test_domain_errors_name_the_first_offending_value(self):
+        sq = power_utility(0.5)  # domain (0, inf)
+        with pytest.raises(DomainError, match=r"^utility argument outside domain \(0, inf\): -1\.0$"):
+            sq(np.array([[2.0, -1.0], [-3.0, 1.0]]))
+        with pytest.raises(DomainError, match=r"^utility argument outside domain \(0, inf\): nan$"):
+            sq(math.nan)
+        with pytest.raises(DomainError, match=r"^inverse argument outside image \(-inf, 1\): 1\.5$"):
+            exponential(1).inverse(np.array([0.5, 1.5, 2.0]))
+
     def test_construction_validation(self):
         with pytest.raises(DomainError):
             affine(0.0)
