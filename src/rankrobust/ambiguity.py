@@ -20,10 +20,10 @@ point, upper bound from LP duals or the Frank-Wolfe gap, solver status and
 iterations).
 
 Robust values, minimizers and the entropic, Gini and tabulated penalties
-need numpy alone.  scipy, a declared dependency, is imported by ``linprog``
-on the first HiGHS LP: the ``cmin`` solve for ``MaxminSet``/``Tabulated``
-and ``MaxminSet.penalty``'s hull membership test, so no CLI command but
-``cmin`` loads it.
+need numpy alone.  scipy, a declared dependency, is imported on first use:
+by ``linprog`` for the ``cmin`` HiGHS LP of ``MaxminSet``/``Tabulated`` and
+by ``nnls`` for ``MaxminSet.penalty``'s hull membership test, so no CLI
+command but ``cmin`` loads it.
 """
 
 from __future__ import annotations
@@ -181,6 +181,13 @@ def linprog(*args, **kwargs):
     return highs(*args, **kwargs)
 
 
+def nnls(*args, **kwargs):
+    """``scipy.optimize.nnls``, imported on the first call."""
+    from scipy.optimize import nnls as lawson_hanson
+
+    return lawson_hanson(*args, **kwargs)
+
+
 def _require_optimal(res, what: str) -> None:
     """Raise SolverError unless HiGHS reports an optimal solution."""
     if res.status != 0:
@@ -270,7 +277,8 @@ class MaxminSet(_ListedPriors):
     For a linear objective the minimum over the hull is attained at a listed
     point, so the scan of the listed priors values it; its costs are -0.0,
     which leave every dot as it is (x + -0.0 is x, -0.0 included).
-    Membership is an LP feasibility check.
+    Membership is a nonnegative least-squares fit of q by a mixture of the
+    listed priors (``penalty``).
     """
 
     kind = "maxmin"
@@ -303,18 +311,17 @@ class MaxminSet(_ListedPriors):
         w = _as_weights(q, self.n_states)
         if self._simplex:  # the hull is the whole simplex
             return 0.0
-        # Cheap exact-vertex test first; the LP decides general hull membership.
+        # Cheap exact-vertex test first; NNLS decides general hull membership:
+        # the nonnegative lam closest to [P^T; 1^T] lam = [q; 1], and q is in
+        # the hull when that mixture reproduces q and sums to 1 within HULL_TOL.
         if np.min(np.max(np.abs(self._matrix - w), axis=1)) <= HULL_TOL:
             return 0.0
-        k = self._matrix.shape[0]
-        a_eq = np.vstack([self._matrix.T, np.ones((1, k))])
-        b_eq = np.concatenate([w, [1.0]])
-        res = linprog(np.zeros(k), A_eq=a_eq, b_eq=b_eq, bounds=[(0.0, None)] * k, method="highs")
-        if res.status == 2:  # infeasible: q lies outside the hull
-            return math.inf
-        _require_optimal(res, "maxmin hull-membership LP")
-        mix = np.clip(res.x, 0.0, None)
-        return 0.0 if np.max(np.abs(self._matrix.T @ mix - w)) <= HULL_TOL else math.inf
+        try:
+            mix, _ = nnls(np.vstack([self._matrix.T, np.ones(len(self._matrix))]), np.append(w, 1.0))
+        except RuntimeError as exc:  # the iteration limit
+            raise SolverError(f"maxmin hull-membership test: NNLS stopped ({exc})") from None
+        inside = np.max(np.abs(self._matrix.T @ mix - w)) <= HULL_TOL and abs(mix.sum() - 1.0) <= HULL_TOL
+        return 0.0 if inside else math.inf
 
     def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
         if not self._simplex:

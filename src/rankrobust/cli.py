@@ -31,7 +31,7 @@ from .ambiguity import (
 )
 from .distortion import identity as identity_distortion, parse_distortion
 from .distribution import TwoStageVariable, dominance
-from .errors import DomainError, ScenarioError, ShapeError, SpecStringError
+from .errors import ConfigError, DomainError, ScenarioError, ShapeError, SpecStringError
 from .evaluator import (
     REDUCTION_SECTIONS,
     BatterySpec,
@@ -254,6 +254,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_dominance(args) -> int:
+    if args.utility and args.order != "phissd":
+        raise ConfigError(f"--utility is read by --order phissd only, not by --order {args.order}")
     paths = (args.scenario, args.scenario2)
     variables = [parse_scenario(path) for path in paths]
     for path, v in zip(paths, variables):
@@ -262,7 +264,7 @@ def _cmd_dominance(args) -> int:
                                 f"not 1")
     laws = [v.marginal(v.state_ids[0]) for v in variables]
     phi = parse_utility(args.utility) if args.utility else None
-    if phi is not None and args.order == "phissd":
+    if phi is not None:
         for path, law in zip(paths, laws):
             try:
                 phi(law.values)

@@ -313,30 +313,53 @@ def _draw_cases(n_cases: int, seed: int, n_states: int | None = None, unambiguou
     """n_cases battery cases, drawn straight into a padded block.
 
     One generator seeded with ``seed`` draws, case by case, the state count
-    (unless ``n_states`` fixes it), the outcome count, the raw outcome
-    weights, each row's plus 0.05 divided by their sum, and the payoffs.
-    An unambiguous case repeats its first row.
+    (unless ``n_states`` fixes it), the outcome count and then, in one
+    ``random`` call, 2 * states * outcomes doubles: the raw outcome weights
+    and the payoff draws, each row-major.  Over the whole block each row's
+    weights plus 0.05 are divided by their sum (``_weight_rows``) and each
+    payoff draw u becomes lo + (hi - lo) * u on PAYOFF_RANGE, as
+    ``Generator.uniform`` maps the same doubles.  An unambiguous case
+    repeats its first row.
     """
     rng = np.random.default_rng(seed)
-    states, outcomes, weights, payoffs = [], [], [], []
+    states, outcomes, draws = [], [], []
     for _ in range(n_cases):
         n_w = n_states if n_states is not None else int(rng.integers(1, MAX_STATES + 1))
         n_s = int(rng.integers(2, MAX_OUTCOMES + 1))
-        raw = rng.random((n_w, n_s)) + 0.05
-        weights.append(raw / raw.sum(axis=1, keepdims=True))
-        payoffs.append(rng.uniform(*PAYOFF_RANGE, size=(n_w, n_s)))
+        draws.append(rng.random(2 * n_w * n_s))
         states.append(n_w)
         outcomes.append(n_s)
     states, outcomes = np.array(states), np.array(outcomes)
-    real = np.arange(outcomes.max()) < np.repeat(outcomes, states)[:, None]
-    probs, block = np.zeros(real.shape), np.empty(real.shape)
-    probs[real] = np.concatenate(weights, axis=None)
-    block[real] = np.concatenate(payoffs, axis=None)
+    widths = np.repeat(outcomes, states)
+    real = np.arange(outcomes.max()) < widths[:, None]
+    draws = np.concatenate(draws)
+    weights = np.repeat(np.arange(2 * n_cases) % 2 == 0, np.repeat(states * outcomes, 2))
+    probs, block = _weight_rows(draws[weights], widths), np.empty(real.shape)
+    lo, hi = PAYOFF_RANGE
+    block[real] = lo + (hi - lo) * draws[~weights]
     if unambiguous:
         first = np.repeat(np.cumsum(states) - states, states)
         probs, block = probs[first], block[first]
     block = np.where(real, block, np.max(np.where(real, block, -np.inf), axis=1, keepdims=True))
     return _Cases(probs, block, states, outcomes)
+
+
+def _weight_rows(draws: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Rows of weights in a zero-padded (rows, max width) block: row r takes
+    the next widths[r] raw ``draws``, each plus 0.05, divided by their sum.
+    The rows are grouped by width and summed with one ``.sum(axis=1)`` per
+    width over that group's (rows, width) block: the reduction each case's
+    own (rows, width) block ran, so every bit matches."""
+    raw = np.zeros((len(widths), widths.max()))
+    raw[np.arange(raw.shape[1]) < widths[:, None]] = draws + 0.05
+    order = np.argsort(widths, kind="stable")
+    grouped, sums = raw[order], np.empty(len(raw))
+    lo = 0
+    for width, n in enumerate(np.bincount(widths).tolist()):
+        if n:
+            sums[order[lo : lo + n]] = grouped[lo : lo + n, :width].sum(axis=1)
+            lo += n
+    return raw / sums[:, None]
 
 
 def _stack(*blocks: _Cases) -> _Cases:
@@ -596,13 +619,19 @@ def _affine_section(maps: np.ndarray, shifts: np.ndarray, values: np.ndarray) ->
 
 def _draw_listed_priors(rng, states: np.ndarray) -> np.ndarray:
     """(c)'s draws: one to four listed priors for each case, in a (cases, 4,
-    max states) array.  A case's priors fill its first states; a case with
-    fewer than four repeats its first, which leaves every minimum as it is."""
-    listed = np.zeros((len(states), 4, states.max()))
-    for c, n in enumerate(states.tolist()):
-        raw = rng.random((int(rng.integers(1, 5)), n)) + 0.05
-        listed[c, :, :n] = (raw / raw.sum(axis=1, keepdims=True))[[*range(len(raw)), 0, 0, 0][:4]]
-    return listed
+    max states) array.  Each case draws its prior count k, then its k raw
+    priors in one ``random`` call; ``_weight_rows`` divides each prior's
+    weights plus 0.05 by their sum.  A case's priors fill its first states;
+    a case with fewer than four repeats its first, which leaves every
+    minimum as it is."""
+    counts, draws = [], []
+    for n in states.tolist():
+        counts.append(int(rng.integers(1, 5)))
+        draws.append(rng.random(counts[-1] * n))
+    counts = np.array(counts)
+    priors = _weight_rows(np.concatenate(draws), np.repeat(states, counts))
+    slots = np.arange(4)
+    return priors[(np.cumsum(counts) - counts)[:, None] + np.where(slots < counts[:, None], slots, 0)]
 
 
 def _maxmin_section(groups, listed: np.ndarray) -> dict:

@@ -11,7 +11,9 @@ order of the batched pass (draws and inner values first, robust values
 after), so both raise the same error class, and every figure is computed
 with the arithmetic the batched sections reproduce, so the JSON of the
 reports agrees byte for byte.  The draw's shape is written here too, apart
-from ``evaluator``'s constants.
+from ``evaluator``'s constants.  ``reference_generate_battery`` and
+``reference_listed_priors`` are the per-case draws that ``_draw_cases`` and
+``_draw_listed_priors`` take in blocks.
 """
 
 import functools
@@ -66,6 +68,17 @@ def reference_generate_battery(n_cases, seed, n_states=None, *, unambiguous=Fals
             x = np.tile(x[:, :1], (1, n_s))
         cases.append(TwoStageVariable([f"w{i}" for i in range(n_w)], probs, x))
     return cases
+
+
+def reference_listed_priors(rng, states):
+    """Section (c)'s listed priors drawn case by case, as a (cases, 4, max
+    states) array: one to four normalised priors per case, the first
+    repeated into the slots past the case's count, zeros past its states."""
+    listed = np.zeros((len(states), 4, max(states)))
+    for c, n in enumerate(states):
+        raw = rng.random((int(rng.integers(1, 5)), n)) + 0.05
+        listed[c, :, :n] = (raw / raw.sum(axis=1, keepdims=True))[[*range(len(raw)), 0, 0, 0][:4]]
+    return listed
 
 
 def adapt(amb, n):

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import logsumexp, rel_entr
 
 from rankrobust import (
@@ -28,6 +28,7 @@ from rankrobust import (
 )
 from rankrobust.ambiguity import _array_text
 from conftest import solve_one, values_of
+from hull_oracle import lp_hull_penalty
 from lattice_oracle import UtilityGrid, c_min_bruteforce
 
 UNIFORM2 = Prior.uniform(2)
@@ -947,25 +948,77 @@ class FailedLP:
 
 
 class TestSolverStatus:
-    def test_penalty_raises_on_a_failed_lp(self, monkeypatch):
-        monkeypatch.setattr(ambiguity, "linprog", lambda *a, **k: FailedLP())
+    def test_penalty_raises_at_the_nnls_iteration_limit(self, monkeypatch):
+        """The mixture (1/2, 1/2) takes NNLS two iterations; with one allowed
+        scipy stops, and the hull test says so as a SolverError."""
+        from scipy.optimize import nnls
+
+        monkeypatch.setattr(ambiguity, "nnls", lambda a, b: nnls(a, b, maxiter=1))
         index = MaxminSet([Prior(np.array([0.2, 0.8])), Prior(np.array([0.6, 0.4]))])
-        with pytest.raises(SolverError, match="status 4"):
+        with pytest.raises(SolverError, match=r"^maxmin hull-membership test: NNLS stopped \(Maximum number of iter"):
             index.penalty(Prior(np.array([0.4, 0.6])))
 
-    def test_infeasible_lp_still_means_outside_the_hull(self, monkeypatch):
-        class Infeasible(FailedLP):
-            status = 2
+    def test_point_outside_the_hull_is_infinite_without_an_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the hull test ran an LP")
 
-        monkeypatch.setattr(ambiguity, "linprog", lambda *a, **k: Infeasible())
+        monkeypatch.setattr(ambiguity, "linprog", no_lp)
         index = MaxminSet([Prior(np.array([0.2, 0.8])), Prior(np.array([0.6, 0.4]))])
-        assert index.penalty(Prior(np.array([0.4, 0.6]))) == math.inf
+        assert index.penalty(Prior(np.array([0.7, 0.3]))) == math.inf
+        assert index.penalty(Prior(np.array([0.4, 0.6]))) == 0.0
 
     def test_exact_cmin_raises_on_a_failed_lp(self, monkeypatch):
         monkeypatch.setattr(ambiguity, "linprog", lambda *a, **k: FailedLP())
         for index in (MaxminSet([UNIFORM2]), Tabulated([(UNIFORM2, 0.0)])):
             with pytest.raises(SolverError, match="status 4"):
                 c_min_exact(index, UNIFORM2, -1.0, 1.0)
+
+
+@st.composite
+def hull_problems(draw):
+    """(priors, q, inside) on 1-5 states: 1 to n + 3 listed priors (so more
+    than states plus one), some with zero weights, some duplicated, and q
+    at a listed prior, on an edge between two, inside, or 1e-6 outside the
+    hull (below its minimum of a centred linear functional c, by a step of
+    1e-6 along -c in the largest coordinate)."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n + 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((k, n)) + 0.05
+    if draw(st.booleans()):  # sparse priors, each keeping one positive weight
+        raw *= (rng.random((k, n)) < 0.5) | (np.arange(n) == rng.integers(0, n, size=(k, 1)))
+    priors = raw / raw.sum(axis=1, keepdims=True)
+    if k > 1 and draw(st.booleans()):
+        priors[-1] = priors[0]
+    where = draw(st.sampled_from(["vertex", "edge", "interior", "outside", "outside"]))
+    i, j = rng.integers(0, k, size=2)
+    if where == "vertex":
+        q = priors[i]
+    elif where == "edge":
+        t = draw(st.floats(0.01, 0.99))
+        q = t * priors[i] + (1.0 - t) * priors[j]
+    elif where == "interior":
+        mix = rng.random(k) + 0.05
+        q = (mix / mix.sum()) @ priors
+    else:
+        c = rng.standard_normal(n)
+        c -= c.mean()
+        assume(n > 1)
+        q = priors[np.argmin(priors @ c)] - 1e-6 * c / np.abs(c).max()
+        assume(np.all(q >= 0.0))
+    return priors, q, where != "outside"
+
+
+class TestHullMembership:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(hull_problems())
+    def test_nnls_verdict_equals_the_lp(self, problem):
+        """The NNLS hull test reads 0.0 inside and inf outside, as the HiGHS
+        membership LP it replaced does (``hull_oracle``)."""
+        priors, q, inside = problem
+        index = MaxminSet([Prior(row) for row in priors])
+        got = index.penalty(Prior(q))
+        assert got == lp_hull_penalty(priors, Prior(q).weights) == (0.0 if inside else math.inf)
 
 
 class TestSimplexGrid:

@@ -360,7 +360,10 @@ class TestRefusedInputs:
         code, out, err = run_cli(capsys, *argv, "--order", "phissd")
         assert (code, out) == (2, "")
         assert err == f"error: {negative}: utility argument outside domain (0, inf): -1.0\n"
-        assert run_cli(capsys, *argv, "--order", "fsd")[0] == 0  # only phissd reads the utility
+        # Only phissd reads the utility; the other orders refuse it.
+        for order in ("fsd", "ssd"):
+            assert run_cli(capsys, *argv, "--order", order) == (
+                2, "", f"error: --utility is read by --order phissd only, not by --order {order}\n")
 
 
 PREFERENCE_FLAGS = {"--scenario", "--utility", "--distortion", "--penalty"}

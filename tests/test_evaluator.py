@@ -53,9 +53,22 @@ from rankrobust import (
 import rankrobust.evaluator as evaluator_module
 from rankrobust.cli import main as cli_main, parse_scenario
 from rankrobust.distribution import MERGE_TOL, merge_rows
-from rankrobust.evaluator import _Cases, _PayoffRows, _draw_cases, _stack, battery_reports, relation
+from rankrobust.evaluator import (
+    _Cases,
+    _PayoffRows,
+    _draw_cases,
+    _draw_listed_priors,
+    _stack,
+    battery_reports,
+    relation,
+)
 from kernel_oracle import scan_inner_rdu
-from battery_oracle import reference_aversion_check, reference_battery_reports, reference_generate_battery
+from battery_oracle import (
+    reference_aversion_check,
+    reference_battery_reports,
+    reference_generate_battery,
+    reference_listed_priors,
+)
 from support_oracle import is_unambiguous, loop_choquet
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -1012,7 +1025,7 @@ def battery_setups(draw):
 def case_draws(draw):
     """The arguments of a ``_draw_cases`` call: case count, seed, a fixed
     state count or none, and whether the cases are unambiguous."""
-    return (draw(st.integers(1, 8)), draw(st.integers(0, 10**6)), draw(st.sampled_from([None, 1, 3])),
+    return (draw(st.integers(1, 60)), draw(st.integers(0, 10**6)), draw(st.sampled_from([None, 1, 3])),
             draw(st.booleans()))
 
 
@@ -1074,6 +1087,18 @@ class TestBatteryBlocks:
             assert cases.payoffs[rows, :m].tobytes() == v.payoffs.tobytes()
             assert not cases.probs[rows, m:].any()
             assert (cases.payoffs[rows, m:] == v.payoffs.max(axis=1, keepdims=True)).all()
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=60), st.integers(0, 10**6))
+    def test_listed_priors_equal_the_per_case_draws(self, states, seed):
+        """(c)'s listed priors, drawn in one block, are the per-case loop's
+        bit for bit (1 to 4 priors per case, 1 to 6 states), and both leave
+        the generator in the same state."""
+        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _draw_listed_priors(rng, np.array(states))
+        want = reference_listed_priors(want_rng, states)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert rng.random() == want_rng.random()
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.lists(rank_cases(), min_size=1, max_size=5))
