@@ -16,14 +16,12 @@ The dual side reconstructs the minimal penalty from certainty values alone:
 c*(q) = sup_u { I(u) - q . u } with I the robust value, taken over a box
 [low, high]^n of utility profiles.  ``c_min_exact`` solves this concave
 maximization and returns a certified bracket (lower bound attained at a box
-point, upper bound from LP duals or the Frank-Wolfe gap, solver status and
-iterations).
+point, upper bound from a mixture of listed priors or the Frank-Wolfe gap,
+solver status and iterations).
 
-Robust values, minimizers and the entropic, Gini and tabulated penalties
-need numpy alone.  scipy, a declared dependency, is imported on first use:
-by ``linprog`` for the ``cmin`` HiGHS LP of ``MaxminSet``/``Tabulated`` and
-by ``nnls`` for ``MaxminSet.penalty``'s hull membership test, so no CLI
-command but ``cmin`` loads it.
+The module needs numpy alone.  For listed priors the ``cmin`` LP and
+``MaxminSet.penalty``'s hull membership test are one L1 problem over
+mixtures of the priors, solved by ``_l1_simplex``, a dense revised simplex.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import PROB_SUM_TOL, exact_row_sums, exact_sum
+from .distribution import PROB_SUM_TOL, exact_row_sums, exact_sum, sums_off_one
 from .errors import ConfigError, DomainError, ShapeError, SolverError, SpecStringError, UnknownPriorError
 
 HULL_TOL = 1e-9
@@ -53,11 +51,9 @@ class Prior:
         w = np.asarray(self.weights, dtype=float).copy()
         if w.ndim != 1 or w.size == 0:
             raise ShapeError("a prior must be a non-empty 1-D weight vector")
-        if not np.all(w >= 0.0):  # NaN-safe
-            raise DomainError(f"prior weights must be >= 0, got min {w.min()}")
-        total = exact_sum(w.tolist())
-        if not abs(total - 1.0) <= PROB_SUM_TOL:
-            raise DomainError(f"prior weights must sum to 1 within {PROB_SUM_TOL}, got {total!r}")
+        refused = _refused_prior_row(w[None, :])
+        if refused is not None:
+            raise DomainError(refused[1])
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
 
@@ -77,6 +73,22 @@ class Prior:
 
     def __repr__(self):
         return f"Prior({_array_text(self.weights, precision=6, separator=', ')})"
+
+
+def _refused_prior_row(rows: np.ndarray) -> tuple[int, str] | None:
+    """The first row of the 2-D array that is no prior, and why: a row with
+    a negative or NaN weight comes first, then the first row whose correctly
+    rounded sum is off 1 by more than PROB_SUM_TOL.  None when every row is
+    a prior."""
+    negative = ~(rows >= 0.0).all(axis=1)  # NaN-safe
+    if negative.any():
+        w = int(np.argmax(negative))
+        return w, f"prior weights must be >= 0, got min {rows[w].min()}"
+    off = sums_off_one(rows, PROB_SUM_TOL)
+    if off.any():
+        w = int(np.argmax(off))
+        return w, f"prior weights must sum to 1 within {PROB_SUM_TOL}, got {exact_sum(rows[w].tolist())!r}"
+    return None
 
 
 def _float_texts(values: list, form: str, precision: int) -> list[str]:
@@ -174,24 +186,72 @@ def _prior_dots(U: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return np.concatenate(dots, axis=1)
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call."""
-    from scipy.optimize import linprog as highs
-
-    return highs(*args, **kwargs)
+SIMPLEX_PIVOTS_PER_COLUMN = 4  # pivot cap of _l1_simplex, per column of its standard form
 
 
-def nnls(*args, **kwargs):
-    """``scipy.optimize.nnls``, imported on the first call."""
-    from scipy.optimize import nnls as lawson_hanson
+def _l1_simplex(matrix: np.ndarray, costs: np.ndarray, q: np.ndarray, r: float):
+    """min over lam in the simplex of lam . costs + r ||P^T lam - q||_1, for
+    the (k, n) matrix P of listed priors, by a dense revised simplex.
 
-    return lawson_hanson(*args, **kwargs)
+    Standard form: columns lam (k), s+ and s- (n each), rows
+    P^T lam - s+ + s- = q and 1^T lam = 1.  The start is the best listed
+    prior, argmin_j c_j + r ||p_j - q||_1, with s+_i basic where
+    p_j,i >= q_i and s-_i elsewhere.  Degenerate vertices are common
+    (duplicate priors, q at a vertex), so both the entering and the leaving
+    variable follow Bland's rule: the least index.  The basis inverse is
+    kept by rank-one updates, refactorized when B x_B - b drifts, so a
+    pivot costs O(n^2 + kn).  At most SIMPLEX_PIVOTS_PER_COLUMN * (k + 2n)
+    pivots run.
 
-
-def _require_optimal(res, what: str) -> None:
-    """Raise SolverError unless HiGHS reports an optimal solution."""
-    if res.status != 0:
-        raise SolverError(f"{what}: HiGHS stopped with status {res.status} ({res.message})")
+    Returns (lam, y, pivots, stop): the last basis's lam (clipped at 0),
+    the duals y of the n state rows (|y| <= r at an optimum), the pivot
+    count and why it stopped: "optimal" once the reduced costs certify
+    optimality, "iteration_limit" at the cap, or "no_pivot_element" when
+    rounding left the entering column no positive entry.
+    """
+    k, n = matrix.shape
+    columns = np.zeros((k + 2 * n, n + 1))  # column j of the standard form is row j
+    columns[:k, :n], columns[:k, n] = matrix, 1.0
+    columns[k : k + n, :n], columns[k + n :, :n] = -np.eye(n), np.eye(n)
+    b, cost = np.append(q, 1.0), np.concatenate([costs, np.full(2 * n, r)])
+    misfit = matrix - q
+    start = int(np.argmin(costs + r * np.abs(misfit).sum(axis=1)))
+    basis = np.concatenate([[start], np.where(misfit[start] >= 0.0, k, k + n) + np.arange(n)])
+    inverse = np.linalg.inv(columns[basis].T)
+    dual_tol = 1e-12 * (1.0 + r + float(np.max(costs)))
+    pivots, cap = 0, SIMPLEX_PIVOTS_PER_COLUMN * (k + 2 * n)
+    while True:
+        x, point = inverse @ b, np.zeros(k + 2 * n)
+        point[basis] = x
+        if np.max(np.abs(point @ columns - b)) > 1e-12:
+            inverse = np.linalg.inv(columns[basis].T)
+            x = inverse @ b
+        x[x <= 1e-12] = 0.0  # degenerate rows tie exactly in the ratio test
+        y = cost[basis] @ inverse
+        entering = np.flatnonzero(cost - columns @ y < -dual_tol)
+        if entering.size == 0:
+            stop = "optimal"
+            break
+        if pivots == cap:
+            stop = "iteration_limit"
+            break
+        column = inverse @ columns[entering[0]]
+        rows = np.flatnonzero(column > 1e-9)
+        if rows.size == 0:  # the LP is bounded, so only rounding can do this
+            stop = "no_pivot_element"
+            break
+        ratios = x[rows] / column[rows]
+        ties = rows[ratios == ratios.min()]
+        leave = ties[np.argmin(basis[ties])]
+        pivot_row = inverse[leave] / column[leave]
+        touched = np.flatnonzero(column)  # slack columns keep the basis sparse
+        inverse[touched] -= np.outer(column[touched], pivot_row)
+        inverse[leave] = pivot_row
+        basis[leave] = entering[0]
+        pivots += 1
+    lam = np.zeros(k)
+    lam[basis[basis < k]] = x[basis < k]
+    return lam, y[:n], pivots, stop
 
 
 def _as_weights(q, n: int) -> np.ndarray:
@@ -246,13 +306,18 @@ class _ListedPriors(AmbiguityIndex):
     """
 
     def __init__(self, priors):
-        priors = [p if isinstance(p, Prior) else Prior(np.asarray(p, dtype=float)) for p in priors]
-        if not priors:
+        rows = [p.weights if isinstance(p, Prior) else np.asarray(p, dtype=float) for p in priors]
+        if not rows:
             raise DomainError(f"{self.kind} penalty needs at least one prior")
-        self._n = priors[0].n_states
-        if any(p.n_states != self._n for p in priors):
+        if any(row.ndim != 1 or row.size == 0 for row in rows):
+            raise ShapeError("a prior must be a non-empty 1-D weight vector")
+        self._n = rows[0].size
+        if any(row.size != self._n for row in rows):
             raise ShapeError(f"all priors of a {self.kind} penalty must have the same length")
-        self._matrix = np.vstack([p.weights for p in priors])
+        self._matrix = np.vstack(rows)
+        refused = _refused_prior_row(self._matrix)  # all rows at once, as Prior checks one
+        if refused is not None:
+            raise DomainError(refused[1])
 
     @property
     def priors(self) -> tuple[Prior, ...]:
@@ -277,8 +342,10 @@ class MaxminSet(_ListedPriors):
     For a linear objective the minimum over the hull is attained at a listed
     point, so the scan of the listed priors values it; its costs are -0.0,
     which leave every dot as it is (x + -0.0 is x, -0.0 included).
-    Membership is a nonnegative least-squares fit of q by a mixture of the
-    listed priors (``penalty``).
+    Membership (``penalty``) is decided by the simplex that minimizes the
+    L1 distance ||P^T lam - q||_1 over mixtures lam of the listed priors;
+    a test stopped at the pivot cap before either verdict is certified
+    raises SolverError.
     """
 
     kind = "maxmin"
@@ -293,7 +360,7 @@ class MaxminSet(_ListedPriors):
 
         Values, minimizers (one-hot rows) and penalties (0 for every prior)
         need no prior matrix: the n x n identity is built only for
-        ``priors`` and the ``cmin`` LP, on first use.
+        ``priors`` and the ``cmin`` simplex, on first use.
         """
         if n < 1:
             raise ShapeError("a prior must be a non-empty 1-D weight vector")
@@ -311,17 +378,18 @@ class MaxminSet(_ListedPriors):
         w = _as_weights(q, self.n_states)
         if self._simplex:  # the hull is the whole simplex
             return 0.0
-        # Cheap exact-vertex test first; NNLS decides general hull membership:
-        # the nonnegative lam closest to [P^T; 1^T] lam = [q; 1], and q is in
-        # the hull when that mixture reproduces q and sums to 1 within HULL_TOL.
+        # Cheap exact-vertex test first.  The simplex then minimizes
+        # ||P^T lam - q||_1 over mixtures lam: q is in the hull when the mixture
+        # reproduces q and sums to 1 within HULL_TOL, and outside only when
+        # the reduced costs certify that no mixture comes closer.
         if np.min(np.max(np.abs(self._matrix - w), axis=1)) <= HULL_TOL:
             return 0.0
-        try:
-            mix, _ = nnls(np.vstack([self._matrix.T, np.ones(len(self._matrix))]), np.append(w, 1.0))
-        except RuntimeError as exc:  # the iteration limit
-            raise SolverError(f"maxmin hull-membership test: NNLS stopped ({exc})") from None
-        inside = np.max(np.abs(self._matrix.T @ mix - w)) <= HULL_TOL and abs(mix.sum() - 1.0) <= HULL_TOL
-        return 0.0 if inside else math.inf
+        mix, _, pivots, stop = _l1_simplex(self._matrix, np.zeros(len(self._matrix)), w, 1.0)
+        if np.max(np.abs(self._matrix.T @ mix - w)) <= HULL_TOL and abs(mix.sum() - 1.0) <= HULL_TOL:
+            return 0.0
+        if stop == "optimal":
+            return math.inf
+        raise SolverError(f"maxmin hull-membership test: simplex stopped after {pivots} pivots")
 
     def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
         if not self._simplex:
@@ -508,29 +576,27 @@ def _rounding_slack(n: int, value: float, radius: float) -> float:
 
 
 def _c_min_lp(amb, w, low, high) -> CMinBracket:
-    """Listed priors: max t - q . u  s.t.  t <= p_j . u + c_j, u in the box."""
+    """Listed priors: c*(q) = min over lam in the simplex of
+    lam . c + r ||P^T lam - q||_1 with r the box's half width (P^T lam - q
+    sums to 0), solved by ``_l1_simplex``; its duals y give the box point
+    u = (low + high) / 2 - y of the lower bound."""
     matrix, costs = amb._matrix, amb.costs
     k, n = matrix.shape
-    res = linprog(
-        np.append(w, -1.0),
-        A_ub=np.hstack([-matrix, np.ones((k, 1))]),
-        b_ub=costs,
-        bounds=[(low, high)] * n + [(None, None)],
-        method="highs",
-    )
-    _require_optimal(res, "cmin LP")
-    best = max(_fenchel_gap(amb, w[None, :], np.clip(res.x[:n], low, high))[0], 0.0)
+    lam, y, pivots, status = _l1_simplex(matrix, costs, w, 0.5 * (high - low))
+    best = max(_fenchel_gap(amb, w[None, :], np.clip(0.5 * (low + high) - y, low, high))[0], 0.0)
     # Any lam on the simplex bounds the sup: I(u) <= sum_j lam_j (p_j . u + c_j),
     # so c*(q) <= lam . c + max over the box of (P^T lam - q) . u, taken per state.
-    lam = np.clip(-res.ineqlin.marginals, 0.0, None)
     lam /= lam.sum()
     g = matrix.T @ lam - w
     upper = math.fsum(np.concatenate([lam * costs, np.maximum(low * g, high * g)]))
     # Outward allowance for the rounding of P^T lam, lam . c and lam's normalisation.
     upper += 4 * (k + n) * float(np.finfo(float).eps) * (1.0 + max(abs(low), abs(high)) + float(costs.max()))
-    status = "converged" if upper - best <= CMIN_RTOL * (1.0 + abs(best)) else "lp_bracket_open"
+    if upper - best <= CMIN_RTOL * (1.0 + abs(best)):
+        status = "converged"
+    elif status == "optimal":
+        status = "lp_bracket_open"
     lower = max(best - _rounding_slack(n, best, max(abs(low), abs(high))), 0.0)
-    return CMinBracket(lower, upper, status, int(res.nit))
+    return CMinBracket(lower, upper, status, pivots)
 
 
 def _hessian(amb, q_star: np.ndarray) -> np.ndarray:
@@ -625,15 +691,19 @@ def c_min_exact(amb: AmbiguityIndex, q, low: float, high: float) -> CMinBracket:
     gives exactly I(a * 1) - q . (a * 1) = a - a = 0, and the allowance
     stops there.
 
-    ``MaxminSet`` and ``Tabulated`` solve one HiGHS LP; the upper bound comes
-    from its duals.  ``Entropic`` and ``Gini`` run projected Newton from the
-    box centre (Hessians -(diag q* - q* q*^T)/theta, and
+    ``MaxminSet`` and ``Tabulated`` solve min over lam in the simplex of
+    lam . c + r ||P^T lam - q||_1, r = (high - low) / 2, by ``_l1_simplex``:
+    the lower bound is read at u = (low + high) / 2 - y for the duals y of
+    its state rows, and the upper bound is the same objective at its lam,
+    so the bracket is valid wherever the simplex stopped.  ``iterations``
+    counts its pivots.  ``Entropic`` and ``Gini`` run projected Newton from
+    the box centre (Hessians -(diag q* - q* q*^T)/theta, and
     -(diag p_A - p_A p_A^T/sum p_A)/(2 theta) on the minimizer's support A)
     until the Frank-Wolfe upper bound is within CMIN_RTOL * (1 + |lower|) of
     the lower one.  Both upper bounds carry an outward allowance for rounding.
     ``status`` is "converged", or says why the bracket stayed open
-    ("lp_bracket_open", "line_search_failed", "iteration_limit").  A failed LP
-    raises SolverError.
+    ("lp_bracket_open", "iteration_limit" at the simplex's pivot cap or
+    Newton's, "no_pivot_element", "line_search_failed").
     """
     w = _as_weights(q, amb.n_states)
     low, high = float(low), float(high)
@@ -694,20 +764,30 @@ def parse_prior(spec: str, state_ids) -> Prior:
 
 
 def _load_penalty_table(path: str, state_ids) -> Tabulated:
-    ids = [str(s) for s in state_ids]
-    entries = []
+    """The table at path: a header naming every state and ``penalty`` (a
+    name given twice reads its last column), then one row per prior, blank
+    lines skipped and not counted."""
+    names = [str(s) for s in state_ids] + ["penalty"]
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ids + ["penalty"] if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        where = {name: i for i, name in enumerate(header)}
+        missing = [c for c in names if c not in where]
         if missing:
             raise SpecStringError(f"penalty table {path} lacks columns {missing}")
-        for line, row in enumerate(reader, start=2):
+        columns, cells = [where[c] for c in names], []
+        for line, row in enumerate(filter(None, reader), start=2):
+            if len(row) != len(header):
+                raise SpecStringError(f"penalty table {path} line {line}: expected {len(header)} fields, got {len(row)}")
             try:
-                prior = Prior(np.array([float(row[c]) for c in ids]))
-                entries.append((prior, float(row["penalty"])))
-            except (ValueError, DomainError) as exc:
+                cells.append([float(row[i]) for i in columns])
+            except ValueError as exc:
                 raise SpecStringError(f"penalty table {path} line {line}: {exc}") from exc
-    return Tabulated(entries)
+    table = np.array(cells).reshape(-1, len(names))
+    refused = _refused_prior_row(table[:, :-1])
+    if refused is not None:
+        raise SpecStringError(f"penalty table {path} line {refused[0] + 2}: {refused[1]}")
+    return Tabulated(zip(table[:, :-1], table[:, -1]))
 
 
 def parse_penalty(spec: str, state_ids) -> AmbiguityIndex:

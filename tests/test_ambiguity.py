@@ -1,5 +1,7 @@
 import itertools
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -28,7 +30,7 @@ from rankrobust import (
 )
 from rankrobust.ambiguity import _array_text
 from conftest import solve_one, values_of
-from hull_oracle import lp_hull_penalty
+from hull_oracle import highs_c_min_lp, lp_hull_penalty
 from lattice_oracle import UtilityGrid, c_min_bruteforce
 
 UNIFORM2 = Prior.uniform(2)
@@ -450,7 +452,11 @@ class TestMaxminVertices:
         assert fast.describe() == explicit.describe()
         assert "_matrix" not in vars(fast)  # nothing so far needed the n x n identity
         q = Prior(rng.dirichlet(np.ones(n)))
-        assert repr(c_min_exact(fast, q, -2.0, 3.0)) == repr(c_min_exact(explicit, q, -2.0, 3.0))
+        bracket = c_min_exact(fast, q, -2.0, 3.0)
+        assert repr(bracket) == repr(c_min_exact(explicit, q, -2.0, 3.0))
+        # q has full support, so every point mass enters the simplex's basis:
+        # n - 1 pivots from the first, under a cap that grows with n.
+        assert bracket.status == "converged" and bracket.iterations >= n - 1
         assert [p.weights.tobytes() for p in fast.priors] == [p.weights.tobytes() for p in explicit.priors]
 
     @pytest.mark.parametrize("k, n", [(1, 1), (1, 3), (3, 2), (4, 3), (6, 5)])
@@ -939,39 +945,40 @@ class TestExactCMin:
             c_min_exact(Custom(), UNIFORM2, -1.0, 1.0)
 
 
-class FailedLP:
-    """What linprog returns when HiGHS stops for numerical trouble (status 4)."""
-
-    status = 4
-    message = "Numerical difficulties encountered"
-    x = None
+CAP_SET = MaxminSet([Prior(np.array([0.2, 0.8])), Prior(np.array([0.6, 0.4]))])
 
 
 class TestSolverStatus:
-    def test_penalty_raises_at_the_nnls_iteration_limit(self, monkeypatch):
-        """The mixture (1/2, 1/2) takes NNLS two iterations; with one allowed
-        scipy stops, and the hull test says so as a SolverError."""
-        from scipy.optimize import nnls
+    """Without a pivot allowed, the simplex stops at its start, the best listed
+    prior, where neither cmin's bracket nor an inside point's mixture is
+    settled.  No such stop may read as a point outside the hull."""
 
-        monkeypatch.setattr(ambiguity, "nnls", lambda a, b: nnls(a, b, maxiter=1))
-        index = MaxminSet([Prior(np.array([0.2, 0.8])), Prior(np.array([0.6, 0.4]))])
-        with pytest.raises(SolverError, match=r"^maxmin hull-membership test: NNLS stopped \(Maximum number of iter"):
-            index.penalty(Prior(np.array([0.4, 0.6])))
+    def test_penalty_raises_at_the_pivot_cap(self, monkeypatch):
+        monkeypatch.setattr(ambiguity, "SIMPLEX_PIVOTS_PER_COLUMN", 0)
+        with pytest.raises(SolverError, match=r"^maxmin hull-membership test: simplex stopped after 0 pivots$"):
+            CAP_SET.penalty(Prior(np.array([0.4, 0.6])))
+        # The start itself certifies this point's distance: outside, no pivot needed.
+        assert CAP_SET.penalty(Prior(np.array([0.7, 0.3]))) == math.inf
 
-    def test_point_outside_the_hull_is_infinite_without_an_lp(self, monkeypatch):
-        def no_lp(*args, **kwargs):
-            raise AssertionError("the hull test ran an LP")
+    def test_point_outside_the_hull_is_infinite_without_scipy(self):
+        script = (
+            "import sys, numpy as np\n"
+            "from rankrobust import MaxminSet, Prior\n"
+            "index = MaxminSet([Prior(np.array([0.2, 0.8])), Prior(np.array([0.6, 0.4]))])\n"
+            "print(index.penalty(Prior(np.array([0.7, 0.3]))), index.penalty(Prior(np.array([0.4, 0.6]))))\n"
+            "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+        assert proc.stdout.splitlines() == ["inf 0.0", "[]"]
 
-        monkeypatch.setattr(ambiguity, "linprog", no_lp)
-        index = MaxminSet([Prior(np.array([0.2, 0.8])), Prior(np.array([0.6, 0.4]))])
-        assert index.penalty(Prior(np.array([0.7, 0.3]))) == math.inf
-        assert index.penalty(Prior(np.array([0.4, 0.6]))) == 0.0
-
-    def test_exact_cmin_raises_on_a_failed_lp(self, monkeypatch):
-        monkeypatch.setattr(ambiguity, "linprog", lambda *a, **k: FailedLP())
-        for index in (MaxminSet([UNIFORM2]), Tabulated([(UNIFORM2, 0.0)])):
-            with pytest.raises(SolverError, match="status 4"):
-                c_min_exact(index, UNIFORM2, -1.0, 1.0)
+    def test_exact_cmin_reports_the_pivot_cap(self, monkeypatch):
+        monkeypatch.setattr(ambiguity, "SIMPLEX_PIVOTS_PER_COLUMN", 0)
+        q = Prior(np.array([0.4, 0.6]))
+        table = Tabulated([(Prior(np.array([0.2, 0.8])), 0.0), (Prior(np.array([0.6, 0.4])), 0.0), (q, 0.5)])
+        for index, want in ((CAP_SET, 0.0), (table, 0.0)):
+            lower, upper, status, iterations = c_min_exact(index, q, -1.0, 1.0)
+            assert (status, iterations) == ("iteration_limit", 0)
+            assert lower <= want <= upper and upper - lower > 1e-3
 
 
 @st.composite
@@ -1012,13 +1019,70 @@ def hull_problems(draw):
 class TestHullMembership:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(hull_problems())
-    def test_nnls_verdict_equals_the_lp(self, problem):
-        """The NNLS hull test reads 0.0 inside and inf outside, as the HiGHS
-        membership LP it replaced does (``hull_oracle``)."""
+    def test_simplex_verdict_equals_the_lp(self, problem):
+        """The simplex hull test reads 0.0 inside and inf outside, as the
+        HiGHS membership LP does (``hull_oracle``)."""
         priors, q, inside = problem
         index = MaxminSet([Prior(row) for row in priors])
         got = index.penalty(Prior(q))
         assert got == lp_hull_penalty(priors, Prior(q).weights) == (0.0 if inside else math.inf)
+
+
+@st.composite
+def listed_lp_problems(draw):
+    """(index, q, low, high) for cmin's listed-prior LP: a maxmin set (zero
+    costs) or a table (costs in [0, 2], some zero) of 1-60 priors on 1-8
+    states, some sparse, some duplicated; q at a listed prior, on an edge,
+    inside, or a random prior or point mass (mostly outside the hull); a box
+    of width 0 or an asymmetric one."""
+    n, k = draw(st.integers(1, 8)), draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((k, n)) + 0.05
+    if draw(st.booleans()):  # sparse priors, each keeping one positive weight
+        raw *= (rng.random((k, n)) < 0.5) | (np.arange(n) == rng.integers(0, n, size=(k, 1)))
+    priors = raw / raw.sum(axis=1, keepdims=True)
+    if k > 1 and draw(st.booleans()):
+        priors[k // 2 :] = priors[rng.integers(0, k // 2, size=k - k // 2)]  # duplicates of the first half
+    where = draw(st.sampled_from(["vertex", "edge", "interior", "random", "point"]))
+    i, j = rng.integers(0, k, size=2)
+    if where == "vertex":
+        q = priors[i]
+    elif where == "edge":
+        t = draw(st.floats(0.01, 0.99))
+        q = t * priors[i] + (1.0 - t) * priors[j]
+    elif where == "interior":
+        q = rng.dirichlet(np.ones(k)) @ priors
+    elif where == "random":
+        q = rng.dirichlet(np.ones(n))
+    else:
+        q = np.eye(n)[i % n]
+    if draw(st.booleans()):
+        index = MaxminSet(priors)
+    else:
+        costs = rng.uniform(0.0, 2.0, size=k) * (rng.random(k) < 0.8)
+        index = Tabulated(list(zip(priors, costs)))
+    low = draw(st.sampled_from([-10.0, -5.0, -1.0, 0.0, 0.5, 3.0]))
+    high = low + draw(st.sampled_from([0.0, 0.0, 0.25, 2.0, 7.5, 20.0]))
+    return index, Prior(q / math.fsum(q)), low, high
+
+
+class TestListedPriorSimplex:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(listed_lp_problems())
+    def test_bracket_holds_the_highs_optimum(self, problem):
+        """The simplex's bracket closes and holds HiGHS's optimum of the same
+        LP (``hull_oracle.highs_c_min_lp``, whose own bracket is as tight)
+        within the rounding allowance of either bracket, in fewer pivots than
+        the cap."""
+        index, q, low, high = problem
+        k, n = index._matrix.shape
+        lower, upper, status, pivots = c_min_exact(index, q, low, high)
+        highs = highs_c_min_lp(index, q.weights, low, high)
+        slack = 4 * (k + n) * EPS * (1.0 + max(abs(low), abs(high)) + float(index.costs.max()))
+        assert highs.status == status == "converged"
+        assert lower - slack <= highs.upper and highs.lower <= upper + slack
+        assert 0.0 <= lower <= upper
+        assert pivots < ambiguity.SIMPLEX_PIVOTS_PER_COLUMN * (k + 2 * n)
 
 
 class TestSimplexGrid:

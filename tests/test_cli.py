@@ -291,6 +291,22 @@ class TestInputEncoding:
 class TestRefusedInputs:
     """Refused inputs exit 2 with one error line that names the culprit."""
 
+    @pytest.mark.parametrize("rows, reason", [
+        ("0.5,0.5,0\n0.2\n", "line 3: expected 3 fields, got 1"),
+        ("0.5,0.5,0\n0.2,0.8,1,7\n", "line 3: expected 3 fields, got 4"),
+        ("0.5,0.5,0\n\n0.2,x,1\n", "line 3: could not convert string to float: 'x'"),
+        ("0.5,0.5,0\n0.6,0.6,1\n1.2,-0.2,1\n", "line 4: prior weights must be >= 0, got min -0.2"),
+        ("0.5,0.5,0\n0.6,0.6,1\n", "line 3: prior weights must sum to 1 within 1e-12, got 1.2"),
+    ])
+    def test_penalty_table_rows_name_their_line(self, capsys, tmp_path, rows, reason):
+        """Rows are read as one float matrix and checked at once: a row of the
+        wrong length or a cell that is no number first, then negative weights
+        in any row, then sums off 1.  Blank lines are skipped and not counted."""
+        path = tmp_path / "table.csv"
+        path.write_text("calm,storm,penalty\n" + rows, encoding="utf-8")
+        code, out, err = run_cli(capsys, "cmin", "--penalty", f"table:{path}", "--prior", "calm=0.5,storm=0.5")
+        assert (code, out, err) == (2, "", f"error: penalty table {path} {reason}\n")
+
     def test_payoff_outside_the_utility_domain_is_a_plain_number(self, capsys):
         code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
                                  "--penalty", "maxmin:vertices", "--utility", "power:0.5")
@@ -594,20 +610,28 @@ class TestCommands:
         # The optimum lies inside the default box, so the bracket holds the penalty.
         assert abs(result["direct_penalty"] - lower) <= 1e-9
 
-    def test_cmin_failed_lp_exits_two(self, capsys, monkeypatch):
+    def test_cmin_at_the_pivot_cap(self, capsys, monkeypatch):
+        """With no simplex pivot allowed, a table's cmin still reports its
+        (open) bracket, and a maxmin hull test that cannot finish exits 2."""
         from rankrobust import ambiguity
 
-        class FailedLP:
-            status, message, x = 4, "Numerical difficulties encountered", None
-
-        monkeypatch.setattr(ambiguity, "linprog", lambda *a, **k: FailedLP())
+        monkeypatch.setattr(ambiguity, "SIMPLEX_PIVOTS_PER_COLUMN", 0)
+        code, out, _ = run_cli(
+            capsys, "cmin",
+            "--penalty", f"table:{FIXTURES / 'penalty_table.csv'}",
+            "--prior", "calm=0.2,storm=0.8",
+            "--output", "json",
+        )
+        result = json.loads(out)["result"]
+        assert code == 0 and result["status"] == "iteration_limit" and result["iterations"] == 0
+        assert result["dual_lower_bound"] <= result["direct_penalty"] <= result["upper_bound"]
         code, out, err = run_cli(
             capsys, "cmin",
             "--penalty", "maxmin:[a=0.2,b=0.8;a=0.6,b=0.4]",
             "--prior", "a=0.4,b=0.6",
         )
         assert code == 2 and out == ""
-        assert "status 4" in err
+        assert err == "error: maxmin hull-membership test: simplex stopped after 0 pivots\n"
 
     def test_battery_command_green(self, capsys):
         code, out, _ = run_cli(
@@ -816,20 +840,23 @@ def run(argv):
     return code, out.getvalue()
 
 
-commands, cmin = json.loads(sys.argv[1]), json.loads(sys.argv[2])
-report = {"codes": [run(argv)[0] for argv in commands]}
+commands = json.loads(sys.argv[1])
+report = {"codes": [], "cmin": []}
+for argv in commands:
+    code, out = run(argv)
+    report["codes"].append(code)
+    if argv[0] == "cmin":
+        report["cmin"].append(json.loads(out)["result"]["status"])
 report["scipy"] = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
-code, out = run(cmin)
-report["cmin"] = [code, json.loads(out)["result"]["status"]]
 print(json.dumps(report))
 """
 
 
 class TestColdStart:
-    """A fresh interpreter runs every command but ``cmin`` without loading scipy;
-    only the HiGHS LPs (cmin, maxmin hull membership) import it."""
+    """A fresh interpreter runs every command, ``cmin`` with a maxmin set and
+    with a table included, without loading scipy."""
 
-    def test_only_cmin_loads_scipy(self):
+    def test_no_command_loads_scipy(self):
         two_state = str(FIXTURES / "two_state.json")
         commands = []
         for penalty in ("entropic:1@uniform", "gini:0.5@calm=0.4,storm=0.6",
@@ -847,11 +874,14 @@ class TestColdStart:
         commands.append(["portfolio", "--scenario", str(FIXTURES / "panel_hedge.csv"), "--penalty", "maxmin:vertices",
                          "--mean-prior", "uniform", "--output", "json"])
         commands.append(["demo", "ellsberg"])
-        # A prior inside the hull but on no vertex: both LPs run.
-        cmin = ["cmin", "--penalty", "maxmin:[a=0.2,b=0.8;a=0.6,b=0.4]", "--prior", "a=0.4,b=0.6", "--output", "json"]
-        proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(commands), json.dumps(cmin)],
+        # A prior inside the hull but on no vertex: the bracket and the hull test both solve.
+        commands.append(["cmin", "--penalty", "maxmin:[a=0.2,b=0.8;a=0.6,b=0.4]", "--prior", "a=0.4,b=0.6",
+                         "--output", "json"])
+        commands.append(["cmin", "--penalty", "table:" + str(FIXTURES / "penalty_table.csv"),
+                         "--prior", "calm=0.2,storm=0.8", "--output", "json"])
+        proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(commands)],
                               capture_output=True, text=True, check=True)
         report = json.loads(proc.stdout.splitlines()[-1])
         assert report["codes"] == [0] * len(commands)
+        assert report["cmin"] == ["converged", "converged"]
         assert report["scipy"] == []
-        assert report["cmin"] == [0, "converged"]
