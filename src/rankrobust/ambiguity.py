@@ -766,7 +766,7 @@ def parse_prior(spec: str, state_ids) -> Prior:
 def _load_penalty_table(path: str, state_ids) -> Tabulated:
     """The table at path: a header naming every state and ``penalty`` (a
     name given twice reads its last column), then one row per prior, blank
-    lines skipped and not counted."""
+    lines skipped; messages name the row's line in the file."""
     names = [str(s) for s in state_ids] + ["penalty"]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -775,8 +775,10 @@ def _load_penalty_table(path: str, state_ids) -> Tabulated:
         missing = [c for c in names if c not in where]
         if missing:
             raise SpecStringError(f"penalty table {path} lacks columns {missing}")
-        columns, cells = [where[c] for c in names], []
-        for line, row in enumerate(filter(None, reader), start=2):
+        columns, cells, lines = [where[c] for c in names], [], []
+        for row in filter(None, reader):
+            line = reader.line_num
+            lines.append(line)
             if len(row) != len(header):
                 raise SpecStringError(f"penalty table {path} line {line}: expected {len(header)} fields, got {len(row)}")
             try:
@@ -786,7 +788,7 @@ def _load_penalty_table(path: str, state_ids) -> Tabulated:
     table = np.array(cells).reshape(-1, len(names))
     refused = _refused_prior_row(table[:, :-1])
     if refused is not None:
-        raise SpecStringError(f"penalty table {path} line {refused[0] + 2}: {refused[1]}")
+        raise SpecStringError(f"penalty table {path} line {lines[refused[0]]}: {refused[1]}")
     return Tabulated(zip(table[:, :-1], table[:, -1]))
 
 

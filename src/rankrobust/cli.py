@@ -49,12 +49,28 @@ from .utility import identity_utility, parse_utility
 # should traceback.
 _VALIDATION_ERRORS = (ValueError, LookupError, OSError)
 
+# JSON numbers decode to these; strings, booleans and nulls, which numpy
+# would convert, are refused.
+_NUMBER_TYPES = {int, float}
+
 
 def parse_scenario(path: str) -> TwoStageVariable:
-    """Load a two-stage variable from its JSON schema with precise diagnostics."""
+    """Load a two-stage variable from its JSON schema with precise diagnostics.
+
+    orjson decodes the file's bytes to the same floats as json, faster.  A
+    document it refuses (NaN or Infinity literals, numbers past the float
+    range, lone surrogates, invalid UTF-8, malformed JSON) is read again by
+    json, which accepts what it always accepted and words every refusal."""
+    import orjson  # imported here: only the commands that read a scenario load it
+
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            doc = orjson.loads(data)
+        except orjson.JSONDecodeError:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read scenario: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -78,13 +94,16 @@ def parse_scenario(path: str) -> TwoStageVariable:
 
 def _field_matrix(states: dict, key: str) -> np.ndarray:
     """The (state, outcome) float matrix of one field's lists, converted in one
-    pass; ValueError unless every state holds a list of the first one's length."""
+    pass; ValueError unless every state holds a list of the first one's
+    length and every entry is an int or a float."""
     rows = [entry[key] for entry in states.values()]
     width = len(rows[0]) if isinstance(rows[0], list) else -1
     if not all(isinstance(row, list) and len(row) == width for row in rows):
         raise ValueError(f"{key} rows differ")
-    flat = np.fromiter(itertools.chain.from_iterable(rows), float, len(rows) * width)
-    return flat.reshape(len(rows), width)
+    flat = list(itertools.chain.from_iterable(rows))
+    if not set(map(type, flat)) <= _NUMBER_TYPES:
+        raise ValueError(f"{key} holds an entry that is not a number")
+    return np.fromiter(flat, float, len(flat)).reshape(len(rows), width)
 
 
 def _check_states(path: str, states: dict) -> None:
@@ -103,6 +122,10 @@ def _check_states(path: str, states: dict) -> None:
         if width is not None and p.size != width:
             raise ScenarioError(f"{where} has {p.size} outcomes, earlier states have {width}")
         width = p.size
+        for key in ("probs", "payoffs"):
+            for outcome, value in enumerate(entry[key]):
+                if type(value) not in _NUMBER_TYPES:
+                    raise ScenarioError(f"{where}: {key} entry {json.dumps(value)} (outcome {outcome}) is not a number")
 
 
 def parse_panel(path: str) -> ScenarioPanel:

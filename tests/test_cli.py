@@ -1,3 +1,4 @@
+import decimal
 import importlib.util
 import json
 import math
@@ -6,8 +7,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rankrobust import DomainError, ScenarioError, ShapeError, TwoStageVariable, ambiguity_aversion_check
 from rankrobust.cli import _json_text, build_parser, main, parse_panel, parse_scenario
@@ -59,9 +61,9 @@ def per_state_parse_scenario(path: str) -> TwoStageVariable:
     """The state-at-a-time parser that parse_scenario replaced, kept as the
     oracle of its diagnostics."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read scenario: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from exc
@@ -75,7 +77,7 @@ def per_state_parse_scenario(path: str) -> TwoStageVariable:
         try:
             p = np.asarray(entry["probs"], dtype=float)
             x = np.asarray(entry["payoffs"], dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{path}: state {sid!r}: {exc}") from exc
         if p.ndim != 1 or p.shape != x.shape:
             raise ScenarioError(
@@ -87,6 +89,12 @@ def per_state_parse_scenario(path: str) -> TwoStageVariable:
             raise ScenarioError(
                 f"{path}: state {sid!r} has {p.size} outcomes, earlier states have {width}"
             )
+        for key in ("probs", "payoffs"):
+            for outcome, value in enumerate(entry[key]):
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise ScenarioError(
+                        f"{path}: state {sid!r}: {key} entry {json.dumps(value)} (outcome {outcome}) is not a number"
+                    )
         ids.append(sid)
         probs.append(p)
         payoffs.append(x)
@@ -111,6 +119,10 @@ MALFORMED = {
     "null_probability": {"calm": CALM, "stormy": {"probs": [None, 1.0], "payoffs": [0, 1]}},
     "null_probs": {"calm": CALM, "stormy": {"probs": None, "payoffs": [0, 1]}},
     "null_payoff": {"calm": CALM, "stormy": {"probs": [0.5, 0.5], "payoffs": [0, None]}},
+    "numeric_string_probs": {"calm": CALM, "stormy": {"probs": ["0.5", "0.5"], "payoffs": [0, 1]}},
+    "numeric_string_payoff": {"calm": CALM, "stormy": {"probs": [0.5, 0.5], "payoffs": [0, "1e2"]}},
+    "boolean_payoffs": {"calm": CALM, "stormy": {"probs": [0.5, 0.5], "payoffs": [True, False]}},
+    "boolean_probability": {"calm": CALM, "stormy": {"probs": [True, 0], "payoffs": [0, 1]}},
     "negative_probability": {"calm": CALM, "stormy": {"probs": [1.2, -0.2], "payoffs": [0, 1]}},
     "nan_probability": {"calm": CALM, "stormy": {"probs": [1.0, float("nan")], "payoffs": [0, 1]}},
     "sum_one_plus_2e-12": {"calm": CALM, "stormy": {"probs": [0.5, 0.5 + 2e-12], "payoffs": [0, 1]}},
@@ -154,6 +166,139 @@ class TestParseDiagnostics:
         assert got.state_ids == want.state_ids
         assert got.outcome_probs.tobytes() == want.outcome_probs.tobytes()
         assert got.payoffs.tobytes() == want.payoffs.tobytes()
+
+
+JSON_SPACE = st.sampled_from(["", " ", "\n", "\t", "\r\n", " \t\n "])
+SUBNORMALS = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+MIDPOINT_PRECISION = decimal.Context(prec=2000)
+
+
+@st.composite
+def float_tokens(draw, values, precisions=st.integers(0, 40)):
+    """A JSON spelling of a drawn float: its repr or %.{k}e / %.{k}g, with
+    E for e and e for e+ at random."""
+    x = draw(values)
+    form = draw(st.sampled_from(["repr", "e", "g"]))
+    text = repr(x) if form == "repr" else f"%.{draw(precisions)}{form}" % x
+    if draw(st.booleans()):
+        text = text.replace("e", "E")
+    if draw(st.booleans()):
+        text = text.replace("e+", "e").replace("E+", "E")
+    return text
+
+
+@st.composite
+def midpoint_tokens(draw):
+    """The exact midpoint of two adjacent doubles, or that midpoint nudged by
+    +-1e-700: the decimal strings where a correctly rounded reader differs
+    from a sloppy one."""
+    x = draw(st.floats(-1e20, 1e20) | SUBNORMALS)
+    nudge = draw(st.sampled_from(["0", "1e-700", "-1e-700"]))
+    ctx = MIDPOINT_PRECISION
+    mid = ctx.divide(ctx.add(decimal.Decimal(x), decimal.Decimal(math.nextafter(x, math.inf))), 2)
+    return str(ctx.add(mid, decimal.Decimal(nudge)))
+
+
+PAYOFF_TOKENS = st.one_of(
+    float_tokens(st.floats(allow_nan=False, allow_infinity=False)),
+    float_tokens(SUBNORMALS),
+    midpoint_tokens(),
+    st.sampled_from(["0", "-0", "-0.0", "0.0", "-0e0", "0E-5", "-0E+10", "1E5", "1e+5", "25e-1"]),
+    st.integers(-2**63, 2**64).map(str),
+    (st.integers(2**64, 10**300) | st.integers(-10**300, -2**63 - 1)).map(str),
+)
+STATE_IDS = st.sampled_from(["calm", "café", "☃", "a\"b"]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), max_size=6)
+
+
+@st.composite
+def scenario_documents(draw):
+    """A scenario document's text: states whose ids may repeat, escaped or
+    not, with probabilities p, 1 - p (then zeros) and any payoff spellings,
+    JSON whitespace between the tokens."""
+    def ws():
+        return draw(JSON_SPACE)
+
+    def array(tokens):
+        return "[" + ",".join(f"{ws()}{token}{ws()}" for token in tokens) + "]"
+
+    width = draw(st.integers(1, 4))
+    states = []
+    for sid in draw(st.lists(STATE_IDS, min_size=1, max_size=5)):
+        p = draw(st.floats(0, 1))
+        probs = ([float_tokens(st.just(p), st.integers(17, 40)), float_tokens(st.just(1 - p), st.integers(17, 40))]
+                 + [st.sampled_from(["0", "0.0", "-0", "0e5"])] * (width - 2) if width > 1
+                 else [st.sampled_from(["1", "1.0", "1e0", "10E-1", "0.1e+1"])])
+        probs = array(draw(token) for token in probs)
+        payoffs = array(draw(PAYOFF_TOKENS) for _ in range(width))
+        key = json.dumps(sid, ensure_ascii=draw(st.booleans()))
+        states.append(f'{ws()}{key}{ws()}:{ws()}{{{ws()}"probs"{ws()}:{ws()}{probs}{ws()},'
+                      f'{ws()}"payoffs"{ws()}:{ws()}{payoffs}{ws()}}}')
+    return f'{ws()}{{{ws()}"states"{ws()}:{ws()}{{{",".join(states)}}}{ws()}}}{ws()}'
+
+
+def parsed(path):
+    """parse_scenario's result at path, as comparable bytes, or its error."""
+    try:
+        v = parse_scenario(str(path))
+    except ScenarioError as exc:
+        return str(exc)
+    return v.state_ids, v.outcome_probs.tobytes(), v.payoffs.tobytes()
+
+
+def refuse(data):
+    raise orjson.JSONDecodeError("refused", "", 0)
+
+
+class TestDecoding:
+    """orjson reads each scenario as json does: same floats to the bit, same
+    states in the same order; what orjson refuses, json reads as before."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(scenario_documents())
+    def test_orjson_reads_what_json_reads(self, tmp_path, text):
+        path = tmp_path / "scenario.json"
+        path.write_text(text, encoding="utf-8")
+        got = parsed(path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orjson, "loads", refuse)
+            assert parsed(path) == got
+
+    @pytest.mark.parametrize("stormy, want", [
+        (b'"stormy": {"probs": [0.5, 0.5], "payoffs": [0, NaN]}',
+         "payoff nan in state 'stormy' (outcome 1) is not finite"),
+        (b'"stormy": {"probs": [0.5, 0.5], "payoffs": [0, Infinity]}',
+         "payoff inf in state 'stormy' (outcome 1) is not finite"),
+        (b'"stormy": {"probs": [0.5, 0.5], "payoffs": [0, -1e400]}',
+         "payoff -inf in state 'stormy' (outcome 1) is not finite"),
+        (b'"stormy": {"probs": [0.5, 0.5], "payoffs": [1e309, 0]}',
+         "payoff inf in state 'stormy' (outcome 0) is not finite"),
+        (b'"stormy": {"probs": [0.5, 0.5], "payoffs": [0, 1' + b"0" * 400 + b"]}",
+         "state 'stormy': int too large to convert to float"),
+        (b'"\\ud800": {"probs": [0.5, 0.5], "payoffs": [0, 1]}', None),
+        (b'"caf\xe9": {"probs": [0.5, 0.5], "payoffs": [0, 1]}',
+         "cannot read scenario: 'utf-8' codec can't decode byte 0xe9 in position 66: invalid continuation byte"),
+    ], ids=["nan", "infinity", "minus_1e400", "1e309", "int_1e400", "lone_surrogate", "invalid_utf8"])
+    def test_what_orjson_refuses_json_reads_as_before(self, tmp_path, stormy, want):
+        path = tmp_path / "refused.json"
+        path.write_bytes(b'{"states": {"calm": {"probs": [0.5, 0.5], "payoffs": [0, 1]}, ' + stormy + b"}}")
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(path.read_bytes())
+        assert raised(parse_scenario, str(path)) == raised(per_state_parse_scenario, str(path))
+        if want is None:
+            v = parse_scenario(str(path))
+            assert v.state_ids == ("calm", "\ud800") and v.payoffs.tolist() == [[0.0, 1.0], [0.0, 1.0]]
+        else:
+            assert raised(parse_scenario, str(path)) == (ScenarioError, f"{path}: {want}")
+
+    def test_byte_order_mark_is_invalid_json(self, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b'\xef\xbb\xbf{"states": {"calm": {"probs": [1.0], "payoffs": [2.0]}}}')
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(path.read_bytes())
+        assert raised(parse_scenario, str(path)) == raised(per_state_parse_scenario, str(path)) == (
+            ScenarioError, f"{path}: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)")
 
 
 class TestParsePanel:
@@ -294,14 +439,17 @@ class TestRefusedInputs:
     @pytest.mark.parametrize("rows, reason", [
         ("0.5,0.5,0\n0.2\n", "line 3: expected 3 fields, got 1"),
         ("0.5,0.5,0\n0.2,0.8,1,7\n", "line 3: expected 3 fields, got 4"),
-        ("0.5,0.5,0\n\n0.2,x,1\n", "line 3: could not convert string to float: 'x'"),
+        ("0.5,0.5,0\n\n0.2,x,1\n", "line 4: could not convert string to float: 'x'"),
         ("0.5,0.5,0\n0.6,0.6,1\n1.2,-0.2,1\n", "line 4: prior weights must be >= 0, got min -0.2"),
         ("0.5,0.5,0\n0.6,0.6,1\n", "line 3: prior weights must sum to 1 within 1e-12, got 1.2"),
+        ("\n0.5,0.5,0\n\n0.6,0.6,1\n", "line 5: prior weights must sum to 1 within 1e-12, got 1.2"),
+        ("0.5,0.5,0\n\n\n0.2\n", "line 5: expected 3 fields, got 1"),
     ])
     def test_penalty_table_rows_name_their_line(self, capsys, tmp_path, rows, reason):
         """Rows are read as one float matrix and checked at once: a row of the
         wrong length or a cell that is no number first, then negative weights
-        in any row, then sums off 1.  Blank lines are skipped and not counted."""
+        in any row, then sums off 1.  Blank lines are skipped, and each
+        message names the row's line in the file."""
         path = tmp_path / "table.csv"
         path.write_text("calm,storm,penalty\n" + rows, encoding="utf-8")
         code, out, err = run_cli(capsys, "cmin", "--penalty", f"table:{path}", "--prior", "calm=0.5,storm=0.5")
@@ -841,10 +989,11 @@ def run(argv):
 
 
 commands = json.loads(sys.argv[1])
-report = {"codes": [], "cmin": []}
+report = {"codes": [], "cmin": [], "orjson": []}
 for argv in commands:
     code, out = run(argv)
     report["codes"].append(code)
+    report["orjson"].append("orjson" in sys.modules)
     if argv[0] == "cmin":
         report["cmin"].append(json.loads(out)["result"]["status"])
 report["scipy"] = sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
@@ -854,7 +1003,8 @@ print(json.dumps(report))
 
 class TestColdStart:
     """A fresh interpreter runs every command, ``cmin`` with a maxmin set and
-    with a table included, without loading scipy."""
+    with a table included, without loading scipy; only the commands that
+    read a JSON scenario load orjson."""
 
     def test_no_command_loads_scipy(self):
         two_state = str(FIXTURES / "two_state.json")
@@ -885,3 +1035,19 @@ class TestColdStart:
         assert report["codes"] == [0] * len(commands)
         assert report["cmin"] == ["converged", "converged"]
         assert report["scipy"] == []
+
+    def test_only_scenario_commands_load_orjson(self):
+        commands = [
+            ["battery", "--penalty", "entropic:1@w0=0.5,w1=0.5", "--cases", "3", "--output", "json"],
+            ["portfolio", "--scenario", str(FIXTURES / "panel_hedge.csv"), "--penalty", "maxmin:vertices",
+             "--mean-prior", "uniform", "--output", "json"],
+            ["cmin", "--penalty", "table:" + str(FIXTURES / "penalty_table.csv"), "--prior", "calm=0.2,storm=0.8",
+             "--output", "json"],
+            ["demo", "ellsberg"],
+            ["evaluate", "--scenario", str(FIXTURES / "two_state.json"), "--penalty", "maxmin:vertices"],
+        ]
+        proc = subprocess.run([sys.executable, "-c", COLD_START, json.dumps(commands)],
+                              capture_output=True, text=True, check=True)
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["codes"] == [0] * len(commands)
+        assert report["orjson"] == [False, False, False, False, True]
