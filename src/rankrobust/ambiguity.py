@@ -72,7 +72,7 @@ class Prior:
         return self.weights.size
 
     def __repr__(self):
-        return f"Prior({_array_text(self.weights, precision=6, separator=', ')})"
+        return f"Prior({_weights_text(self.weights)})"
 
 
 def _refused_prior_row(rows: np.ndarray) -> tuple[int, str] | None:
@@ -91,66 +91,16 @@ def _refused_prior_row(rows: np.ndarray) -> tuple[int, str] | None:
     return None
 
 
-def _float_texts(values: list, form: str, precision: int) -> list[str]:
-    """Each value with ``precision`` digits after the point in fixed ("f") or
-    scientific ("e") form, as numpy's Dragon4 writes it in unique mode: the
-    shortest repr padded with zeros if it has no more digits, else the value
-    correctly rounded.  The two can differ only where two such decimals
-    round to the same float, so the repr is read only where ulp(x) is at
-    least a hundredth of the last digit's place: fixed values from 2**19 at
-    precision 8 (all below 1e8, so their repr is fixed too) and subnormals."""
-    scale = 10.0 ** (precision + 2)
-    texts = [f"{x:#.{precision}{form}}" for x in values]
-    for k, x in enumerate(values):
-        if x and math.ulp(x) * scale >= (1.0 if form == "f" else abs(x)):
-            mantissa, e, exponent = repr(x).partition("e")
-            whole, _, frac = mantissa.partition(".")
-            if len(frac.rstrip("0")) <= precision:
-                texts[k] = f"{whole}.{frac.rstrip('0'):0<{precision}}{e}{exponent}"
-    return texts
-
-
-def _array_text(a: np.ndarray, precision: int, separator: str) -> str:
-    """The text of the finite 1-d float array ``a`` as ``np.array2string`` gives
-    it with max_line_width=75, threshold=1000, edgeitems=3, sign="-",
-    floatmode="maxprec" and suppress_small=False, written from Python's float
-    formatting of the shown values, so that numpy's print options cannot
-    change a report or a message.
-
-    Each value has at most ``precision`` digits after the point
-    (``_float_texts``), trailing zeros dropped, and its integer and fraction
-    parts padded to common widths.  The exponent form, mantissas rounded to
-    their common number of digits, applies when the smallest nonzero |value|
-    is below 1e-4, the largest is 1e8 or more, or their ratio exceeds 1000.
-    Past 1,000 entries only the first and last three are shown, around
-    "...", and lines wrap at 75 columns.
-    """
-    shown = a.tolist() if a.size <= 1000 else a[:3].tolist() + a[-3:].tolist()
-    nonzero = [abs(x) for x in shown if x != 0.0]
-    if nonzero and (max(nonzero) >= 1e8 or min(nonzero) < 1e-4 or max(nonzero) / min(nonzero) > 1000.0):
-        parts = [t.partition("e") for t in _float_texts(shown, "e", precision)]
-        digits = max(len(m.rstrip("0")) - m.index(".") - 1 for m, _, _ in parts)
-        size = max(len(e) for _, _, e in parts) - 1  # exponent digits, at least two
-        parts = [f"{x:#.{digits}e}".partition("e") for x in shown]
-        lead = max(len(m) for m, _, _ in parts)
-        words = [f"{m:>{lead}}e{e[0]}{e[1:]:0>{size}}" for m, _, e in parts]
-    else:
-        texts = [t.rstrip("0") for t in _float_texts(shown, "f", precision)]
-        points = [t.index(".") for t in texts]
-        lead, width = max(points), max(len(t) - i for t, i in zip(texts, points))
-        words = [(" " * (lead - i) + t).ljust(lead + width) for t, i in zip(texts, points)]
-    if a.size > 1000:  # "..." is narrower than the words: fill the lines greedily
-        words[3:3] = ["..."]
-        lines = [[]]
-        for word in words:
-            if lines[-1] and 1 + sum(len(w) + len(separator) for w in lines[-1]) + len(word) > 74:
-                lines.append([])
-            lines[-1].append(word)
-    else:  # words of one width: as many to a line as fit in 74 columns after its indent
-        per = max(1, (73 - len(words[0])) // (len(words[0]) + len(separator)) + 1)
-        lines = [words[k : k + per] for k in range(0, len(words), per)]
-    wrapped = [(separator.join(line) + separator).rstrip() for line in lines[:-1]]
-    return "[" + "\n ".join(wrapped + [separator.join(lines[-1])]) + "]"
+def _weights_text(a: np.ndarray) -> str:
+    """The 1-d float array as "[w1, w2, ...]", each value ``format(w, ".6g")``;
+    past 1,000 values only the first and last three, around "...".  Python's
+    float formatting writes it, so numpy's print options cannot change a
+    report or a message."""
+    shown = a if a.size <= 1000 else np.concatenate((a[:3], a[-3:]))
+    texts = [format(x, ".6g") for x in shown.tolist()]
+    if a.size > 1000:
+        texts.insert(3, "...")
+    return "[" + ", ".join(texts) + "]"
 
 
 PRODUCT_BLOCK = 1 << 17  # floats in one temporary product block of _prior_dots
@@ -412,11 +362,11 @@ class MaxminSet(_ListedPriors):
 
 
 class _ReferencePenalty(AmbiguityIndex):
-    """A penalty of scale theta > 0 around a full-support reference prior p'."""
+    """A penalty of finite scale theta > 0 around a full-support reference prior p'."""
 
     def __init__(self, theta: float, reference: Prior):
-        if not theta > 0:
-            raise DomainError(f"{self.kind} penalty needs theta > 0, got {theta}")
+        if not 0.0 < theta < math.inf:
+            raise DomainError(f"{self.kind} penalty needs a finite theta > 0, got {theta}")
         reference = reference if isinstance(reference, Prior) else Prior(np.asarray(reference, dtype=float))
         if np.any(reference.weights <= 0.0):
             raise DomainError(f"{self.kind} reference prior must have strictly positive weights")
@@ -534,7 +484,7 @@ class Tabulated(_ListedPriors):
         idx = int(np.argmin(gaps))
         if gaps[idx] > 1e-12:
             raise UnknownPriorError(
-                f"prior {_array_text(w, precision=8, separator=' ')} is not on the tabulated grid "
+                f"prior {_weights_text(w)} is not on the tabulated grid "
                 f"(closest gap {gaps[idx]:g})"
             )
         return float(self.costs[idx])
@@ -735,7 +685,7 @@ def parse_prior(spec: str, state_ids) -> Prior:
     """Parse `w1=p1,w2=p2,...`, `uniform`, or a bare comma list of weights.
 
     Named weights are aligned to ``state_ids``; omitted states get weight
-    zero.
+    zero, and a state named twice is refused.
     """
     ids = [str(s) for s in state_ids]
     text = spec.strip()
@@ -743,12 +693,15 @@ def parse_prior(spec: str, state_ids) -> Prior:
         return Prior.uniform(len(ids))
     try:
         if "=" in text:
-            weights = dict.fromkeys(ids, 0.0)
+            weights, named = dict.fromkeys(ids, 0.0), set()
             for part in text.split(","):
                 name, _, val = part.partition("=")
                 name = name.strip()
                 if name not in weights:
                     raise SpecStringError(f"prior names unknown state {name!r}")
+                if name in named:  # a ValueError: the message below names the spec
+                    raise ValueError(f"prior names state {name!r} twice")
+                named.add(name)
                 weights[name] = float(val)
             return Prior(np.array([weights[s] for s in ids]))
         vals = [float(x) for x in text.split(",")]

@@ -129,20 +129,23 @@ def _check_states(path: str, states: dict) -> None:
 
 
 def parse_panel(path: str) -> ScenarioPanel:
-    """Load a scenario panel from CSV (state,prob,outcome,asset_1,...)."""
+    """Load a scenario panel from CSV (state,prob,outcome,asset_1,...);
+    messages name the row's last physical line in the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [(reader.line_num, row) for row in reader]
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read panel: {exc}") from exc
-    if not rows or len(rows[0]) < 4 or rows[0][:3] != ["state", "prob", "outcome"]:
+    if len(header) < 4 or header[:3] != ["state", "prob", "outcome"]:
         raise ScenarioError(
             f"{path}: panel header must start with 'state,prob,outcome' followed by asset columns"
         )
-    assets = rows[0][3:]
+    assets = header[3:]
     state_order: list[str] = []
     per_state: dict[str, list[tuple[float, list[float]]]] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows:
         if not row:
             continue
         if len(row) != 3 + len(assets):

@@ -285,11 +285,12 @@ class BatterySpec:
 
 
 class _Cases(NamedTuple):
-    """Battery cases in one padded block: the (state x outcome) rows of each
-    case in turn, ``states[c]`` rows with ``outcomes[c]`` outcomes for case
-    c.  Rows narrower than the block get zero-mass pads that repeat the
-    row's largest payoff: pads rank last, carry no tail mass and add exact
-    zeros, so ``inner_rdu`` values a padded row exactly as the case alone.
+    """Battery cases in one block MAX_OUTCOMES wide: the (state x outcome)
+    rows of each case in turn, ``states[c]`` rows with ``outcomes[c]``
+    outcomes for case c.  Each row is padded with zero-mass outcomes that
+    repeat its largest payoff: pads rank last, carry no tail mass and add
+    exact zeros, so ``inner_rdu`` values a padded row exactly as the case
+    alone.
     """
 
     probs: np.ndarray
@@ -310,7 +311,7 @@ class _Cases(NamedTuple):
 
 
 def _draw_cases(n_cases: int, seed: int, n_states: int | None = None, unambiguous: bool = False) -> _Cases:
-    """n_cases battery cases, drawn straight into a padded block.
+    """n_cases battery cases, drawn straight into a block MAX_OUTCOMES wide.
 
     One generator seeded with ``seed`` draws, case by case, the state count
     (unless ``n_states`` fixes it), the outcome count and then, in one
@@ -331,10 +332,10 @@ def _draw_cases(n_cases: int, seed: int, n_states: int | None = None, unambiguou
         outcomes.append(n_s)
     states, outcomes = np.array(states), np.array(outcomes)
     widths = np.repeat(outcomes, states)
-    real = np.arange(outcomes.max()) < widths[:, None]
+    real = np.arange(MAX_OUTCOMES) < widths[:, None]
     draws = np.concatenate(draws)
     weights = np.repeat(np.arange(2 * n_cases) % 2 == 0, np.repeat(states * outcomes, 2))
-    probs, block = _weight_rows(draws[weights], widths), np.empty(real.shape)
+    probs, block = _weight_rows(draws[weights], widths, MAX_OUTCOMES), np.empty(real.shape)
     lo, hi = PAYOFF_RANGE
     block[real] = lo + (hi - lo) * draws[~weights]
     if unambiguous:
@@ -344,13 +345,13 @@ def _draw_cases(n_cases: int, seed: int, n_states: int | None = None, unambiguou
     return _Cases(probs, block, states, outcomes)
 
 
-def _weight_rows(draws: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Rows of weights in a zero-padded (rows, max width) block: row r takes
+def _weight_rows(draws: np.ndarray, widths: np.ndarray, width: int) -> np.ndarray:
+    """Rows of weights in a zero-padded (rows, width) block: row r takes
     the next widths[r] raw ``draws``, each plus 0.05, divided by their sum.
     The rows are grouped by width and summed with one ``.sum(axis=1)`` per
     width over that group's (rows, width) block: the reduction each case's
     own (rows, width) block ran, so every bit matches."""
-    raw = np.zeros((len(widths), widths.max()))
+    raw = np.zeros((len(widths), width))
     raw[np.arange(raw.shape[1]) < widths[:, None]] = draws + 0.05
     order = np.argsort(widths, kind="stable")
     grouped, sums = raw[order], np.empty(len(raw))
@@ -363,19 +364,8 @@ def _weight_rows(draws: np.ndarray, widths: np.ndarray) -> np.ndarray:
 
 
 def _stack(*blocks: _Cases) -> _Cases:
-    """The cases of the blocks in turn, in one block as wide as the widest."""
-    width = max(b.probs.shape[1] for b in blocks)
-    probs = np.zeros((sum(len(b.probs) for b in blocks), width))
-    payoffs = np.empty(probs.shape)
-    lo = 0
-    for b in blocks:
-        hi, m = lo + len(b.probs), b.probs.shape[1]
-        probs[lo:hi, :m] = b.probs
-        payoffs[lo:hi, :m] = b.payoffs
-        payoffs[lo:hi, m:] = b.payoffs.max(axis=1, keepdims=True)
-        lo = hi
-    return _Cases(probs, payoffs, np.concatenate([b.states for b in blocks]),
-                  np.concatenate([b.outcomes for b in blocks]))
+    """The cases of the blocks in turn, in one block."""
+    return _Cases(*map(np.concatenate, zip(*blocks)))
 
 
 def _moved(cases: _Cases, scale: np.ndarray, shift: np.ndarray) -> _Cases:
@@ -629,7 +619,7 @@ def _draw_listed_priors(rng, states: np.ndarray) -> np.ndarray:
         counts.append(int(rng.integers(1, 5)))
         draws.append(rng.random(counts[-1] * n))
     counts = np.array(counts)
-    priors = _weight_rows(np.concatenate(draws), np.repeat(states, counts))
+    priors = _weight_rows(np.concatenate(draws), np.repeat(states, counts), states.max())
     slots = np.arange(4)
     return priors[(np.cumsum(counts) - counts)[:, None] + np.where(slots < counts[:, None], slots, 0)]
 

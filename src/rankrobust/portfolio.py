@@ -30,6 +30,11 @@ from .errors import BudgetError, ConfigError, DomainError, ShapeError
 from .evaluator import Preference, _PayoffRows, inner_rdu
 from .utility import is_affine
 
+#: The coarse grid's simplex lattice resolution, and the polish step below
+#: which the search stops.
+COARSE_RESOLUTION = 10
+STEP_TOL = 1e-6
+
 
 class ScenarioPanel:
     """Per-(state, outcome, asset) returns with shared outcome probabilities."""
@@ -207,24 +212,22 @@ def optimize(
     p_mean: Prior,
     pref: Preference,
     budget: int = 2000,
-    coarse_resolution: int = 10,
-    step_tol: float = 1e-6,
 ) -> OptimizeResult:
     """Deterministic grid-then-polish search of the mean-risk objective.
 
-    The coarse stage scans the simplex lattice at the given resolution; the
+    The coarse stage scans the simplex lattice at COARSE_RESOLUTION; the
     polish stage repeatedly shifts mass between asset pairs, halving the
-    step until it falls below ``step_tol`` or the evaluation budget runs
+    step until it falls below STEP_TOL or the evaluation budget runs
     out.  Ties are broken toward the lexicographically smallest weight
     vector, so results are schedule-independent.
     """
     if panel.n_assets < 1:
         raise ShapeError("panel has no assets")
     # The grid has C(n + r - 1, n - 1) rows: check before building it.
-    size = math.comb(panel.n_assets + coarse_resolution - 1, panel.n_assets - 1)
+    size = math.comb(panel.n_assets + COARSE_RESOLUTION - 1, panel.n_assets - 1)
     if budget < size:
         raise BudgetError(f"budget {budget} is below the coarse grid size {size}")
-    grid = simplex_grid(panel.n_assets, coarse_resolution)
+    grid = simplex_grid(panel.n_assets, COARSE_RESOLUTION)
     scale = _utility_scale(panel, p_mean, pref)
     trace: list[tuple[tuple, float]] = []
 
@@ -242,16 +245,16 @@ def optimize(
             best_obj, best = obj, k
     best_w, best_mean, best_risk = grid[best].copy(), means[best], risks[best]
 
-    step = 1.0 / coarse_resolution
+    step = 1.0 / COARSE_RESOLUTION
     discarded = 0
-    while step >= step_tol and len(trace) < budget:
+    while step >= STEP_TOL and len(trace) < budget:
         # Speculate that the rounds after the next one all fail, so each
         # starts from the same incumbent at half the previous step.  They
         # join while their rows fit in the credit, recorded rows less
         # discarded ones; the block is cut to the budget and scored at once.
         rounds = []
         room, credit = budget - len(trace), len(trace) - discarded
-        while step >= step_tol and room > 0:
+        while step >= STEP_TOL and room > 0:
             # Each donor gives to every other asset: the round's rows are
             # counted before it is built, so a round the credit refuses is not.
             rows = min(len(_donors(best_w, step)) * (best_w.size - 1), room)

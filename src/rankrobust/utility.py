@@ -259,11 +259,12 @@ def is_affine(phi: UtilityFn) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Scalar mixture algebra
+# Mixture algebra: element-wise kernels, lifted point-wise to variables
 # ---------------------------------------------------------------------------
 
-def subjective_mix(x: float, y: float, alpha: float, phi: UtilityFn) -> float:
-    """The payoff whose utility is alpha*phi(x) + (1-alpha)*phi(y).
+def subjective_mix(x, y, alpha: float, phi: UtilityFn):
+    """The payoff whose utility is alpha*phi(x) + (1-alpha)*phi(y), element
+    by element for arrays.
 
     Always lies between x and y, so it never leaves the domain.
     """
@@ -273,8 +274,15 @@ def subjective_mix(x: float, y: float, alpha: float, phi: UtilityFn) -> float:
     fy = phi(y)
     target = alpha * fx + (1.0 - alpha) * fy
     # The exact blend lies in [min, max]; clipping only removes float spill.
-    target = min(max(target, min(fx, fy)), max(fx, fy))
-    return phi.inverse(target)
+    return phi.inverse(np.minimum(np.maximum(target, np.minimum(fx, fy)), np.maximum(fx, fy)))
+
+
+def _doubled(x, phi: UtilityFn):
+    """The doubling target 2*phi(x) - phi(0) and the mask of its entries
+    inside phi's image, closed ends relaxed by 1e-12 * (1 + max |target|)."""
+    f0 = phi(0.0)
+    target = 2.0 * phi(x) - f0
+    return target, phi.image.slack_mask(target)
 
 
 def preference_double(x: float, phi: UtilityFn) -> float:
@@ -284,10 +292,8 @@ def preference_double(x: float, phi: UtilityFn) -> float:
     2*phi(x) - phi(0) falls outside the image the overflow is reported,
     never clamped.
     """
-    f0 = phi(0.0)
-    target = 2.0 * phi(x) - f0
-    tol = 1e-12 * (1.0 + abs(target))
-    if not phi.image.contains(target, tol=tol):
+    target, inside = _doubled(x, phi)
+    if not inside.all():
         raise ImageOverflowError(
             f"doubling of {x!r} needs utility value {target!r} outside image {phi.image}"
         )
@@ -305,10 +311,6 @@ def subjective_add(x: float, y: float, phi: UtilityFn) -> float:
     return preference_double(subjective_mix(x, y, 0.5, phi), phi)
 
 
-# ---------------------------------------------------------------------------
-# Lifted (point-wise) operations on two-stage variables
-# ---------------------------------------------------------------------------
-
 def _locate_overflow(mask: np.ndarray, v: TwoStageVariable):
     w, s = np.argwhere(mask)[0]
     return (v.state_ids[w], int(s))
@@ -316,14 +318,8 @@ def _locate_overflow(mask: np.ndarray, v: TwoStageVariable):
 
 def mix_variables(v: TwoStageVariable, u: TwoStageVariable, alpha: float, phi: UtilityFn) -> TwoStageVariable:
     """Point-wise subjective mix of two variables on the same space."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"mixing weight must lie in [0, 1], got {alpha}")
     same_space(v, u)
-    fv = phi(v.payoffs)
-    fu = phi(u.payoffs)
-    target = alpha * fv + (1.0 - alpha) * fu
-    target = np.minimum(np.maximum(target, np.minimum(fv, fu)), np.maximum(fv, fu))
-    return v.with_payoffs(phi.inverse(target))
+    return v.with_payoffs(subjective_mix(v.payoffs, u.payoffs, alpha, phi))
 
 
 def add_variables(v: TwoStageVariable, u: TwoStageVariable, phi: UtilityFn) -> TwoStageVariable:
@@ -331,12 +327,8 @@ def add_variables(v: TwoStageVariable, u: TwoStageVariable, phi: UtilityFn) -> T
 
     Overflow reports the offending (state, outcome).
     """
-    half = mix_variables(v, u, 0.5, phi)
-    f0 = phi(0.0)
-    target = 2.0 * phi(half.payoffs) - f0
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(target))))
-    inside = phi.image.contains_mask(target, tol=tol)
-    if not np.all(inside):
+    target, inside = _doubled(mix_variables(v, u, 0.5, phi).payoffs, phi)
+    if not inside.all():
         loc = _locate_overflow(~inside, v)
         raise ImageOverflowError(
             f"utility-scale addition leaves image {phi.image} at (state, outcome) = {loc}",

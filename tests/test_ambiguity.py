@@ -28,7 +28,7 @@ from rankrobust import (
     parse_prior,
     simplex_grid,
 )
-from rankrobust.ambiguity import _array_text
+from rankrobust.ambiguity import _weights_text
 from conftest import solve_one, values_of
 from hull_oracle import highs_c_min_lp, lp_hull_penalty
 from lattice_oracle import UtilityGrid, c_min_bruteforce
@@ -82,21 +82,27 @@ class TestPrior:
         assert list(Prior.point_mass(3, 1).weights) == [0.0, 1.0, 0.0]
 
 
-def array2string_oracle(a, precision, separator):
-    """``np.array2string`` with the arguments ``_array_text`` stands for."""
-    return np.array2string(
-        a, max_line_width=75, precision=precision, suppress_small=False, separator=separator, threshold=1000,
-        edgeitems=3, sign="-", floatmode="maxprec", legacy=False, formatter={},
-    )
+def plain_text_oracle(a):
+    """The prior text written entry by entry: "%.6g" of each numpy float,
+    ", " between them, and past 1,000 entries the first and last three
+    around "..."."""
+    entries = list(a)
+    if len(entries) > 1000:
+        entries = entries[:3] + [...] + entries[-3:]
+    return "[" + ", ".join("..." if x is ... else "%.6g" % x for x in entries) + "]"
+
+
+#: numpy print options that would change np.array2string's text at every point.
+ODD_PRINT_OPTIONS = dict(sign="+", floatmode="fixed", legacy="1.13", precision=2, threshold=5, edgeitems=1,
+                         linewidth=20, suppress=True, formatter={"float": lambda x: "F"})
 
 
 @st.composite
 def printed_arrays(draw):
-    """Finite 1-d float arrays of every shape the printer treats apart: priors,
-    values spread over many decades (the exponent form), rounded and dyadic
-    values (ties at the last digit), negative values and -0.0, large values
-    whose ulp nears the last fixed digit, subnormals, and arrays past the
-    1,000-entry summary threshold."""
+    """Finite 1-d float arrays: priors, values spread over many decades,
+    rounded and dyadic values (ties at the last digit), negative values and
+    -0.0, large values, subnormals, and arrays past the 1,000-entry summary
+    threshold."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.sampled_from([1, 2, 3, 5, 8, 13, 40, 200, 1000, 1001, 1500]))
     kind = draw(st.sampled_from(["prior", "decades", "rounded", "dyadic", "signed", "large", "subnormal"]))
@@ -119,24 +125,40 @@ def printed_arrays(draw):
     return a
 
 
-class TestArrayText:
-    """``_array_text`` writes the bytes of ``np.array2string`` at both call sites' settings."""
+class TestWeightsText:
+    """``_weights_text``, the prior text of reports and messages: 6
+    significant digits a value, no padding and no line break, the first and
+    last three values past 1,000, whatever numpy's print options."""
 
     @settings(derandomize=True, max_examples=400, deadline=None)
     @given(printed_arrays())
-    def test_matches_array2string(self, a):
-        for precision, separator in ((6, ", "), (8, " ")):
-            assert _array_text(a, precision, separator) == array2string_oracle(a, precision, separator)
+    def test_plain_text(self, a):
+        text = _weights_text(a)
+        assert text == plain_text_oracle(a)
+        assert "\n" not in text and "  " not in text and " ," not in text
+        assert ("..." in text) == (a.size > 1000)
+        assert len(text[1:-1].split(", ")) == (a.size if a.size <= 1000 else 7)
+        with np.printoptions(**ODD_PRINT_OPTIONS):
+            assert _weights_text(a) == text
 
     @pytest.mark.parametrize("values", [
-        [1 / 128, 0.5],  # 0.0078125 ties at the sixth digit
+        [1 / 128, 0.5],
         [0.0], [-0.0, 1.0], [1e-5, 1.0], [1e8, 1.0], [1e-100, 1e100], [5e-324, 1.0],
         [2.0**26 + 2.0**-26, 1e5], [99999999.99999999, 1e6], [0.1] * 75, [1 / 3] * 2000,
+        [1 / 1024, 0.5],  # 0.0009765625 ties at the seventh significant digit
     ])
     def test_edges(self, values):
         a = np.array(values)
-        for precision, separator in ((6, ", "), (8, " ")):
-            assert _array_text(a, precision, separator) == array2string_oracle(a, precision, separator)
+        assert _weights_text(a) == plain_text_oracle(a)
+        with np.printoptions(**ODD_PRINT_OPTIONS):
+            assert _weights_text(a) == plain_text_oracle(a)
+
+    def test_prior_text(self):
+        assert _weights_text(np.array([1 / 1024, -0.0, 5e-324])) == "[0.000976562, -0, 4.94066e-324]"
+        assert _weights_text(np.array([0.20204812, 0.07665042, 0.72130146])) == "[0.202048, 0.0766504, 0.721301]"
+        assert repr(Prior(np.array([1.0, 0.0]))) == "Prior([1, 0])"
+        assert repr(Prior.uniform(1200)) == "Prior([" + ", ".join(["0.000833333"] * 3 + ["..."] + ["0.000833333"] * 3) + "])"
+        assert repr(Prior.uniform(1000)) == "Prior([" + ", ".join(["0.001"] * 1000) + "])"
 
 
 class TestPenalty:
@@ -186,7 +208,7 @@ class TestPenalty:
 
     def test_off_grid_message_ignores_numpy_print_options(self):
         c = Tabulated([(Prior(np.array([1.0, 0.0])), 3.0), (Prior(np.array([0.5, 0.5])), 1.0)])
-        want = "prior [0.25 0.75] is not on the tabulated grid (closest gap 0.25)"
+        want = "prior [0.25, 0.75] is not on the tabulated grid (closest gap 0.25)"
         for options in ({}, {"sign": "+", "floatmode": "fixed", "legacy": "1.13", "precision": 3}):
             with np.printoptions(**options), pytest.raises(UnknownPriorError) as err:
                 c.penalty([0.25, 0.75])
@@ -1110,6 +1132,11 @@ class TestSpecParsing:
             parse_prior("z=1.0", ids)
         with pytest.raises(SpecStringError):
             parse_prior("0.5,0.5", ids)
+
+    @pytest.mark.parametrize("spec, name", [("a=0.5,a=0.25,b=0.25", "a"), ("b=0,a=0.5, b =0.5", "b")])
+    def test_prior_naming_a_state_twice_is_refused(self, spec, name):
+        with pytest.raises(SpecStringError, match=rf"^bad prior spec '{spec}': prior names state '{name}' twice$"):
+            parse_prior(spec, ["a", "b", "c"])
 
     def test_penalty_forms(self, tmp_path):
         ids = ["a", "b"]

@@ -320,6 +320,21 @@ class TestParsePanel:
             parse_panel(str(bad))
         assert "'w'" in str(err.value)
 
+    @pytest.mark.parametrize("last_row, reason", [
+        ('"two\nlines",0.5,y,x', "line 6: could not convert string to float: 'x'"),
+        ('"two\nlines",0.5,y', "line 6: expected 4 fields, got 3"),
+        ('\n"two\nlines",0.5,y,x', "line 7: could not convert string to float: 'x'"),
+    ])
+    def test_messages_name_the_physical_line(self, capsys, tmp_path, last_row, reason):
+        """A quoted state id with a line break spans two lines of the file;
+        messages count lines, not rows."""
+        path = tmp_path / "p.csv"
+        path.write_text('state,prob,outcome,a\nw,1.0,x,0.1\n"two\nlines",0.5,x,0.1\n' + last_row + "\n",
+                        encoding="utf-8")
+        code, out, err = run_cli(capsys, "portfolio", "--scenario", str(path), "--penalty", "maxmin:vertices",
+                                 "--mean-prior", "uniform")
+        assert (code, out, err) == (2, "", f"error: {path}: {reason}\n")
+
 
 BAD_ROWS = {
     "sum": ([0.5, 0.49], "sum to"),
@@ -841,6 +856,31 @@ class TestCommands:
                                  "--penalty", "maxmin:vertices", "--mean-prior", "nan")
         assert (code, out) == (2, "")
         assert err == "error: bad prior spec 'nan': prior weights must be >= 0, got min nan\n"
+
+    @pytest.mark.parametrize("argv, prior, name", [
+        (("evaluate", "--scenario", str(FIXTURES / "two_state.json"), "--penalty",
+          "entropic:1@calm=1,calm=0.5,storm=0.5"), "calm=1,calm=0.5,storm=0.5", "calm"),
+        (("evaluate", "--scenario", str(FIXTURES / "two_state.json"), "--penalty",
+          "maxmin:[calm=0.5,storm=0.5;storm=1,storm=0]"), "storm=1,storm=0", "storm"),
+        (("cmin", "--penalty", "entropic:1@calm=0.5,storm=0.5", "--prior", "storm=0.5,calm=0.5,storm=0"),
+         "storm=0.5,calm=0.5,storm=0", "storm"),
+        (("portfolio", "--scenario", str(FIXTURES / "panel_hedge.csv"), "--penalty", "maxmin:vertices",
+          "--mean-prior", "w0=1,w0=1"), "w0=1,w0=1", "w0"),
+    ])
+    def test_prior_naming_a_state_twice_exits_two(self, capsys, argv, prior, name):
+        """The last weight given for a state used to win silently."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad prior spec '{prior}': prior names state '{name}' twice\n"
+
+    @pytest.mark.parametrize("kind", ["entropic", "gini"])
+    @pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
+    def test_non_finite_theta_exits_two_naming_the_spec(self, capsys, kind, theta):
+        spec = f"{kind}:{theta}@uniform"
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
+                                 "--penalty", spec, "--output", "json")
+        assert (code, out) == (2, "")
+        assert err == f"error: bad penalty spec '{spec}': {kind} penalty needs a finite theta > 0, got {theta}\n"
 
     def test_non_numeric_payload_exit_code(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

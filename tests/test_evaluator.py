@@ -58,7 +58,7 @@ from rankrobust.evaluator import (
     _PayoffRows,
     _draw_cases,
     _draw_listed_priors,
-    _stack,
+    MAX_OUTCOMES,
     battery_reports,
     relation,
 )
@@ -1079,6 +1079,7 @@ class TestBatteryBlocks:
         n_cases, seed, n_states, unambiguous = args
         cases = _draw_cases(n_cases, seed, n_states, unambiguous)
         want = reference_generate_battery(n_cases, seed, n_states, unambiguous=unambiguous)
+        assert cases.probs.shape[1] == cases.payoffs.shape[1] == MAX_OUTCOMES
         assert cases.states.tolist() == [v.n_states for v in want]
         assert cases.outcomes.tolist() == [v.n_outcomes for v in want]
         for v, lo in zip(want, cases.starts.tolist()):
@@ -1103,10 +1104,17 @@ class TestBatteryBlocks:
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(st.lists(rank_cases(), min_size=1, max_size=5))
     def test_padded_row_equals_case_alone(self, cases):
+        """Each case padded to MAX_OUTCOMES, as ``_draw_cases`` pads: zero
+        masses and the row's largest payoff."""
         variables = [v for v, _, _ in cases]
         _, phi, psi = cases[0]
-        block = _stack(*(_Cases(v.outcome_probs, v.payoffs, np.array([v.n_states]), np.array([v.n_outcomes]))
-                         for v in variables))
+
+        def padded(a, fill):
+            return np.hstack((a, np.repeat(fill, MAX_OUTCOMES - a.shape[1], axis=1)))
+
+        block = _Cases(np.vstack([padded(v.outcome_probs, np.zeros((v.n_states, 1))) for v in variables]),
+                       np.vstack([padded(v.payoffs, v.payoffs.max(axis=1, keepdims=True)) for v in variables]),
+                       np.array([v.n_states for v in variables]), np.array([v.n_outcomes for v in variables]))
         values = inner_rdu(block.rows, phi, psi)
         for v, lo in zip(variables, block.starts.tolist()):
             assert values[lo : lo + v.n_states].tobytes() == inner_rdu(v, phi, psi).tobytes()

@@ -489,7 +489,8 @@ class TestOptimizeMatchesOneAtATime:
 
     def assert_same_search(self, monkeypatch, panel, p_mean, pref, budget, resolution=10):
         counted = CountedScoring(monkeypatch)
-        res = optimize(panel, p_mean, pref, budget=budget, coarse_resolution=resolution)
+        monkeypatch.setattr(portfolio_module, "COARSE_RESOLUTION", resolution)
+        res = optimize(panel, p_mean, pref, budget=budget)
         monkeypatch.undo()
         best_w, best, trace, rounds = reference_optimize(panel, p_mean, pref, budget, resolution)
         assert res.trace == trace
@@ -542,7 +543,8 @@ class TestPolishCalls:
         # block holds 1 + 11 rounds and the second the rest.
         panel, pref, p = risky_riskfree_panel(), base_pref(), Prior.uniform(1)
         counted = CountedScoring(monkeypatch)
-        res = optimize(panel, p, pref, budget=2000, step_tol=step_tol)
+        monkeypatch.setattr(portfolio_module, "STEP_TOL", step_tol)
+        res = optimize(panel, p, pref, budget=2000)
         monkeypatch.undo()
         *_, rounds = reference_optimize(panel, p, pref, 2000, step_tol=step_tol)
         assert rounds == [(1, False)] * n_rounds
@@ -559,7 +561,8 @@ class TestPolishCalls:
             p_mean = random_prior(rng, 2)
             budget = math.comb(resolution + n_assets - 1, n_assets - 1) + 150
             counted = CountedScoring(monkeypatch)
-            res = optimize(panel, p_mean, pref, budget=budget, coarse_resolution=resolution)
+            monkeypatch.setattr(portfolio_module, "COARSE_RESOLUTION", resolution)
+            res = optimize(panel, p_mean, pref, budget=budget)
             monkeypatch.undo()
             *_, trace, rounds = reference_optimize(panel, p_mean, pref, budget, resolution)
             polish_calls = len(counted.rows) - 1
@@ -586,7 +589,8 @@ class TestPolishCalls:
             budget = math.comb(resolution + n_assets - 1, n_assets - 1) + 150
             built = []
             monkeypatch.setattr(portfolio_module, "_pair_moves", lambda w, step: built.append(step) or real(w, step))
-            optimize(panel, p_mean, pref, budget=budget, coarse_resolution=resolution)
+            monkeypatch.setattr(portfolio_module, "COARSE_RESOLUTION", resolution)
+            optimize(panel, p_mean, pref, budget=budget)
             monkeypatch.undo()
             *_, trace, rounds = reference_optimize(panel, p_mean, pref, budget, resolution)
             blocks = credit_blocks(rounds, trace, budget, resolution)

@@ -370,3 +370,35 @@ class TestLiftedOperations:
                 for s in range(v.n_outcomes):
                     want = subjective_add(float(v.payoffs[w, s]), m, phi)
                     assert shifted.payoffs[w, s] == pytest.approx(want, abs=1e-12)
+
+
+#: Utilities whose doubling leaves the image on part of [-2, 2]: open ends
+#: (exp) and closed ends with slack (pwl), and some that never overflow.
+LIFT_PHIS = [identity_utility(), affine(2.5, -1.0), exponential(1.0), exponential(-0.3), CUBE,
+             piecewise_linear_utility([(-3.0, -2.0), (0.0, 0.0), (1.0, 3.0), (3.0, 4.0)])]
+
+
+class TestLiftedEqualsScalar:
+    """The lifted operations are the scalar ones entry by entry: mix_variables
+    and add_variables equal subjective_mix and subjective_add bit for bit,
+    and raise ImageOverflowError on the same inputs."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(LIFT_PHIS))), st.floats(0.0, 1.0))
+    def test_entry_by_entry(self, seed, pick, alpha):
+        rng, phi = np.random.default_rng(seed), LIFT_PHIS[pick]
+        n_w, n_s = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        ids, probs = [f"w{i}" for i in range(n_w)], np.full((n_w, n_s), 1.0 / n_s)
+        v, u = (TwoStageVariable(ids, probs, rng.uniform(-2.0, 2.0, (n_w, n_s))) for _ in range(2))
+        pairs = list(zip(v.payoffs.ravel().tolist(), u.payoffs.ravel().tolist()))
+        mixed = np.array([subjective_mix(x, y, alpha, phi) for x, y in pairs])
+        assert mix_variables(v, u, alpha, phi).payoffs.ravel().tobytes() == mixed.tobytes()
+        try:
+            added = np.array([subjective_add(x, y, phi) for x, y in pairs]).tobytes()
+        except ImageOverflowError:
+            added = ImageOverflowError
+        try:
+            lifted = add_variables(v, u, phi).payoffs.ravel().tobytes()
+        except ImageOverflowError:
+            lifted = ImageOverflowError
+        assert lifted == added
