@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -671,10 +670,16 @@ def simplex_grid(n: int, resolution: int) -> np.ndarray:
     whose rows ascend lexicographically."""
     if n < 1 or resolution < 1:
         raise DomainError("simplex grid needs n >= 1 and resolution >= 1")
-    # Stars and bars: n - 1 bars among resolution + n - 1 slots, in
-    # lexicographic order, give the counts between consecutive bars.
-    bars = np.array(list(itertools.combinations(range(resolution + n - 1), n - 1)), dtype=int)
-    return (np.diff(bars, axis=1, prepend=-1, append=resolution + n - 1) - 1) / resolution
+    # Column by column: a row with ``left`` units still to place branches
+    # into left + 1 rows that put 0, 1, ..., left units in the next column;
+    # the last column takes what is left.
+    counts, left = np.empty((1, 0), dtype=int), np.array([resolution])
+    for _ in range(n - 1):
+        branches = left + 1
+        parent = np.repeat(np.arange(len(left)), branches)
+        placed = np.arange(len(parent)) - np.repeat(np.cumsum(branches) - branches, branches)
+        counts, left = np.column_stack((counts[parent], placed)), left[parent] - placed
+    return np.column_stack((counts, left)) / resolution
 
 
 # ---------------------------------------------------------------------------
@@ -697,22 +702,18 @@ def parse_prior(spec: str, state_ids) -> Prior:
             for part in text.split(","):
                 name, _, val = part.partition("=")
                 name = name.strip()
-                if name not in weights:
-                    raise SpecStringError(f"prior names unknown state {name!r}")
-                if name in named:  # a ValueError: the message below names the spec
+                if name not in weights:  # a ValueError: the message below names the spec
+                    raise ValueError(f"prior names unknown state {name!r}")
+                if name in named:
                     raise ValueError(f"prior names state {name!r} twice")
                 named.add(name)
                 weights[name] = float(val)
             return Prior(np.array([weights[s] for s in ids]))
         vals = [float(x) for x in text.split(",")]
         if len(vals) != len(ids):
-            raise SpecStringError(
-                f"prior lists {len(vals)} weights for {len(ids)} states"
-            )
+            raise ValueError(f"prior lists {len(vals)} weights for {len(ids)} states")
         return Prior(np.array(vals))
-    except (ValueError, DomainError, ShapeError) as exc:
-        if isinstance(exc, SpecStringError):
-            raise
+    except ValueError as exc:  # DomainError and ShapeError among them
         raise SpecStringError(f"bad prior spec {spec!r}: {exc}") from exc
 
 

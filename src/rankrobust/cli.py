@@ -129,48 +129,64 @@ def _check_states(path: str, states: dict) -> None:
 
 
 def parse_panel(path: str) -> ScenarioPanel:
-    """Load a scenario panel from CSV (state,prob,outcome,asset_1,...);
-    messages name the row's last physical line in the file."""
+    """Load a scenario panel from CSV (state,prob,outcome,asset_1,...).
+
+    States are taken in order of first appearance and each state's outcomes
+    in file order, so a state's rows may be interleaved with other states'.
+    Each numeric column is converted in one pass; if that fails, the
+    per-row loop names the refused row's last physical line in the file."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [(reader.line_num, row) for row in reader]
+            lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read panel: {exc}") from exc
+    reader = csv.reader(lines)
+    header = next(reader, [])
     if len(header) < 4 or header[:3] != ["state", "prob", "outcome"]:
         raise ScenarioError(
             f"{path}: panel header must start with 'state,prob,outcome' followed by asset columns"
         )
     assets = header[3:]
-    state_order: list[str] = []
-    per_state: dict[str, list[tuple[float, list[float]]]] = {}
-    for lineno, row in rows:
-        if not row:
-            continue
-        if len(row) != 3 + len(assets):
-            raise ScenarioError(f"{path}: line {lineno}: expected {3 + len(assets)} fields, got {len(row)}")
-        state = row[0]
-        try:
-            prob = float(row[1])
-            rets = [float(x) for x in row[3:]]
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: line {lineno}: {exc}") from exc
-        if state not in per_state:
-            state_order.append(state)
-            per_state[state] = []
-        per_state[state].append((prob, rets))
-    if not state_order:
+    rows = list(filter(None, reader))
+    if not rows:
         raise ScenarioError(f"{path}: panel has no data rows")
-    counts = {len(v) for v in per_state.values()}
-    if len(counts) != 1:
-        raise ScenarioError(f"{path}: states have differing outcome counts {sorted(counts)}")
-    probs = np.array([[p for p, _ in per_state[s]] for s in state_order])
-    rets = np.array([[r for _, r in per_state[s]] for s in state_order])
+    # One conversion per numeric column; if a row is refused, the per-row
+    # loop raises the message naming its line.
     try:
-        return ScenarioPanel(assets, state_order, probs, rets)
+        if set(map(len, rows)) != {3 + len(assets)}:
+            raise ValueError("rows differ in width")
+        states, probs, _, *returns = zip(*rows)
+        cells = np.array([list(map(float, column)) for column in (probs, *returns)])
+    except ValueError:
+        _check_panel_rows(path, lines, 3 + len(assets))
+        raise
+    first = {state: k for k, state in enumerate(dict.fromkeys(states))}
+    codes = np.fromiter(map(first.__getitem__, states), int, len(states))
+    counts = np.bincount(codes)
+    if counts.min() != counts.max():
+        raise ScenarioError(f"{path}: states have differing outcome counts {sorted(set(counts.tolist()))}")
+    cells = cells[:, np.argsort(codes, kind="stable")].reshape(len(cells), len(first), -1)
+    try:
+        return ScenarioPanel(assets, first, cells[0], cells[1:].transpose(1, 2, 0))
     except (DomainError, ShapeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def _check_panel_rows(path: str, lines: list[str], width: int) -> None:
+    """Raise the ScenarioError naming the first row of a panel's lines with
+    the wrong field count or a cell that is not a number."""
+    reader = csv.reader(lines)
+    next(reader, None)
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            raise ScenarioError(f"{path}: line {reader.line_num}: expected {width} fields, got {len(row)}")
+        try:
+            for cell in (row[1], *row[3:]):
+                float(cell)
+        except ValueError as exc:
+            raise ScenarioError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def _resolve_preference(args, state_ids) -> Preference:

@@ -151,7 +151,15 @@ def exact_sum(values) -> float:
 
 def exact_row_sums(rows: np.ndarray) -> np.ndarray:
     """``exact_sum`` of each row of a 2-d array: ``math.fsum`` over the rows
-    of one flat list, and ``exact_sum`` row by row where fsum raises."""
+    of one flat list, and ``exact_sum`` row by row where fsum raises.
+
+    Rows of at most two entries need no fsum: one IEEE addition is correctly
+    rounded, overflows to the infinity exact arithmetic gives and turns
+    inf - inf into nan, and ``+ 0.0`` makes a sum of negative zeros fsum's
+    0.0."""
+    if rows.shape[1] <= 2:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (rows[:, 0] + rows[:, 1] if rows.shape[1] == 2 else rows.sum(axis=1)) + 0.0
     flat = iter(rows.ravel().tolist())
     try:
         return np.fromiter(map(math.fsum, zip(*[flat] * rows.shape[1])), float, len(rows))

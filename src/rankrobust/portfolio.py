@@ -15,6 +15,8 @@ remaining budget).  The rounds are replayed in order and the first that
 improves ends the block, the later rounds' rows being discarded, neither
 traced nor counted as evaluations.  So discarded rows never outnumber
 recorded ones, and a search scores at most twice the rows it records.
+A round is built from the incumbent's weights as plain floats, one row per
+(receiver, donor) pair, and renormalized as one (rows, assets) block.
 """
 
 from __future__ import annotations
@@ -182,29 +184,31 @@ class OptimizeResult:
     trace: tuple
 
 
-def _donors(w: np.ndarray, step: float) -> np.ndarray:
+def _donors(w: list[float], step: float) -> list[int]:
     """The assets that hold at least ``step`` (to 1e-15), in order."""
-    return np.flatnonzero(w >= step - 1e-15)
+    floor = step - 1e-15
+    return [j for j, x in enumerate(w) if x >= floor]
 
 
-def _pair_moves(w: np.ndarray, step: float) -> list[np.ndarray]:
-    """One polish round: shift ``step`` from asset j to asset i for every
-    ordered pair whose donor j holds at least ``step``, renormalized."""
-    n = w.size
-    donors = _donors(w, step).tolist()
-    candidates = []
-    for i in range(n):
+def _pair_moves(w: np.ndarray, step: float) -> np.ndarray:
+    """One polish round as a (rows, assets) block: shift ``step`` from asset
+    j to asset i for every ordered pair whose donor j holds at least
+    ``step``, each row renormalized."""
+    base = w.tolist()
+    donors = _donors(base, step)
+    rows = []
+    for i in range(len(base)):
         for j in donors:
             if i == j:
                 continue
-            cand = w.copy()
+            cand = base.copy()
             cand[i] += step
             cand[j] -= step
-            if cand[j] < 0:
+            if cand[j] < 0.0:
                 cand[j] = 0.0
-            cand /= cand.sum()
-            candidates.append(cand)
-    return candidates
+            rows.append(cand)
+    block = np.array(rows, dtype=float).reshape(len(rows), len(base))
+    return block / block.sum(axis=1, keepdims=True)
 
 
 def optimize(
@@ -257,14 +261,14 @@ def optimize(
         while step >= STEP_TOL and room > 0:
             # Each donor gives to every other asset: the round's rows are
             # counted before it is built, so a round the credit refuses is not.
-            rows = min(len(_donors(best_w, step)) * (best_w.size - 1), room)
+            rows = min(len(_donors(best_w.tolist(), step)) * (best_w.size - 1), room)
             credit -= rows if rounds else 0
             if credit < 0:
                 break
             rounds.append((step, _pair_moves(best_w, step)[:rows]))
             room -= rows
             step /= 2.0
-        block = np.array([cand for _, cands in rounds for cand in cands])
+        block = np.concatenate([cands for _, cands in rounds])
         means, risks, objs = score(block) if block.size else ([], [], [])
         # Replay the rounds in order with the one-at-a-time rule; the first
         # round that improves ends the block, and the later rounds' rows

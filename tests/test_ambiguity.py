@@ -1133,6 +1133,15 @@ class TestSpecParsing:
         with pytest.raises(SpecStringError):
             parse_prior("0.5,0.5", ids)
 
+    @pytest.mark.parametrize("spec, reason", [
+        ("a=0.5,z=0.5", "prior names unknown state 'z'"),
+        ("0.5,0.5", "prior lists 2 weights for 3 states"),
+    ])
+    def test_unknown_state_and_weight_count_name_the_spec(self, spec, reason):
+        with pytest.raises(SpecStringError) as err:
+            parse_prior(spec, ["a", "b", "c"])
+        assert str(err.value) == f"bad prior spec '{spec}': {reason}"
+
     @pytest.mark.parametrize("spec, name", [("a=0.5,a=0.25,b=0.25", "a"), ("b=0,a=0.5, b =0.5", "b")])
     def test_prior_naming_a_state_twice_is_refused(self, spec, name):
         with pytest.raises(SpecStringError, match=rf"^bad prior spec '{spec}': prior names state '{name}' twice$"):

@@ -1,5 +1,7 @@
+import csv
 import decimal
 import importlib.util
+import io
 import json
 import math
 import subprocess
@@ -13,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rankrobust import DomainError, ScenarioError, ShapeError, TwoStageVariable, ambiguity_aversion_check
 from rankrobust.cli import _json_text, build_parser, main, parse_panel, parse_scenario
+from portfolio_oracle import loop_parse_panel
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -334,6 +337,107 @@ class TestParsePanel:
         code, out, err = run_cli(capsys, "portfolio", "--scenario", str(path), "--penalty", "maxmin:vertices",
                                  "--mean-prior", "uniform")
         assert (code, out, err) == (2, "", f"error: {path}: {reason}\n")
+
+
+PANEL_STATE_IDS = ["calm", "two\nlines", "a,b", 'say "hi"', "café", " padded "]
+PANEL_FAULTS = ["none", "bad number", "empty cell", "field count", "header only", "outcome counts",
+                "negative probability", "probability sum", "two faults"]
+
+
+def panel_text(rng, fault):
+    """A panel's CSV text with the given fault: states with quoted ids whose
+    rows are interleaved, blank lines, numbers in varied forms."""
+    n, m, n_assets = (int(k) for k in rng.integers(1, (5, 9, 4)))
+    if fault == "outcome counts":
+        n, m = max(n, 2), max(m, 2)
+    ids = [PANEL_STATE_IDS[k] for k in rng.permutation(len(PANEL_STATE_IDS))[:n]]
+    forms = (repr, lambda x: f"{x:.3e}", lambda x: f" {x!r}", lambda x: str(round(x)))
+    rows = []
+    for sid in ids:
+        probs = rng.random(m) + 0.05
+        for o, prob in enumerate((probs / probs.sum()).tolist()):
+            cells = [forms[int(rng.integers(4))](x) for x in rng.normal(0.0, 2.0, n_assets).tolist()]
+            rows.append([sid, repr(prob), f"o{o}", *cells])
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    pick = int(rng.integers(len(rows)))
+    if fault in ("bad number", "two faults"):
+        rows[pick][int(rng.choice([1, *range(3, 3 + n_assets)]))] = "1.5x"
+    if fault == "empty cell":
+        rows[pick][int(rng.choice([1, *range(3, 3 + n_assets)]))] = ""
+    if fault == "field count":
+        rows[pick] = rows[pick][:-1] if rng.random() < 0.5 else rows[pick] + ["0.1"]
+    if fault == "two faults":
+        other = int(rng.integers(len(rows)))
+        rows[other] = rows[other][:-1]
+    if fault == "header only":
+        rows = []
+    if fault == "outcome counts":
+        rows.remove(next(row for row in rows if row[0] == ids[-1]))
+    if fault == "negative probability":
+        rows[pick][1] = repr(-float(rows[pick][1]))
+    if fault == "probability sum":
+        rows[pick][1] = repr(1.5 * float(rows[pick][1]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n" if rng.random() < 0.3 else "\n")
+    writer.writerow(["state", "prob", "outcome", *(f"asset_{k}" for k in range(n_assets))])
+    for row in rows:
+        if rng.random() < 0.2:
+            out.write("\n")
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def panel_parse(parse, path):
+    """A parse's result as comparable bytes and layout, or its exception."""
+    try:
+        panel = parse(str(path))
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+    return (panel.assets, panel.state_ids,
+            *((a.dtype, a.shape, a.strides, a.tobytes()) for a in (panel.outcome_probs, panel.returns)))
+
+
+class TestParsePanelParity:
+    """parse_panel converts whole columns, yet reads every panel as the
+    per-row parser did: the same panel byte for byte, or the same exception
+    with the same message."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from(PANEL_FAULTS))
+    def test_same_panel_or_same_error(self, tmp_path, seed, fault):
+        path = tmp_path / "panel.csv"
+        path.write_text(panel_text(np.random.default_rng(seed), fault), encoding="utf-8", newline="")
+        want = panel_parse(loop_parse_panel, path)
+        assert (fault == "none") == (len(want) == 4)
+        assert panel_parse(parse_panel, path) == want
+
+    @pytest.mark.parametrize("name", ["panel_hedge.csv", "panel_risky_riskfree.csv"])
+    def test_fixture_panels(self, name):
+        assert panel_parse(parse_panel, FIXTURES / name) == panel_parse(loop_parse_panel, FIXTURES / name)
+
+    @pytest.mark.parametrize("text", [
+        "state,prob,outcome,a\n",
+        "state,prob,outcome,a\n\n\n",
+        "state,prob,outcome,a\nw,0.5,x,0.1\nv,1.0,x,0.2\nw,0.5,y,0.3\n",
+        "state,prob,outcome,a\nw,0.5,x,0.1\nv,1.0,x,0.2\n",
+        "state,prob,outcome,a\nw,0.5,x,0.1\nw,0.5,y,nan\n",
+        "state,prob,outcome\nw,1.0,x\n",
+        "",
+    ], ids=["header only", "header and blank lines", "interleaved", "differing counts", "nan return",
+            "no asset column", "empty file"])
+    def test_edge_panels(self, tmp_path, text):
+        path = tmp_path / "panel.csv"
+        path.write_text(text, encoding="utf-8")
+        assert panel_parse(parse_panel, path) == panel_parse(loop_parse_panel, path)
+
+    def test_undecodable_byte_past_the_first_read(self, tmp_path):
+        path = tmp_path / "panel.csv"
+        body = "".join(f"w,{1 / 4000!r},o{k},0.5\n" for k in range(4000))
+        path.write_bytes(f"state,prob,outcome,a\n{body}".encode() + b"w,0.1,\xe9,0.5\n")
+        want = panel_parse(loop_parse_panel, path)
+        assert want[0] is ScenarioError and "can't decode byte 0xe9" in want[1]
+        assert panel_parse(parse_panel, path) == want
 
 
 BAD_ROWS = {
@@ -872,6 +976,18 @@ class TestCommands:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == f"error: bad prior spec '{prior}': prior names state '{name}' twice\n"
+
+    @pytest.mark.parametrize("argv, prior, reason", [
+        (("evaluate", "--scenario", str(FIXTURES / "two_state.json"), "--penalty",
+          "maxmin:[calm=0.5,rain=0.5;calm=1,storm=0]"), "calm=0.5,rain=0.5", "prior names unknown state 'rain'"),
+        (("portfolio", "--scenario", str(FIXTURES / "panel_hedge.csv"), "--penalty", "maxmin:vertices",
+          "--mean-prior", "0.5,0.5"), "0.5,0.5", "prior lists 2 weights for 1 states"),
+    ])
+    def test_unknown_state_and_weight_count_exit_two_naming_the_prior(self, capsys, argv, prior, reason):
+        """These two refusals used to name neither the prior nor the spec."""
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad prior spec '{prior}': {reason}\n"
 
     @pytest.mark.parametrize("kind", ["entropic", "gini"])
     @pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])

@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -429,6 +430,15 @@ class TestCertifiedRowSums:
         assert repr(exact_sum(row)) == repr(total)
 
 
+#: Finite floats (subnormals and both zeros among them), the float range's
+#: edges, whose pairs overflow, and inf, -inf and nan.
+NARROW_ENTRIES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, -1.7976931348623157e308, math.inf, -math.inf, math.nan]),
+)
+
+
 class TestExactRowSums:
     """``exact_row_sums`` gives every row's ``exact_sum``, bit for bit."""
 
@@ -442,6 +452,24 @@ class TestExactRowSums:
         elif twist == "inf - inf" and width >= 2:
             rows[:, :2] = [math.inf, -math.inf]
         assert [repr(x) for x in exact_row_sums(rows).tolist()] == [repr(exact_sum(row)) for row in rows.tolist()]
+
+    @pytest.mark.filterwarnings("error")
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(width=st.sampled_from([0, 1, 2]), pairs=st.lists(st.tuples(NARROW_ENTRIES, NARROW_ENTRIES), max_size=8))
+    def test_narrow_rows_bit_for_bit(self, width, pairs):
+        """Rows of at most two entries skip fsum, yet each sum has
+        ``exact_sum``'s bits, the sign of zero included, and no warning is
+        raised.  A nan is compared as a nan: for inf - inf the processor
+        gives its default nan, whose sign bit may be set, where exact_sum
+        gives math.nan, and nothing reads the sign of a nan."""
+        rows = np.array(pairs, dtype=float).reshape(len(pairs), 2)[:, :width]
+
+        def bits(x):
+            return "nan" if math.isnan(x) else struct.pack("<d", x)
+
+        got = exact_row_sums(rows)
+        assert got.dtype == float and got.shape == (len(pairs),)
+        assert list(map(bits, got.tolist())) == [bits(exact_sum(row)) for row in rows.tolist()]
 
     @pytest.mark.parametrize("rows, want", [
         ([[math.inf, -math.inf], [0.5, 0.25]], [math.nan, 0.75]),

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rankrobust import (
     BudgetError,
@@ -38,6 +39,7 @@ from rankrobust.cli import main as cli_main, parse_panel
 from rankrobust.portfolio import _block_payoffs, _score_block, _utility_scale
 from rankrobust.utility import is_affine
 from conftest import mean_risk_objective
+from portfolio_oracle import loop_pair_moves
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -598,6 +600,47 @@ class TestPolishCalls:
             # some blocks speculate on two or more rounds
             dropped += sum(1 for *_, n_rounds in blocks if n_rounds >= 2)
         assert dropped >= 1
+
+
+@st.composite
+def polish_rounds(draw):
+    """A long-only weight vector of 1 to 12 assets, often with zeros or with
+    entries on the coarse grid, and a polish step from 0.1 down to STEP_TOL:
+    the step after k halvings, or any float in between."""
+    n = draw(st.integers(1, 12))
+    share = st.one_of(st.just(0.0), st.integers(0, 10).map(lambda k: k / 10), st.floats(0.0, 1.0))
+    w = np.array(draw(st.lists(share, min_size=n, max_size=n)))
+    w = w / w.sum() if w.sum() > 0 else np.full(n, 1.0 / n)
+    halvings = int(math.log2(0.1 / portfolio_module.STEP_TOL))
+    step = draw(st.one_of(st.integers(0, halvings).map(lambda k: 0.1 / 2**k),
+                          st.floats(portfolio_module.STEP_TOL, 0.1)))
+    short = draw(st.integers(-1, 4))
+    if short >= 0 and n >= 2:
+        # a donor within 1e-15 below the step gives it all and is clamped to 0.0
+        w[0] = step - short * math.ulp(step)
+        w[1:] *= (1.0 - w[0]) / w[1:].sum() if w[1:].sum() > 0 else 0.0
+    return w, step
+
+
+class TestPairMoves:
+    """``_pair_moves`` builds a round as one block from plain floats, yet each
+    row is the per-candidate loop's vector, bit for bit."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(polish_rounds())
+    @example((np.full(12, 1 / 12), 0.1))  # no asset holds a step: an empty round
+    @example((np.array([1.0]), 0.1))  # one asset: no pair
+    @example((np.array([0.1, 0.0, 0.9]), 0.1))  # a donor that gives all it holds
+    @example((np.array([0.1 - 2**-56, 0.9 + 2**-56]), 0.1))  # a donor short of the step: clamped to 0.0
+    @example((np.array([0.3, 0.0, 0.7]), 0.05))
+    def test_equals_the_per_candidate_loop(self, round_):
+        w, step = round_
+        before = w.tobytes()
+        got = portfolio_module._pair_moves(w, step)
+        want = np.array(loop_pair_moves(w, step), dtype=float).reshape(-1, w.size)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert w.tobytes() == before
 
 
 def write_panel(path, panel):
