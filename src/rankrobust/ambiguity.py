@@ -22,11 +22,14 @@ solver status and iterations).
 The module needs numpy alone.  For listed priors the ``cmin`` LP and
 ``MaxminSet.penalty``'s hull membership test are one L1 problem over
 mixtures of the priors, solved by ``_l1_simplex``, a dense revised simplex.
+
+``parse_penalty``, ``parse_prior`` and ``spec_state_ids`` (the states of a
+command with no scenario) split specs by one rule, ``_split_penalty``'s and
+``_prior_parts``'s; a refused penalty always names its spec.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -34,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distribution import PROB_SUM_TOL, exact_row_sums, exact_sum, sums_off_one
+from .distribution import PROB_SUM_TOL, exact_row_sums, exact_sum, read_csv_table, sums_off_one
 from .errors import ConfigError, DomainError, ShapeError, SolverError, SpecStringError, UnknownPriorError
 
 HULL_TOL = 1e-9
@@ -686,6 +689,11 @@ def simplex_grid(n: int, resolution: int) -> np.ndarray:
 # Spec-string parsing (grammar consumed by the CLI)
 # ---------------------------------------------------------------------------
 
+def _prior_parts(text: str) -> list[tuple[str, str]]:
+    """The (state name, weight text) pairs of a named prior spec."""
+    return [(name.strip(), val) for name, _, val in (part.partition("=") for part in text.split(","))]
+
+
 def parse_prior(spec: str, state_ids) -> Prior:
     """Parse `w1=p1,w2=p2,...`, `uniform`, or a bare comma list of weights.
 
@@ -699,9 +707,7 @@ def parse_prior(spec: str, state_ids) -> Prior:
     try:
         if "=" in text:
             weights, named = dict.fromkeys(ids, 0.0), set()
-            for part in text.split(","):
-                name, _, val = part.partition("=")
-                name = name.strip()
+            for name, val in _prior_parts(text):
                 if name not in weights:  # a ValueError: the message below names the spec
                     raise ValueError(f"prior names unknown state {name!r}")
                 if name in named:
@@ -722,56 +728,68 @@ def _load_penalty_table(path: str, state_ids) -> Tabulated:
     name given twice reads its last column), then one row per prior, blank
     lines skipped; messages name the row's line in the file."""
     names = [str(s) for s in state_ids] + ["penalty"]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+    prefix = f"penalty table {path} "
+    def pick(header):
         where = {name: i for i, name in enumerate(header)}
         missing = [c for c in names if c not in where]
         if missing:
-            raise SpecStringError(f"penalty table {path} lacks columns {missing}")
-        columns, cells, lines = [where[c] for c in names], [], []
-        for row in filter(None, reader):
-            line = reader.line_num
-            lines.append(line)
-            if len(row) != len(header):
-                raise SpecStringError(f"penalty table {path} line {line}: expected {len(header)} fields, got {len(row)}")
-            try:
-                cells.append([float(row[i]) for i in columns])
-            except ValueError as exc:
-                raise SpecStringError(f"penalty table {path} line {line}: {exc}") from exc
-    table = np.array(cells).reshape(-1, len(names))
-    refused = _refused_prior_row(table[:, :-1])
+            raise SpecStringError(f"{prefix}lacks columns {missing}")
+        return [where[c] for c in names]
+
+    _, _, lines, cells = read_csv_table(path, pick, SpecStringError, prefix)
+    priors = cells[:-1].T
+    refused = _refused_prior_row(priors)
     if refused is not None:
-        raise SpecStringError(f"penalty table {path} line {lines[refused[0]]}: {refused[1]}")
-    return Tabulated(zip(table[:, :-1], table[:, -1]))
+        raise SpecStringError(f"{prefix}line {lines[refused[0]]}: {refused[1]}")
+    return Tabulated(zip(priors, cells[-1]))
+
+
+def _split_penalty(spec: str) -> tuple[str, str, list[str]]:
+    """A penalty spec's kind, its argument (maxmin body, theta or table path)
+    and its prior specs."""
+    head, _, rest = spec.strip().partition(":")
+    head = head.lower()
+    if head == "maxmin":
+        body = rest.strip()
+        inner = body[1:-1] if body.startswith("[") and body.endswith("]") else body
+        return head, body, [p for p in inner.split(";") if p.strip()]
+    if head in ("entropic", "gini"):
+        theta, _, prior = rest.partition("@")
+        return head, theta, [prior]
+    return head, rest.strip(), []
+
+
+def spec_state_ids(penalty: str, prior: str | None = None) -> list[str]:
+    """The state set of a command that reads no scenario: the names the
+    penalty spec's named priors give, in order of first appearance and split
+    as ``parse_prior`` splits them (``_prior_parts``); failing those, the names a named
+    ``prior`` gives, or w0 ... w(n-1) for a bare ``prior`` of n weights."""
+    for specs in (_split_penalty(penalty)[2], [prior or ""]):
+        names = dict.fromkeys(name for p in specs if "=" in p for name, _ in _prior_parts(p))
+        if names:
+            return list(names)
+    text = (prior or "").strip()
+    if prior is not None and text.lower() != "uniform":
+        return [f"w{i}" for i in range(len(text.split(",")))]
+    read = f"penalty spec {penalty!r}" + ("" if prior is None else f" or prior spec {prior!r}")
+    raise SpecStringError(f"cannot fix the state set: no named priors (w1=p1,...) in {read}")
 
 
 def parse_penalty(spec: str, state_ids) -> AmbiguityIndex:
     """Parse `maxmin:[prior;prior;...] | entropic:theta@prior | gini:theta@prior
-    | table:file.csv` (plus the `maxmin:vertices` convenience)."""
-    text = spec.strip()
-    head, _, rest = text.partition(":")
-    head = head.lower()
-    n = len(state_ids)
+    | table:file.csv` (plus the `maxmin:vertices` convenience).  Every
+    refusal is a SpecStringError ``bad penalty spec '<spec>': <reason>``."""
+    head, arg, priors = _split_penalty(spec)
     try:
         if head == "maxmin":
-            if rest.strip().lower() == "vertices":
-                return MaxminSet.vertices(n)
-            body = rest.strip()
-            if body.startswith("[") and body.endswith("]"):
-                body = body[1:-1]
-            priors = [parse_prior(p, state_ids) for p in body.split(";") if p.strip()]
-            return MaxminSet(priors)
-        if head == "entropic":
-            theta, _, prior = rest.partition("@")
-            return Entropic(float(theta), parse_prior(prior, state_ids))
-        if head == "gini":
-            theta, _, prior = rest.partition("@")
-            return Gini(float(theta), parse_prior(prior, state_ids))
+            if arg.lower() == "vertices":
+                return MaxminSet.vertices(len(state_ids))
+            return MaxminSet([parse_prior(p, state_ids) for p in priors])
+        if head in ("entropic", "gini"):
+            kind = Entropic if head == "entropic" else Gini
+            return kind(float(arg), parse_prior(priors[0], state_ids))
         if head == "table":
-            return _load_penalty_table(rest.strip(), state_ids)
+            return _load_penalty_table(arg, state_ids)
     except (ValueError, DomainError, ShapeError, OSError) as exc:
-        if isinstance(exc, SpecStringError):
-            raise
         raise SpecStringError(f"bad penalty spec {spec!r}: {exc}") from exc
     raise SpecStringError(f"unknown penalty kind in spec {spec!r}")

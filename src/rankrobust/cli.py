@@ -3,7 +3,10 @@ report emission.
 
 Scenario files are JSON for two-stage variables (``{"states": {id: {"probs":
 [...], "payoffs": [...]}}}``) and CSV for scenario panels (header
-``state,prob,outcome,asset_1,...``).  Reports echo the fully resolved
+``state,prob,outcome,asset_1,...``), read by ``distribution.read_csv_table``
+as penalty tables are.  ``battery`` and ``cmin`` read no scenario; their
+states are the names the priors of their specs give
+(``ambiguity.spec_state_ids``).  Reports echo the fully resolved
 preference triple and, with ``--output json``, are byte-identical across
 runs with the same configuration and seed.
 
@@ -13,25 +16,19 @@ Exit codes: 0 success, 2 validation failure, 3 property-violation findings.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import itertools
 import json
 import math
-import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .ambiguity import (
-    c_min_exact,
-    parse_penalty,
-    parse_prior,
-)
+from .ambiguity import c_min_exact, parse_penalty, parse_prior, spec_state_ids
 from .distortion import identity as identity_distortion, parse_distortion
-from .distribution import TwoStageVariable, dominance
-from .errors import ConfigError, DomainError, ScenarioError, ShapeError, SpecStringError
+from .distribution import TwoStageVariable, dominance, read_csv_table
+from .errors import ConfigError, DomainError, ScenarioError, ShapeError
 from .evaluator import (
     REDUCTION_SECTIONS,
     BatterySpec,
@@ -133,33 +130,20 @@ def parse_panel(path: str) -> ScenarioPanel:
 
     States are taken in order of first appearance and each state's outcomes
     in file order, so a state's rows may be interleaved with other states'.
-    Each numeric column is converted in one pass; if that fails, the
-    per-row loop names the refused row's last physical line in the file."""
+    ``read_csv_table`` converts each numeric column in one pass and names a
+    refused row by its last physical line in the file."""
+    def pick(header):
+        if len(header) < 4 or header[:3] != ["state", "prob", "outcome"]:
+            raise ScenarioError(f"{path}: panel header must start with 'state,prob,outcome' followed by asset columns")
+        return [1, *range(3, len(header))]
+
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            lines = fh.readlines()
+        header, rows, _, cells = read_csv_table(path, pick, ScenarioError, f"{path}: ")
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: cannot read panel: {exc}") from exc
-    reader = csv.reader(lines)
-    header = next(reader, [])
-    if len(header) < 4 or header[:3] != ["state", "prob", "outcome"]:
-        raise ScenarioError(
-            f"{path}: panel header must start with 'state,prob,outcome' followed by asset columns"
-        )
-    assets = header[3:]
-    rows = list(filter(None, reader))
     if not rows:
         raise ScenarioError(f"{path}: panel has no data rows")
-    # One conversion per numeric column; if a row is refused, the per-row
-    # loop raises the message naming its line.
-    try:
-        if set(map(len, rows)) != {3 + len(assets)}:
-            raise ValueError("rows differ in width")
-        states, probs, _, *returns = zip(*rows)
-        cells = np.array([list(map(float, column)) for column in (probs, *returns)])
-    except ValueError:
-        _check_panel_rows(path, lines, 3 + len(assets))
-        raise
+    states = [row[0] for row in rows]
     first = {state: k for k, state in enumerate(dict.fromkeys(states))}
     codes = np.fromiter(map(first.__getitem__, states), int, len(states))
     counts = np.bincount(codes)
@@ -167,26 +151,9 @@ def parse_panel(path: str) -> ScenarioPanel:
         raise ScenarioError(f"{path}: states have differing outcome counts {sorted(set(counts.tolist()))}")
     cells = cells[:, np.argsort(codes, kind="stable")].reshape(len(cells), len(first), -1)
     try:
-        return ScenarioPanel(assets, first, cells[0], cells[1:].transpose(1, 2, 0))
+        return ScenarioPanel(header[3:], first, cells[0], cells[1:].transpose(1, 2, 0))
     except (DomainError, ShapeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
-
-
-def _check_panel_rows(path: str, lines: list[str], width: int) -> None:
-    """Raise the ScenarioError naming the first row of a panel's lines with
-    the wrong field count or a cell that is not a number."""
-    reader = csv.reader(lines)
-    next(reader, None)
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != width:
-            raise ScenarioError(f"{path}: line {reader.line_num}: expected {width} fields, got {len(row)}")
-        try:
-            for cell in (row[1], *row[3:]):
-                float(cell)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}: line {reader.line_num}: {exc}") from exc
 
 
 def _resolve_preference(args, state_ids) -> Preference:
@@ -327,18 +294,7 @@ def _cmd_dominance(args) -> int:
 
 
 def _cmd_cmin(args) -> int:
-    try:
-        state_ids = _infer_state_ids(args.penalty)
-    except SpecStringError:
-        text = args.prior.strip()
-        if "=" in text:
-            state_ids = [p.partition("=")[0].strip() for p in text.split(",")]
-        elif text.lower() != "uniform":
-            state_ids = [f"w{i}" for i in range(len(text.split(",")))]
-        else:
-            raise SpecStringError(
-                "cannot infer the state count; name the prior weights (w1=p1,...)"
-            ) from None
+    state_ids = spec_state_ids(args.penalty, args.prior)
     amb = parse_penalty(args.penalty, state_ids)
     q = parse_prior(args.prior, state_ids)
     lo, hi, step = args.grid
@@ -372,22 +328,8 @@ def _grid(text: str) -> tuple[float, float, float]:
     return lo, hi, step
 
 
-def _infer_state_ids(penalty_spec: str) -> list[str]:
-    """Recover the ordered state names from `name=value` tokens in a penalty spec."""
-    names: list[str] = []
-    for match in re.finditer(r"([A-Za-z_]\w*)\s*=", penalty_spec):
-        name = match.group(1)
-        if name not in names:
-            names.append(name)
-    if not names:
-        raise SpecStringError(
-            "battery needs a penalty spec with named priors (w1=p1,...) to fix the state set"
-        )
-    return names
-
-
 def _cmd_battery(args) -> int:
-    state_ids = _infer_state_ids(args.penalty)
+    state_ids = spec_state_ids(args.penalty)
     pref = _resolve_preference(args, state_ids)
     reductions, aversion = battery_reports(pref, BatterySpec(n_cases=args.cases, seed=args.seed))
     violations = sum(len(reductions[k]["violations"]) for k in REDUCTION_SECTIONS) + len(aversion["violations"])

@@ -10,6 +10,7 @@ operations here are pure.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -274,6 +275,40 @@ def check_outcome_probs(state_ids, probs: np.ndarray) -> None:
         w = int(np.argmax(off))
         total = exact_sum(probs[w].tolist())
         raise DomainError(f"outcome probabilities in state {state_ids[w]!r} sum to {total!r}, not 1")
+
+
+def read_csv_table(path: str, pick, error: type[Exception], prefix: str):
+    """Read the UTF-8 CSV file at path once: the header, the non-blank rows
+    after it, the physical line each row ends on, and the cells: row j is
+    column ``pick(header)[j]`` (pick may raise a header error), converted by
+    ``float`` in one pass.  The first row with other than ``len(header)``
+    fields, or with a picked cell that is no number (in pick order), raises
+    ``error(f"{prefix}line {line}: ...")``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh.readlines())
+    header = next(reader, [])
+    picked = pick(header)
+    rows, lines = [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
+    try:
+        if set(map(len, rows)) - {len(header)}:
+            raise ValueError
+        columns = list(zip(*rows)) or [()] * len(header)
+        cells = np.array([list(map(float, columns[i])) for i in picked])
+    except ValueError:
+        for row, line in zip(rows, lines):
+            if len(row) != len(header):
+                raise error(f"{prefix}line {line}: expected {len(header)} fields, got {len(row)}")
+            try:
+                for i in picked:
+                    float(row[i])
+            except ValueError as exc:
+                raise error(f"{prefix}line {line}: {exc}") from exc
+        raise
+    return header, rows, lines, cells
 
 
 class TwoStageVariable:

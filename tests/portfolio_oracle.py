@@ -1,5 +1,6 @@
-"""The per-candidate polish round and the per-row panel parse that
-``rankrobust.portfolio._pair_moves`` and ``rankrobust.cli.parse_panel``
+"""The per-candidate polish round, the per-row panel parse and the per-row
+penalty-table load that ``rankrobust.portfolio._pair_moves``,
+``rankrobust.cli.parse_panel`` and ``rankrobust.ambiguity._load_penalty_table``
 replaced, kept verbatim as their byte-for-byte oracles: one numpy vector per
 candidate, and one ``float`` call per cell with a row's line number at hand."""
 
@@ -8,6 +9,8 @@ import csv
 import numpy as np
 
 from rankrobust import DomainError, ScenarioError, ScenarioPanel, ShapeError
+from rankrobust.ambiguity import Tabulated, _refused_prior_row
+from rankrobust.errors import SpecStringError
 
 
 def loop_donors(w: np.ndarray, step: float) -> np.ndarray:
@@ -78,3 +81,32 @@ def loop_parse_panel(path: str) -> ScenarioPanel:
         return ScenarioPanel(assets, state_order, probs, rets)
     except (DomainError, ShapeError) as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def loop_load_penalty_table(path: str, state_ids) -> Tabulated:
+    """The table at path: a header naming every state and ``penalty`` (a
+    name given twice reads its last column), then one row per prior, blank
+    lines skipped; messages name the row's line in the file."""
+    names = [str(s) for s in state_ids] + ["penalty"]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        where = {name: i for i, name in enumerate(header)}
+        missing = [c for c in names if c not in where]
+        if missing:
+            raise SpecStringError(f"penalty table {path} lacks columns {missing}")
+        columns, cells, lines = [where[c] for c in names], [], []
+        for row in filter(None, reader):
+            line = reader.line_num
+            lines.append(line)
+            if len(row) != len(header):
+                raise SpecStringError(f"penalty table {path} line {line}: expected {len(header)} fields, got {len(row)}")
+            try:
+                cells.append([float(row[i]) for i in columns])
+            except ValueError as exc:
+                raise SpecStringError(f"penalty table {path} line {line}: {exc}") from exc
+    table = np.array(cells).reshape(-1, len(names))
+    refused = _refused_prior_row(table[:, :-1])
+    if refused is not None:
+        raise SpecStringError(f"penalty table {path} line {lines[refused[0]]}: {refused[1]}")
+    return Tabulated(zip(table[:, :-1], table[:, -1]))

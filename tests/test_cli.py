@@ -13,9 +13,10 @@ import orjson
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rankrobust import DomainError, ScenarioError, ShapeError, TwoStageVariable, ambiguity_aversion_check
+from rankrobust import DomainError, ScenarioError, ShapeError, SpecStringError, TwoStageVariable, ambiguity_aversion_check
+from rankrobust.ambiguity import _load_penalty_table, spec_state_ids
 from rankrobust.cli import _json_text, build_parser, main, parse_panel, parse_scenario
-from portfolio_oracle import loop_parse_panel
+from portfolio_oracle import loop_load_penalty_table, loop_parse_panel
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -440,6 +441,113 @@ class TestParsePanelParity:
         assert panel_parse(parse_panel, path) == want
 
 
+TABLE_FAULTS = ["none", "short row", "long row", "bad number", "empty cell", "negative weight", "nan weight",
+                "sum off 1", "negative penalty", "no data rows", "missing column", "two faults", "two bad cells"]
+
+
+def table_text(rng, fault):
+    """A penalty table's CSV text over drawn states and its state ids, with
+    the given fault: the columns shuffled, unread extra columns, perhaps a
+    junk column named like a read one ahead of it (the last column of a name
+    is read), quoted cells, blank lines, LF or CRLF line ends, weights in
+    exact forms and penalties in any."""
+    n, k = (int(x) for x in rng.integers(1, (5, 7)))
+    ids = [PANEL_STATE_IDS[j] for j in rng.permutation(len(PANEL_STATE_IDS))[:n]]
+    forms = (repr, lambda x: f"{x:.17g}", lambda x: f" {x!r}")
+    weights = rng.random((k, n)) + 0.05
+    columns = {sid: [forms[int(rng.integers(3))](w) for w in (weights[:, j] / weights.sum(axis=1)).tolist()]
+               for j, sid in enumerate(ids)}
+    columns["penalty"] = [repr(x) if rng.random() < 0.5 else f"{x:.4e}" for x in (rng.random(k) * 3.0).tolist()]
+    for j in range(int(rng.integers(0, 3))):
+        columns[f"note {j}"] = [str(rng.choice(["", "x", "1.5", "a,b"])) for _ in range(k)]
+    header = [list(columns)[j] for j in rng.permutation(len(columns))]
+    rows = [[columns[name][r] for name in header] for r in range(k)]
+    if rng.random() < 0.3:
+        header.insert(0, header[int(rng.integers(len(header)))])
+        rows = [["junk", *row] for row in rows]
+    at = {name: len(header) - 1 - header[::-1].index(name) for name in (*ids, "penalty")}
+    pick, other, weight = int(rng.integers(k)), int(rng.integers(k)), at[str(rng.choice(ids))]
+    if fault in ("bad number", "two faults"):
+        rows[pick][int(rng.choice(list(at.values())))] = "1.5x"
+    if fault == "empty cell":
+        rows[pick][int(rng.choice(list(at.values())))] = ""
+    if fault == "two bad cells":  # the message names the first in the order states, then penalty
+        for j, text in zip(rng.permutation(list(at.values()))[:2], ("1.5x", "2.5y")):
+            rows[pick][int(j)] = text
+    if fault in ("short row", "two faults"):
+        rows[other] = rows[other][:-1]
+    if fault == "long row":
+        rows[pick] = rows[pick] + ["0.1"]
+    if fault == "negative weight":
+        rows[pick][weight] = repr(-float(rows[pick][weight]))
+    if fault == "nan weight":
+        rows[pick][weight] = "nan"
+    if fault == "sum off 1":
+        rows[pick][weight] = repr(1.5 * float(rows[pick][weight]))
+    if fault == "negative penalty":
+        rows[pick][at["penalty"]] = "-1"
+    if fault == "no data rows":
+        rows = []
+    if fault == "missing column":
+        header[at[str(rng.choice(ids))]] = "gone"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\r\n" if rng.random() < 0.3 else "\n",
+                        quoting=csv.QUOTE_ALL if rng.random() < 0.3 else csv.QUOTE_MINIMAL)
+    writer.writerow(header)
+    for row in rows:
+        if rng.random() < 0.2:
+            out.write("\n")
+        writer.writerow(row)
+    if rng.random() < 0.2:
+        out.write("\n")
+    return out.getvalue(), ids
+
+
+def table_load(load, path, state_ids):
+    """A load's listed priors and costs as comparable bytes and layout, or
+    its exception."""
+    try:
+        table = load(str(path), state_ids)
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+    return tuple((a.dtype, a.shape, a.strides, a.tobytes()) for a in (table._matrix, table.costs))
+
+
+class TestPenaltyTableParity:
+    """The table loader reads columns through the shared CSV reader, yet
+    loads every table as the per-row loader did: the same prior matrix and
+    costs byte for byte, or the same exception with the same message."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from(TABLE_FAULTS))
+    def test_same_table_or_same_error(self, tmp_path, seed, fault):
+        text, ids = table_text(np.random.default_rng(seed), fault)
+        path = tmp_path / "table.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        want = table_load(loop_load_penalty_table, path, ids)
+        assert (fault == "none") == (not isinstance(want[0], type))
+        assert table_load(_load_penalty_table, path, ids) == want
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "calm,storm,penalty\n",
+        "\ncalm,storm,penalty\n0.5,0.5,0\n",
+        "calm,storm,penalty,penalty\n0.5,0.5,x,1\n0.2,0.8,y,0\n",
+        "calm,storm,penalty\n\"0.5\",\"0.5\",\"0\"\r\n\r\n0.2,0.8,1\r\n",
+    ], ids=["empty file", "header only", "blank first line", "penalty named twice", "quoted CRLF"])
+    def test_edge_tables(self, tmp_path, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        ids = ["calm", "storm"]
+        assert table_load(_load_penalty_table, path, ids) == table_load(loop_load_penalty_table, path, ids)
+
+    def test_fixture_table(self):
+        path, ids = FIXTURES / "penalty_table.csv", ["calm", "storm"]
+        want = table_load(loop_load_penalty_table, path, ids)
+        assert not isinstance(want[0], type)
+        assert table_load(_load_penalty_table, path, ids) == want
+
 BAD_ROWS = {
     "sum": ([0.5, 0.49], "sum to"),
     "negative": ([1.2, -0.2], "negative"),
@@ -568,11 +676,11 @@ class TestRefusedInputs:
         """Rows are read as one float matrix and checked at once: a row of the
         wrong length or a cell that is no number first, then negative weights
         in any row, then sums off 1.  Blank lines are skipped, and each
-        message names the row's line in the file."""
+        message names the penalty spec and the row's line in the file."""
         path = tmp_path / "table.csv"
         path.write_text("calm,storm,penalty\n" + rows, encoding="utf-8")
         code, out, err = run_cli(capsys, "cmin", "--penalty", f"table:{path}", "--prior", "calm=0.5,storm=0.5")
-        assert (code, out, err) == (2, "", f"error: penalty table {path} {reason}\n")
+        assert (code, out, err) == (2, "", f"error: bad penalty spec 'table:{path}': penalty table {path} {reason}\n")
 
     def test_payoff_outside_the_utility_domain_is_a_plain_number(self, capsys):
         code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
@@ -617,8 +725,8 @@ class TestRefusedInputs:
         code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
                                  "--penalty", "entropic:1@calm=1e308,storm=1e308")
         assert (code, out) == (2, "")
-        assert err == ("error: bad prior spec 'calm=1e308,storm=1e308': "
-                       "prior weights must sum to 1 within 1e-12, got inf\n")
+        assert err == ("error: bad penalty spec 'entropic:1@calm=1e308,storm=1e308': "
+                       "bad prior spec 'calm=1e308,storm=1e308': prior weights must sum to 1 within 1e-12, got inf\n")
 
     @pytest.mark.parametrize("multi_first", [True, False])
     def test_dominance_names_the_multi_state_file(self, capsys, multi_first):
@@ -721,6 +829,13 @@ class TestFlags:
     def test_cmin_without_the_unread_flag_runs(self, capsys):
         code, out, _ = run_cli(capsys, "cmin", "--penalty", "entropic:1@a=0.5,b=0.5", "--prior", "a=0.4,b=0.6")
         assert code == 0 and "converged" in out
+
+
+def penalty_context(argv, prior):
+    """The ``bad penalty spec '<spec>': `` lead of a refused prior that sits
+    inside the command's --penalty, or "" for a --prior or --mean-prior."""
+    penalty = argv[argv.index("--penalty") + 1]
+    return f"bad penalty spec '{penalty}': " if prior in penalty else ""
 
 
 class TestCommands:
@@ -953,7 +1068,8 @@ class TestCommands:
         code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
                                  "--penalty", "maxmin:[calm=nan,storm=1;calm=0.5,storm=0.5]", "--output", "json")
         assert (code, out) == (2, "")
-        assert err == "error: bad prior spec 'calm=nan,storm=1': prior weights must be >= 0, got min nan\n"
+        assert err == ("error: bad penalty spec 'maxmin:[calm=nan,storm=1;calm=0.5,storm=0.5]': "
+                       "bad prior spec 'calm=nan,storm=1': prior weights must be >= 0, got min nan\n")
 
     def test_nan_mean_prior_exits_two_naming_the_spec(self, capsys):
         code, out, err = run_cli(capsys, "portfolio", "--scenario", str(FIXTURES / "panel_hedge.csv"),
@@ -972,10 +1088,11 @@ class TestCommands:
           "--mean-prior", "w0=1,w0=1"), "w0=1,w0=1", "w0"),
     ])
     def test_prior_naming_a_state_twice_exits_two(self, capsys, argv, prior, name):
-        """The last weight given for a state used to win silently."""
+        """The last weight given for a state used to win silently.  A prior
+        inside a penalty is quoted after the penalty spec."""
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: bad prior spec '{prior}': prior names state '{name}' twice\n"
+        assert err == f"error: {penalty_context(argv, prior)}bad prior spec '{prior}': prior names state '{name}' twice\n"
 
     @pytest.mark.parametrize("argv, prior, reason", [
         (("evaluate", "--scenario", str(FIXTURES / "two_state.json"), "--penalty",
@@ -987,7 +1104,7 @@ class TestCommands:
         """These two refusals used to name neither the prior nor the spec."""
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
-        assert err == f"error: bad prior spec '{prior}': {reason}\n"
+        assert err == f"error: {penalty_context(argv, prior)}bad prior spec '{prior}': {reason}\n"
 
     @pytest.mark.parametrize("kind", ["entropic", "gini"])
     @pytest.mark.parametrize("theta", ["inf", "-inf", "nan"])
@@ -1016,6 +1133,128 @@ class TestCommands:
         assert code == 2
         assert "nonsense" in err
 
+
+BROKEN_PENALTIES = ["truncated", "missing @", "empty prior", "bad prior", "bad theta", "unknown state",
+                    "bad table path"]
+
+
+def broken_penalty(rng, fault, tmp_path):
+    """A penalty spec on the states calm and storm with the given fault."""
+    choose = lambda options: options[int(rng.integers(len(options)))]
+    a = int(rng.integers(1, 8)) / 8
+    prior, theta, kind = f"calm={a!r},storm={1 - a!r}", choose(["0.5", "1", "2.5"]), choose(["entropic", "gini"])
+    if fault == "truncated":  # every strict prefix of these specs is refused
+        full = choose([f"{kind}:{theta}@{prior}", f"maxmin:[{prior};calm=1.0,storm=0.0]",
+                       f"table:{FIXTURES / 'penalty_table.csv'}"])
+        return full[: int(rng.integers(1, len(full)))]
+    if fault == "missing @":
+        return choose([f"{kind}:{theta}{prior}", f"{kind}:{theta}"])
+    if fault == "empty prior":
+        return choose([f"{kind}:{theta}@", f"{kind}:{theta}@ ", "maxmin:[]", "maxmin:[ ; ]"])
+    if fault == "bad prior":
+        bad = choose([f"calm=x,storm={1 - a!r}", f"calm={-a!r},storm=1", f"calm=nan,storm={1 - a!r}",
+                      f"calm={a!r},storm={1.5 - a!r}", f"calm={a!r},calm={1 - a!r}", "0.5,0.25,0.25"])
+        return choose([f"{kind}:{theta}@{bad}", f"maxmin:[{prior};{bad}]", f"{kind}:{theta}@calm=1,storm=0"])
+    if fault == "bad theta":
+        return f"{kind}:{choose(['0', '-1', 'nan', 'inf', '-inf', '1e400', 'x', ''])}@{prior}"
+    if fault == "unknown state":
+        return choose([f"{kind}:{theta}@calm={a!r},rain={1 - a!r}", f"maxmin:[{prior};rain=1]"])
+    table = tmp_path / "table.csv"
+    table.write_bytes(choose([b"calm,rain,penalty\n0.5,0.5,0\n", b"calm,storm,penalty\n0.5,0.5,0\n0.2\n",
+                              b"calm,storm,penalty\n0.5,0.5,\xe9\n", b"calm,storm,penalty\n0.5,0.6,0\n"]))
+    return "table:" + str(choose([table, tmp_path, tmp_path / "missing.csv"]))
+
+
+STATE_NAMES = st.one_of(
+    st.sampled_from(["1a", "2b", "calm-1", "calm-2", "a b", "café", "état", "a", "ab", "abc", "x:y", "1", "-a"]),
+    st.text(st.characters(blacklist_characters=",=;[]@", blacklist_categories=("Cs", "Cc")), min_size=1, max_size=5),
+).filter(lambda name: name == name.strip() and name != "")
+
+
+def named_prior(draw, names):
+    """A prior spec naming the given states, in their order, with weights
+    of at most four decimals that sum to 1."""
+    counts = draw(st.lists(st.integers(1, 9), min_size=len(names), max_size=len(names)))
+    weights = [c / sum(counts) for c in counts]
+    return ",".join(f"{name}={w!r}" for name, w in zip(names, weights))
+
+
+class TestPenaltySpecs:
+    """A command without a scenario takes its states from the names the
+    priors of its specs give, and a refused penalty names its spec."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), kind=st.sampled_from(["maxmin", "entropic", "gini"]),
+           names=st.lists(STATE_NAMES, min_size=1, max_size=5, unique=True))
+    def test_state_names_come_in_first_appearance_order(self, capsys, data, kind, names):
+        """Names with leading digits, dashes, inner spaces, non-ASCII letters
+        or that are prefixes of one another are the prior's state names."""
+        if kind == "maxmin":
+            listed = [data.draw(st.permutations(names))[: data.draw(st.integers(1, len(names)))]
+                      for _ in range(data.draw(st.integers(1, 3)))]
+            listed.append(data.draw(st.permutations(names)))
+            priors = [named_prior(data.draw, subset) for subset in listed]
+            spec = "maxmin:[" + ";".join(priors) + "]"
+        else:
+            listed = [data.draw(st.permutations(names))]
+            priors = [named_prior(data.draw, listed[0])]
+            spec = f"{kind}:{data.draw(st.sampled_from(['0.5', '2']))}@{priors[0]}"
+        want = []
+        for subset in listed:
+            want += [name for name in subset if name not in want]
+        assert spec_state_ids(spec) == want
+        assert spec_state_ids(spec, "uniform") == want
+        assert run_cli(capsys, "battery", f"--penalty={spec}", "--cases", "3")[0] == 0
+        assert run_cli(capsys, "cmin", f"--penalty={spec}", f"--prior={priors[0]}")[0] == 0
+
+    @pytest.mark.parametrize("penalty, prior, want", [
+        ("maxmin:vertices", "a=0.5,b=0.5", ["a", "b"]),
+        ("table:x=y/t.csv", "b=0.5,a=0.25,b=0.25", ["b", "a"]),
+        ("entropic:1@uniform", "0.2,0.3,0.5", ["w0", "w1", "w2"]),
+        ("gini:1@ 0.5, 0.5", " calm = 1 ", ["calm"]),
+    ])
+    def test_a_prior_fixes_the_states_a_penalty_leaves_open(self, penalty, prior, want):
+        assert spec_state_ids(penalty, prior) == want
+
+    @pytest.mark.parametrize("penalty, prior", [
+        ("table:fixtures/penalty_table.csv", None), ("maxmin:vertices", None), ("entropic:1@uniform", "uniform"),
+        ("gini:1@0.5,0.5", " Uniform "),
+    ])
+    def test_no_named_prior_is_refused_quoting_the_specs(self, penalty, prior):
+        with pytest.raises(SpecStringError) as err:
+            spec_state_ids(penalty, prior)
+        assert "named priors" in str(err.value) and repr(penalty) in str(err.value)
+        assert prior is None or repr(prior) in str(err.value)
+
+    @pytest.mark.parametrize("spec", ["entropic:1@calm-1=0.5,calm-2=0.5", "entropic:1@1a=0.5,2b=0.5"])
+    def test_battery_reads_any_state_name_the_prior_grammar_accepts(self, capsys, spec):
+        """The names were read by a regex for identifiers: the first spec was
+        refused for want of named priors, the second read as states a and b."""
+        code, out, err = run_cli(capsys, "battery", "--penalty", spec, "--cases", "3", "--output", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["total_violations"] == 0
+
+    def test_cmin_reads_no_state_from_a_table_path(self, capsys, tmp_path):
+        """An '=' in a table's path was read as a state name."""
+        table = tmp_path / "x=y" / "t.csv"
+        table.parent.mkdir()
+        table.write_bytes((FIXTURES / "penalty_table.csv").read_bytes())
+        code, out, err = run_cli(capsys, "cmin", "--penalty", f"table:{table}", "--prior", "calm=0.5,storm=0.5",
+                                 "--output", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["status"] == "converged"
+
+    @settings(derandomize=True, max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2**32 - 1), fault=st.sampled_from(BROKEN_PENALTIES))
+    def test_a_refused_penalty_names_its_spec(self, capsys, tmp_path, seed, fault):
+        spec = broken_penalty(np.random.default_rng(seed), fault, tmp_path)
+        code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
+                                 f"--penalty={spec}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert repr(spec) in err
 
 class TestDeterminism:
     def test_json_reports_round_trip(self, capsys):
