@@ -184,41 +184,52 @@ def merge_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.n
     with some mass, its points with mass sorted and ahead of its zero-mass
     points (which may follow in any order), so that no point without mass
     leads a group: a point within MERGE_TOL of its group's first point
-    joins the group, a group's mass is the ``exact_sum`` of its members'
-    masses (>= 0), and groups without mass are dropped.  Returns the
-    groups' first values and masses, left-aligned; each row is padded with
-    zero masses at its last group's value.  A block whose points with mass
-    are all more than MERGE_TOL apart is returned as it is, which one
-    reduction decides."""
-    if ((values[:, 1:] - values[:, :-1] > MERGE_TOL) | (masses[:, 1:] <= 0.0)).all():
+    joins the group, a group's mass is the correctly rounded sum of its
+    members' masses (>= 0), and groups without mass are dropped.  Returns
+    the groups' first values and masses, left-aligned; each row is padded
+    with zero masses at its last group's value.  A block whose points with
+    mass are all more than MERGE_TOL apart is returned as it is, which one
+    reduction decides.
+
+    A group's members are one run of the flat block, summed in a fixed
+    number of passes over it: a group with at most two members with mass
+    takes their one IEEE addition (adding zeros is exact); one with k >= 3
+    equal masses m takes k * m, one correctly rounded product; and only one
+    with three or more unequal masses takes an ``exact_sum`` call.  A sum
+    past the float range is the inf ``exact_sum`` gives."""
+    gap = values[:, 1:] - values[:, :-1] > MERGE_TOL
+    if (gap | (masses[:, 1:] <= 0.0)).all():
         return values, masses
     rows, width = values.shape
     first = np.ones(values.shape, dtype=bool)
-    first[:, 1:] = values[:, 1:] - values[:, :-1] > MERGE_TOL
+    first[:, 1:] = gap
     # A point within MERGE_TOL above the one before it still starts a group
     # if it lies more than MERGE_TOL above its group's first point.
     for j in (np.flatnonzero(((values[:, 1:] > values[:, :-1]) & ~first[:, 1:]).any(axis=0)) + 1).tolist():
         lead = np.where(first[:, :j], np.arange(j), 0).max(axis=1)
         first[:, j] = values[:, j] - values[np.arange(rows), lead] > MERGE_TOL
-    group = (np.cumsum(first, axis=1) - 1 + width * np.arange(rows)[:, None]).ravel()
-    value = np.empty(rows * width)
-    value[group[first.ravel()]] = values[first]
+    start = np.flatnonzero(first)
     masses = masses.ravel()
-    # Sums in index order, exact while a group has one member with mass; a
-    # group's members are one run of the flat block.
-    mass = np.bincount(group, masses, rows * width)
-    multi = np.bincount(group[masses > 0.0], minlength=rows * width) > 1
-    if multi.any():
-        members = masses[multi[group]].tolist()
-        ends = np.cumsum(np.bincount(group, minlength=rows * width)[multi]).tolist()
-        mass[multi] = [exact_sum(members[lo:hi]) for lo, hi in zip([0, *ends], ends)]
-    keep = mass.reshape(rows, width) > 0.0
-    count = keep.sum(axis=1)
-    r, c = np.nonzero(keep)
-    slot = (np.cumsum(keep, axis=1) - 1)[r, c]
+    positive = masses > 0.0
+    with np.errstate(over="ignore"):
+        mass = np.add.reduceat(masses, start)
+        members = np.add.reduceat(positive, start, dtype=np.intp)  # members with mass
+        many = np.flatnonzero(members > 2)
+        if many.size:
+            top = np.maximum.reduceat(masses, start)[many]
+            equal = top == np.minimum.reduceat(np.where(positive, masses, np.inf), start)[many]
+            mass[many] = members[many] * top
+            end = np.append(start[1:], masses.size)
+            for g in many[~equal].tolist():
+                mass[g] = exact_sum(masses[start[g]:end[g]].tolist())
+    keep = mass > 0.0
+    start, mass = start[keep], mass[keep]
+    row = start // width
+    count = np.bincount(row, minlength=rows)
+    slot = np.arange(row.size) - (np.cumsum(count) - count)[row]
     merged, merged_mass = np.empty((rows, count.max())), np.zeros((rows, count.max()))
-    merged[r, slot] = value.reshape(rows, width)[r, c]
-    merged_mass[r, slot] = mass.reshape(rows, width)[r, c]
+    merged[row, slot] = values.ravel()[start]
+    merged_mass[row, slot] = mass
     pad = np.arange(merged.shape[1]) >= count[:, None]
     return np.where(pad, merged[np.arange(rows), count - 1][:, None], merged), merged_mass
 
@@ -283,16 +294,20 @@ def read_csv_table(path: str, pick, error: type[Exception], prefix: str):
     column ``pick(header)[j]`` (pick may raise a header error), converted by
     ``float`` in one pass.  The first row with other than ``len(header)``
     fields, or with a picked cell that is no number (in pick order), raises
-    ``error(f"{prefix}line {line}: ...")``."""
+    ``error(f"{prefix}line {line}: ...")``, and so does the first line the
+    csv module refuses (a cell longer than ``csv.field_size_limit()``)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh.readlines())
-    header = next(reader, [])
-    picked = pick(header)
-    rows, lines = [], []
-    for row in reader:
-        if row:
-            rows.append(row)
-            lines.append(reader.line_num)
+    try:
+        header = next(reader, [])
+        picked = pick(header)
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
+    except csv.Error as exc:
+        raise error(f"{prefix}line {reader.line_num}: {exc}") from exc
     try:
         if set(map(len, rows)) - {len(header)}:
             raise ValueError

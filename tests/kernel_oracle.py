@@ -1,8 +1,14 @@
-"""The scan form of ``inner_rdu`` before it checked the domain once and
-skipped the segmented sums on blocks without ties, with its segmented
-Neumaier sums ``_run_sums`` and ``_twosum_errors``: the byte-for-byte
-oracle of ``rankrobust.evaluator.inner_rdu`` on blocks without near ties
-(kept verbatim).  It merges ties by the adjacent-gap rule, so on points
+"""Former row kernels, kept verbatim as byte-for-byte oracles.
+
+``group_merge_rows`` is ``rankrobust.distribution.merge_rows`` as it was
+when it summed every group of two or more tied points with mass by its own
+``exact_sum`` call.
+
+``scan_inner_rdu`` is the scan form of ``inner_rdu`` before it checked the
+domain once and skipped the segmented sums on blocks without ties, with its
+segmented Neumaier sums ``_run_sums`` and ``_twosum_errors``: the
+byte-for-byte oracle of ``rankrobust.evaluator.inner_rdu`` on blocks
+without near ties.  It merges ties by the adjacent-gap rule, so on points
 distinct but within MERGE_TOL it may differ from the group-leader merge
 the package runs."""
 
@@ -10,7 +16,7 @@ import math
 
 import numpy as np
 
-from rankrobust.distribution import MERGE_TOL
+from rankrobust.distribution import MERGE_TOL, exact_sum
 from rankrobust.errors import DomainError
 
 
@@ -74,3 +80,47 @@ def scan_inner_rdu(v, phi, psi) -> np.ndarray:
     tails = (s + np.cumsum(_twosum_errors(prev, mass, s), axis=1))[:, -2::-1]
     terms = du * np.where(tails > 0.0, psi(tails), 0.0)
     return _row_fsum(np.concatenate((u[:, :1], terms), axis=1))
+
+
+def group_merge_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The support merge of every row of the (rows, width) values, each row
+    with some mass, its points with mass sorted and ahead of its zero-mass
+    points (which may follow in any order), so that no point without mass
+    leads a group: a point within MERGE_TOL of its group's first point
+    joins the group, a group's mass is the ``exact_sum`` of its members'
+    masses (>= 0), and groups without mass are dropped.  Returns the
+    groups' first values and masses, left-aligned; each row is padded with
+    zero masses at its last group's value.  A block whose points with mass
+    are all more than MERGE_TOL apart is returned as it is, which one
+    reduction decides."""
+    if ((values[:, 1:] - values[:, :-1] > MERGE_TOL) | (masses[:, 1:] <= 0.0)).all():
+        return values, masses
+    rows, width = values.shape
+    first = np.ones(values.shape, dtype=bool)
+    first[:, 1:] = values[:, 1:] - values[:, :-1] > MERGE_TOL
+    # A point within MERGE_TOL above the one before it still starts a group
+    # if it lies more than MERGE_TOL above its group's first point.
+    for j in (np.flatnonzero(((values[:, 1:] > values[:, :-1]) & ~first[:, 1:]).any(axis=0)) + 1).tolist():
+        lead = np.where(first[:, :j], np.arange(j), 0).max(axis=1)
+        first[:, j] = values[:, j] - values[np.arange(rows), lead] > MERGE_TOL
+    group = (np.cumsum(first, axis=1) - 1 + width * np.arange(rows)[:, None]).ravel()
+    value = np.empty(rows * width)
+    value[group[first.ravel()]] = values[first]
+    masses = masses.ravel()
+    # Sums in index order, exact while a group has one member with mass; a
+    # group's members are one run of the flat block.
+    mass = np.bincount(group, masses, rows * width)
+    multi = np.bincount(group[masses > 0.0], minlength=rows * width) > 1
+    if multi.any():
+        members = masses[multi[group]].tolist()
+        ends = np.cumsum(np.bincount(group, minlength=rows * width)[multi]).tolist()
+        mass[multi] = [exact_sum(members[lo:hi]) for lo, hi in zip([0, *ends], ends)]
+    keep = mass.reshape(rows, width) > 0.0
+    count = keep.sum(axis=1)
+    r, c = np.nonzero(keep)
+    slot = (np.cumsum(keep, axis=1) - 1)[r, c]
+    merged, merged_mass = np.empty((rows, count.max())), np.zeros((rows, count.max()))
+    merged[r, slot] = value.reshape(rows, width)[r, c]
+    merged_mass[r, slot] = mass.reshape(rows, width)[r, c]
+    pad = np.arange(merged.shape[1]) >= count[:, None]
+    return np.where(pad, merged[np.arange(rows), count - 1][:, None], merged), merged_mass

@@ -548,6 +548,29 @@ class TestPenaltyTableParity:
         assert not isinstance(want[0], type)
         assert table_load(_load_penalty_table, path, ids) == want
 
+
+class TestOversizedCsvCell:
+    """A CSV cell longer than ``csv.field_size_limit()`` is refused with
+    exit 2 and one error line naming the file and the line."""
+
+    @pytest.mark.parametrize("command, text, where", [
+        ("portfolio", "state,prob,outcome,a\nw0,0.5,up,0.1\nw0,0.5,down,{cell}\n", "{path}: line 3"),
+        ("cmin", "calm,storm,penalty\n0.5,0.5,0\n0.2,0.8,{cell}\n", "penalty table {path} line 3"),
+        ("cmin", "calm,storm,{cell}\n0.5,0.5,0\n", "penalty table {path} line 1"),
+    ], ids=["panel", "table row", "table header"])
+    def test_exits_two_naming_file_and_line(self, capsys, tmp_path, command, text, where):
+        path = tmp_path / "big.csv"
+        path.write_text(text.format(cell="1" * 200_000), encoding="utf-8")
+        if command == "portfolio":
+            argv = ["portfolio", "--scenario", str(path), "--penalty", "maxmin:vertices", "--mean-prior", "uniform"]
+        else:
+            argv = ["cmin", "--penalty", f"table:{path}", "--prior", "calm=0.5,storm=0.5"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert f"{where.format(path=path)}: field larger than field limit (131072)" in err
+
+
 BAD_ROWS = {
     "sum": ([0.5, 0.49], "sum to"),
     "negative": ([1.2, -0.2], "negative"),

@@ -20,6 +20,7 @@ from rankrobust.distribution import (MERGE_TOL, SMALL_BLOCK, check_outcome_probs
                                      sums_off_one)
 from rankrobust.portfolio import _check_weight_rows
 from conftest import quantile_oracle, random_distribution
+from kernel_oracle import group_merge_rows
 from support_oracle import loop_distribution, support_laws
 
 
@@ -142,6 +143,79 @@ class TestSupportMerge:
         values, masses = np.array(values), np.array(masses)
         merged = merge_rows(values, masses)
         assert (merged[0] is values and merged[1] is masses) == unmerged
+
+
+@st.composite
+def tied_blocks(draw):
+    """(values, masses) blocks for ``merge_rows`` with many tied groups.
+
+    Each row is a run of groups at increasing levels: groups of 3-30 equal
+    masses, two-member groups, groups of three or more unequal masses,
+    single points, and near-tie chains in 0.8e-12 steps, which split into
+    groups by the leader rule.  Masses include 1/25, 5e-324 and 1e308.
+    Rows are padded to the block's width with zero-mass points (0.0 or
+    -0.0) after their points with mass, at a level of the row or a new one.
+    One-row and one-column blocks are drawn too."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_rows = draw(st.sampled_from([1, 1, 2, 4]))
+    max_groups = draw(st.sampled_from([1, 3, 6]))
+    special = [0.04, 0.1, 1.0 / 3.0, 5e-324, 1e308, 1e-17]
+
+    def mass():
+        return float(rng.choice(special)) if rng.random() < 0.5 else float(rng.uniform(1e-3, 1.0))
+
+    rows = []
+    for _ in range(n_rows):
+        level, values, masses = float(rng.integers(-3, 3)), [], []
+        for _ in range(int(rng.integers(1, max_groups + 1))):
+            kind = rng.choice(["equal", "pair", "unequal", "single", "chain"])
+            k = {"equal": int(rng.integers(3, 31)), "pair": 2, "unequal": int(rng.integers(3, 9)),
+                 "single": 1, "chain": int(rng.integers(2, 8))}[kind]
+            if kind == "chain":
+                values += [level + 0.8e-12 * i for i in range(k)]
+                masses += [mass()] * k if rng.random() < 0.5 else [mass() for _ in range(k)]
+            else:
+                values += [level] * k
+                group = [mass()] * k if kind == "equal" else [mass() for _ in range(k)]
+                if kind == "unequal" and len(set(group)) == 1:
+                    group[-1] = math.nextafter(group[-1], 2.0)
+                masses += group
+            level += float(rng.choice([0.5, 1.0, 100.0]))
+        rows.append((values, masses))
+    width = max(len(v) for v, _ in rows) + (int(rng.integers(0, 3)) if draw(st.booleans()) else 0)
+    for values, masses in rows:
+        while len(values) < width:
+            values.append(float(rng.choice([values[-1], values[0], level, -9.0])))
+            masses.append(float(rng.choice([0.0, -0.0])))
+    return np.array([v for v, _ in rows]), np.array([m for _, m in rows])
+
+
+def sorted_block(v):
+    """The (payoffs, probabilities) block ``inner_rdu`` hands to ``merge_rows``."""
+    order = np.argsort(np.where(v.outcome_probs > 0.0, v.payoffs, np.inf), axis=1, kind="stable")
+    rows = np.arange(order.shape[0])[:, None]
+    return v.payoffs[rows, order], v.outcome_probs[rows, order]
+
+
+class TestTiedGroupSums:
+    """``merge_rows`` equals its former per-group ``exact_sum`` form,
+    ``kernel_oracle.group_merge_rows``, bit for bit on tie-heavy blocks, and
+    returns its inputs themselves where that form did."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(tied_blocks())
+    @example(sorted_block(ellsberg_variables()["urn_a"]))
+    @example(sorted_block(ellsberg_variables()["urn_c"]))
+    @example((np.zeros((1, 6)), np.full((1, 6), 0.04)))  # a naive sum reads 0.24000000000000002
+    @example((np.zeros((1, 3)), np.full((1, 3), 1e308)))  # inf, with no RuntimeWarning
+    @example((np.ones((2, 7)), np.full((2, 7), 5e-324)))
+    @example((np.array([[0.0, 0.0, 0.0, 1.0]]), np.array([[0.5, 0.25, 0.25, -0.0]])))
+    @example((np.array([[2.0], [-0.0]]), np.array([[1.0], [0.5]])))
+    def test_matches_the_group_sum_loop(self, block):
+        values, masses = block
+        got, want = merge_rows(values, masses), group_merge_rows(values, masses)
+        assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
+        assert (got[0] is values, got[1] is masses) == (want[0] is values, want[1] is masses)
 
 
 class TestTwoStageVariable:

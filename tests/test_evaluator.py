@@ -50,6 +50,7 @@ from rankrobust import (
     tversky_kahneman,
     var_step,
 )
+import rankrobust.distribution as distribution_module
 import rankrobust.evaluator as evaluator_module
 from rankrobust.cli import main as cli_main, parse_scenario
 from rankrobust.distribution import MERGE_TOL, merge_rows
@@ -932,6 +933,44 @@ class TestLeanKernel:
         want = inner_rdu(v, exponential(0.7), power(2))
         monkeypatch.setattr(type(identity_utility()), "__call__", refused)
         assert inner_rdu(v, exponential(0.7), power(2)).tobytes() == want.tobytes()
+
+
+class TestTiedGroupWork:
+    """``merge_rows`` calls ``exact_sum`` once per group of three or more
+    unequal masses and for no other group."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(values):
+            calls.append(values)
+            return math.fsum(values)
+
+        monkeypatch.setattr(distribution_module, "exact_sum", counted)
+        return calls
+
+    def test_urn_bets_take_no_exact_sum(self, calls):
+        pref = ellsberg_preference()
+        bets = [parse_scenario(str(FIXTURES / name)) for name in ("ellsberg_urn_a.json", "ellsberg_urn_c.json")]
+        urns = ellsberg_variables()
+        bets += [add_variables(urns[name], urns["urn_b"], pref.phi) for name in ("urn_a", "urn_c")]
+        calls.clear()  # count the calls of inner_rdu alone
+        for v in bets:
+            inner_rdu(v, pref.phi, pref.psi)
+        assert calls == []
+
+    @pytest.mark.parametrize("groups", [1, 2, 5])
+    def test_one_call_per_group_of_unequal_masses(self, calls, groups):
+        # Each state holds an equal-mass triple, a pair and a single point,
+        # and all but the last state also an unequal triple.
+        row = ([1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 4.0, 4.0], [0.1, 0.1, 0.1, 0.15, 0.15, 0.1, 0.05, 0.2, 0.05])
+        last = ([1.0, 1.0, 1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 6.0], row[1])
+        rows = [row] * groups + [last]
+        v = TwoStageVariable([f"w{i}" for i in range(len(rows))], [p for _, p in rows], [x for x, _ in rows])
+        calls.clear()  # the constructor sums each small row by exact_sum
+        inner_rdu(v, identity_utility(), power(2))
+        assert calls == [[0.05, 0.2, 0.05]] * groups
 
 
 class TestNonFiniteUtilities:
