@@ -389,6 +389,15 @@ class _ReferencePenalty(AmbiguityIndex):
     def describe(self) -> str:
         return f"{self.kind}(theta={self.theta:g}) around {self.reference!r}"
 
+    def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
+        """The kind's ``_solve``, refused if it overflowed: an entry of a
+        value or a minimizer that is not finite."""
+        with np.errstate(all="ignore"):
+            values, q = self._solve(_utility_rows(U, self.n_states))
+        if not (np.isfinite(values).all() and np.isfinite(q).all()):
+            raise DomainError(f"{self.kind} penalty with theta={self.theta!r}: robust value is not finite")
+        return values, q
+
 
 class Entropic(_ReferencePenalty):
     """Relative-entropy penalty theta * sum_w q_w log(q_w / p'_w).
@@ -406,8 +415,8 @@ class Entropic(_ReferencePenalty):
         logs = np.log(w / self.reference.weights, out=np.zeros_like(w), where=w > 0)
         return self.theta * float(np.sum(w * logs))
 
-    def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
-        logits = np.log(self.reference.weights) - _utility_rows(U, self.n_states) / self.theta
+    def _solve(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        logits = np.log(self.reference.weights) - U / self.theta
         # Row by row, log-sum-exp rounded as scipy.special.logsumexp rounds
         # it: the maxima leave the shifted sum and come back as the log of
         # their count.
@@ -427,7 +436,9 @@ class Gini(_ReferencePenalty):
     q_w = p'_w * max(0, 1 + (mu - u_w) / (2 theta)).  The multiplier mu is
     exact: with u sorted, the active states are the k cheapest, where k is
     the number of prefixes whose gap sum_{i<=k} p'_i (u_k - u_i) is below
-    2 theta, and mu then solves the mass constraint in closed form.
+    2 theta, and mu then solves the mass constraint in closed form.  Rows
+    are read by row index from one stable sort.  A theta whose solve
+    overflows (such as 1e308) raises DomainError.
     """
 
     kind = "gini"
@@ -441,24 +452,21 @@ class Gini(_ReferencePenalty):
         """Exact KKT minimizers for the rows of U; each row is solved on its own."""
         p = self.reference.weights
         two_theta = 2.0 * self.theta
-        order = np.argsort(U, axis=-1, kind="stable")
-        u = np.take_along_axis(U, order, axis=-1)
-        ps = p[order]
-        mass = np.cumsum(ps, axis=-1)
-        # gap_k = sum_{i<=k} p_i (u_k - u_i), accumulated from non-negative steps.
-        gap = np.zeros_like(u)
-        gap[..., 1:] = np.cumsum(mass[..., :-1] * np.diff(u, axis=-1), axis=-1)
-        last = np.sum(gap < two_theta, axis=-1, keepdims=True) - 1
-        active_mass = np.take_along_axis(mass, last, axis=-1)
-        active_sum = np.take_along_axis(np.cumsum(ps * u, axis=-1), last, axis=-1)
-        mu = (two_theta * (1.0 - active_mass) + active_sum) / active_mass
-        q = p * np.maximum(0.0, 1.0 + (mu - U) / two_theta)
+        order = np.argsort(U, axis=1, kind="stable")
+        rows = np.arange(len(U))
+        u, ps = U[rows[:, None], order], p[order]
+        mass = np.cumsum(ps, axis=1)
+        # gap_k = sum_{i<=k} p_i (u_k - u_i), accumulated from non-negative
+        # steps; gap_1 = 0 is below 2 theta, so the last active state's
+        # index is the count of the later gaps below it.
+        last = (np.cumsum(mass[:, :-1] * (u[:, 1:] - u[:, :-1]), axis=1) < two_theta).sum(axis=1)
+        active_mass = mass[rows, last]
+        mu = (two_theta * (1.0 - active_mass) + np.cumsum(ps * u, axis=1)[rows, last]) / active_mass
+        q = p * np.maximum(0.0, 1.0 + (mu[:, None] - U) / two_theta)
         return q / q.sum(axis=-1, keepdims=True)
 
-    def robust_solve(self, U) -> tuple[np.ndarray, np.ndarray]:
-        U = _utility_rows(U, self.n_states)
-        q = self._minimizers(U)
-        p = self.reference.weights
+    def _solve(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        q, p = self._minimizers(U), self.reference.weights
         return np.sum(q * U, axis=-1) + self.theta * np.sum((q - p) ** 2 / p, axis=-1), q
 
 

@@ -9,6 +9,7 @@ the same quantile conventions and cross-checked against it.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -66,7 +67,9 @@ class Distortion:
         return spec_text(self.kind, self.params)
 
 
+@functools.cache
 def identity() -> Distortion:
+    """psi(p) = p, built once: a distortion is never changed once built."""
     return Distortion("identity", lambda p: p)
 
 

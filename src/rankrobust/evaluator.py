@@ -16,8 +16,9 @@ PAYOFF_RANGE); a ``BatterySpec`` sets only its case count and seed.  Cases
 are drawn straight into padded (rows, outcomes) blocks, with no per-case
 object, and every section runs as array operations over the blocks, its
 errors grouped per case.  ``battery_reports`` builds the reduction report
-and the ambiguity-aversion check from one draw of each case list, with
-one ``robust_solve`` per state count for both.
+and the ambiguity-aversion check from one draw pass over its case lists,
+one shared sort and merge of its main and single-state rows, and one
+``robust_solve`` per state count for both.
 ``ambiguity_aversion_check`` is a short pass of its own, which also takes
 the ``table:`` penalties on 2 or more states that the reduction report
 refuses.
@@ -108,45 +109,53 @@ class _PayoffRows(NamedTuple):
 def inner_rdu(v: TwoStageVariable, phi: UtilityFn, psi: Distortion) -> np.ndarray:
     """Per-state distorted expectation of utility, all states in one pass:
     each state's value is ``choquet(v.marginal(s).pushforward(phi), psi)``,
-    bit for bit.
+    bit for bit; ``_inner_values`` under psi alone."""
+    return _inner_values(v, phi, ((psi, None),))[0]
 
-    The payoffs are checked against phi's domain once (on the whole line by
-    ``isfinite`` alone).  Each row is sorted by payoff, zero-mass outcomes
-    last, so no point without mass leads a group; ``merge_rows`` merges the
-    payoffs, phi maps the merged points, ``merge_rows`` merges the
-    utilities, and ``choquet_rows`` returns u_1 + sum_i (u_{i+1} - u_i) *
-    psi(S_i), a term whose tail is 0 being 0, even where its utility
-    difference overflowed.  Only ``v.payoffs``, ``v.outcome_probs`` and
-    ``v.state_ids`` are read, and each state's value depends on its own row
-    alone.  Payoffs outside phi's domain raise with the offending (state,
-    outcome); so does a state whose value is not finite, naming the outcome
+
+def _inner_values(v: TwoStageVariable, phi: UtilityFn, passes) -> list[np.ndarray]:
+    """For each (psi, stop) of ``passes``, the values under psi of v's rows
+    before ``stop`` (all for None), from one sort and merge of the block.
+
+    Each row is sorted by payoff, zero-mass outcomes last, so no point
+    without mass leads a group; ``merge_rows`` merges the payoffs, phi maps
+    the merged points and ``merge_rows`` merges the utilities.  Then
+    ``choquet_rows`` returns u_1 + sum_i (u_{i+1} - u_i) * psi(S_i), a term
+    whose tail is 0 being 0, even where its utility difference overflowed.
+    Only ``v.payoffs``, ``v.outcome_probs`` and ``v.state_ids`` are read,
+    and each state's value depends on its own row alone.  Each pass in turn
+    is refused as a pass of its own would be: a payoff outside phi's domain
+    (on the whole line by ``isfinite`` alone) with the offending (state,
+    outcome), then a state whose value is not finite, naming the outcome
     whose utility overflowed, if one did.
     """
     inside = phi.domain.slack_mask(v.payoffs)
-    if not inside.all():
-        w, s = np.argwhere(~inside)[0]
-        raise DomainError(
-            f"payoff {float(v.payoffs[w, s])!r} at (state {v.state_ids[w]!r}, outcome {int(s)}) "
-            f"is outside the utility domain {phi.domain}"
-        )
     order = np.argsort(np.where(v.outcome_probs > 0.0, v.payoffs, np.inf), axis=1, kind="stable")
     rows = np.arange(order.shape[0])[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+    with np.errstate(all="ignore"):  # a refused row is named below
         x, mass = merge_rows(v.payoffs[rows, order], v.outcome_probs[rows, order])
-        # The domain check above is phi's own.
-        values = choquet_rows(*merge_rows(np.asarray(phi._fwd(x), dtype=float), mass), psi)
-    if not np.isfinite(values).all():
-        w = int(np.argmax(~np.isfinite(values)))
-        x = v.payoffs[w, order[w]]
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = np.flatnonzero(~np.isfinite(phi._fwd(x)))
-        if bad.size:
+        # _fwd skips phi's domain check: the loop below makes it.
+        u, mass = merge_rows(np.asarray(phi._fwd(x), dtype=float), mass)
+        out = [choquet_rows(u[:stop], mass[:stop], psi) for psi, stop in passes]
+    for values, (_, stop) in zip(out, passes):
+        if not inside[:stop].all():
+            w, s = np.argwhere(~inside[:stop])[0]
             raise DomainError(
-                f"utility {phi.describe()} of payoff {float(x[bad[0]])!r} at (state {v.state_ids[w]!r}, "
-                f"outcome {int(order[w, bad[0]])}) is not finite"
+                f"payoff {float(v.payoffs[w, s])!r} at (state {v.state_ids[w]!r}, outcome {int(s)}) "
+                f"is outside the utility domain {phi.domain}"
             )
-        raise DomainError(f"the distorted expected utility of state {v.state_ids[w]!r} is not finite")
-    return values
+        if not np.isfinite(values).all():
+            w = int(np.argmax(~np.isfinite(values)))
+            x = v.payoffs[w, order[w]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                bad = np.flatnonzero(~np.isfinite(phi._fwd(x)))
+            if bad.size:
+                raise DomainError(
+                    f"utility {phi.describe()} of payoff {float(x[bad[0]])!r} at (state {v.state_ids[w]!r}, "
+                    f"outcome {int(order[w, bad[0]])}) is not finite"
+                )
+            raise DomainError(f"the distorted expected utility of state {v.state_ids[w]!r} is not finite")
+    return out
 
 
 def _certainty_equivalent(phi: UtilityFn, value: float) -> float | None:
@@ -285,15 +294,15 @@ class BatterySpec:
 
 
 class _Cases(NamedTuple):
-    """Battery cases in one block MAX_OUTCOMES wide: the (state x outcome)
-    rows of each case in turn, ``states[c]`` rows with ``outcomes[c]``
-    outcomes for case c.  Each row is padded with zero-mass outcomes that
-    repeat its largest payoff: pads rank last, carry no tail mass and add
-    exact zeros, so ``inner_rdu`` values a padded row exactly as the case
-    alone.
+    """Battery cases in one block MAX_OUTCOMES wide, as ``inner_rdu`` reads
+    it: the (state x outcome) rows of each case in turn, ``states[c]`` rows
+    with ``outcomes[c]`` outcomes for case c.  Each row is padded with
+    zero-mass outcomes that repeat its largest payoff: pads rank last,
+    carry no tail mass and add exact zeros, so ``inner_rdu`` values a
+    padded row exactly as the case alone.
     """
 
-    probs: np.ndarray
+    outcome_probs: np.ndarray
     payoffs: np.ndarray
     states: np.ndarray
     outcomes: np.ndarray
@@ -304,45 +313,66 @@ class _Cases(NamedTuple):
         return np.cumsum(self.states) - self.states
 
     @property
-    def rows(self) -> _PayoffRows:
-        """The block as ``inner_rdu`` reads it; each case names its states w0, w1, ..."""
-        ids = tuple(f"w{i}" for n in self.states.tolist() for i in range(n))
-        return _PayoffRows(ids, self.probs, self.payoffs)
+    def state_ids(self) -> tuple[str, ...]:
+        """Each case names its states w0, w1, ...; only messages read them."""
+        return tuple(f"w{i}" for n in self.states.tolist() for i in range(n))
 
 
-def _draw_cases(n_cases: int, seed: int, n_states: int | None = None, unambiguous: bool = False) -> _Cases:
-    """n_cases battery cases, drawn straight into a block MAX_OUTCOMES wide.
+def _draw_cases(n_cases: int, *lists: tuple[int, int | None, bool], listed=None) -> tuple:
+    """n_cases battery cases for each (seed, n_states, unambiguous) of
+    ``lists``, all drawn in one pass, each list into a block MAX_OUTCOMES
+    wide.
 
-    One generator seeded with ``seed`` draws, case by case, the state count
-    (unless ``n_states`` fixes it), the outcome count and then, in one
-    ``random`` call, 2 * states * outcomes doubles: the raw outcome weights
-    and the payoff draws, each row-major.  Over the whole block each row's
-    weights plus 0.05 are divided by their sum (``_weight_rows``) and each
-    payoff draw u becomes lo + (hi - lo) * u on PAYOFF_RANGE, as
-    ``Generator.uniform`` maps the same doubles.  An unambiguous case
-    repeats its first row.
+    Each list's generator, seeded with its seed, draws case by case the
+    state count (unless ``n_states`` fixes it), the outcome count and then,
+    in one ``random`` call, 2 * states * outcomes doubles: the raw outcome
+    weights and the payoff draws, each row-major.  With ``listed``, a
+    generator, each case of the first list then draws (c)'s prior count k,
+    one to four, and its k raw priors in one ``random`` call.  One
+    ``_weight_rows`` call divides every row's weights plus 0.05, the
+    priors' too, by their sum; each payoff draw u becomes lo + (hi - lo) *
+    u on PAYOFF_RANGE, as ``Generator.uniform`` maps the same doubles; an
+    unambiguous case repeats its first row.  Returns the lists' blocks,
+    then, with ``listed``, the priors in a (cases, 4, max states) array: a
+    case's priors fill its first states, and a case with fewer than four
+    repeats its first, which leaves every minimum as it is.
     """
-    rng = np.random.default_rng(seed)
-    states, outcomes, draws = [], [], []
-    for _ in range(n_cases):
-        n_w = n_states if n_states is not None else int(rng.integers(1, MAX_STATES + 1))
-        n_s = int(rng.integers(2, MAX_OUTCOMES + 1))
-        draws.append(rng.random(2 * n_w * n_s))
-        states.append(n_w)
-        outcomes.append(n_s)
-    states, outcomes = np.array(states), np.array(outcomes)
+    states, outcomes, draws, unambiguous, priors = [], [], [], [], []
+    for seed, n_states, unamb in lists:
+        rng = np.random.default_rng(seed)
+        for _ in range(n_cases):
+            n_w = n_states if n_states is not None else int(rng.integers(1, MAX_STATES + 1))
+            n_s = int(rng.integers(2, MAX_OUTCOMES + 1))
+            draws.append(rng.random(2 * n_w * n_s))
+            states.append(n_w)
+            outcomes.append(n_s)
+        unambiguous += [unamb] * n_cases
+    counts = np.zeros(n_cases, dtype=int)
+    if listed is not None:
+        for c, n in enumerate(states[:n_cases]):
+            counts[c] = listed.integers(1, 5)
+            priors.append(listed.random(counts[c] * n))
+    states, outcomes, draws = np.array(states), np.array(outcomes), np.concatenate(draws)
     widths = np.repeat(outcomes, states)
+    weights = np.repeat(np.arange(2 * len(states)) % 2 == 0, np.repeat(states * outcomes, 2))
+    probs = _weight_rows(np.concatenate([draws[weights], *priors]),
+                         np.concatenate((widths, np.repeat(states[:n_cases], counts))), MAX_OUTCOMES)
     real = np.arange(MAX_OUTCOMES) < widths[:, None]
-    draws = np.concatenate(draws)
-    weights = np.repeat(np.arange(2 * n_cases) % 2 == 0, np.repeat(states * outcomes, 2))
-    probs, block = _weight_rows(draws[weights], widths, MAX_OUTCOMES), np.empty(real.shape)
+    block = np.empty(real.shape)
     lo, hi = PAYOFF_RANGE
     block[real] = lo + (hi - lo) * draws[~weights]
-    if unambiguous:
-        first = np.repeat(np.cumsum(states) - states, states)
-        probs, block = probs[first], block[first]
+    starts = np.cumsum(states) - states
+    first = np.where(np.repeat(unambiguous, states), np.repeat(starts, states), np.arange(len(widths)))
+    block = block[first]
     block = np.where(real, block, np.max(np.where(real, block, -np.inf), axis=1, keepdims=True))
-    return _Cases(probs, block, states, outcomes)
+    cut = starts[n_cases::n_cases]
+    blocks = [*map(_Cases, np.split(probs[first], cut), np.split(block, cut), np.split(states, len(lists)),
+                   np.split(outcomes, len(lists)))]
+    if listed is None:
+        return tuple(blocks)
+    slots = np.arange(4)
+    pick = (np.cumsum(counts) - counts)[:, None] + np.where(slots < counts[:, None], slots, 0)
+    return (*blocks, probs[len(widths) :, : states[:n_cases].max()][pick])
 
 
 def _weight_rows(draws: np.ndarray, widths: np.ndarray, width: int) -> np.ndarray:
@@ -463,9 +493,9 @@ def is_more_ambiguity_averse(
 
     structural = bool(phi_ok and psi_ok and penalty_ok)
 
-    cases = _draw_cases(battery.n_cases, battery.seed, n)
+    (cases,) = _draw_cases(battery.n_cases, (battery.seed, n, False))
     values_a, values_b = (
-        _case_values(p.ambiguity.recentered, inner_rdu(cases.rows, p.phi, p.psi), cases.states).tolist()
+        _case_values(p.ambiguity.recentered, inner_rdu(cases, p.phi, p.psi), cases.states).tolist()
         for p in (pref_a, pref_b)
     )
     lows = np.minimum.reduceat(cases.payoffs.min(axis=1), cases.starts).tolist()
@@ -507,8 +537,8 @@ def ambiguity_aversion_check(pref: Preference, battery: BatterySpec | None = Non
         local(pref.ambiguity.n_states + 1)
     except ShapeError:
         n_states = pref.ambiguity.n_states
-    cases = _draw_cases(battery.n_cases, battery.seed, n_states)
-    utils = inner_rdu(cases.rows, pref.phi, pref.psi)
+    (cases,) = _draw_cases(battery.n_cases, (battery.seed, n_states, False))
+    utils = inner_rdu(cases, pref.phi, pref.psi)
     return _aversion_section(battery.seed, local, _by_state_count(utils, cases.states),
                              _case_values(local, utils, cases.states))
 
@@ -530,15 +560,16 @@ def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tup
     or more states) raises ConfigError before any section runs.  The check
     is ``ambiguity_aversion_check``'s on the main cases.
 
-    Three case lists are drawn into padded blocks (``_draw_cases``): the
-    main cases, which are also the aversion check's, the unambiguous cases
-    of (b) and the single-state cases of (d).  Three ``inner_rdu`` calls
-    follow, one each for sections (a) and (b) and one for the rows of (c),
-    (d) and the check, then one ``robust_solve`` per state count for (b),
-    (d) and the check, with each recentred penalty built once.  Every
-    section is array operations over the blocks, its errors grouped per
-    case; the main cases are grouped by state count once for (c) and the
-    check, and in (c) each case lists its own priors.  Draws follow the
+    One ``_draw_cases`` pass draws the main cases (also the check's), the
+    single-state cases of (d), the unambiguous cases of (b) and (c)'s
+    listed priors.  One sort and merge of the main and single-state rows
+    (``_inner_values``) values them under psi, for (c), (d) and the check,
+    and the main rows under the identity distortion, for (a); (b)'s block
+    under linear utility takes one ``inner_rdu`` call.  Then one
+    ``robust_solve`` per state count serves (b), (d) and the check, each
+    recentred penalty built once.  Every section is array operations over
+    the blocks, its errors grouped per case; the main cases are grouped by
+    state count once for (c) and the check.  Each generator draws in the
     order of the sections run one by one.
     """
     battery = battery or BatterySpec()
@@ -552,48 +583,44 @@ def battery_reports(pref: Preference, battery: BatterySpec | None = None) -> tup
             f"{amb.describe()} covers {amb.n_states} states and table: penalties cannot be recentred"
         ) from None
     n_cases, seed = battery.n_cases, battery.seed
-    cases = _draw_cases(n_cases, seed)
     rng = np.random.default_rng(seed + 1)
-    report = {"seed": seed, "expectation_reduction": _expectation_section(pref, cases)}
-    unamb = _draw_cases(n_cases, seed + 2, unambiguous=True)
     # (a, b) per unambiguous case, then a shift per main case: an array draw
-    # takes one number after the other, as the scalar draws did.
+    # takes one number after the other, as the scalar draws did.  (c)'s
+    # listed priors come after them.
     maps = rng.uniform([0.5, -2.0], [2.5, 2.0], size=(n_cases, 2))
     shifts = rng.uniform(-2.0, 2.0, size=n_cases)
+    cases, singles, unamb, listed = _draw_cases(n_cases, (seed, None, False), (seed + 3, 1, False),
+                                                (seed + 2, None, True), listed=rng)
+    # One block under phi: the main cases, then the single-state cases.
+    both, main = _stack(cases, singles), len(cases.payoffs)
+    inner, utils = _inner_values(both, pref.phi, ((identity_distortion(), main), (pref.psi, None)))
+    report = {"seed": seed, "expectation_reduction": _expectation_section(pref, cases, inner)}
     affine = _stack(unamb, cases, _moved(unamb, maps[:, 0], maps[:, 1]), _moved(cases, np.ones(n_cases), shifts))
-    affine_utils = inner_rdu(affine.rows, identity_utility(), pref.psi)
-    listed = _draw_listed_priors(rng, cases.states)
-    singles = _draw_cases(n_cases, seed + 3, n_states=1)
-    # One block under (phi, psi): the main cases, then the single-state cases.
-    both = _stack(cases, singles)
-    utils = inner_rdu(both.rows, pref.phi, pref.psi)
+    affine_utils = inner_rdu(affine, identity_utility(), pref.psi)
     n_affine = len(affine.states)
     values = _case_values(local, np.concatenate((affine_utils, utils)), np.concatenate((affine.states, both.states)))
-    groups = list(_by_state_count(utils[: len(cases.probs)], cases.states))
+    groups = list(_by_state_count(utils[:main], cases.states))
     report["affine_equivariance"] = _affine_section(maps, shifts, values[:n_affine])
     report["maxmin_reduction"] = _maxmin_section(groups, listed)
-    report["single_state_rdu"] = _section(np.abs(values[n_affine + n_cases :] - utils[len(cases.probs) :]),
-                                          range(n_cases))
+    report["single_state_rdu"] = _section(np.abs(values[n_affine + n_cases :] - utils[main:]), range(n_cases))
     report["passed"] = all(not report[k]["violations"] for k in REDUCTION_SECTIONS)
     return report, _aversion_section(seed, local, groups, values[n_affine : n_affine + n_cases])
 
 
 def _section(errors, labels) -> dict:
-    """A reduction report: the largest error and the labels of the errors
-    above INDIFFERENCE_TOL."""
-    errors = errors.tolist()
+    """A reduction report: the largest error, NaN if one is, and the labels
+    of the errors not within INDIFFERENCE_TOL, NaN among them."""
     return {
-        "max_error": max([0.0, *errors]),
-        "violations": [label for label, err in zip(labels, errors) if err > INDIFFERENCE_TOL],
+        "max_error": float(np.max(errors, initial=0.0)),
+        "violations": [label for label, err in zip(labels, errors.tolist()) if not err <= INDIFFERENCE_TOL],
     }
 
 
-def _expectation_section(pref: Preference, cases: _Cases) -> dict:
-    """(a) Under the identity distortion each state's inner value is the
+def _expectation_section(pref: Preference, cases: _Cases, inner: np.ndarray) -> dict:
+    """(a) Under the identity distortion each state's ``inner`` value is the
     expected utility, each row's terms summed by ``exact_row_sums``; a case's
     error is the largest over its states."""
-    inner = inner_rdu(cases.rows, pref.phi, identity_distortion())
-    expected = exact_row_sums(cases.probs * pref.phi(cases.payoffs))
+    expected = exact_row_sums(cases.outcome_probs * pref.phi(cases.payoffs))
     return _section(np.maximum.reduceat(np.abs(inner - expected), cases.starts), range(len(cases.states)))
 
 
@@ -605,23 +632,6 @@ def _affine_section(maps: np.ndarray, shifts: np.ndarray, values: np.ndarray) ->
     base, after = values[:n_moved], values[n_moved:]
     expect = np.concatenate((maps[:, 0] * base[: len(maps)] + maps[:, 1], base[len(maps) :] + shifts))
     return _section(np.abs(after - expect), [*range(len(maps)), *(("shift", idx) for idx in range(len(shifts)))])
-
-
-def _draw_listed_priors(rng, states: np.ndarray) -> np.ndarray:
-    """(c)'s draws: one to four listed priors for each case, in a (cases, 4,
-    max states) array.  Each case draws its prior count k, then its k raw
-    priors in one ``random`` call; ``_weight_rows`` divides each prior's
-    weights plus 0.05 by their sum.  A case's priors fill its first states;
-    a case with fewer than four repeats its first, which leaves every
-    minimum as it is."""
-    counts, draws = [], []
-    for n in states.tolist():
-        counts.append(int(rng.integers(1, 5)))
-        draws.append(rng.random(counts[-1] * n))
-    counts = np.array(counts)
-    priors = _weight_rows(np.concatenate(draws), np.repeat(states, counts), states.max())
-    slots = np.arange(4)
-    return priors[(np.cumsum(counts) - counts)[:, None] + np.where(slots < counts[:, None], slots, 0)]
 
 
 def _maxmin_section(groups, listed: np.ndarray) -> dict:
@@ -643,14 +653,14 @@ def _aversion_section(seed: int, local, groups, values: np.ndarray) -> dict:
     """The aversion check: no robust value above the p0-weighted average at
     the recentred penalty's zero-penalty prior p0 (p0 @ u for each case, a
     stack of vector products), from the cases' ``groups`` by state count
-    and their robust ``values``."""
+    and their robust ``values``; a NaN value is a violation."""
     neutral = np.empty(len(values))
     for n, idx, profiles in groups:
         neutral[idx] = (local(n).zero_penalty_prior().weights @ profiles[:, :, None])[:, 0]
     violations = [
         {"case": idx, "value": value, "neutral": base}
         for idx, (value, base) in enumerate(zip(values.tolist(), neutral.tolist()))
-        if value > base + INDIFFERENCE_TOL
+        if not value <= base + INDIFFERENCE_TOL
     ]
     return {
         "cases": len(values),

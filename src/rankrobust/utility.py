@@ -10,6 +10,7 @@ so the defining identity holds bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -164,7 +165,9 @@ def affine(a: float, b: float = 0.0) -> UtilityFn:
     )
 
 
+@functools.cache
 def identity_utility() -> UtilityFn:
+    """phi(t) = t, built once: a utility is never changed once built."""
     return affine(1.0, 0.0)
 
 

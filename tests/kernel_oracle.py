@@ -10,7 +10,12 @@ segmented Neumaier sums ``_run_sums`` and ``_twosum_errors``: the
 byte-for-byte oracle of ``rankrobust.evaluator.inner_rdu`` on blocks
 without near ties.  It merges ties by the adjacent-gap rule, so on points
 distinct but within MERGE_TOL it may differ from the group-leader merge
-the package runs."""
+the package runs.
+
+``gini_minimizers`` is ``rankrobust.ambiguity.Gini._minimizers`` as it was
+before it read the sorted rows and prefix sums by row index and took the
+gaps' steps as slices: three ``take_along_axis`` calls and ``np.diff``.
+Call it with the ``Gini`` instance as ``self``."""
 
 import math
 
@@ -124,3 +129,22 @@ def group_merge_rows(values: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray
     merged_mass[r, slot] = mass.reshape(rows, width)[r, c]
     pad = np.arange(merged.shape[1]) >= count[:, None]
     return np.where(pad, merged[np.arange(rows), count - 1][:, None], merged), merged_mass
+
+
+def gini_minimizers(self, U: np.ndarray) -> np.ndarray:
+    """Exact KKT minimizers for the rows of U; each row is solved on its own."""
+    p = self.reference.weights
+    two_theta = 2.0 * self.theta
+    order = np.argsort(U, axis=-1, kind="stable")
+    u = np.take_along_axis(U, order, axis=-1)
+    ps = p[order]
+    mass = np.cumsum(ps, axis=-1)
+    # gap_k = sum_{i<=k} p_i (u_k - u_i), accumulated from non-negative steps.
+    gap = np.zeros_like(u)
+    gap[..., 1:] = np.cumsum(mass[..., :-1] * np.diff(u, axis=-1), axis=-1)
+    last = np.sum(gap < two_theta, axis=-1, keepdims=True) - 1
+    active_mass = np.take_along_axis(mass, last, axis=-1)
+    active_sum = np.take_along_axis(np.cumsum(ps * u, axis=-1), last, axis=-1)
+    mu = (two_theta * (1.0 - active_mass) + active_sum) / active_mass
+    q = p * np.maximum(0.0, 1.0 + (mu - U) / two_theta)
+    return q / q.sum(axis=-1, keepdims=True)

@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.special import logsumexp, rel_entr
 
 from rankrobust import (
@@ -31,6 +32,7 @@ from rankrobust import (
 from rankrobust.ambiguity import _weights_text
 from conftest import solve_one, values_of
 from hull_oracle import highs_c_min_lp, lp_hull_penalty
+from kernel_oracle import gini_minimizers
 from lattice_oracle import UtilityGrid, c_min_bruteforce
 
 UNIFORM2 = Prior.uniform(2)
@@ -437,6 +439,81 @@ class TestGiniExactSolve:
         batch = c.robust_solve(U)[0]
         for i in range(U.shape[0]):
             assert batch[i] == c.robust_solve(U[i : i + 1])[0][0]
+
+
+@st.composite
+def water_fill_cases(draw):
+    """A Gini penalty on 1-9 states, theta from 1e-6 to 1e6 or at a gap of
+    its first row (where the active count's comparison is an equality), and
+    1-6 utility rows: spread, tied (integer levels, repeated rows) or on
+    mixed scales, row by row and entry by entry."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, rows = draw(st.integers(1, 9)), draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        raw = rng.random(n) + 0.05
+        reference = Prior(raw / raw.sum())
+    else:
+        reference = Prior.uniform(n)
+    shape = draw(st.sampled_from(["spread", "tied", "mixed"]))
+    if shape == "spread":
+        U = rng.uniform(-3.0, 3.0, size=(rows, n))
+    elif shape == "tied":
+        U = rng.integers(-2, 3, size=(rows, n)).astype(float)
+        U[rng.random(rows) < 0.3] = U[0]
+    else:
+        U = rng.normal(size=(rows, n)) * 10.0 ** rng.integers(-6, 7, size=(rows, 1))
+        U *= 10.0 ** rng.integers(-3, 4, size=(rows, n))
+    theta = 10.0 ** draw(st.floats(-6.0, 6.0))
+    if draw(st.booleans()) and n > 1:
+        # theta at a breakpoint: 2 theta equals one of the first row's gaps.
+        p = reference.weights[np.argsort(U[0], kind="stable")]
+        u = np.sort(U[0], kind="stable")
+        gaps = np.cumsum(np.cumsum(p)[:-1] * np.diff(u))
+        gaps = gaps[gaps > 0.0]
+        if gaps.size:
+            theta = float(gaps[draw(st.integers(0, gaps.size - 1))]) / 2.0
+    return Gini(theta, reference), U
+
+
+class TestGiniWaterFill:
+    """``Gini._minimizers`` equals its former ``take_along_axis`` form,
+    ``kernel_oracle.gini_minimizers``, bit for bit."""
+
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(water_fill_cases())
+    @example((Gini(0.25, Prior.uniform(2)), np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])))
+    @example((Gini(1e-6, Prior.uniform(1)), np.array([[3.0], [-2.0]])))
+    def test_equals_the_former_kernel(self, case):
+        gini, U = case
+        p = gini.reference.weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want_q = gini_minimizers(gini, U)
+            want = np.sum(want_q * U, axis=-1) + gini.theta * np.sum((want_q - p) ** 2 / p, axis=-1)
+        assert gini._minimizers(U).tobytes() == want_q.tobytes()
+        values, q = gini.robust_solve(U)
+        assert values.tobytes() == want.tobytes() and q.tobytes() == want_q.tobytes()
+
+
+class TestOverflowingTheta:
+    """A finite theta whose solve overflows is refused, naming the penalty
+    and theta, with no numpy warning; finite results keep their bits."""
+
+    @pytest.mark.parametrize("index, text", [
+        (Gini(1e308, UNIFORM2), "gini penalty with theta=1e+308: robust value is not finite"),
+        (Entropic(1e-320, UNIFORM2), "entropic penalty with theta=1e-320: robust value is not finite"),
+    ])
+    def test_refused_without_a_warning(self, index, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+                index.robust_solve(np.array([[30.0, 60.0]]))
+
+    def test_tiny_gini_theta_is_finite(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, q = Gini(1e-320, UNIFORM2).robust_solve(np.array([[30.0, 60.0]]))
+        assert values.tolist() == [30.0] and q.tolist() == [[1.0, 0.0]]
 
 
 class TestMaxminVertices:

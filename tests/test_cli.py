@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -685,6 +686,31 @@ class TestInputEncoding:
 
 class TestRefusedInputs:
     """Refused inputs exit 2 with one error line that names the culprit."""
+
+    @pytest.mark.parametrize("argv, text", [
+        (["evaluate", "--scenario", str(FIXTURES / "two_state.json"), "--penalty", "gini:1e308@uniform"],
+         "gini penalty with theta=1e+308: robust value is not finite"),
+        (["evaluate", "--scenario", str(FIXTURES / "two_state.json"), "--penalty", "entropic:1e-320@uniform"],
+         "entropic penalty with theta=1e-320: robust value is not finite"),
+        (["battery", "--penalty", "gini:1e308@a=0.5,b=0.5", "--cases", "3"],
+         "gini penalty with theta=1e+308: robust value is not finite"),
+        (["cmin", "--penalty", "gini:1e308@a=0.5,b=0.5", "--prior", "a=0.3,b=0.7"],
+         "gini penalty with theta=1e+308: robust value is not finite"),
+    ])
+    def test_overflowing_theta_exits_two_without_a_warning(self, capsys, argv, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {text}\n")
+        assert [str(w.message) for w in caught] == []
+
+    def test_tiny_gini_theta_keeps_its_value_without_a_warning(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
+                                     "--penalty", "gini:1e-320@uniform", "--output", "json")
+        assert (code, err, caught) == (0, "", [])
+        assert json.loads(out)["result"]["certainty_equivalent"] == 30.0
 
     @pytest.mark.parametrize("rows, reason", [
         ("0.5,0.5,0\n0.2\n", "line 3: expected 3 fields, got 1"),

@@ -58,7 +58,7 @@ from rankrobust.evaluator import (
     _Cases,
     _PayoffRows,
     _draw_cases,
-    _draw_listed_priors,
+    _section,
     MAX_OUTCOMES,
     battery_reports,
     relation,
@@ -689,7 +689,7 @@ class TestComparativeAversion:
         monkeypatch.setattr(evaluator_module, "_draw_cases", recorded)
         pref = Preference(identity_utility(), identity(), Entropic(1.0, Prior.uniform(3)), ("w0", "w1", "w2"))
         report = is_more_ambiguity_averse(pref, pref, BatterySpec(n_cases=7, seed=5))
-        (cases,) = drawn
+        ((cases,),) = drawn
         assert cases.states.tolist() == [3] * 7
         assert report["behavioral"] == {"cases": 7, "violations": [], "seed": 5}
 
@@ -876,7 +876,7 @@ def lean_kernel_blocks(draw):
     if source == "kernel":
         rows, phi, psi = draw(kernel_blocks())
     elif source == "battery":
-        rows = _draw_cases(draw(st.integers(1, 8)), draw(st.integers(0, 2**16))).rows
+        (rows,) = _draw_cases(draw(st.integers(1, 8)), (draw(st.integers(0, 2**16)), None, False))
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         n_w, n_s = draw(st.integers(1, 6)), draw(st.integers(1, 12))
@@ -1023,6 +1023,28 @@ class TestReductionSuite:
             battery_reports(pref, BatterySpec(n_cases=5))
         assert drawn == []
 
+    def test_a_nan_error_is_a_violation(self):
+        report = _section(np.array([0.0, math.nan, 2e-9, 1e-9]), range(4))
+        assert math.isnan(report["max_error"]) and report["violations"] == [1, 2]
+
+    def test_nan_robust_values_fail_the_battery(self, monkeypatch, capsys):
+        """A penalty whose robust_solve returns NaN fails (b), (d) and the
+        aversion check on every case: the battery exits 3, not 0."""
+        def nan_solve(self, U):
+            U = np.asarray(U, dtype=float)
+            return np.full(len(U), math.nan), np.full(U.shape, math.nan)
+
+        monkeypatch.setattr(Entropic, "robust_solve", nan_solve)
+        argv = ["battery", "--penalty", "entropic:1@w0=0.5,w1=0.5", "--cases", "4", "--output", "json"]
+        assert cli_main(argv) == 3
+        result = json.loads(capsys.readouterr().out)["result"]
+        reductions = result["reductions"]
+        for key in ("affine_equivariance", "single_state_rdu"):
+            assert math.isnan(reductions[key]["max_error"]) and reductions[key]["violations"], key
+        assert reductions["passed"] is False
+        assert len(result["ambiguity_aversion"]["violations"]) == 4
+        assert result["ambiguity_aversion"]["passed"] is False
+
     def test_table_on_one_state_runs(self):
         # A 1-state table cannot be recentred, so it values only batteries
         # whose main and unambiguous cases all drew one state.
@@ -1116,27 +1138,27 @@ class TestBatteryBlocks:
         """Each case's rows of the block are the per-case loop's draws, bit
         for bit; pads have zero mass and repeat the row's largest payoff."""
         n_cases, seed, n_states, unambiguous = args
-        cases = _draw_cases(n_cases, seed, n_states, unambiguous)
+        (cases,) = _draw_cases(n_cases, (seed, n_states, unambiguous))
         want = reference_generate_battery(n_cases, seed, n_states, unambiguous=unambiguous)
-        assert cases.probs.shape[1] == cases.payoffs.shape[1] == MAX_OUTCOMES
+        assert cases.outcome_probs.shape[1] == cases.payoffs.shape[1] == MAX_OUTCOMES
         assert cases.states.tolist() == [v.n_states for v in want]
         assert cases.outcomes.tolist() == [v.n_outcomes for v in want]
         for v, lo in zip(want, cases.starts.tolist()):
             rows, m = slice(lo, lo + v.n_states), v.n_outcomes
-            assert cases.probs[rows, :m].tobytes() == v.outcome_probs.tobytes()
+            assert cases.outcome_probs[rows, :m].tobytes() == v.outcome_probs.tobytes()
             assert cases.payoffs[rows, :m].tobytes() == v.payoffs.tobytes()
-            assert not cases.probs[rows, m:].any()
+            assert not cases.outcome_probs[rows, m:].any()
             assert (cases.payoffs[rows, m:] == v.payoffs.max(axis=1, keepdims=True)).all()
 
     @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(st.lists(st.integers(1, 6), min_size=1, max_size=60), st.integers(0, 10**6))
-    def test_listed_priors_equal_the_per_case_draws(self, states, seed):
-        """(c)'s listed priors, drawn in one block, are the per-case loop's
-        bit for bit (1 to 4 priors per case, 1 to 6 states), and both leave
-        the generator in the same state."""
-        rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _draw_listed_priors(rng, np.array(states))
-        want = reference_listed_priors(want_rng, states)
+    @given(st.integers(1, 60), st.integers(0, 10**6), st.integers(0, 10**6))
+    def test_listed_priors_equal_the_per_case_draws(self, n_cases, seed, listed_seed):
+        """(c)'s listed priors, drawn in the one draw pass with their cases,
+        are the per-case loop's bit for bit (1 to 4 priors per case, 1 to 6
+        states), and both leave the generator in the same state."""
+        rng, want_rng = np.random.default_rng(listed_seed), np.random.default_rng(listed_seed)
+        cases, got = _draw_cases(n_cases, (seed, None, False), listed=rng)
+        want = reference_listed_priors(want_rng, cases.states.tolist())
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert rng.random() == want_rng.random()
 
@@ -1154,24 +1176,24 @@ class TestBatteryBlocks:
         block = _Cases(np.vstack([padded(v.outcome_probs, np.zeros((v.n_states, 1))) for v in variables]),
                        np.vstack([padded(v.payoffs, v.payoffs.max(axis=1, keepdims=True)) for v in variables]),
                        np.array([v.n_states for v in variables]), np.array([v.n_outcomes for v in variables]))
-        values = inner_rdu(block.rows, phi, psi)
+        values = inner_rdu(block, phi, psi)
         for v, lo in zip(variables, block.starts.tolist()):
             assert values[lo : lo + v.n_states].tobytes() == inner_rdu(v, phi, psi).tobytes()
 
     def test_draws_follow_the_per_case_order(self, monkeypatch):
-        blocks, listed = [], []
-        real_inner, real_listed = evaluator_module.inner_rdu, evaluator_module._draw_listed_priors
+        blocks, drawn = [], []
+        real_inner, real_draw = evaluator_module.inner_rdu, evaluator_module._draw_cases
 
         def recorded_inner(v, phi, psi):
             blocks.append(v.payoffs.copy())
             return real_inner(v, phi, psi)
 
-        def recorded_listed(rng, states):
-            listed.append(real_listed(rng, states))
-            return listed[-1]
+        def recorded_draw(*args, **kwargs):
+            drawn.append(real_draw(*args, **kwargs))
+            return drawn[-1]
 
         monkeypatch.setattr(evaluator_module, "inner_rdu", recorded_inner)
-        monkeypatch.setattr(evaluator_module, "_draw_listed_priors", recorded_listed)
+        monkeypatch.setattr(evaluator_module, "_draw_cases", recorded_draw)
         spec = BatterySpec(n_cases=12, seed=99)
         battery_reports(Preference(exponential(0.1), prelec(0.65, 1.0), Entropic(1.5, UNIFORM2), ("w0", "w1")), spec)
 
@@ -1187,13 +1209,14 @@ class TestBatteryBlocks:
             moved.append(a * v.payoffs + b)
         moved += [v.payoffs + float(rng.uniform(-2.0, 2.0)) for v in cases]
         row = sum(v.n_states for v in [*unamb, *cases])
+        (block,) = blocks  # section (b)'s block, the one inner_rdu call
         for payoffs in moved:
             k, m = payoffs.shape
-            assert np.array_equal(blocks[1][row : row + k, :m], payoffs)
+            assert np.array_equal(block[row : row + k, :m], payoffs)
             row += k
         # A case with fewer than four priors repeats its first; its other
         # states have no weight.
-        (priors,) = listed
+        ((*_, priors),) = drawn
         assert len(priors) == len(cases)
         for v, drawn in zip(cases, priors):
             raw = rng.random((int(rng.integers(1, 5)), v.n_states)) + 0.05
@@ -1206,19 +1229,37 @@ class TestBatteryBlocks:
         "maxmin:[w0=0.3,w1=0.7;w0=0.6,w1=0.4]", "entropic:1.5@w0=0.4,w1=0.6", "gini:0.8@w0=0.5,w1=0.5",
     ])
     def test_twelve_case_battery_makes_few_inner_calls(self, monkeypatch, capsys, penalty):
+        """Two inner passes: the main and single-state rows once under phi,
+        and section (b)'s block under linear utility."""
         calls = []
-        real = evaluator_module.inner_rdu
+        real = evaluator_module._inner_values
 
         def counted(*args, **kwargs):
             calls.append(args[0].payoffs.shape)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(evaluator_module, "inner_rdu", counted)
+        monkeypatch.setattr(evaluator_module, "_inner_values", counted)
         argv = ["battery", "--penalty", penalty, "--utility", "exp:0.1", "--distortion", "prelec:0.65,1",
                 "--cases", "12", "--output", "json"]
         assert cli_main(argv) == 0
         assert json.loads(capsys.readouterr().out)["result"]["total_violations"] == 0
-        assert 1 <= len(calls) <= 6, calls
+        assert 1 <= len(calls) <= 2, calls
+
+    @pytest.mark.parametrize("penalty", [
+        "maxmin:[w0=0.3,w1=0.7;w0=0.6,w1=0.4]", "entropic:1.5@w0=0.4,w1=0.6", "gini:0.8@w0=0.5,w1=0.5",
+    ])
+    def test_twelve_case_battery_work(self, monkeypatch, capsys, penalty):
+        """A 12-case battery makes at most two sort/merge passes (each two
+        ``merge_rows`` calls) and one ``_weight_rows`` call."""
+        merges, weights = [], []
+        real_merge, real_weights = evaluator_module.merge_rows, evaluator_module._weight_rows
+        monkeypatch.setattr(evaluator_module, "merge_rows", lambda *args: merges.append(1) or real_merge(*args))
+        monkeypatch.setattr(evaluator_module, "_weight_rows", lambda *args: weights.append(1) or real_weights(*args))
+        argv = ["battery", "--penalty", penalty, "--utility", "exp:0.1", "--distortion", "prelec:0.65,1",
+                "--cases", "12", "--output", "json"]
+        assert cli_main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["total_violations"] == 0
+        assert 1 <= len(merges) <= 4 and len(weights) == 1, (len(merges), len(weights))
 
 
 @st.composite
@@ -1341,14 +1382,14 @@ class TestBatteryPass:
     ])
     def test_draws_and_solves_once(self, monkeypatch, capsys, penalty):
         drawn, inner, recentred, solved = [], [], [], []
-        real_draw, real_inner = evaluator_module._draw_cases, evaluator_module.inner_rdu
+        real_draw, real_inner = evaluator_module._draw_cases, evaluator_module._inner_values
         kind = type(parse_penalty(penalty, ["w0", "w1"]))
         real_recentered, real_solve = kind.recentered, kind.robust_solve
 
         def draw(*args, **kwargs):
-            cases = real_draw(*args, **kwargs)
-            drawn.append(cases)
-            return cases
+            blocks = real_draw(*args, **kwargs)
+            drawn.append(blocks)
+            return blocks
 
         def recentered(self, n):
             out = real_recentered(self, n)
@@ -1360,19 +1401,22 @@ class TestBatteryPass:
             return real_solve(self, U)
 
         monkeypatch.setattr(evaluator_module, "_draw_cases", draw)
-        monkeypatch.setattr(evaluator_module, "inner_rdu", lambda *args: inner.append(args) or real_inner(*args))
+        monkeypatch.setattr(evaluator_module, "_inner_values", lambda *args: inner.append(args) or real_inner(*args))
         monkeypatch.setattr(kind, "recentered", recentered)
         monkeypatch.setattr(kind, "robust_solve", robust_solve)
         argv = ["battery", "--penalty", penalty, "--utility", "exp:0.1", "--distortion", "prelec:0.65,1",
                 "--cases", "12", "--output", "json"]
         assert cli_main(argv) == 0
         assert json.loads(capsys.readouterr().out)["result"]["total_violations"] == 0
-        assert len(drawn) == 3 and len(inner) == 3
+        # One draw pass: the main, single-state and unambiguous cases, then
+        # (c)'s listed priors; two inner passes.
+        (blocks,) = drawn
+        assert len(blocks) == 4 and len(inner) == 2
         counts = [n for n, _ in recentred]
         assert sorted(counts) == sorted(set(counts)), "a recentred penalty was built twice"
         local = [out for _, out in recentred]
         solved_counts = [n for obj, n in solved if any(obj is out for out in local)]
-        assert sorted(solved_counts) == sorted({n for cases in drawn for n in cases.states.tolist()})
+        assert sorted(solved_counts) == sorted({n for cases in blocks[:3] for n in cases.states.tolist()})
 
     def test_builds_no_per_case_objects(self, monkeypatch, capsys):
         """A battery command constructs no ``TwoStageVariable`` or
