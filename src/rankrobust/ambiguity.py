@@ -16,8 +16,8 @@ The dual side reconstructs the minimal penalty from certainty values alone:
 c*(q) = sup_u { I(u) - q . u } with I the robust value, taken over a box
 [low, high]^n of utility profiles.  ``c_min_exact`` solves this concave
 maximization and returns a certified bracket (lower bound attained at a box
-point, upper bound from a mixture of listed priors or the Frank-Wolfe gap,
-solver status and iterations).
+point, upper bound from a mixture of listed priors or from priors on the
+entropic or Gini KKT path, solver status and iterations).
 
 The module needs numpy alone.  For listed priors the ``cmin`` LP and
 ``MaxminSet.penalty``'s hull membership test are one L1 problem over
@@ -437,8 +437,10 @@ class Gini(_ReferencePenalty):
     exact: with u sorted, the active states are the k cheapest, where k is
     the number of prefixes whose gap sum_{i<=k} p'_i (u_k - u_i) is below
     2 theta, and mu then solves the mass constraint in closed form.  Rows
-    are read by row index from one stable sort.  A theta whose solve
-    overflows (such as 1e308) raises DomainError.
+    are read by row index from one stable sort.  When 2 theta is below the
+    rounding of mu, every weight of a row can clip to 0; such a row's
+    minimizer is p' on its least utilities.  A theta whose solve overflows
+    (such as 1e308) raises DomainError.
     """
 
     kind = "gini"
@@ -463,7 +465,13 @@ class Gini(_ReferencePenalty):
         active_mass = mass[rows, last]
         mu = (two_theta * (1.0 - active_mass) + np.cumsum(ps * u, axis=1)[rows, last]) / active_mass
         q = p * np.maximum(0.0, 1.0 + (mu[:, None] - U) / two_theta)
-        return q / q.sum(axis=-1, keepdims=True)
+        total = q.sum(axis=-1, keepdims=True)
+        if not total.all():
+            # 2 theta below the rounding of mu can clip every weight of a
+            # row: its minimizer is then p' on its least utilities.
+            q = np.where(total > 0.0, q, p * (U == U.min(axis=1, keepdims=True)))
+            total = q.sum(axis=-1, keepdims=True)
+        return q / total
 
     def _solve(self, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         q, p = self._minimizers(U), self.reference.weights
@@ -517,21 +525,11 @@ class CMinBracket(NamedTuple):
 
 
 CMIN_RTOL = 1e-9
-NEWTON_MAX_ITER = 50
 
 
-def _fenchel_gap(amb: AmbiguityIndex, q_row: np.ndarray, u: np.ndarray) -> tuple[float, np.ndarray]:
-    """I(u) - q . u at one box point and the minimizer q*(u), from one robust
-    solve, for q the single row of q_row.  q . u is the dot the listed-prior
-    scan takes for q as a listed prior."""
-    row = u[None, :]
-    values, minimizers = amb.robust_solve(row)
-    return float(values[0] - _prior_dots(row, q_row)[0, 0]), minimizers[0]
-
-
-def _rounding_slack(n: int, value: float, radius: float) -> float:
+def _rounding_slack(n: int, value, radius: float):
     """Outward allowance for the rounding of an n-term Fenchel gap of size
-    value at a point of a box of this radius."""
+    value (a float or an array of them) at a point of a box of this radius."""
     return 4 * n * float(np.finfo(float).eps) * (1.0 + abs(value) + radius)
 
 
@@ -543,7 +541,9 @@ def _c_min_lp(amb, w, low, high) -> CMinBracket:
     matrix, costs = amb._matrix, amb.costs
     k, n = matrix.shape
     lam, y, pivots, status = _l1_simplex(matrix, costs, w, 0.5 * (high - low))
-    best = max(_fenchel_gap(amb, w[None, :], np.clip(0.5 * (low + high) - y, low, high))[0], 0.0)
+    u = np.clip(0.5 * (low + high) - y, low, high)[None, :]
+    # q . u is the dot the listed-prior scan takes for q as a listed prior.
+    best = max(float(amb.robust_solve(u)[0][0] - _prior_dots(u, w[None, :])[0, 0]), 0.0)
     # Any lam on the simplex bounds the sup: I(u) <= sum_j lam_j (p_j . u + c_j),
     # so c*(q) <= lam . c + max over the box of (P^T lam - q) . u, taken per state.
     lam /= lam.sum()
@@ -559,94 +559,86 @@ def _c_min_lp(amb, w, low, high) -> CMinBracket:
     return CMinBracket(lower, upper, status, pivots)
 
 
-def _hessian(amb, q_star: np.ndarray) -> np.ndarray:
-    """Hessian of the robust value at a point whose minimizer is q_star."""
-    if isinstance(amb, Entropic):
-        return -(np.diag(q_star) - np.outer(q_star, q_star)) / amb.theta
-    active = np.where(q_star > 0.0, amb.reference.weights, 0.0)
-    return -(np.diag(active) - np.outer(active, active) / active.sum()) / (2.0 * amb.theta)
+def _ordered(x: float) -> int:
+    """An integer that orders as the double x does (-0.0 and 0.0 share 0), so
+    adjacent doubles are adjacent integers; ``_unordered`` inverts it."""
+    bits = int(np.float64(x).view(np.int64))
+    return bits if bits >= 0 else -bits - (1 << 63)
+
+
+def _unordered(key: int) -> float:
+    return float(np.int64(key if key >= 0 else -key - (1 << 63)).view(np.float64))
 
 
 def _c_min_smooth(amb, w, low, high) -> CMinBracket:
-    """Entropic and Gini: projected Newton from the box centre until the
-    Frank-Wolfe bracket f(u) + max_x g . (x - u) closes."""
+    """Entropic and Gini on the KKT path.  At x = (lam - u) / theta the robust
+    minimizer is p' d(x), lam setting its mass to 1, for the density
+    d(x) = exp(x) (entropic) or max(1 + x / 2, 0) (Gini).  So the box
+    maximizer lies on x(lam) = clip(d^-1(q / p'), (lam - high) / theta,
+    (lam - low) / theta), whose mass p' . d(x) grows with lam from at most 1
+    at lam = low to at least 1 at lam = high.  lam is bisected to two
+    adjacent doubles, and the bracket is read there by weak duality, in
+    v = d(x) - 1 so that no theta-sized terms cancel.  Below:
+    I(u) >= lam - theta p' . phi(v), phi(v) = v (entropic) or v (2 + v)
+    (Gini).  Above: c*(q) <= c(r) + the box's max of (r - q) . u for every
+    prior r, taken for r = p' (1 + v) with v the mix of the two ends' v
+    whose mass is 1, for r = p' and for r = q.
+    """
+    theta, n, radius = amb.theta, w.size, max(abs(low), abs(high))
+    p = amb.reference.weights / math.fsum(amb.reference.weights)
+    entropic = isinstance(amb, Entropic)
 
-    def at(u):
-        """(u, f, g, q*, Frank-Wolfe gap) at the box point u."""
-        f, q_star = _fenchel_gap(amb, q_row, u)
-        g = q_star - w
-        # By concavity f(x) <= f(u) + g . (x - u); each term is >= 0 on the box.
-        return u, f, g, q_star, float(np.sum(np.maximum(g * (low - u), g * (high - u))))
+    def excess(x):
+        return np.expm1(x) if entropic else np.maximum(0.5 * x, -1.0)
 
-    n, q_row = w.size, w[None, :]
-    eps, radius = float(np.finfo(float).eps), max(abs(low), abs(high))
-    u, f, g, q_star, frank_wolfe = at(np.full(n, 0.5 * (low + high)))
-    best, iterations, stop = max(f, 0.0), 0, "iteration_limit"
-
-    def search(direction, closed):
-        """The first step direction / 2^k that raises f, or that shrinks the
-        Frank-Wolfe gap without losing f: near the optimum f is flat to its
-        rounding while the gap, a slope times the box width, is not, so until
-        the bracket is closed the step may lose that much.  Once it is closed,
-        only the full step is tried and no loss is allowed: Newton's last
-        steps are cheap and pull the lower bound up to lattice points that sit
-        on the optimum, such as box corners, and steps that raise (f, -gap)
-        cannot cycle between two points an ulp apart."""
-        slack = 0.0 if closed else _rounding_slack(n, f, radius)
-        for k in range(1 if closed else 60):
-            trial = at(np.clip(u + 0.5**k * direction, low, high))
-            if trial[1] > f or (trial[1] >= f - slack and trial[4] < frank_wolfe):
-                return trial
-        return None
-
-    for _ in range(NEWTON_MAX_ITER):
-        closed = frank_wolfe <= CMIN_RTOL * (1.0 + abs(best))
-        if frank_wolfe == 0.0:
-            break
-        # Bertsekas' projected Newton: coordinates on or near a bound their
-        # slope points out of go to that bound; Newton moves the others.
-        near = min(1e-3 * (high - low), float(np.max(np.abs(np.clip(u + g, low, high) - u))))
-        to_low, to_high = (u <= low + near) & (g < 0.0), (u >= high - near) & (g > 0.0)
-        free = ~(to_low | to_high)
-        step = np.where(to_low, low - u, np.where(to_high, high - u, 0.0))
-        hessian = _hessian(amb, q_star)
-        curvature = -np.diag(hessian)
-        flat = free & (curvature <= n * eps * curvature.max())
-        curved = free & ~flat
-        # The Hessian is singular along the all-ones vector: least squares.
-        step[curved] = np.linalg.lstsq(hessian[np.ix_(curved, curved)], -g[curved], rcond=None)[0]
-        if not g[curved] @ step[curved] > 0.0:
-            step[curved] = g[curved]
-        # f is linear along a state without curvature (a Gini state outside the
-        # minimizer's support), and nearly so along one whose curvature is
-        # below lstsq's cutoff of n ulps of the largest: it heads for the box
-        # face its slope points to, as in a Frank-Wolfe step, and the line
-        # search cuts the way short.
-        step[flat] = np.where(g[flat] < 0.0, low - u[flat], np.where(g[flat] > 0.0, high - u[flat], 0.0))
-        iterations += 1
-        # Clipping can turn the Newton step away from ascent on a badly scaled
-        # box; the Frank-Wolfe step towards the box vertex g points to cannot.
-        trial = search(step, closed) or search(np.where(g > 0.0, high, np.where(g < 0.0, low, u)) - u, closed)
-        if trial is None:
-            stop = "line_search_failed"
-            break
-        u, f, g, q_star, frank_wolfe = trial
-        best = max(best, f)
-    # best >= f, so best + gap is at least as far out as f + gap; both bounds
-    # move outward by the rounding of f, g and the gap's n terms.
-    allowance = _rounding_slack(n, best, radius)
-    upper = best + frank_wolfe + allowance
-    status = "converged" if upper - best <= CMIN_RTOL * (1.0 + abs(best)) else stop
-    return CMinBracket(max(best - allowance, 0.0), upper, status, iterations)
+    with np.errstate(all="ignore"):
+        # theta d^-1(q / p'): -inf for an entropic state with q_i = 0, which sits at high.
+        interior = theta * (np.log(w / p) if entropic else 2.0 * (w - p) / p)
+        lo, hi, iterations = _ordered(low), _ordered(high), 0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lam = _unordered(mid)
+            if p @ excess(np.clip(interior, lam - high, lam - low) / theta) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            iterations += 1
+        lam = np.array([[_unordered(lo)], [_unordered(hi)]])
+        y = np.clip(interior, lam - high, lam - low)  # lam - u at both ends, finite
+        v, u = excess(y / theta), np.clip(lam - y, low, high)
+        amb.robust_solve(u)  # refuses a theta whose solve overflows, as every command does
+        phi = v if entropic else v * (2.0 + v)
+        best = max(float(np.max(lam[:, 0] - u @ w - theta * (phi @ p))), 0.0)
+        mass = v @ p
+        # The ends' masses p' . v straddle 0; mixing their v to mass 0 leaves
+        # each state inside the box at v = q_i / p'_i - 1, so at r_i = q_i.
+        mix = min(max(-mass[0] / (mass[1] - mass[0]), 0.0), 1.0) if mass[1] > mass[0] else 0.0
+        v = np.stack([v[0] + mix * (v[1] - v[0]), np.zeros(n), excess(interior / theta)])
+        mass = (v @ p)[:, None]
+        r = p * (1.0 + v) / (1.0 + mass)
+        if entropic:  # log(r / p') = log1p(v) - log1p(mass)
+            penalty = np.sum(np.where(r > 0.0, r * np.log1p(v), 0.0), axis=1) - np.log1p(mass[:, 0])
+        else:
+            penalty = np.sum(p * ((v - mass) / (1.0 + mass)) ** 2, axis=1)
+        bounds = theta * penalty + np.sum(np.maximum(low * (r - w), high * (r - w)), axis=1)
+    # A row that overflowed (nan) bounds nothing.
+    upper = float(np.fmin.reduce(bounds + _rounding_slack(n, bounds, radius)))
+    lower = max(best - _rounding_slack(n, best, radius), 0.0)
+    if not lower <= upper:
+        raise SolverError(f"{amb.kind} penalty with theta={theta!r}: cmin lower bound {lower!r} "
+                          f"exceeds its upper bound {upper!r}")
+    status = "converged" if upper - best <= CMIN_RTOL * (1.0 + abs(best)) else "bracket_open"
+    return CMinBracket(lower, upper, status, iterations)
 
 
 def c_min_exact(amb: AmbiguityIndex, q, low: float, high: float) -> CMinBracket:
     """Bracket the minimal penalty c*(q) = sup_u { I(u) - q . u } over the box
     [low, high]^n, where I is the robust value of amb.
 
-    The lower bound is I(u) - q . u at a box point u (a Fenchel point),
-    lowered by an allowance for its rounding (4 n eps (1 + |gap| + box
-    radius)), so it does not exceed the penalty it bounds.  It is never
+    The lower bound is I(u) - q . u at a box point u (a Fenchel point), or
+    for ``Entropic`` and ``Gini`` a weak-duality bound below it, lowered by an
+    allowance for its rounding (4 n eps (1 + |gap| + box radius)), so it
+    does not exceed the penalty it bounds.  It is never
     below 0: amb is grounded, so every constant profile a * 1 in the box
     gives exactly I(a * 1) - q . (a * 1) = a - a = 0, and the allowance
     stops there.
@@ -656,14 +648,17 @@ def c_min_exact(amb: AmbiguityIndex, q, low: float, high: float) -> CMinBracket:
     the lower bound is read at u = (low + high) / 2 - y for the duals y of
     its state rows, and the upper bound is the same objective at its lam,
     so the bracket is valid wherever the simplex stopped.  ``iterations``
-    counts its pivots.  ``Entropic`` and ``Gini`` run projected Newton from
-    the box centre (Hessians -(diag q* - q* q*^T)/theta, and
-    -(diag p_A - p_A p_A^T/sum p_A)/(2 theta) on the minimizer's support A)
-    until the Frank-Wolfe upper bound is within CMIN_RTOL * (1 + |lower|) of
-    the lower one.  Both upper bounds carry an outward allowance for rounding.
-    ``status`` is "converged", or says why the bracket stayed open
-    ("lp_bracket_open", "iteration_limit" at the simplex's pivot cap or
-    Newton's, "no_pivot_element", "line_search_failed").
+    counts its pivots.  ``Entropic`` and ``Gini`` bisect the multiplier of
+    the KKT path u(lam) (``_c_min_smooth``) to two adjacent doubles, at most
+    64 steps, which ``iterations`` counts; both bounds are then read there by
+    weak duality, the lower one at a box point the index's ``robust_solve``
+    also values (so a theta whose solve overflows is refused), the upper one
+    as c(r) + max over the box of (r - q) . u for priors r.  Both upper
+    bounds carry an outward allowance for rounding.  ``status`` is
+    "converged" once upper - lower is within CMIN_RTOL * (1 + |lower|), or
+    says why the bracket stayed open ("lp_bracket_open", "iteration_limit" at
+    the simplex's pivot cap, "no_pivot_element", "bracket_open" on the path).
+    A lower bound above the upper one raises SolverError.
     """
     w = _as_weights(q, amb.n_states)
     low, high = float(low), float(high)

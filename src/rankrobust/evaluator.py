@@ -502,8 +502,9 @@ def is_more_ambiguity_averse(
     highs = np.maximum.reduceat(cases.payoffs.max(axis=1), cases.starts).tolist()
     behavioral_violations = []
     for idx, (lo, hi, val_a, val_b) in enumerate(zip(lows, highs, values_a, values_b)):
+        unsettled = math.isnan(val_a) or math.isnan(val_b)  # a NaN value fails every comparison
         for m in np.linspace(lo, hi, 5):
-            if val_a >= pref_a.phi(float(m)) - 1e-12 and val_b < pref_b.phi(float(m)) - 1e-9:
+            if unsettled or (val_a >= pref_a.phi(float(m)) - 1e-12 and val_b < pref_b.phi(float(m)) - 1e-9):
                 behavioral_violations.append({"case": idx, "m": float(m), "value_a": val_a, "value_b": val_b})
     return {
         "structural": {

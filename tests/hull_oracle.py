@@ -16,7 +16,7 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from rankrobust.ambiguity import CMIN_RTOL, HULL_TOL, CMinBracket, _fenchel_gap, _rounding_slack
+from rankrobust.ambiguity import CMIN_RTOL, HULL_TOL, CMinBracket, _prior_dots, _rounding_slack
 from rankrobust.errors import SolverError
 
 
@@ -53,7 +53,8 @@ def highs_c_min_lp(amb, w, low, high) -> CMinBracket:
         method="highs",
     )
     _require_optimal(res, "cmin LP")
-    best = max(_fenchel_gap(amb, w[None, :], np.clip(res.x[:n], low, high))[0], 0.0)
+    u = np.clip(res.x[:n], low, high)[None, :]
+    best = max(float(amb.robust_solve(u)[0][0] - _prior_dots(u, w[None, :])[0, 0]), 0.0)
     # Any lam on the simplex bounds the sup: I(u) <= sum_j lam_j (p_j . u + c_j),
     # so c*(q) <= lam . c + max over the box of (P^T lam - q) . u, taken per state.
     lam = np.clip(-res.ineqlin.marginals, 0.0, None)

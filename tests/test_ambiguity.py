@@ -33,7 +33,7 @@ from rankrobust.ambiguity import _weights_text
 from conftest import solve_one, values_of
 from hull_oracle import highs_c_min_lp, lp_hull_penalty
 from kernel_oracle import gini_minimizers
-from lattice_oracle import UtilityGrid, c_min_bruteforce
+from lattice_oracle import UtilityGrid, c_min_bruteforce, exact_gap
 
 UNIFORM2 = Prior.uniform(2)
 
@@ -509,6 +509,20 @@ class TestOverflowingTheta:
             with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
                 index.robust_solve(np.array([[30.0, 60.0]]))
 
+    @pytest.mark.parametrize("p, row, weights", [
+        ([0.7, 0.3], [1.5, 2.5], [1.0, 0.0]),
+        ([0.19, 0.57, 0.24], [1.4, 1.4, 2.4], [0.25, 0.75, 0.0]),
+        ([0.33, 0.4, 0.27], [-1.6, -1.6, -0.6000000000000001], [0.33 / 0.73, 0.4 / 0.73, 0.0]),
+    ])
+    def test_tiny_gini_theta_keeps_the_least_utilities(self, p, row, weights):
+        # At theta = 1e-300, mu's rounding clips every water-fill weight of
+        # these rows to 0; the minimizer is p' on the least utilities.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, q = Gini(1e-300, Prior(np.array(p))).robust_solve(np.array([row]))
+        assert values[0] == pytest.approx(min(row), abs=1e-15)
+        assert q[0] == pytest.approx(weights, abs=1e-15)
+
     def test_tiny_gini_theta_is_finite(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -887,6 +901,28 @@ def cmin_problems(draw):
     return index, Prior(q / math.fsum(q)), low, high, step
 
 
+@st.composite
+def smooth_cmin_problems(draw):
+    """(index, q, low, high, points): an entropic or Gini index on 2-20 states
+    with theta in {1e-300, 1e-8, 1e-3, 1, 1e3, 1e8}, q with zero weights, a
+    box of width 0, 1e-3, 1 or up to 10, and 8 box points (2 of them corners)."""
+    kind = draw(st.sampled_from([Entropic, Gini]))
+    n = draw(st.integers(2, 20))
+    theta = draw(st.sampled_from([1e-300, 1e-8, 1e-3, 1.0, 1e3, 1e8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = rng.dirichlet(np.full(n, draw(st.sampled_from([0.2, 1.0]))))
+    p = np.maximum(p, 1e-12)
+    q = rng.dirichlet(np.ones(n))
+    zero = rng.random(n) < draw(st.sampled_from([0.0, 0.3, 0.6]))
+    zero[int(rng.integers(n))] = False
+    q[zero] = 0.0
+    low = draw(st.floats(-5.0, 0.0))
+    high = low + draw(st.sampled_from([0.0, 1e-3, 1.0, float(rng.uniform(0.0, 10.0))]))
+    points = rng.uniform(low, high, size=(8, n))
+    points[:2] = np.where(rng.random((2, n)) < 0.5, low, high)
+    return kind(theta, Prior(p / math.fsum(p))), Prior(q / math.fsum(q)), low, high, points
+
+
 def kl_oracle(theta, q, p):
     return theta * math.fsum(qi * math.log(qi / pi) for qi, pi in zip(q, p) if qi > 0)
 
@@ -1017,13 +1053,66 @@ class TestExactCMin:
         assert upper >= want
 
     def test_open_bracket_is_reported_and_still_valid(self, rng, monkeypatch):
-        monkeypatch.setattr(ambiguity, "NEWTON_MAX_ITER", 0)
+        # No bracket meets a tolerance of 0 (each bound carries its rounding
+        # allowance), so the status says it stayed open and the bracket is
+        # still valid.
+        monkeypatch.setattr(ambiguity, "CMIN_RTOL", 0.0)
         n = 50
         p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
         half = float(np.ptp(np.log(q / p))) / 2 + 1.0
-        lower, upper, status, _ = c_min_exact(Entropic(1.0, Prior(p)), Prior(q), -half, half)
-        assert status == "iteration_limit"
+        lower, upper, status, iterations = c_min_exact(Entropic(1.0, Prior(p)), Prior(q), -half, half)
+        assert status == "bracket_open" and 0 < iterations <= 64
         assert lower <= kl_oracle(1.0, q, p) <= upper
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(smooth_cmin_problems())
+    def test_every_theta_closes_on_a_valid_bracket(self, problem):
+        """At every theta from 1e-300 to 1e8, on 2-20 states with zero weights
+        in q: the bracket closes; its lower bound is 0 or at most the exact
+        gap I(u) - q . u at a box point the solver reads, and at most c(q);
+        and no box point's exact gap is above it by more than twice its
+        rounding allowance."""
+        index, q, low, high, points = problem
+        read = []
+        solve = index.robust_solve
+        index.robust_solve = lambda U: (read.extend(np.array(U)), solve(U))[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lower, upper, status, iterations = c_min_exact(index, q, low, high)
+        n = index.n_states
+        allowance = 4 * n * EPS * (1 + abs(lower) + max(abs(low), abs(high)))
+        assert status == "converged" and iterations <= 64
+        assert 0.0 <= lower <= upper and upper - lower <= 1e-9 * (1 + abs(lower))
+        assert lower <= index.penalty(q)
+        # lower is 0 or is read at one of the points, less its allowance.
+        assert lower <= max(0.0, *(exact_gap(index, q.weights, u) for u in read))
+        for u in points:
+            assert exact_gap(index, q.weights, u) <= lower + 2 * allowance
+
+    def test_huge_entropic_theta_reads_the_reference_bound(self):
+        # I(u) <= p' . u bounds c*(q) by the box's max of (p' - q) . u, here
+        # 5 * (0.28 + 0.26 + 0.02) = 2.8, and at theta = 1e300 I(u) is p' . u
+        # less a 1e-300-sized term: the bracket is 2.8 within rounding.
+        p, q = np.array([0.57, 0.36, 0.07]), np.array([0.85, 0.1, 0.05])
+        lower, upper, status, _ = c_min_exact(Entropic(1e300, Prior(p)), Prior(q), -5.0, 5.0)
+        assert status == "converged"
+        assert 2.8 - 1e-13 <= lower <= 2.8 <= upper <= 2.8 + 1e-13
+
+    def test_a_contradicted_bracket_is_refused(self, monkeypatch):
+        # With allowances that pull both bounds inward by 1, the lower bound
+        # passes the upper one: refused, naming the kind and theta.
+        monkeypatch.setattr(ambiguity, "_rounding_slack", lambda n, value, radius: -1.0)
+        for index in (Entropic(0.5, Prior.uniform(3)), Gini(0.5, Prior.uniform(3))):
+            with pytest.raises(SolverError, match=rf"^{index.kind} penalty with theta=0\.5: cmin lower bound "):
+                c_min_exact(index, Prior(np.array([0.6, 0.3, 0.1])), -1.0, 1.0)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.5,
+                                   1.7976931348623157e308, -1.7976931348623157e308])
+    def test_bisection_keys_order_the_doubles(self, x):
+        key = ambiguity._ordered(x)
+        assert ambiguity._unordered(key) == x
+        if x < 1.7976931348623157e308:
+            assert ambiguity._ordered(math.nextafter(x, math.inf)) == key + 1
 
     def test_degenerate_box_and_bad_inputs(self):
         index = Entropic(1.0, UNIFORM2)

@@ -1041,6 +1041,19 @@ class TestCommands:
         # The optimum lies inside the default box, so the bracket holds the penalty.
         assert abs(result["direct_penalty"] - lower) <= 1e-9
 
+    def test_cmin_at_a_huge_entropic_theta_stays_below_the_reference_bound(self, capsys):
+        """I(u) <= p' . u, so no bracket may read above the box's max of
+        (p' - q) . u, 2.8 on the default box [-5, 5]; at theta = 1e300 the
+        minimal penalty is that bound less a 1e-300-sized term."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "cmin", "--penalty", "entropic:1e300@a=0.57,b=0.36,c=0.07",
+                                     "--prior", "a=0.85,b=0.1,c=0.05", "--output", "json")
+        assert (code, err, caught) == (0, "", [])
+        result = json.loads(out)["result"]
+        assert result["status"] == "converged"
+        assert 2.8 - 1e-13 <= result["dual_lower_bound"] <= 2.8 <= result["upper_bound"] <= 2.8 + 1e-13
+
     def test_cmin_at_the_pivot_cap(self, capsys, monkeypatch):
         """With no simplex pivot allowed, a table's cmin still reports its
         (open) bracket, and a maxmin hull test that cannot finish exits 2."""

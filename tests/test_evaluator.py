@@ -643,6 +643,23 @@ class TestComparativeAversion:
         assert report["consistent"] is True
         assert not report["behavioral"]["violations"]
 
+    def test_nan_robust_values_are_violations(self, monkeypatch):
+        """A case whose value is NaN on either side settles no comparison, so
+        every such case is a violation, as in the battery's aversion check."""
+        def nan_solve(self, U):
+            U = np.asarray(U, dtype=float)
+            return np.full(len(U), math.nan), np.full(U.shape, math.nan)
+
+        monkeypatch.setattr(Entropic, "robust_solve", nan_solve)
+        pref = Preference(identity_utility(), identity(), Entropic(1.0, UNIFORM2), ("w0", "w1"))
+        finite = Preference(identity_utility(), identity(), Gini(1.0, UNIFORM2), ("w0", "w1"))
+        spec = BatterySpec(n_cases=5)
+        report = is_more_ambiguity_averse(pref, pref, spec)
+        assert report["more_ambiguity_averse"] is True and report["consistent"] is False
+        for a, b in ((pref, pref), (pref, finite), (finite, pref)):
+            violations = is_more_ambiguity_averse(a, b, spec)["behavioral"]["violations"]
+            assert sorted({v["case"] for v in violations}) == list(range(5))
+
     def test_entropic_theta_ordering(self):
         tight = Preference(identity_utility(), identity(), Entropic(1.0, UNIFORM2), ("w0", "w1"))
         loose = Preference(identity_utility(), identity(), Entropic(2.0, UNIFORM2), ("w0", "w1"))
