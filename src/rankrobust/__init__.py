@@ -2,8 +2,10 @@
 
 Per-state lotteries are valued by a distorted expectation of utility; the
 state-level profile is then aggregated by a penalized worst case over
-priors.  The package also ships the associated distortion risk measures
-(VaR, expected shortfall, weighted VaR), a utility-scale mixture algebra,
+priors.  With linear utility the inner layer is a distortion risk
+measure: VaR, expected shortfall and weighted VaR are the distorted
+expectation under the ``var:`` step, the ``es:`` kink and a continuous
+distortion.  The package also ships a utility-scale mixture algebra,
 stochastic-dominance and ambiguity-aversion checkers, the dual penalty
 bracket, and a mean-risk portfolio optimizer.
 """
@@ -28,16 +30,13 @@ from .distortion import (
     choquet,
     dual_power,
     es_tail,
-    expected_shortfall,
     identity,
     parse_distortion,
     piecewise_linear,
     power,
     prelec,
     tversky_kahneman,
-    value_at_risk,
     var_step,
-    weighted_var,
 )
 from .distribution import (
     DiscreteDistribution,

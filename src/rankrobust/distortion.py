@@ -1,10 +1,11 @@
-"""Probability weighting functions and the distorted-expectation risk measures.
+"""Probability weighting functions and the distorted expectation.
 
 A distortion is a non-decreasing map psi on [0, 1] with psi(0) = 0 and
 psi(1) = 1 applied to survival probabilities.  The central functional is
-:func:`choquet`, the distorted expectation of a finite-support payoff; the
-value-at-risk / expected-shortfall / weighted-VaR family is derived from
-the same quantile conventions and cross-checked against it.
+:func:`choquet`, the distorted expectation of a finite-support payoff.  It
+is also the one path to the distortion risk measures: VaR_lam(v) is
+``-choquet(d, var_step(lam))``, ES_lam(v) is ``-choquet(d, es_tail(lam))``,
+and weighted VaR under a continuous psi is ``choquet(d, psi)``.
 """
 
 from __future__ import annotations
@@ -27,16 +28,14 @@ class Distortion:
 
     ``kind`` is the spec head and ``params`` the spec's numbers in order
     (for ``pwl`` the sorted knots), so equal ``(kind, params)`` mean the
-    same function.  ``is_continuous`` is False only for the VaR step
-    distortion.
+    same function.
     """
 
-    __slots__ = ("kind", "params", "is_continuous", "_fn")
+    __slots__ = ("kind", "params", "_fn")
 
-    def __init__(self, kind, fn, params=(), *, continuous=True):
+    def __init__(self, kind, fn, params=()):
         self.kind = kind
         self.params = tuple(params)
-        self.is_continuous = bool(continuous)
         self._fn = fn
         with np.errstate(all="ignore"):  # a bad parameter shows as a non-finite value
             vals = np.asarray(fn(_VALIDATION_GRID), dtype=float)
@@ -125,8 +124,10 @@ def var_step(lam: float) -> Distortion:
     """psi(p) = 1{p >= 1 - lam}, the (discontinuous) VaR indicator.
 
     The jump is right-closed: psi(1 - lam) = 1.  Survivals within 1e-12 of
-    1 - lam count as reaching it, the slack ``DiscreteDistribution.quantile``
-    gives cumulative levels, so ``choquet`` agrees with ``value_at_risk``.
+    1 - lam count as reaching it, so a level that lands on a survival
+    probability up to its rounding (lam = j/n on n equal masses) reaches
+    the step, and ``-choquet(d, var_step(lam))`` is the left-continuous
+    loss quantile, VaR_lam.
     """
     if not 0.0 < lam < 1.0:
         raise DomainError(f"var distortion needs lambda in (0, 1), got {lam}")
@@ -134,7 +135,6 @@ def var_step(lam: float) -> Distortion:
         "var",
         lambda p: (np.asarray(p, dtype=float) >= 1.0 - lam - 1e-12).astype(float),
         (float(lam),),
-        continuous=False,
     )
 
 
@@ -217,50 +217,3 @@ def choquet_rows(u: np.ndarray, mass: np.ndarray, psi: Distortion) -> np.ndarray
     tails = running_sums(mass[:, ::-1])[:, -2::-1]
     terms = np.where(tails > 0.0, (u[:, 1:] - u[:, :-1]) * psi._fn(np.minimum(tails, 1.0)), 0.0)
     return exact_row_sums(np.concatenate((u[:, :1], terms), axis=1))
-
-
-def value_at_risk(d: DiscreteDistribution, lam: float) -> float:
-    """Smallest capital t with P(-v <= t) >= 1 - lam (left-continuous inverse)."""
-    if not 0.0 < lam < 1.0:
-        raise DomainError(f"VaR level must lie in (0, 1), got {lam}")
-    return d.negated().quantile(1.0 - lam)
-
-
-def expected_shortfall(d: DiscreteDistribution, lam: float) -> float:
-    """Average of VaR_gamma(v) over gamma in (0, lam], integrated exactly.
-
-    The VaR curve is piecewise constant; the integral is a finite sum over
-    loss-quantile segments, so there is no quadrature error.
-    """
-    if not 0.0 < lam <= 1.0:
-        raise DomainError(f"ES level must lie in (0, 1], got {lam}")
-    loss = d.negated()
-    cum = np.concatenate(([0.0], loss.cumulative))
-    lo = 1.0 - lam
-    terms = []
-    for i, level in enumerate(loss.values):
-        seg = min(cum[i + 1], 1.0) - max(cum[i], lo)
-        if seg > 0.0:
-            terms.append(level * seg)
-    return math.fsum(terms) / lam
-
-
-def weighted_var(d: DiscreteDistribution, psi: Distortion) -> float:
-    """VaR curve integrated against the distortion, int_0^1 VaR_g(v) d psi(1-g).
-
-    Defined here only for continuous psi: the quantile function of a
-    finite-support payoff is itself a step function, and the integral has
-    no agreed value when both integrand and integrator jump.  Numerically
-    this is a signed Stieltjes sum over the finitely many VaR segments and
-    must coincide with :func:`choquet`.
-    """
-    if not psi.is_continuous:
-        raise DomainError(
-            "weighted VaR of a finite-support payoff requires a continuous "
-            "distortion; the step (VaR) distortion is not supported here"
-        )
-    loss = d.negated()
-    cum = np.concatenate(([0.0], loss.cumulative))
-    weights = psi(cum)
-    terms = loss.values * (weights[:-1] - weights[1:])
-    return math.fsum(terms)

@@ -78,47 +78,15 @@ class DiscreteDistribution:
         self.probs = p
         self.cumulative = cum
 
-    @classmethod
-    def from_mapping(cls, mapping) -> "DiscreteDistribution":
-        """Build from a {value: probability} mapping."""
-        items = list(mapping.items())
-        return cls([k for k, _ in items], [q for _, q in items])
-
-    @classmethod
-    def degenerate(cls, value: float) -> "DiscreteDistribution":
-        return cls([value], [1.0])
-
-    def cdf(self, t: float) -> float:
-        """P(payoff <= t); right-continuous, 0 below the support, 1 at/above its max."""
-        idx = int(np.searchsorted(self.values, t, side="right"))
-        return 0.0 if idx == 0 else float(self.cumulative[idx - 1])
-
     def cdf_many(self, ts) -> np.ndarray:
+        """P(payoff <= t) at each t; right-continuous, 0 below the support."""
         idx = np.searchsorted(self.values, np.asarray(ts, dtype=float), side="right")
         cum0 = np.concatenate(([0.0], self.cumulative))
         return cum0[idx]
 
-    def quantile(self, lam: float) -> float:
-        """Left-continuous generalized inverse of the cdf, inf{t : F(t) >= lam}.
-
-        Cumulative probabilities within 1e-12 of lam count as reaching it,
-        mirroring the support-merge tolerance.
-        """
-        if not 0.0 < lam < 1.0:
-            raise DomainError(f"quantile level must lie in (0, 1), got {lam}")
-        idx = int(np.searchsorted(self.cumulative, lam - 1e-12, side="left"))
-        return float(self.values[idx])
-
     def survival(self, i: int) -> float:
         """P(payoff > values[i]), correctly rounded."""
         return math.fsum(self.probs[i + 1 :])
-
-    def mean(self) -> float:
-        return math.fsum(self.values * self.probs)
-
-    def negated(self) -> "DiscreteDistribution":
-        """Law of the negated payoff (the loss -v)."""
-        return DiscreteDistribution(-self.values[::-1], self.probs[::-1])
 
     def pushforward(self, fn) -> "DiscreteDistribution":
         """Law of fn(payoff) for strictly increasing fn (order is preserved)."""
@@ -335,7 +303,7 @@ class TwoStageVariable:
     across variables on the same space is well defined.
     """
 
-    __slots__ = ("state_ids", "outcome_probs", "payoffs", "_index")
+    __slots__ = ("state_ids", "outcome_probs", "payoffs")
 
     def __init__(self, state_ids, outcome_probs, payoffs):
         ids = tuple(str(s) for s in state_ids)
@@ -360,7 +328,6 @@ class TwoStageVariable:
         self.state_ids = ids
         self.outcome_probs = probs
         self.payoffs = pay
-        self._index = {sid: w for w, sid in enumerate(ids)}
 
     @property
     def n_states(self) -> int:
@@ -370,15 +337,12 @@ class TwoStageVariable:
     def n_outcomes(self) -> int:
         return self.payoffs.shape[1]
 
-    def state_index(self, state) -> int:
-        try:
-            return self._index[str(state)]
-        except KeyError:
-            raise KeyError(f"unknown state {state!r}; known states: {self.state_ids}") from None
-
     def marginal(self, state) -> DiscreteDistribution:
         """One-stage law of the payoff in the given state (duplicates merged)."""
-        w = self.state_index(state)
+        try:
+            w = self.state_ids.index(str(state))
+        except ValueError:
+            raise KeyError(f"unknown state {state!r}; known states: {self.state_ids}") from None
         return DiscreteDistribution(self.payoffs[w], self.outcome_probs[w])
 
     def with_payoffs(self, payoffs) -> "TwoStageVariable":

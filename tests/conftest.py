@@ -63,8 +63,8 @@ def riemann_tolerance(d, n_steps=400_000):
 
 def quantile_oracle(d, lam):
     """inf{t in support : F(t) >= lam} by linear scan."""
-    for v in d.values:
-        if d.cdf(v) >= lam - 1e-12:
+    for v, level in zip(d.values, d.cdf_many(d.values)):
+        if level >= lam - 1e-12:
             return float(v)
     return float(d.values[-1])
 

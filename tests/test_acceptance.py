@@ -51,14 +51,13 @@ from rankrobust import (
     subjective_add,
     subjective_mix,
     tversky_kahneman,
-    weighted_var,
     DiscreteDistribution,
     ScenarioPanel,
-    expected_shortfall,
 )
 from battery_oracle import reference_generate_battery
 from conftest import mean_risk_objective, solve_one, translated, values_of
 from lattice_oracle import UtilityGrid, c_min_bruteforce
+from risk_oracle import expected_shortfall, weighted_var
 from support_oracle import is_unambiguous
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -119,7 +118,8 @@ def test_c01_reduction_chain():
             a, b = float(rng.uniform(0.5, 2.0)), float(rng.uniform(-1, 1))
             pref_aff = Preference(affine(a, b), identity(), amb, v.state_ids)
             ev = evaluate(v, pref_aff)
-            mean = v.marginal(v.state_ids[0]).mean()
+            m = v.marginal(v.state_ids[0])
+            mean = math.fsum(m.values * m.probs)
             worst = max(worst, abs(ev.value_utils - (a * mean + b)))
             worst = max(worst, abs(ev.certainty_equivalent - mean))
 

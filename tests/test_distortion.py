@@ -14,18 +14,16 @@ from rankrobust import (
     dominance,
     dual_power,
     es_tail,
-    expected_shortfall,
     identity,
     parse_distortion,
     piecewise_linear,
     power,
     prelec,
     tversky_kahneman,
-    value_at_risk,
     var_step,
-    weighted_var,
 )
 from conftest import random_distribution, riemann_choquet, riemann_tolerance, var_oracle
+from risk_oracle import expected_shortfall, value_at_risk, weighted_var
 from support_oracle import loop_choquet, support_laws
 
 TOL = 1e-9
@@ -77,10 +75,6 @@ class TestApply:
             piecewise_linear([(0, 0), (0.5, 0.9), (1, 0.8)])
         with pytest.raises(DomainError):
             piecewise_linear([(0.2, 0), (1, 1)])
-
-    def test_shape_flags(self):
-        assert identity().is_continuous and es_tail(0.1).is_continuous
-        assert not var_step(0.1).is_continuous
 
     def test_parse_round_trip(self):
         for spec in ("identity", "power:2", "prelec:0.5,1", "tk:0.61", "es:0.05",
@@ -151,17 +145,17 @@ class TestApply:
 
 class TestChoquet:
     def test_two_point_square(self):
-        d = DiscreteDistribution.from_mapping({0: 0.7, 100: 0.3})
+        d = DiscreteDistribution([0, 100], [0.7, 0.3])
         psi = power(2)
         assert choquet(d, psi) == pytest.approx(9.0, abs=TOL)
         assert choquet(d, psi) == pytest.approx(riemann_choquet(d, psi), abs=riemann_tolerance(d))
 
     def test_identity_reduces_to_mean(self):
-        d = DiscreteDistribution.from_mapping({-50: 0.2, 10: 0.5, 20: 0.3})
+        d = DiscreteDistribution([-50, 10, 20], [0.2, 0.5, 0.3])
         assert choquet(d, identity()) == pytest.approx(1.0, abs=TOL)
 
     def test_constants_are_fixed_points(self):
-        d = DiscreteDistribution.degenerate(5.0)
+        d = DiscreteDistribution([5.0], [1.0])
         for psi in (identity(), power(2), es_tail(0.3), var_step(0.4), prelec(0.5, 1)):
             assert choquet(d, psi) == 5.0
 
@@ -202,7 +196,7 @@ class TestChoquet:
     def test_identity_collapses_to_expectation(self, rng):
         for _ in range(100):
             d = random_distribution(rng)
-            assert choquet(d, identity()) == pytest.approx(d.mean(), abs=1e-12)
+            assert choquet(d, identity()) == pytest.approx(math.fsum(d.values * d.probs), abs=1e-12)
 
     def test_fsd_monotone(self, rng):
         for _ in range(200):
@@ -234,27 +228,31 @@ class TestChoquetOracle:
 
 
 class TestVaR:
+    """VaR_lam(v) is -choquet(d, var_step(lam)), checked against the loss
+    quantile (``risk_oracle``) and a capital scan (``conftest.var_oracle``)."""
+
     def test_threshold_examples(self):
-        d = DiscreteDistribution.from_mapping({-100: 0.05, 0: 0.95})
-        assert value_at_risk(d, 0.05) == 0
-        assert value_at_risk(d, 0.01) == 100
+        d = DiscreteDistribution([-100, 0], [0.05, 0.95])
+        for lam, var in ((0.05, 0.0), (0.01, 100.0)):
+            assert -choquet(d, var_step(lam)) == var == value_at_risk(d, lam)
 
     def test_degenerate(self):
         for c in (-3.0, 0.0, 7.5):
-            d = DiscreteDistribution.degenerate(c)
-            assert value_at_risk(d, 0.3) == -c
+            d = DiscreteDistribution([c], [1.0])
+            assert -choquet(d, var_step(0.3)) == -c == value_at_risk(d, 0.3)
 
     def test_domain(self):
-        d = DiscreteDistribution.degenerate(1.0)
         for lam in (0.0, 1.0, 2.0):
-            with pytest.raises(DomainError):
-                value_at_risk(d, lam)
+            with pytest.raises(DomainError, match=r"^var distortion needs lambda in \(0, 1\)"):
+                var_step(lam)
 
     def test_matches_scan_oracle(self, rng):
         for _ in range(100):
             d = random_distribution(rng)
             lam = float(rng.uniform(0.01, 0.99))
-            assert value_at_risk(d, lam) == pytest.approx(var_oracle(d, lam), abs=1e-9)
+            var = -choquet(d, var_step(lam))
+            assert var == pytest.approx(var_oracle(d, lam), abs=1e-9)
+            assert var == pytest.approx(value_at_risk(d, lam), abs=1e-9)
 
     def test_var_step_choquet_is_negated_var_at_exact_levels(self):
         # lam = j/n lands exactly on a survival level of the uniform law, where
@@ -270,29 +268,32 @@ class TestVaR:
 
 
 class TestExpectedShortfall:
+    """ES_lam(v) is -choquet(d, es_tail(lam)), checked against the exact sum
+    over loss-quantile segments (``risk_oracle``)."""
+
     def test_tail_average(self):
-        d = DiscreteDistribution.from_mapping({-100: 0.05, 0: 0.95})
+        d = DiscreteDistribution([-100, 0], [0.05, 0.95])
+        assert -choquet(d, es_tail(0.05)) == 100.0
+        assert -choquet(d, es_tail(1.0)) == 5.0
         assert expected_shortfall(d, 0.05) == pytest.approx(100.0, abs=TOL)
         assert expected_shortfall(d, 1.0) == pytest.approx(5.0, abs=TOL)
 
     def test_degenerate(self):
-        d = DiscreteDistribution.degenerate(4.0)
+        d = DiscreteDistribution([4.0], [1.0])
         for lam in (0.01, 0.5, 1.0):
+            assert -choquet(d, es_tail(lam)) == -4.0
             assert expected_shortfall(d, lam) == pytest.approx(-4.0, abs=TOL)
 
     def test_domain(self):
-        d = DiscreteDistribution.degenerate(1.0)
         for lam in (0.0, 1.5):
-            with pytest.raises(DomainError):
-                expected_shortfall(d, lam)
+            with pytest.raises(DomainError, match=r"^es distortion needs lambda in \(0, 1\]"):
+                es_tail(lam)
 
     def test_es_is_negated_choquet_under_kink(self, rng):
         for _ in range(100):
             d = random_distribution(rng)
             lam = float(rng.uniform(0.02, 1.0))
-            assert expected_shortfall(d, lam) == pytest.approx(
-                -choquet(d, es_tail(lam)), abs=1e-9
-            )
+            assert -choquet(d, es_tail(lam)) == pytest.approx(expected_shortfall(d, lam), abs=1e-9)
 
     def test_averages_var_curve(self, rng):
         # independent oracle: midpoint integration of the VaR staircase
@@ -301,21 +302,27 @@ class TestExpectedShortfall:
             lam = float(rng.uniform(0.1, 1.0))
             gammas = np.linspace(lam / 4000, lam - lam / 4000, 2000)
             approx = np.mean([value_at_risk(d, g) for g in gammas])
-            assert expected_shortfall(d, lam) == pytest.approx(approx, abs=0.1)
+            assert -choquet(d, es_tail(lam)) == pytest.approx(approx, abs=0.1)
 
 
 class TestWeightedVaR:
+    """Weighted VaR under a continuous psi is choquet(d, psi), checked against
+    the Stieltjes sum over loss segments (``risk_oracle``)."""
+
     def test_identity_gives_mean(self):
-        d = DiscreteDistribution.from_mapping({0: 0.7, 100: 0.3})
+        d = DiscreteDistribution([0, 100], [0.7, 0.3])
+        assert choquet(d, identity()) == pytest.approx(30.0, abs=TOL)
         assert weighted_var(d, identity()) == pytest.approx(30.0, abs=TOL)
 
     def test_prelec_identity(self):
-        d = DiscreteDistribution.from_mapping({0: 0.7, 100: 0.3})
+        d = DiscreteDistribution([0, 100], [0.7, 0.3])
+        assert choquet(d, prelec(1, 1)) == pytest.approx(30.0, abs=TOL)
         assert weighted_var(d, prelec(1, 1)) == pytest.approx(30.0, abs=TOL)
 
     def test_square_matches_choquet(self):
-        d = DiscreteDistribution.from_mapping({0: 0.7, 100: 0.3})
+        d = DiscreteDistribution([0, 100], [0.7, 0.3])
         assert weighted_var(d, power(2)) == pytest.approx(9.0, abs=TOL)
+        assert choquet(d, power(2)) == pytest.approx(9.0, abs=TOL)
 
     def test_equals_choquet_for_continuous_psi(self, rng):
         psis = [identity(), power(2), power(0.3), es_tail(0.4), prelec(0.5, 0.8),
@@ -324,9 +331,4 @@ class TestWeightedVaR:
         for _ in range(300):
             d = random_distribution(rng)
             psi = psis[int(rng.integers(len(psis)))]
-            assert weighted_var(d, psi) == pytest.approx(choquet(d, psi), abs=1e-9)
-
-    def test_rejects_step_distortion(self):
-        d = DiscreteDistribution.from_mapping({0: 0.5, 1: 0.5})
-        with pytest.raises(DomainError):
-            weighted_var(d, var_step(0.1))
+            assert choquet(d, psi) == pytest.approx(weighted_var(d, psi), abs=1e-9)

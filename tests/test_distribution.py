@@ -20,6 +20,7 @@ from rankrobust.distribution import (MERGE_TOL, SMALL_BLOCK, check_outcome_probs
                                      sums_off_one)
 from rankrobust.portfolio import _check_weight_rows
 from conftest import quantile_oracle, random_distribution
+from risk_oracle import quantile
 from kernel_oracle import group_merge_rows
 from support_oracle import loop_distribution, support_laws
 
@@ -28,50 +29,42 @@ class TestDiscreteDistribution:
     @pytest.mark.parametrize("mapping", [{0.0: 0.5, 1.0: 0.5, 2.0: math.nan}, {0.0: math.nan, 1.0: 1.0}])
     def test_nan_probability_refused(self, mapping):
         with pytest.raises(DomainError, match=r"^probabilities must be >= 0, got min nan$"):
-            DiscreteDistribution.from_mapping(mapping)
+            DiscreteDistribution(list(mapping), list(mapping.values()))
 
     def test_cdf_step_between_support(self):
-        d = DiscreteDistribution.from_mapping({0: 0.7, 100: 0.3})
-        assert d.cdf(50) == pytest.approx(0.7)
+        d = DiscreteDistribution([0, 100], [0.7, 0.3])
+        assert d.cdf_many([50])[0] == pytest.approx(0.7)
 
     def test_cdf_right_continuous_at_max(self):
-        d = DiscreteDistribution.from_mapping({0: 0.7, 100: 0.3})
-        assert d.cdf(100) == 1.0
-        assert d.cdf(100.1) == 1.0
-        assert d.cdf(-1) == 0.0
+        d = DiscreteDistribution([0, 100], [0.7, 0.3])
+        assert d.cdf_many([100, 100.1, -1]).tolist() == [1.0, 1.0, 0.0]
 
     def test_cdf_cumulative_sum(self):
-        d = DiscreteDistribution.from_mapping({-50: 0.2, 10: 0.5, 20: 0.3})
+        d = DiscreteDistribution([-50, 10, 20], [0.2, 0.5, 0.3])
         # oracle: plain cumulative sum over the sorted support
-        assert d.cdf(10) == pytest.approx(0.2 + 0.5)
+        assert d.cdf_many([10])[0] == pytest.approx(0.2 + 0.5)
 
     def test_quantile_examples(self):
-        d = DiscreteDistribution.from_mapping({0: 0.7, 100: 0.3})
-        assert d.quantile(0.7) == 0
-        assert d.quantile(0.71) == 100
+        # risk_oracle's left-continuous quantile, which the VaR and ES tests read
+        assert quantile([0.0, 100.0], [0.7, 0.3], 0.7) == 0
+        assert quantile([0.0, 100.0], [0.7, 0.3], 0.71) == 100
         for lam in (0.01, 0.42, 0.99):
-            assert DiscreteDistribution.degenerate(5).quantile(lam) == 5
-
-    def test_quantile_domain(self):
-        d = DiscreteDistribution.from_mapping({0: 1.0})
-        for lam in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(DomainError):
-                d.quantile(lam)
+            assert quantile([5.0], [1.0], lam) == 5
 
     def test_quantile_matches_scan_oracle(self, rng):
+        # risk_oracle's fsum levels against a scan of the law's own cdf_many
         for _ in range(300):
             d = random_distribution(rng)
             lam = float(rng.uniform(1e-6, 1 - 1e-6))
-            assert d.quantile(lam) == quantile_oracle(d, lam)
+            assert quantile(d.values.tolist(), d.probs.tolist(), lam) == quantile_oracle(d, lam)
 
     def test_quantile_cdf_round_trip(self, rng):
         # delta must clear the 1e-12 level tolerance but stay below any mass
         delta = 1e-9
         for _ in range(200):
             d = random_distribution(rng)
-            for x in d.values:
-                below = d.cdf(x - 1e-7)
-                assert d.quantile(below + delta) == x
+            for x, below in zip(d.values, d.cdf_many(d.values - 1e-7)):
+                assert quantile_oracle(d, below + delta) == x
 
     def test_merging_duplicates_keeps_cdf(self, rng):
         values = [1.0, 1.0, 2.0, 3.0, 3.0, 3.0]
@@ -79,8 +72,8 @@ class TestDiscreteDistribution:
         merged = DiscreteDistribution(values, probs)
         assert merged.values.size == 3
         plain = DiscreteDistribution([1.0, 2.0, 3.0], [0.3, 0.3, 0.4])
-        for t in np.linspace(0, 4, 41):
-            assert merged.cdf(t) == pytest.approx(plain.cdf(t), abs=1e-15)
+        grid = np.linspace(0, 4, 41)
+        np.testing.assert_allclose(merged.cdf_many(grid), plain.cdf_many(grid), rtol=0, atol=1e-15)
 
     def test_probability_validation(self):
         with pytest.raises(DomainError):
@@ -239,9 +232,11 @@ class TestTwoStageVariable:
         assert m.probs[0] == pytest.approx(0.6, abs=1e-15)
 
     def test_unknown_state(self):
-        v = TwoStageVariable(["w"], [[1.0]], [[5.0]])
-        with pytest.raises(KeyError):
+        v = TwoStageVariable(["w", "3"], [[1.0], [1.0]], [[5.0], [6.0]])
+        with pytest.raises(KeyError) as err:
             v.marginal("nope")
+        assert err.value.args == ("unknown state 'nope'; known states: ('w', '3')",)
+        assert v.marginal(3).values.tolist() == [6.0]  # looked up by its text
 
     def test_probability_sum_validation(self):
         with pytest.raises(DomainError):
@@ -604,36 +599,36 @@ class TestComonotonic:
 
 class TestDominance:
     def test_fsd_pointwise(self):
-        d1 = DiscreteDistribution.from_mapping({0: 0.5, 10: 0.5})
-        d2 = DiscreteDistribution.from_mapping({0: 0.6, 10: 0.4})
+        d1 = DiscreteDistribution([0, 10], [0.5, 0.5])
+        d2 = DiscreteDistribution([0, 10], [0.6, 0.4])
         assert dominance(d1, d2, "fsd").relation == "dominates"
         assert dominance(d2, d1, "fsd").relation == "dominated"
 
     def test_ssd_mean_preserving_spread(self):
         # integrated step cdfs cross nowhere: sure 5 beats the fair 0/10 bet
-        d1 = DiscreteDistribution.degenerate(5)
-        d2 = DiscreteDistribution.from_mapping({0: 0.5, 10: 0.5})
+        d1 = DiscreteDistribution([5], [1.0])
+        d2 = DiscreteDistribution([0, 10], [0.5, 0.5])
         rep = dominance(d1, d2, "ssd")
         assert rep.relation == "dominates"
         assert dominance(d1, d2, "fsd").relation == "incomparable"
 
     def test_self_equal_all_orders(self):
-        d = DiscreteDistribution.from_mapping({-1: 0.25, 0: 0.5, 3: 0.25})
+        d = DiscreteDistribution([-1, 0, 3], [0.25, 0.5, 0.25])
         for order in ("fsd", "ssd"):
             assert dominance(d, d, order).relation == "equal"
         assert dominance(d, d, "phissd", phi=power_utility(3, domain=(-np.inf, np.inf))).relation == "equal"
 
     def test_incomparable_carries_witness(self):
-        d1 = DiscreteDistribution.from_mapping({0: 0.5, 10: 0.5})
-        d2 = DiscreteDistribution.from_mapping({-5: 0.1, 4: 0.9})
+        d1 = DiscreteDistribution([0, 10], [0.5, 0.5])
+        d2 = DiscreteDistribution([-5, 4], [0.1, 0.9])
         rep = dominance(d1, d2, "fsd")
         assert rep.relation == "incomparable"
         assert rep.witness_t is not None
         # at the witness the claimed inequality F1 <= F2 indeed fails
-        assert d1.cdf(rep.witness_t) > d2.cdf(rep.witness_t)
+        assert d1.cdf_many([rep.witness_t])[0] > d2.cdf_many([rep.witness_t])[0]
 
     def test_phissd_requires_phi(self):
-        d = DiscreteDistribution.degenerate(1)
+        d = DiscreteDistribution([1], [1.0])
         with pytest.raises(DomainError):
             dominance(d, d, "phissd")
 
@@ -654,6 +649,6 @@ class TestDominance:
             mid = float(rng.uniform(5.0, 10.0))
             spread = float(rng.uniform(0.5, 4.0))
             risky = DiscreteDistribution([mid - spread, mid + spread], [0.5, 0.5])
-            safe = DiscreteDistribution.degenerate(mid)
+            safe = DiscreteDistribution([mid], [1.0])
             assert dominance(safe, risky, "ssd").relation == "dominates"
             assert dominance(safe, risky, "phissd", phi=phi).relation == "dominates"
