@@ -39,6 +39,7 @@ import numpy as np
 
 from .distribution import PROB_SUM_TOL, exact_row_sums, exact_sum, read_csv_table, sums_off_one
 from .errors import ConfigError, DomainError, ShapeError, SolverError, SpecStringError, UnknownPriorError
+from .spec import float_list
 
 HULL_TOL = 1e-9
 
@@ -703,12 +704,12 @@ def parse_prior(spec: str, state_ids) -> Prior:
     Named weights are aligned to ``state_ids``; omitted states get weight
     zero, and a state named twice is refused.
     """
-    ids = [str(s) for s in state_ids]
     text = spec.strip()
     if text.lower() == "uniform":
-        return Prior.uniform(len(ids))
+        return Prior.uniform(len(state_ids))
     try:
         if "=" in text:
+            ids = list(map(str, state_ids))
             weights, named = dict.fromkeys(ids, 0.0), set()
             for name, val in _prior_parts(text):
                 if name not in weights:  # a ValueError: the message below names the spec
@@ -718,9 +719,9 @@ def parse_prior(spec: str, state_ids) -> Prior:
                 named.add(name)
                 weights[name] = float(val)
             return Prior(np.array([weights[s] for s in ids]))
-        vals = [float(x) for x in text.split(",")]
-        if len(vals) != len(ids):
-            raise ValueError(f"prior lists {len(vals)} weights for {len(ids)} states")
+        vals = float_list(text)
+        if len(vals) != len(state_ids):
+            raise ValueError(f"prior lists {len(vals)} weights for {len(state_ids)} states")
         return Prior(np.array(vals))
     except ValueError as exc:  # DomainError and ShapeError among them
         raise SpecStringError(f"bad prior spec {spec!r}: {exc}") from exc

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .ambiguity import c_min_exact, parse_penalty, parse_prior, spec_state_ids
 from .distortion import identity as identity_distortion, parse_distortion
-from .distribution import TwoStageVariable, dominance, read_csv_table
+from .distribution import TwoStageVariable, dominance, ids_mismatch, read_csv_table
 from .errors import ConfigError, DomainError, ScenarioError, ShapeError
 from .evaluator import (
     REDUCTION_SECTIONS,
@@ -36,9 +36,11 @@ from .evaluator import (
     battery_reports,
     ellsberg_demo,
     evaluate,
+    evaluate_batch,
     relation,
 )
 from .portfolio import ScenarioPanel, optimize
+from .spec import loaded_orjson
 from .utility import identity_utility, parse_utility
 
 # ValueError covers the package's validation exceptions plus raw parse
@@ -94,13 +96,12 @@ def _field_matrix(states: dict, key: str) -> np.ndarray:
     pass; ValueError unless every state holds a list of the first one's
     length and every entry is an int or a float."""
     rows = [entry[key] for entry in states.values()]
-    width = len(rows[0]) if isinstance(rows[0], list) else -1
-    if not all(isinstance(row, list) and len(row) == width for row in rows):
+    if set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
         raise ValueError(f"{key} rows differ")
     flat = list(itertools.chain.from_iterable(rows))
     if not set(map(type, flat)) <= _NUMBER_TYPES:
         raise ValueError(f"{key} holds an entry that is not a number")
-    return np.fromiter(flat, float, len(flat)).reshape(len(rows), width)
+    return np.fromiter(flat, float, len(flat)).reshape(len(rows), len(rows[0]))
 
 
 def _check_states(path: str, states: dict) -> None:
@@ -171,6 +172,8 @@ def _emit(report: dict, args) -> None:
 
 
 _json_str = json.encoder.encode_basestring_ascii
+#: The shortest float list that ``_float_texts`` hands to orjson.
+ORJSON_MIN_FLOATS = 16
 _JSON_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -181,8 +184,9 @@ def _json_text(obj, pad: str = "\n") -> str:
     json writes indented text with its pure-Python encoder, one generator
     step per value.  This writer encodes each list of floats or of strings
     in one pass, strings with json's own C encoder and floats as json does
-    (``float.__repr__``, or NaN, Infinity, -Infinity).  Any other scalar goes
-    to ``json.dumps``, which also refuses what JSON cannot hold.
+    (``float.__repr__``, or NaN, Infinity, -Infinity; ``_float_texts``).
+    Any other scalar goes to ``json.dumps``, which also refuses what JSON
+    cannot hold.
     """
     if isinstance(obj, str):
         return _json_str(obj)
@@ -196,13 +200,32 @@ def _json_text(obj, pad: str = "\n") -> str:
     if isinstance(obj, (list, tuple)):
         kinds = set(map(type, obj))
         if kinds == {float}:
-            texts = [_JSON_SPECIAL_FLOATS.get(text, text) for text in map(float.__repr__, obj)]
+            texts = _float_texts(obj)
         elif kinds == {str}:
             texts = list(map(_json_str, obj))
         else:
             texts = [_json_text(value, inner) for value in obj]
         return "[" + inner + ("," + inner).join(texts) + pad + "]" if texts else "[]"
     return json.dumps(obj)
+
+
+def _float_texts(values) -> list[str]:
+    """json's text of each float of the list.  With ``loaded_orjson``, one
+    ``orjson.dumps`` call writes them all, split at the commas: its digits
+    are repr's, but past the band 1e-4 <= |x| < 1e16 its notation is not
+    (``0.00001``, ``1e-7`` and ``1e16`` for repr's ``1e-05``, ``1e-07`` and
+    ``1e+16``) and it writes NaN and +-inf as null, so the nonzero entries
+    outside the band and the non-finite ones, found by one numpy mask, are
+    written again as ``_json_text`` writes a float.  A list shorter than
+    ORJSON_MIN_FLOATS is written by repr alone, which is faster there."""
+    orjson = loaded_orjson()
+    if orjson is None or len(values) < ORJSON_MIN_FLOATS:
+        return [_JSON_SPECIAL_FLOATS.get(text, text) for text in map(float.__repr__, values)]
+    texts = orjson.dumps(values)[1:-1].decode().split(",")
+    size = np.abs(values)
+    for i in np.flatnonzero(~((size >= 1e-4) & (size < 1e16) | (size == 0.0))).tolist():
+        texts[i] = _json_text(values[i])
+    return texts
 
 
 def _print_text(report: dict, indent: int = 0) -> None:
@@ -238,11 +261,10 @@ def _cmd_compare(args) -> int:
     v1 = parse_scenario(args.scenario)
     v2 = parse_scenario(args.scenario2)
     if v2.state_ids != v1.state_ids:
-        raise ScenarioError(f"{args.scenario2}: states {v2.state_ids} do not match the states {v1.state_ids} "
-                            f"of {args.scenario}")
+        raise ScenarioError(f"{args.scenario2}: states differ from those of {args.scenario}: "
+                            f"{ids_mismatch(v2.state_ids, v1.state_ids)}")
     pref = _resolve_preference(args, v1.state_ids)
-    value_1 = evaluate(v1, pref).value_utils
-    value_2 = evaluate(v2, pref).value_utils
+    value_1, value_2 = (ev.value_utils for ev in evaluate_batch([v1, v2], pref))
     rel = relation(value_1, value_2)
     wording = {">": "first strictly preferred", "<": "second strictly preferred", "~": "indifferent"}
     report = {

@@ -306,7 +306,7 @@ class TwoStageVariable:
     __slots__ = ("state_ids", "outcome_probs", "payoffs")
 
     def __init__(self, state_ids, outcome_probs, payoffs):
-        ids = tuple(str(s) for s in state_ids)
+        ids = tuple(map(str, state_ids))
         probs = np.array(outcome_probs, dtype=float)
         pay = np.array(payoffs, dtype=float)
         if len(ids) == 0:
@@ -353,6 +353,14 @@ class TwoStageVariable:
         return (
             f"TwoStageVariable(n_states={self.n_states}, n_outcomes={self.n_outcomes})"
         )
+
+
+def ids_mismatch(a, b) -> str:
+    """How two state-id sequences differ, in one short line: their counts
+    and the first position where they differ, with the ids there."""
+    k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    at = [repr(ids[k]) if k < len(ids) else "none" for ids in (a, b)]
+    return f"{len(a)} against {len(b)} states, first differing at position {k} ({at[0]} vs {at[1]})"
 
 
 def same_space(v: TwoStageVariable, u: TwoStageVariable, check_probs: bool = True) -> None:

@@ -4,11 +4,58 @@ A spec is `head`, `head:n1,n2,...`, or `head:x1,y1;x2,y2;...` for a knot
 list.  An object built from a spec keeps the head as its ``kind`` and the
 numbers, in spec order, as its ``params`` tuple (a knot list as a tuple of
 pairs), so ``spec_text(kind, params)`` writes a spec that builds it again.
+
+``loaded_orjson`` gives the reports' float writer and ``parse_prior``'s
+weight reader orjson, and only once a scenario read has imported it.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import sys
+
 from .errors import SpecStringError
+
+
+@functools.cache
+def _agrees(orjson) -> bool:
+    """Whether orjson writes as ``float.__repr__`` does the probes in the
+    band 1e-4 <= |x| < 1e16 (or x = 0) and reads every probe's repr back to
+    the same double.  The probes are the zeros and, with both signs, 10^k
+    for k = -5 ... 16 and both of its neighbours: the band's edges among
+    them."""
+    probes = [0.0, -0.0, *(s * x for s in (1.0, -1.0) for k in range(-5, 17)
+                           for x in (math.nextafter(10.0**k, 0.0), 10.0**k, math.nextafter(10.0**k, math.inf)))]
+    band = [x for x in probes if x == 0.0 or 1e-4 <= abs(x) < 1e16]
+    read = orjson.loads("[" + ",".join(map(float.__repr__, probes)) + "]")
+    return (orjson.dumps(band).decode() == "[" + ",".join(map(float.__repr__, band)) + "]"
+            and list(map(float.hex, read)) == list(map(float.hex, probes)))
+
+
+def loaded_orjson():
+    """orjson if it is already imported (this never imports it) and agrees
+    with ``float.__repr__`` and ``float()`` on the probes; else None."""
+    orjson = sys.modules.get("orjson")
+    return orjson if orjson is not None and _agrees(orjson) else None
+
+
+def float_list(text: str) -> list[float]:
+    """``[float(x) for x in text.split(",")]``.  With ``loaded_orjson``, one
+    ``orjson.loads`` call reads the text as a JSON array, kept when every
+    value it reads is a float; anything else (orjson reads ``-0`` as the
+    int 0, and refuses ``1_0``, ``+1``, ``.5``, ``nan`` and ``1e999``) is
+    read by ``float()`` token by token, which raises ValueError on a bad
+    token."""
+    orjson = loaded_orjson()
+    if orjson is not None:
+        try:
+            values = orjson.loads("[" + text + "]")
+        except orjson.JSONDecodeError:
+            values = None
+        if values and set(map(type, values)) == {float}:
+            return values
+    return [float(x) for x in text.split(",")]
 
 
 def spec_text(kind: str, params: tuple) -> str:

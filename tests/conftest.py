@@ -5,6 +5,9 @@ integrals or by exhaustive scanning; they never reuse the closed forms of
 the code under test.
 """
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -110,3 +113,26 @@ def values_of(index):
 @pytest.fixture
 def rng():
     return np.random.default_rng(987654321)
+
+
+#: Doubles where orjson's float notation and ``float.__repr__``'s part or
+#: meet: +-1e-4 and +-1e16 with their neighbours, subnormals, the zeros and
+#: the non-finite values.
+FLOAT_EDGES = [
+    *(s * x for s in (1.0, -1.0) for edge in (1e-4, 1e16) for x in np.nextafter(edge, [0.0, edge, np.inf]).tolist()),
+    5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-7, 1e-5, 1e300, 1.7976931348623157e308,
+    0.0, -0.0, math.nan, math.inf, -math.inf,
+]
+
+
+@pytest.fixture(params=["orjson loaded", "orjson not loaded"])
+def orjson_state(request, monkeypatch):
+    """Runs the test once with orjson in ``sys.modules`` and once without it,
+    the state of a command that has read no JSON scenario."""
+    import orjson
+
+    if request.param == "orjson loaded":
+        monkeypatch.setitem(sys.modules, "orjson", orjson)
+    else:
+        monkeypatch.delitem(sys.modules, "orjson")
+    return request.param

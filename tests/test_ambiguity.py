@@ -6,8 +6,9 @@ import sys
 import warnings
 
 import numpy as np
+import orjson
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 from scipy.special import logsumexp, rel_entr
 
 from rankrobust import (
@@ -30,7 +31,8 @@ from rankrobust import (
     simplex_grid,
 )
 from rankrobust.ambiguity import _weights_text
-from conftest import solve_one, values_of
+from rankrobust.spec import float_list, loaded_orjson
+from conftest import FLOAT_EDGES, solve_one, values_of
 from hull_oracle import highs_c_min_lp, lp_hull_penalty
 from kernel_oracle import gini_minimizers
 from lattice_oracle import UtilityGrid, c_min_bruteforce, exact_gap
@@ -1286,6 +1288,18 @@ class TestSimplexGrid:
         assert np.all(g >= 0)
 
 
+def orjson_text(x: float) -> str:
+    """x as orjson writes it (null for NaN and +-inf)."""
+    return orjson.dumps(x).decode()
+
+
+#: Weight texts where orjson and ``float()`` read differently or not at all,
+#: with the edge doubles as repr and orjson write them.
+WEIGHT_TOKENS = ["-0", "0", "1", "1_0", "+1", ".5", "1.", "nan", "NaN", "inf", "-Infinity", "1e999", "-1e999", " 0.5",
+                 "0.5 ", "\t1\n", "", "x", "1e-05", "1E16", "[1]", "true", "null",
+                 *map(repr, FLOAT_EDGES), *map(orjson_text, FLOAT_EDGES)]
+
+
 class TestSpecParsing:
     def test_prior_forms(self):
         ids = ["a", "b", "c"]
@@ -1298,6 +1312,41 @@ class TestSpecParsing:
             parse_prior("z=1.0", ids)
         with pytest.raises(SpecStringError):
             parse_prior("0.5,0.5", ids)
+
+    # The fixture's sys.modules state is meant to hold for every example.
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.sampled_from(WEIGHT_TOKENS) | st.floats().map(repr) | st.floats().map(orjson_text), min_size=1))
+    def test_weight_lists_read_as_float_reads_each_token(self, orjson_state, tokens):
+        """Both paths of ``spec.float_list``: one orjson read when every value
+        it reads is a float, ``float()`` per token otherwise."""
+        text = ",".join(tokens)
+        try:
+            want = np.array([float(x) for x in text.split(",")])
+        except ValueError:
+            with pytest.raises(ValueError):
+                float_list(text)
+            return
+        got = float_list(text)
+        assert set(map(type, got)) == {float} and np.array(got).tobytes() == want.tobytes()
+
+    def test_weight_lists_take_one_orjson_read_once_loaded(self, monkeypatch):
+        assert loaded_orjson() is orjson  # probed before loads is wrapped
+        reads = []
+        real = orjson.loads
+        monkeypatch.setattr(orjson, "loads", lambda text: reads.append(text) or real(text))
+        assert parse_prior("0.5,0.25,0.25", ["a", "b", "c"]).weights.tolist() == [0.5, 0.25, 0.25]
+        assert reads == ["[0.5,0.25,0.25]"]
+        monkeypatch.delitem(sys.modules, "orjson")
+        assert parse_prior("0.5,0.5", ["a", "b"]).weights.tolist() == [0.5, 0.5] and len(reads) == 1
+
+    def test_bare_prior_of_edge_weights(self, orjson_state):
+        tokens = ["-0", "-0.0", "1e-05", "0.00001", "1e-7", "5e-324", "1e16", "1e+16"]
+        with pytest.raises(SpecStringError, match="must sum to 1"):
+            parse_prior(",".join(tokens), [f"w{i}" for i in range(len(tokens))])
+        prior = parse_prior("0.25,-0,+0.25,.5,0", ["a", "b", "c", "d", "e"])
+        assert prior.weights.tolist() == [0.25, 0.0, 0.25, 0.5, 0.0]
+        assert math.copysign(1.0, prior.weights[1]) == -1.0
 
     @pytest.mark.parametrize("spec, reason", [
         ("a=0.5,z=0.5", "prior names unknown state 'z'"),

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rankrobust import DomainError, ScenarioError, ShapeError, SpecStringError, TwoStageVariable, ambiguity_aversion_check
 from rankrobust.ambiguity import _load_penalty_table, spec_state_ids
-from rankrobust.cli import _json_text, build_parser, main, parse_panel, parse_scenario
+from rankrobust import spec
+from rankrobust.cli import ORJSON_MIN_FLOATS, _json_text, build_parser, main, parse_panel, parse_scenario
+from conftest import FLOAT_EDGES
 from portfolio_oracle import loop_load_penalty_table, loop_parse_panel
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -768,7 +771,33 @@ class TestRefusedInputs:
         code, out, err = run_cli(capsys, "compare", "--scenario", first, "--scenario2", second,
                                  "--penalty", "maxmin:vertices")
         assert (code, out) == (2, "")
-        assert err == f"error: {second}: states ('only',) do not match the states ('calm', 'storm') of {first}\n"
+        assert err == (f"error: {second}: states differ from those of {first}: "
+                       "1 against 2 states, first differing at position 0 ('only' vs 'calm')\n")
+
+    def test_compare_mismatch_is_one_short_line_on_thousands_of_states(self, capsys, tmp_path):
+        paths = []
+        for name, last in (("a", "w1999"), ("b", "z")):
+            ids = [*(f"w{i}" for i in range(1999)), last]
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps({"states": {s: {"probs": [1.0], "payoffs": [0.0]} for s in ids}}))
+        code, out, err = run_cli(capsys, "compare", "--scenario", str(paths[0]), "--scenario2", str(paths[1]),
+                                 "--penalty", "maxmin:vertices")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {paths[1]}: states differ from those of {paths[0]}: "
+                       "2000 against 2000 states, first differing at position 1999 ('z' vs 'w1999')\n")
+
+    def test_compare_refuses_the_first_scenario_first(self, capsys, tmp_path):
+        """Each scenario is refused as its own evaluate refuses it, the first
+        one's error before the second's, though both are valued in one pass."""
+        overflowing, outside = tmp_path / "overflowing.json", tmp_path / "outside.json"
+        overflowing.write_text('{"states": {"calm": {"probs": [0.5, 0.5], "payoffs": [1, 1e200]}, '
+                               '"storm": {"probs": [1, 0], "payoffs": [1, 2]}}}')
+        outside.write_text('{"states": {"calm": {"probs": [1], "payoffs": [-1]}, "storm": {"probs": [1], "payoffs": [1]}}}')
+        for first, second in ((overflowing, outside), (outside, overflowing)):
+            flags = ("--penalty", "maxmin:vertices", "--utility", "power:2")
+            alone = run_cli(capsys, "evaluate", "--scenario", str(first), *flags)
+            both = run_cli(capsys, "compare", "--scenario", str(first), "--scenario2", str(second), *flags)
+            assert both == alone and alone[0] == 2
 
     def test_overflowing_prior_weights_sum_to_inf(self, capsys):
         code, out, err = run_cli(capsys, "evaluate", "--scenario", str(FIXTURES / "two_state.json"),
@@ -1385,6 +1414,47 @@ class TestReportWriter:
     @pytest.mark.parametrize("obj", [{}, [], (), {"a": {}, "b": [[], ()]}, [[1.5, 2.5], ["x", "y"], [1.5, "x"]]])
     def test_empty_and_nested_containers(self, obj):
         assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    # The fixture's sys.modules state is meant to hold for every example.
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.floats() | st.sampled_from(FLOAT_EDGES), min_size=1))
+    def test_float_lists_equal_json_dumps(self, orjson_state, values):
+        """Both paths of ``_float_texts``: orjson's tokens with the entries
+        outside its band written again, and repr alone; a list of
+        ORJSON_MIN_FLOATS or more takes the first once orjson is loaded."""
+        for obj in (values, tuple(values), values * ORJSON_MIN_FLOATS):
+            assert _json_text(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_edge_floats_equal_json_dumps(self, orjson_state):
+        assert len(FLOAT_EDGES) >= ORJSON_MIN_FLOATS
+        assert _json_text(FLOAT_EDGES) == json.dumps(FLOAT_EDGES, indent=2, sort_keys=True)
+
+    def test_float_lists_take_one_orjson_call_once_loaded(self, monkeypatch):
+        assert spec.loaded_orjson() is orjson  # probed before dumps is wrapped
+        calls = []
+        real = orjson.dumps
+        monkeypatch.setattr(orjson, "dumps", lambda obj: calls.append(obj) or real(obj))
+        long, short = [1.5, 1e-5] * (ORJSON_MIN_FLOATS // 2), [2.5] * (ORJSON_MIN_FLOATS - 1)
+        report = {"a": long, "b": short}
+        assert _json_text(report) == json.dumps(report, indent=2, sort_keys=True)
+        assert calls == [long]
+        monkeypatch.delitem(sys.modules, "orjson")
+        assert _json_text(long) == json.dumps(long, indent=2) and len(calls) == 1
+
+    def test_an_orjson_that_writes_the_band_otherwise_is_not_used(self, monkeypatch):
+        """orjson is checked once against repr on the probes; one that
+        writes 1e-4 as 1e-4 is used for no list and for no weight list."""
+        fake = types.ModuleType("orjson")
+        fake.dumps = lambda obj: orjson.dumps(obj).replace(b"0.0001,", b"1e-4,")
+        fake.loads, fake.JSONDecodeError = orjson.loads, orjson.JSONDecodeError
+        monkeypatch.setitem(sys.modules, "orjson", fake)
+        assert spec.loaded_orjson() is None
+        fake.dumps = fake.loads = None  # any use would raise
+        assert _json_text([1e-4] * ORJSON_MIN_FLOATS) == json.dumps([1e-4] * ORJSON_MIN_FLOATS, indent=2)
+        assert spec.float_list("0.0001,1") == [1e-4, 1.0]
+        monkeypatch.setitem(sys.modules, "orjson", orjson)
+        assert spec.loaded_orjson() is orjson
 
     def test_refuses_what_json_refuses(self):
         with pytest.raises(TypeError, match="not JSON serializable"):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import math
 import re
@@ -373,6 +374,84 @@ class TestEvaluate:
         pref = Preference(identity_utility(), identity(), Entropic(1.0, UNIFORM2), ("x", "y"))
         with pytest.raises(ShapeError):
             evaluate(v, pref)
+
+    @pytest.mark.parametrize("ids, reason", [
+        ([f"w{i}" for i in range(2000)], "2000 against 2000 states, first differing at position 1999 ('w1999' vs 'x')"),
+        ([f"w{i}" for i in range(1999)], "1999 against 2000 states, first differing at position 1999 (none vs 'x')"),
+        (["v0", *(f"w{i}" for i in range(1, 2000))], "2000 against 2000 states, first differing at position 0 ('v0' vs 'w0')"),
+    ])
+    def test_state_mismatch_names_the_counts_and_the_first_difference(self, ids, reason):
+        """The message stays one short line on thousands of states."""
+        pref_ids = [*(f"w{i}" for i in range(1999)), "x"]
+        v = TwoStageVariable(ids, np.ones((len(ids), 1)), np.zeros((len(ids), 1)))
+        pref = Preference(identity_utility(), identity(), MaxminSet.vertices(2000), pref_ids)
+        with pytest.raises(ShapeError) as err:
+            evaluate(v, pref)
+        assert str(err.value) == f"variable states do not match preference states: {reason}"
+
+
+@st.composite
+def batch_pairs(draw):
+    """A preference with a penalty of each kind and two variables on its
+    states with different outcome counts, zero masses and payoff ties."""
+    n = draw(st.sampled_from([1, 2, 3, 7]))
+    kind = draw(st.sampled_from(["maxmin", "vertices", "entropic", "gini", "tabulated"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    priors = [Prior(row / math.fsum(row)) for row in rng.random((3, n)) + 0.05]
+    index = {"maxmin": lambda: MaxminSet(priors), "vertices": lambda: MaxminSet.vertices(n),
+             "tabulated": lambda: Tabulated(list(zip(priors, rng.uniform(0.0, 3.0, size=3)))),
+             "entropic": lambda: Entropic(0.7, priors[0]), "gini": lambda: Gini(0.7, priors[0])}[kind]()
+    # power:0.5 takes positive payoffs alone, so a pad outside them is refused.
+    phi, lo = draw(st.sampled_from([(identity_utility(), -5.0), (exponential(0.3), -5.0), (parse_utility("power:0.5"), 0.5)]))
+    variables = []
+    for m in rng.choice(np.arange(1, 9), size=2, replace=False).tolist():
+        probs = (rng.random((n, m)) + 0.05) * (rng.random((n, m)) < 0.8)
+        probs[:, 0] += 0.5
+        payoffs = np.round(rng.uniform(lo, 5.0, size=(n, m)), draw(st.sampled_from([0, 1, 12])))
+        variables.append(TwoStageVariable([f"w{i}" for i in range(n)], probs / probs.sum(axis=1, keepdims=True),
+                                          payoffs))
+    psi = draw(st.sampled_from([identity(), power(1.5), prelec(0.65, 1.0), var_step(0.4)]))
+    return Preference(phi, psi, index, variables[0].state_ids), variables
+
+
+class TestEvaluateBatch:
+    """``evaluate_batch`` values each variable bit for bit as ``evaluate``
+    does, and refuses a batch as the variables' own evaluations would, in
+    order."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(batch_pairs())
+    def test_equals_separate_evaluations_with_different_outcome_counts(self, case):
+        """Stacked into one inner pass, and (STACK_CELLS at 0) one pass per variable."""
+        pref, variables = case
+        assert variables[0].n_outcomes != variables[1].n_outcomes
+        for order, cells in itertools.product((variables, variables[::-1]), (evaluator_module.STACK_CELLS, 0)):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(evaluator_module, "STACK_CELLS", cells)
+                batch = evaluator_module.evaluate_batch(order, pref)
+            for got, v in zip(batch, order):
+                want = evaluate(v, pref)
+                assert np.float64(got.value_utils).tobytes() == np.float64(want.value_utils).tobytes()
+                assert got.per_state_utils.tobytes() == want.per_state_utils.tobytes()
+                assert got.minimizer.weights.tobytes() == want.minimizer.weights.tobytes()
+                assert got.certainty_equivalent == want.certainty_equivalent
+
+    def test_first_variables_error_comes_first(self):
+        """Under power:2, the first variable's utility overflows and the
+        second has a payoff outside the domain; one pass would meet the
+        domain error first."""
+        ids = ["calm", "storm"]
+        overflowing = TwoStageVariable(ids, [[0.5, 0.5], [1.0, 0.0]], [[1.0, 1e200], [1.0, 2.0]])
+        outside = TwoStageVariable(ids, [[1.0], [1.0]], [[-1.0], [1.0]])
+        pref = Preference(parse_utility("power:2"), identity(), MaxminSet.vertices(2), ids)
+        for first, second, words in ((overflowing, outside, "is not finite"),
+                                     (outside, overflowing, "outside the utility domain")):
+            with pytest.raises(DomainError) as alone:
+                evaluate(first, pref)
+            with pytest.raises(DomainError) as batched:
+                evaluator_module.evaluate_batch([first, second], pref)
+            assert str(batched.value) == str(alone.value)
+            assert words in str(alone.value)
 
 
 def prefer(v1, v2, pref):
@@ -1120,6 +1199,16 @@ class TestBatterySpec:
     def test_needs_at_least_one_case(self, n_cases):
         with pytest.raises(ConfigError, match=rf"^a battery needs at least 1 case, got n_cases={n_cases}$"):
             BatterySpec(n_cases=n_cases)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_refuses_a_negative_seed(self, seed):
+        with pytest.raises(ConfigError, match=rf"^a battery seed must be a non-negative integer, got seed={seed}$"):
+            BatterySpec(seed=seed)
+
+    def test_battery_command_refuses_a_negative_seed(self, capsys):
+        code = cli_main(["battery", "--penalty", "entropic:1@w0=0.5,w1=0.5", "--cases", "3", "--seed", "-1"])
+        assert (code, capsys.readouterr().err) == (
+            2, "error: a battery seed must be a non-negative integer, got seed=-1\n")
 
 
 class TestBatteryBlocks:
