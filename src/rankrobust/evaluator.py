@@ -169,55 +169,43 @@ def _certainty_equivalent(phi: UtilityFn, value: float) -> float | None:
 
 def evaluate(v: TwoStageVariable, pref: Preference) -> Evaluation:
     """Robust rank-dependent value of a two-stage variable."""
-    return evaluate_batch([v], pref)[0]
-
-
-#: The most cells (rows x outcomes) that ``evaluate_batch`` stacks into one
-#: inner pass: 2^14 doubles, 128 KiB, glibc's default mmap threshold.  The
-#: temporaries of a larger block are allocated and trimmed anew on every
-#: call, and their page faults cost more than the shared pass saves.
-STACK_CELLS = 1 << 14
+    utils = _profile(v, pref)
+    values, minimizers = pref.ambiguity.robust_solve(utils[None, :])
+    value = float(values[0])
+    return Evaluation(
+        value_utils=value,
+        per_state_utils=utils,
+        minimizer=Prior(minimizers[0]),
+        certainty_equivalent=_certainty_equivalent(pref.phi, value),
+    )
 
 
 def evaluate_batch(variables, pref: Preference) -> list[Evaluation]:
     """``evaluate`` of each variable, bit for bit, from one ``inner_rdu``
-    pass over their stacked rows (or one per variable, when the stack would
-    pass STACK_CELLS) and one ``robust_solve`` call on their profiles.  A
-    narrower variable's rows are padded as the battery pads them:
-    zero-mass outcomes that repeat the row's largest payoff.  A batch that
-    is refused is evaluated again one variable at a time, so the first
-    refused variable's error is raised, as its own ``evaluate`` raises it."""
+    pass per variable and one ``robust_solve`` call on all their profiles.
+    A refusal is the one the variables' own evaluations, in order, would
+    raise first: an earlier profile that ``robust_solve`` refuses alone
+    comes before a later variable's error."""
+    utils = []
     try:
         for v in variables:
-            if v.state_ids != pref.state_ids:
-                raise ShapeError(f"variable states do not match preference states: "
-                                 f"{ids_mismatch(v.state_ids, pref.state_ids)}")
-        width = max(v.n_outcomes for v in variables)
-        stack = 1 < len(variables) and len(variables) * len(pref.state_ids) * width <= STACK_CELLS
-        blocks = [_stacked(variables, width)] if stack else variables
-        utils = np.concatenate([inner_rdu(rows, pref.phi, pref.psi) for rows in blocks]).reshape(len(variables), -1)
-        values, minimizers = pref.ambiguity.robust_solve(utils)
-    except (DomainError, ShapeError):
-        if len(variables) > 1:
-            for v in variables:
-                evaluate(v, pref)
+            utils.append(_profile(v, pref))
+        values, minimizers = pref.ambiguity.robust_solve(np.array(utils))
+    except ValueError:
+        for u in utils:
+            pref.ambiguity.robust_solve(u[None, :])
         raise
     return [Evaluation(value_utils=value, per_state_utils=u, minimizer=Prior(q),
                        certainty_equivalent=_certainty_equivalent(pref.phi, value))
             for value, u, q in zip(values.tolist(), utils, minimizers)]
 
 
-def _stacked(variables, width: int) -> _PayoffRows:
-    """The variables' rows in turn, in one block ``width`` wide; a narrower
-    row is padded with zero masses at its largest payoff."""
-    n = variables[0].n_states
-    probs, payoffs = np.zeros((n * len(variables), width)), np.empty((n * len(variables), width))
-    for i, v in enumerate(variables):
-        block = slice(i * n, (i + 1) * n)
-        probs[block, : v.n_outcomes] = v.outcome_probs
-        payoffs[block] = v.payoffs.max(axis=1, keepdims=True)
-        payoffs[block, : v.n_outcomes] = v.payoffs
-    return _PayoffRows(variables[0].state_ids * len(variables), probs, payoffs)
+def _profile(v: TwoStageVariable, pref: Preference) -> np.ndarray:
+    """v's per-state inner values under pref, whose states v must share."""
+    if v.state_ids != pref.state_ids:
+        raise ShapeError(f"variable states do not match preference states: "
+                         f"{ids_mismatch(v.state_ids, pref.state_ids)}")
+    return inner_rdu(v, pref.phi, pref.psi)
 
 
 def relation(a: float, b: float) -> str:

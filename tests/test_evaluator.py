@@ -401,7 +401,7 @@ def batch_pairs(draw):
     index = {"maxmin": lambda: MaxminSet(priors), "vertices": lambda: MaxminSet.vertices(n),
              "tabulated": lambda: Tabulated(list(zip(priors, rng.uniform(0.0, 3.0, size=3)))),
              "entropic": lambda: Entropic(0.7, priors[0]), "gini": lambda: Gini(0.7, priors[0])}[kind]()
-    # power:0.5 takes positive payoffs alone, so a pad outside them is refused.
+    # power:0.5 takes positive payoffs alone.
     phi, lo = draw(st.sampled_from([(identity_utility(), -5.0), (exponential(0.3), -5.0), (parse_utility("power:0.5"), 0.5)]))
     variables = []
     for m in rng.choice(np.arange(1, 9), size=2, replace=False).tolist():
@@ -415,43 +415,49 @@ def batch_pairs(draw):
 
 
 class TestEvaluateBatch:
-    """``evaluate_batch`` values each variable bit for bit as ``evaluate``
-    does, and refuses a batch as the variables' own evaluations would, in
-    order."""
+    """``evaluate_batch`` values each variable bit for bit as one inner
+    pass and a one-row ``robust_solve`` value it, and refuses a batch as
+    the variables' own evaluations would, in order."""
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(batch_pairs())
     def test_equals_separate_evaluations_with_different_outcome_counts(self, case):
-        """Stacked into one inner pass, and (STACK_CELLS at 0) one pass per variable."""
         pref, variables = case
         assert variables[0].n_outcomes != variables[1].n_outcomes
-        for order, cells in itertools.product((variables, variables[::-1]), (evaluator_module.STACK_CELLS, 0)):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(evaluator_module, "STACK_CELLS", cells)
-                batch = evaluator_module.evaluate_batch(order, pref)
-            for got, v in zip(batch, order):
-                want = evaluate(v, pref)
-                assert np.float64(got.value_utils).tobytes() == np.float64(want.value_utils).tobytes()
-                assert got.per_state_utils.tobytes() == want.per_state_utils.tobytes()
-                assert got.minimizer.weights.tobytes() == want.minimizer.weights.tobytes()
-                assert got.certainty_equivalent == want.certainty_equivalent
+        for order in (variables, variables[::-1]):
+            for got, v in zip(evaluator_module.evaluate_batch(order, pref), order):
+                utils = inner_rdu(v, pref.phi, pref.psi)
+                values, minimizers = pref.ambiguity.robust_solve(utils[None, :])
+                assert np.float64(got.value_utils).tobytes() == values[0].tobytes()
+                assert got.per_state_utils.tobytes() == utils.tobytes()
+                assert got.minimizer.weights.tobytes() == Prior(minimizers[0]).weights.tobytes()
+                assert got.certainty_equivalent == evaluator_module._certainty_equivalent(pref.phi, float(values[0]))
 
-    def test_first_variables_error_comes_first(self):
-        """Under power:2, the first variable's utility overflows and the
-        second has a payoff outside the domain; one pass would meet the
-        domain error first."""
+    @pytest.mark.parametrize("case", ["power", "entropic"])
+    def test_first_variables_error_comes_first(self, case):
+        """power: under power:2 the first variable's utility overflows in the
+        inner pass and the second has a payoff outside the domain.
+        entropic: the first variable's profile is finite but its robust
+        value overflows, and the second's inner pass overflows; the batch
+        meets the second's error before it solves the first's profile."""
         ids = ["calm", "storm"]
-        overflowing = TwoStageVariable(ids, [[0.5, 0.5], [1.0, 0.0]], [[1.0, 1e200], [1.0, 2.0]])
-        outside = TwoStageVariable(ids, [[1.0], [1.0]], [[-1.0], [1.0]])
-        pref = Preference(parse_utility("power:2"), identity(), MaxminSet.vertices(2), ids)
-        for first, second, words in ((overflowing, outside, "is not finite"),
-                                     (outside, overflowing, "outside the utility domain")):
+        if case == "power":
+            pref = Preference(parse_utility("power:2"), identity(), MaxminSet.vertices(2), ids)
+            a = TwoStageVariable(ids, [[0.5, 0.5], [1.0, 0.0]], [[1.0, 1e200], [1.0, 2.0]])
+            b = TwoStageVariable(ids, [[1.0], [1.0]], [[-1.0], [1.0]])
+            words = ("is not finite", "outside the utility domain")
+        else:
+            pref = Preference(identity_utility(), identity(), Entropic(0.7, Prior([0.5, 0.5])), ids)
+            a = TwoStageVariable(ids, [[1.0], [1.0]], [[-1.7e308], [-1.7e308]])
+            b = TwoStageVariable(ids, [[0.5, 0.5], [1.0, 0.0]], [[-1.7e308, 1.7e308], [1.0, 2.0]])
+            words = ("robust value is not finite", "of state 'calm' is not finite")
+        for first, second, word in ((a, b, words[0]), (b, a, words[1])):
             with pytest.raises(DomainError) as alone:
                 evaluate(first, pref)
             with pytest.raises(DomainError) as batched:
                 evaluator_module.evaluate_batch([first, second], pref)
             assert str(batched.value) == str(alone.value)
-            assert words in str(alone.value)
+            assert word in str(alone.value)
 
 
 def prefer(v1, v2, pref):
